@@ -5,6 +5,9 @@ Layout: 4-byte little-endian header length, the UTF-8 header JSON, then the
 tensor payloads back to back in index order. In-memory math is float64, so
 a round trip perturbs parameters by at most the float32 quantization step
 (< 1e-6 absolute for desk-scale weight magnitudes).
+
+Version 2 stores one fused `encoder.{i}.wqkv` per layer. Version 1 stored
+per-head `encoder.{i}.head{h}.wq/wk/wv`; the reader folds them into wqkv.
 """
 
 import json
@@ -13,11 +16,12 @@ import struct
 import numpy as np
 
 from .encoder import EncoderConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import SentimentModel
 from .tokenizer import Vocab
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 def save_checkpoint(model: SentimentModel, path: str) -> None:
@@ -59,15 +63,28 @@ def _read_header(blob: bytes) -> tuple[dict, bytes]:
     return header, blob[4 + header_len :]
 
 
+def _fold_v1(arrays: dict[str, np.ndarray], config: EncoderConfig) -> dict[str, np.ndarray]:
+    """Concatenate each layer's v1 head projections in the column order the
+    fused attention reads: every head's wq, then every wk, then every wv."""
+    for i in range(config.num_layers):
+        heads = [f"encoder.{i}.head{h}.w{part}" for part in "qkv" for h in range(config.num_heads)]
+        if all(name in arrays for name in heads):  # else the parameter check names what is missing
+            arrays[f"encoder.{i}.wqkv"] = np.hstack([arrays.pop(name) for name in heads])
+    return arrays
+
+
 def load_checkpoint(path: str) -> SentimentModel:
-    """Rebuild a model, verifying version, every tensor shape, and payload bounds."""
+    """Rebuild a model straight from the stored arrays, verifying version,
+    payload bounds, and every tensor name and shape."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header, payload = _read_header(blob)
 
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format version {version!r} (reader supports {FORMAT_VERSION})")
+    if version not in READABLE_VERSIONS:
+        raise CheckpointError(
+            f"unsupported checkpoint format version {version!r} (reader supports {READABLE_VERSIONS})"
+        )
     try:
         vocab = Vocab(header["vocab_tokens"])
         config = EncoderConfig.from_dict(header["config"])
@@ -79,19 +96,9 @@ def load_checkpoint(path: str) -> SentimentModel:
     if vocab.content_hash() != header.get("vocab_hash"):
         raise CheckpointError("vocab hash in header does not match the embedded vocabulary")
 
-    model = SentimentModel.init(vocab, config, seed)
-    model.labels = labels
-    expected = model.named_parameters()
-    seen = set()
     arrays: dict[str, np.ndarray] = {}
     for entry in index:
-        name = entry["name"]
-        if name not in expected:
-            raise CheckpointError(f"checkpoint tensor {name!r} is not a model parameter")
-        shape = tuple(entry["shape"])
-        want = expected[name].data.shape
-        if shape != want:
-            raise CheckpointError(f"checkpoint tensor {name!r} has shape {shape}, expected {want}")
+        name, shape = entry["name"], tuple(entry["shape"])
         nbytes = int(np.prod(shape)) * 4
         if entry["nbytes"] != nbytes:
             raise CheckpointError(f"checkpoint tensor {name!r} declares {entry['nbytes']} bytes, expected {nbytes}")
@@ -99,9 +106,9 @@ def load_checkpoint(path: str) -> SentimentModel:
         if start < 0 or end > len(payload):
             raise CheckpointError(f"checkpoint payload is truncated at tensor {name!r}")
         arrays[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).astype(np.float64)
-        seen.add(name)
-    missing = sorted(set(expected) - seen)
-    if missing:
-        raise CheckpointError(f"checkpoint is missing tensors: {', '.join(missing)}")
-    model.load_snapshot(arrays)
-    return model
+    try:
+        if version == 1:
+            arrays = _fold_v1(arrays, config)
+        return SentimentModel.from_arrays(vocab, config, arrays, seed, labels)
+    except (ConfigError, ValueError) as exc:  # ValueError: v1 heads that do not stack
+        raise CheckpointError(f"checkpoint tensors do not fit its config: {exc}") from exc

@@ -12,9 +12,9 @@ from .balance import STRATEGIES, ClassHistogram, class_weights, oversample, unde
 from .data import LABELS, NUM_CLASSES, LabeledExample
 from .errors import ConfigError
 from .metrics import MetricsReport, confusion, log_loss, report
-from .model import SentimentModel
+from .model import SentimentModel, eval_chunks
 from .optim import OptimizerConfig, make_optimizer
-from .tensor import Graph, concat_rows, cross_entropy
+from .tensor import Graph, cross_entropy, softmax
 from .tokenizer import EncodedSequence, encode_pair
 
 CURVE_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
@@ -64,30 +64,23 @@ def curve_to_csv(curve: list[EpochRecord]) -> str:
     return buf.getvalue()
 
 
-def _softmax_1d(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
+def _probs_for(seqs: list[EncodedSequence], model: SentimentModel) -> np.ndarray:
+    """Eval-mode probability rows over (negative, neutral, positive), in input order."""
+    probs = np.empty((len(seqs), NUM_CLASSES))
+    for idx in eval_chunks(seqs):
+        probs[idx] = softmax(model.class_logits([seqs[i] for i in idx]).data)
+    return probs
 
 
 def forward_classify(text: str, model: SentimentModel) -> np.ndarray:
     """Probability vector over (negative, neutral, positive); sums to 1."""
-    seq = encode_pair(text, None, model.vocab, model.config.max_len)
-    logits = model.class_logits(seq, training=False)
-    return _softmax_1d(logits.data[0])
+    return _probs_for([encode_pair(text, None, model.vocab, model.config.max_len)], model)[0]
 
 
 def predict_batch(texts: Sequence[str], model: SentimentModel) -> list[tuple[int, np.ndarray]]:
     """Per-text (argmax label, probabilities); ties resolve to the lower index."""
-    results = []
-    for text in texts:
-        probs = forward_classify(text, model)
-        results.append((int(np.argmax(probs)), probs))
-    return results
-
-
-def _probs_for(seqs: list[EncodedSequence], model: SentimentModel) -> np.ndarray:
-    return np.vstack([_softmax_1d(model.class_logits(s, training=False).data[0]) for s in seqs])
+    seqs = [encode_pair(text, None, model.vocab, model.config.max_len) for text in texts]
+    return [(int(np.argmax(probs)), probs) for probs in _probs_for(seqs, model)]
 
 
 def _partition_scores(seqs, labels, model) -> tuple[float, float]:
@@ -173,9 +166,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             chunk = order[start : start + config.batch_size]
             with Graph() as graph:
-                logits = concat_rows(
-                    [model.class_logits(train_seqs[i], training=True, rng=rng) for i in chunk]
-                )
+                logits = model.class_logits([train_seqs[i] for i in chunk], training=True, rng=rng)
                 loss = cross_entropy(logits, [train_labels[i] for i in chunk], weights)
                 graph.backward(loss)
             optimizer.step()

@@ -1,27 +1,17 @@
 """Stacked Transformer encoder: scaled dot-product multi-head attention,
 post-norm residuals, and a position-wise ReLU feed-forward block.
+
+Every function works on packed rows: the real (unpadded) rows of a batch of
+sequences back to back, with `lengths` giving each sequence's row count.
+Only the fused attention op pads, internally.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import (
-    NEG_INF_MASK,
-    Tensor,
-    add,
-    add_bias,
-    concat_cols,
-    dropout,
-    layer_norm,
-    matmul,
-    parameter,
-    relu,
-    scale,
-    softmax_rows,
-    transpose,
-)
+from .tensor import Tensor, add, add_bias, attention, dropout, layer_norm, matmul, parameter, relu
 
 LAYER_NORM_EPS = 1e-5
 
@@ -65,55 +55,57 @@ class EncoderConfig:
         return cls(**{k: raw[k] for k in cls().to_dict()})
 
 
+# dataclass field -> parameter name suffix, as in checkpoints
+PARAM_NAMES = {
+    "wqkv": "wqkv",
+    "wo": "wo",
+    "w1": "ffn.w1",
+    "b1": "ffn.b1",
+    "w2": "ffn.w2",
+    "b2": "ffn.b2",
+    "ln1_gamma": "ln1.gamma",
+    "ln1_beta": "ln1.beta",
+    "ln2_gamma": "ln2.gamma",
+    "ln2_beta": "ln2.beta",
+}
+
+
 @dataclass
 class EncoderLayerParams:
-    wq: list[Tensor] = field(default_factory=list)  # per head, [d_model x d_k]
-    wk: list[Tensor] = field(default_factory=list)
-    wv: list[Tensor] = field(default_factory=list)
-    wo: Tensor = None  # [d_model x d_model]
-    w1: Tensor = None  # [d_model x d_ff]
-    b1: Tensor = None  # [d_ff]
-    w2: Tensor = None  # [d_ff x d_model]
-    b2: Tensor = None  # [d_model]
-    ln1_gamma: Tensor = None
-    ln1_beta: Tensor = None
-    ln2_gamma: Tensor = None
-    ln2_beta: Tensor = None
+    wqkv: Tensor  # [d_model x 3 d_model]: Q heads, then K heads, then V heads, d_k columns each
+    wo: Tensor  # [d_model x d_model]
+    w1: Tensor  # [d_model x d_ff]
+    b1: Tensor  # [d_ff]
+    w2: Tensor  # [d_ff x d_model]
+    b2: Tensor  # [d_model]
+    ln1_gamma: Tensor
+    ln1_beta: Tensor
+    ln2_gamma: Tensor
+    ln2_beta: Tensor
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for head, (q, k, v) in enumerate(zip(self.wq, self.wk, self.wv)):
-            out[f"{prefix}.head{head}.wq"] = q
-            out[f"{prefix}.head{head}.wk"] = k
-            out[f"{prefix}.head{head}.wv"] = v
-        out[f"{prefix}.wo"] = self.wo
-        out[f"{prefix}.ffn.w1"] = self.w1
-        out[f"{prefix}.ffn.b1"] = self.b1
-        out[f"{prefix}.ffn.w2"] = self.w2
-        out[f"{prefix}.ffn.b2"] = self.b2
-        out[f"{prefix}.ln1.gamma"] = self.ln1_gamma
-        out[f"{prefix}.ln1.beta"] = self.ln1_beta
-        out[f"{prefix}.ln2.gamma"] = self.ln2_gamma
-        out[f"{prefix}.ln2.beta"] = self.ln2_beta
-        return out
+        return {f"{prefix}.{suffix}": getattr(self, field) for field, suffix in PARAM_NAMES.items()}
+
+    @classmethod
+    def from_named(cls, tensors: dict[str, Tensor], prefix: str) -> "EncoderLayerParams":
+        return cls(**{field: tensors[f"{prefix}.{suffix}"] for field, suffix in PARAM_NAMES.items()})
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    return parameter(rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out)))
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    return rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
 
 
 def init_layer_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderLayerParams:
     """Xavier-scaled projections (a fixed 0.02 starves narrow desk-scale
-    widths); biases zero; layer-norm at identity."""
+    widths); biases zero; layer-norm at identity. wqkv is one Xavier draw per
+    head and projection at fan_out d_k, in the order Q heads, K heads, V heads."""
     d, dk, dff = config.d_model, config.d_k, config.d_ff
     return EncoderLayerParams(
-        wq=[_xavier(rng, d, dk) for _ in range(config.num_heads)],
-        wk=[_xavier(rng, d, dk) for _ in range(config.num_heads)],
-        wv=[_xavier(rng, d, dk) for _ in range(config.num_heads)],
-        wo=_xavier(rng, d, d),
-        w1=_xavier(rng, d, dff),
+        wqkv=parameter(np.hstack([_xavier(rng, d, dk) for _ in range(3 * config.num_heads)])),
+        wo=parameter(_xavier(rng, d, d)),
+        w1=parameter(_xavier(rng, d, dff)),
         b1=parameter(np.zeros(dff)),
-        w2=_xavier(rng, dff, d),
+        w2=parameter(_xavier(rng, dff, d)),
         b2=parameter(np.zeros(d)),
         ln1_gamma=parameter(np.ones(d)),
         ln1_beta=parameter(np.zeros(d)),
@@ -122,38 +114,11 @@ def init_layer_params(config: EncoderConfig, rng: np.random.Generator) -> Encode
     )
 
 
-def _mask_bias(mask, rows: int) -> Tensor:
-    """Constant [rows x n] tensor adding -1e9 at masked key slots."""
-    m = np.asarray(mask, dtype=np.float64)
-    if m.ndim != 1:
-        raise ShapeError(f"attention mask must be 1-D, got shape {m.shape}")
-    bias = np.where(m > 0, 0.0, NEG_INF_MASK)
-    return Tensor(np.broadcast_to(bias, (rows, m.shape[0])).copy())
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V with additive -1e9 masking of padded keys."""
-    if q.data.shape[1] != k.data.shape[1]:
-        raise ShapeError(f"attention: query/key widths differ: {q.data.shape} vs {k.data.shape}")
-    if k.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(f"attention: key/value row counts differ: {k.data.shape} vs {v.data.shape}")
-    if len(mask) != k.data.shape[0]:
-        raise ShapeError(f"attention: mask length {len(mask)} != key count {k.data.shape[0]}")
-    d_k = q.data.shape[1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(d_k))
-    scores = add(scores, _mask_bias(mask, q.data.shape[0]))
-    return matmul(softmax_rows(scores), v)
-
-
-def multi_head(x: Tensor, params: EncoderLayerParams, mask) -> Tensor:
-    """Per-head attention on learned projections, concatenated, projected by W^O."""
+def multi_head(x: Tensor, params: EncoderLayerParams, lengths, num_heads: int) -> Tensor:
+    """Attention on the fused Q/K/V projection of the packed rows, projected by W^O."""
     if x.data.shape[1] != params.wo.data.shape[0]:
         raise ShapeError(f"multi_head: input width {x.data.shape[1]} != d_model {params.wo.data.shape[0]}")
-    heads = [
-        attention(matmul(x, wq), matmul(x, wk), matmul(x, wv), mask)
-        for wq, wk, wv in zip(params.wq, params.wk, params.wv)
-    ]
-    return matmul(concat_cols(heads), params.wo)
+    return matmul(attention(matmul(x, params.wqkv), lengths, num_heads), params.wo)
 
 
 def feed_forward(x: Tensor, params: EncoderLayerParams) -> Tensor:
@@ -165,7 +130,8 @@ def feed_forward(x: Tensor, params: EncoderLayerParams) -> Tensor:
 def encoder_layer(
     x: Tensor,
     params: EncoderLayerParams,
-    mask,
+    lengths,
+    num_heads: int,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     training: bool = False,
@@ -173,7 +139,7 @@ def encoder_layer(
     """Post-norm block: LayerNorm(x + attn), then LayerNorm(y + FFN(y))."""
     if training and dropout_rate > 0.0 and rng is None:
         raise ConfigError("encoder_layer: training with dropout needs an rng")
-    attn = dropout(multi_head(x, params, mask), dropout_rate, rng, training)
+    attn = dropout(multi_head(x, params, lengths, num_heads), dropout_rate, rng, training)
     y = layer_norm(add(x, attn), params.ln1_gamma, params.ln1_beta, LAYER_NORM_EPS)
     ffn = dropout(feed_forward(y, params), dropout_rate, rng, training)
     return layer_norm(add(y, ffn), params.ln2_gamma, params.ln2_beta, LAYER_NORM_EPS)
@@ -183,7 +149,7 @@ def encode(
     x: Tensor,
     config: EncoderConfig,
     layers: list[EncoderLayerParams],
-    mask,
+    lengths,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
@@ -192,5 +158,5 @@ def encode(
         raise ConfigError(f"encode: got {len(layers)} layer params for num_layers={config.num_layers}")
     hidden = x
     for params in layers:
-        hidden = encoder_layer(hidden, params, mask, config.dropout_rate, rng, training)
+        hidden = encoder_layer(hidden, params, lengths, config.num_heads, config.dropout_rate, rng, training)
     return hidden

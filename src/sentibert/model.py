@@ -1,11 +1,11 @@
 """Full model assembly: embeddings, encoder stack, and the task heads.
 
-Forward helpers trim each sequence to its real (unpadded) length before
-embedding: pads are always a suffix and masked attention slots carry
-exactly zero weight in float64, so hidden states at real positions agree
-with the full-width computation to within a few ULPs (row reductions
-associate differently for different row lengths), far inside every stated
-tolerance. Each code path is individually deterministic.
+A forward runs a whole batch at once on packed rows: each sequence's real
+(unpadded) rows, back to back in batch order. Pads are always a suffix, so
+dropping them leaves embedding, projections, feed-forward, layer norm and
+dropout with no padding work; only the attention op pads, internally, and
+masks the padded keys. Eval-mode callers run length-sorted chunks of
+EVAL_CHUNK sequences (eval_chunks), so a chunk pads little.
 """
 
 import copy
@@ -21,6 +21,35 @@ from .tensor import Tensor, add_bias, gather_rows, matmul, parameter, transpose
 from .tokenizer import EncodedSequence, Vocab
 
 NUM_SENTIMENTS = len(LABELS)
+EVAL_CHUNK = 16  # sequences per eval-mode forward
+
+
+def parameter_shapes(vocab_size: int, config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every learnable tensor, as named_parameters names them."""
+    d, dff = config.d_model, config.d_ff
+    layer = {"wqkv": (d, 3 * d), "wo": (d, d), "ffn.w1": (d, dff), "ffn.b1": (dff,), "ffn.w2": (dff, d), "ffn.b2": (d,)}
+    layer.update({f"ln{i}.{p}": (d,) for i in (1, 2) for p in ("gamma", "beta")})
+    shapes = {
+        "embeddings.token": (vocab_size, d),
+        "embeddings.segment": (2, d),
+        "embeddings.position": (config.max_len, d),
+    }
+    shapes.update({f"encoder.{i}.{name}": shape for i in range(config.num_layers) for name, shape in layer.items()})
+    shapes.update({"classifier.weight": (d, NUM_SENTIMENTS), "classifier.bias": (NUM_SENTIMENTS,)})
+    shapes.update({"nsp.weight": (d, 2), "nsp.bias": (2,)})
+    return shapes
+
+
+def row_starts(seqs: list[EncodedSequence]) -> list[int]:
+    """Packed row of each sequence's [CLS] (its first row) in hidden_states output."""
+    return np.cumsum([0] + [s.real_length() for s in seqs])[:-1].tolist()
+
+
+def eval_chunks(seqs: list[EncodedSequence]) -> list[np.ndarray]:
+    """Input indices in length-sorted chunks of EVAL_CHUNK: the batches of an
+    eval-mode pass. Callers put each chunk's results back at its indices."""
+    order = np.argsort([s.real_length() for s in seqs], kind="stable")
+    return [order[i : i + EVAL_CHUNK] for i in range(0, len(order), EVAL_CHUNK)]
 
 
 @dataclass
@@ -55,6 +84,27 @@ class SentimentModel:
             seed=seed,
         )
 
+    @classmethod
+    def from_arrays(
+        cls, vocab: Vocab, config: EncoderConfig, arrays: dict[str, np.ndarray], seed: int, labels: tuple[str, ...]
+    ) -> "SentimentModel":
+        """Model holding float64 copies of named arrays whose names and shapes
+        match parameter_shapes exactly; no random initialization."""
+        _check_arrays(parameter_shapes(len(vocab), config), arrays)
+        t = {name: parameter(np.array(a, dtype=np.float64), name=name) for name, a in arrays.items()}
+        return cls(
+            vocab=vocab,
+            config=config,
+            tables=EmbeddingTables(t["embeddings.token"], t["embeddings.segment"], t["embeddings.position"]),
+            layers=[EncoderLayerParams.from_named(t, f"encoder.{i}") for i in range(config.num_layers)],
+            cls_w=t["classifier.weight"],
+            cls_b=t["classifier.bias"],
+            nsp_w=t["nsp.weight"],
+            nsp_b=t["nsp.bias"],
+            seed=seed,
+            labels=tuple(labels),
+        )
+
     def named_parameters(self) -> dict[str, Tensor]:
         out = {
             "embeddings.token": self.tables.token,
@@ -82,58 +132,59 @@ class SentimentModel:
 
     def load_snapshot(self, arrays: dict[str, np.ndarray]) -> None:
         params = self.named_parameters()
-        missing = sorted(set(params) ^ set(arrays))
-        if missing:
-            raise ConfigError(f"snapshot does not match model parameters: {missing}")
+        _check_arrays({name: t.data.shape for name, t in params.items()}, arrays)
         for name, t in params.items():
-            if arrays[name].shape != t.data.shape:
-                raise ConfigError(
-                    f"snapshot tensor {name!r} has shape {arrays[name].shape}, expected {t.data.shape}"
-                )
             t.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
             t.grad = None
 
     def clone(self) -> "SentimentModel":
-        clone = SentimentModel.init(self.vocab, copy.deepcopy(self.config), self.seed)
-        clone.load_snapshot(self.snapshot())
-        return clone
+        return SentimentModel.from_arrays(
+            self.vocab, copy.deepcopy(self.config), self.snapshot(), self.seed, self.labels
+        )
 
     # -- forward helpers ----------------------------------------------------
 
     def hidden_states(
         self,
-        seq: EncodedSequence,
+        seqs: list[EncodedSequence],
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Encoder output for the real (unpadded) prefix of the sequence."""
-        real = seq.real_length()
-        trimmed = EncodedSequence(
-            token_ids=seq.token_ids[:real],
-            segment_ids=seq.segment_ids[:real],
-            positions=seq.positions[:real],
-            attention_mask=seq.attention_mask[:real],
+        """Encoder output [N_real x d] of a batch: each sequence's real rows,
+        back to back in batch order (see row_starts)."""
+        lengths = [s.real_length() for s in seqs]
+        real = list(zip(seqs, lengths))
+        packed = EncodedSequence(
+            token_ids=[t for s, n in real for t in s.token_ids[:n]],
+            segment_ids=[t for s, n in real for t in s.segment_ids[:n]],
+            positions=[t for s, n in real for t in s.positions[:n]],
+            attention_mask=[1] * sum(lengths),
         )
-        x = embed(trimmed, self.tables)
-        return encode(x, self.config, self.layers, trimmed.attention_mask, training, rng)
+        return encode(embed(packed, self.tables), self.config, self.layers, lengths, training, rng)
 
     def class_logits(
         self,
-        seq: EncodedSequence,
+        seqs: list[EncodedSequence],
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Sentiment logits [1 x 3] from the [CLS] hidden state."""
-        hidden = self.hidden_states(seq, training, rng)
-        cls_row = gather_rows(hidden, [0])
-        return add_bias(matmul(cls_row, self.cls_w), self.cls_b)
+        """Sentiment logits [B x 3] from each sequence's [CLS] hidden state."""
+        hidden = self.hidden_states(seqs, training, rng)
+        return add_bias(matmul(gather_rows(hidden, row_starts(seqs)), self.cls_w), self.cls_b)
 
-    def nsp_logits(self, hidden: Tensor) -> Tensor:
-        """Next-sentence logits [1 x 2] from the [CLS] hidden state."""
-        cls_row = gather_rows(hidden, [0])
-        return add_bias(matmul(cls_row, self.nsp_w), self.nsp_b)
+    def nsp_logits(self, hidden: Tensor, starts: list[int]) -> Tensor:
+        """Next-sentence logits [B x 2] from the [CLS] hidden states at rows starts."""
+        return add_bias(matmul(gather_rows(hidden, starts), self.nsp_w), self.nsp_b)
 
-    def mlm_logits(self, hidden: Tensor, positions: list[int]) -> Tensor:
-        """Masked-token logits [n x V] via the transposed token table (tied weights)."""
-        selected = gather_rows(hidden, positions)
-        return matmul(selected, transpose(self.tables.token))
+    def mlm_logits(self, hidden: Tensor, rows: list[int]) -> Tensor:
+        """Masked-token logits [n x V] at packed rows, via the transposed token table (tied weights)."""
+        return matmul(gather_rows(hidden, rows), transpose(self.tables.token))
+
+
+def _check_arrays(shapes: dict[str, tuple[int, ...]], arrays: dict[str, np.ndarray]) -> None:
+    missing, unexpected = sorted(set(shapes) - set(arrays)), sorted(set(arrays) - set(shapes))
+    if missing or unexpected:
+        raise ConfigError(f"tensors missing: {missing}; not model parameters: {unexpected}")
+    for name in sorted(shapes):  # sorted: the first mismatch in checkpoint index order
+        if arrays[name].shape != shapes[name]:
+            raise ConfigError(f"tensor {name!r} has shape {arrays[name].shape}, expected {shapes[name]}")

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, SamplingError
-from .model import SentimentModel
+from .model import SentimentModel, eval_chunks, row_starts
 from .optim import OptimizerConfig, make_optimizer
-from .tensor import Graph, Tensor, add, concat_rows, cross_entropy
+from .tensor import Graph, Tensor, add, cross_entropy
 from .tokenizer import (
     CLS_ID,
     MASK_ID,
@@ -113,25 +113,21 @@ def _batch_losses(
     model: SentimentModel,
     training: bool,
     rng: np.random.Generator | None,
-) -> tuple[Tensor | None, Tensor, list[np.ndarray], list[list[int]]]:
-    """Forward the batch; returns (mlm_loss or None, nsp_loss, mlm logits, targets)."""
-    mlm_logit_parts: list[Tensor] = []
-    mlm_target_parts: list[list[int]] = []
-    cls_logit_parts: list[Tensor] = []
-    for seq, targets in zip(batch.sequences, batch.mlm_targets):
-        hidden = model.hidden_states(seq, training=training, rng=rng)
-        selected = [i for i, t in enumerate(targets) if t != SENTINEL]
-        if selected:
-            mlm_logit_parts.append(model.mlm_logits(hidden, selected))
-            mlm_target_parts.append([targets[i] for i in selected])
-        cls_logit_parts.append(model.nsp_logits(hidden))
-    nsp_loss = cross_entropy(concat_rows(cls_logit_parts), batch.nsp_labels)
-    if not mlm_logit_parts:
-        return None, nsp_loss, [], []
-    flat_targets = [t for part in mlm_target_parts for t in part]
-    mlm_loss = cross_entropy(concat_rows(mlm_logit_parts), flat_targets)
-    raw_logits = [p.data for p in mlm_logit_parts]
-    return mlm_loss, nsp_loss, raw_logits, mlm_target_parts
+) -> tuple[Tensor | None, Tensor, np.ndarray | None, list[int]]:
+    """Forward the batch at once; returns (mlm_loss or None, nsp_loss, mlm logits, mlm targets)."""
+    hidden = model.hidden_states(batch.sequences, training, rng)
+    starts = row_starts(batch.sequences)
+    rows, targets = [], []
+    for start, seq_targets in zip(starts, batch.mlm_targets):
+        for i, t in enumerate(seq_targets):
+            if t != SENTINEL:  # never a pad: masking skips [PAD]
+                rows.append(start + i)
+                targets.append(t)
+    nsp_loss = cross_entropy(model.nsp_logits(hidden, starts), batch.nsp_labels)
+    if not rows:
+        return None, nsp_loss, None, []
+    mlm_logits = model.mlm_logits(hidden, rows)
+    return cross_entropy(mlm_logits, targets), nsp_loss, mlm_logits.data, targets
 
 
 def pretrain_step(
@@ -159,17 +155,25 @@ def pretrain_step(
 
 def eval_losses(batch: MaskedBatch, model: SentimentModel) -> dict[str, float]:
     """Eval-mode MLM/NSP losses and masked-token top-1 accuracy on a fixed batch."""
-    mlm_loss, nsp_loss, raw_logits, target_parts = _batch_losses(
-        batch, model, training=False, rng=None
-    )
+    if not batch.sequences:
+        raise ContractError("eval_losses: empty batch")
+    mlm_sum = nsp_sum = 0.0
     hits = total = 0
-    for logits, targets in zip(raw_logits, target_parts):
-        preds = logits.argmax(axis=1)
-        hits += int((preds == np.asarray(targets)).sum())
-        total += len(targets)
+    for idx in eval_chunks(batch.sequences):
+        chunk = MaskedBatch(
+            sequences=[batch.sequences[i] for i in idx],
+            mlm_targets=[batch.mlm_targets[i] for i in idx],
+            nsp_labels=[batch.nsp_labels[i] for i in idx],
+        )
+        mlm_loss, nsp_loss, logits, targets = _batch_losses(chunk, model, training=False, rng=None)
+        nsp_sum += nsp_loss.item() * len(idx)
+        if mlm_loss is not None:
+            mlm_sum += mlm_loss.item() * len(targets)
+            hits += int((logits.argmax(axis=1) == np.asarray(targets)).sum())
+            total += len(targets)
     return {
-        "mlm_loss": 0.0 if mlm_loss is None else mlm_loss.item(),
-        "nsp_loss": nsp_loss.item(),
+        "mlm_loss": mlm_sum / total if total else 0.0,
+        "nsp_loss": nsp_sum / len(batch.sequences),
         "mlm_accuracy": hits / total if total else 0.0,
     }
 

@@ -103,8 +103,9 @@ def _wants_grad(t: Tensor) -> bool:
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+        t.grad = grad.copy()  # a copy: add's backward hands one array to both inputs
+    else:
+        t.grad += grad
 
 
 def _record(out: Tensor, backward_fn, *inputs: Tensor) -> None:
@@ -189,18 +190,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    out = Tensor(x.data * factor)
-
-    def backward(grad):
-        if _wants_grad(x):
-            _accumulate(x, grad * factor)
-
-    _record(out, backward, x)
-    return out
-
-
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at 0 is 0."""
     keep = x.data > 0.0
@@ -221,23 +210,6 @@ def transpose(x: Tensor) -> Tensor:
     def backward(grad):
         if _wants_grad(x):
             _accumulate(x, grad.T)
-
-    _record(out, backward, x)
-    return out
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by subtracting each row's maximum."""
-    _require_2d(x, "softmax_rows")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    y = exps / exps.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-
-    def backward(grad):
-        if _wants_grad(x):
-            inner = (grad * y).sum(axis=1, keepdims=True)
-            _accumulate(x, y * (grad - inner))
 
     _record(out, backward, x)
     return out
@@ -271,6 +243,73 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             _accumulate(x, inv_std * (d_hat - term_mean - x_hat * term_proj))
 
     _record(out, backward, x, gamma, beta)
+    return out
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a plain array, stabilized by subtracting each row's maximum."""
+    exps = np.exp(x - x.max(axis=-1, keepdims=True))
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
+def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
+    """Multi-head softmax(Q K^T / sqrt(d_k)) V over sequences packed back to back.
+
+    qkv is [N x 3d]: per real row, the query heads, then the key heads, then
+    the value heads, d_k = d / num_heads columns each. lengths are the row
+    counts of the sequences and sum to N. Rows are scattered into a
+    [B, H, L_max, d_k] grid, keys past a sequence's length get the additive
+    -1e9 mask, and the [N x d] result holds each row's heads side by side.
+    Padding exists only inside this op; the backward keeps the probability
+    grid and rebuilds q/k/v from qkv.
+    """
+    _require_2d(qkv, "attention")
+    n, width = qkv.data.shape
+    if num_heads < 1 or width % (3 * num_heads):
+        raise ShapeError(f"attention: width {width} does not split into q/k/v for {num_heads} heads")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n:
+        raise ShapeError(f"attention: lengths {lengths.tolist()} do not partition {n} rows")
+    b, length = lengths.size, int(lengths.max())
+    d = width // 3
+    d_k = d // num_heads
+    # grid slot of packed row r, position p of sequence s: s * L_max + p
+    slots = np.arange(n) + np.repeat(np.arange(b) * length - (np.cumsum(lengths) - lengths), lengths)
+    key_bias = np.where(np.arange(length) < lengths[:, None], 0.0, NEG_INF_MASK)[:, None, None, :]
+    factor = 1.0 / np.sqrt(d_k)
+
+    def grid(parts: int) -> tuple[np.ndarray, np.ndarray]:
+        """Zeroed [B*L_max x parts*d] slot rows and their [parts, B, H, L_max, d_k] view."""
+        flat = np.zeros((b * length, parts * d))
+        return flat, flat.reshape(b, length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
+
+    def qkv_grid() -> np.ndarray:
+        flat, view = grid(3)
+        flat[slots] = qkv.data
+        return view
+
+    q, k, v = qkv_grid()
+    probs = softmax(q @ k.transpose(0, 1, 3, 2) * factor + key_bias)
+    flat, (context,) = grid(1)
+    np.matmul(probs, v, out=context)
+    out = Tensor(flat[slots])
+
+    def backward(grad):
+        if _wants_grad(qkv):
+            q, k, v = qkv_grid()
+            flat_g, (g,) = grid(1)
+            flat_g[slots] = grad
+            d_scores = g @ v.transpose(0, 1, 3, 2)  # d probs, turned into d scores in place
+            d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+            d_scores *= probs
+            d_scores *= factor
+            d_flat, (grad_q, grad_k, grad_v) = grid(3)
+            np.matmul(d_scores, k, out=grad_q)
+            np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=grad_k)
+            np.matmul(probs.transpose(0, 1, 3, 2), g, out=grad_v)
+            _accumulate(qkv, d_flat[slots])
+
+    _record(out, backward, qkv)
     return out
 
 
@@ -334,60 +373,6 @@ def gather_rows(table: Tensor, ids) -> Tensor:
             _accumulate(table, scattered)
 
     _record(out, backward, table)
-    return out
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 2-D tensors of equal width along the row axis."""
-    if not parts:
-        raise ContractError("concat_rows: empty input")
-    widths = {p.data.shape[1] for p in parts}
-    if len(widths) != 1:
-        raise ShapeError(f"concat_rows: widths differ: {sorted(widths)}")
-    out = Tensor(np.vstack([p.data for p in parts]))
-    row_counts = [p.data.shape[0] for p in parts]
-
-    def backward(grad):
-        offset = 0
-        for p, rows in zip(parts, row_counts):
-            if _wants_grad(p):
-                _accumulate(p, grad[offset : offset + rows])
-            offset += rows
-
-    _record(out, backward, *parts)
-    return out
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Stack 2-D tensors of equal height along the feature axis."""
-    if not parts:
-        raise ContractError("concat_cols: empty input")
-    heights = {p.data.shape[0] for p in parts}
-    if len(heights) != 1:
-        raise ShapeError(f"concat_cols: heights differ: {sorted(heights)}")
-    out = Tensor(np.hstack([p.data for p in parts]))
-    col_counts = [p.data.shape[1] for p in parts]
-
-    def backward(grad):
-        offset = 0
-        for p, cols in zip(parts, col_counts):
-            if _wants_grad(p):
-                _accumulate(p, grad[:, offset : offset + cols])
-            offset += cols
-
-    _record(out, backward, *parts)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of every element, as a scalar tensor."""
-    out = Tensor(x.data.sum())
-
-    def backward(grad):
-        if _wants_grad(x):
-            _accumulate(x, np.full_like(x.data, float(grad)))
-
-    _record(out, backward, x)
     return out
 
 

@@ -7,7 +7,7 @@ drown in relative noise).
 
 import numpy as np
 
-from sentibert.tensor import Graph, Tensor
+from sentibert.tensor import Graph, Tensor, _accumulate, _record, _wants_grad
 
 
 def numerical_grad(loss_fn, param: Tensor, flat_index: int, h: float = 1e-5) -> float:
@@ -66,3 +66,15 @@ def check_gradients(
             )
         checked += 1
     return checked
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Sum of every element, as a scalar tensor: the simplest loss to differentiate."""
+    out = Tensor(x.data.sum())
+
+    def backward(grad):
+        if _wants_grad(x):
+            _accumulate(x, np.full_like(x.data, float(grad)))
+
+    _record(out, backward, x)
+    return out

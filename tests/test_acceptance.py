@@ -17,8 +17,7 @@ from sentibert.checkpoint import load_checkpoint, save_checkpoint
 from sentibert.classify import TrainConfig, evaluate, train
 from sentibert.cli import main as cli_main
 from sentibert.data import LabeledExample, write_jsonl
-from sentibert.embedding import embed
-from sentibert.encoder import EncoderConfig, encode
+from sentibert.encoder import EncoderConfig
 from sentibert.metrics import (
     accuracy,
     confusion,
@@ -27,7 +26,7 @@ from sentibert.metrics import (
     precision_class,
     recall_class,
 )
-from sentibert.model import SentimentModel
+from sentibert.model import SentimentModel, row_starts
 from sentibert.pretrain import (
     build_masked_batch,
     eval_losses,
@@ -54,7 +53,7 @@ def test_criterion_1_gradient_correctness():
     from sentibert.tensor import cross_entropy
 
     def build():
-        return cross_entropy(model.class_logits(seq), [1])
+        return cross_entropy(model.class_logits([seq]), [1])
 
     params = {
         name: t for name, t in model.named_parameters().items() if not name.startswith("nsp.")
@@ -291,11 +290,14 @@ def test_criterion_8_mask_isolation():
     vocab = Vocab(list(SPECIAL_TOKENS) + [f"w{i}" for i in range(40)])
     model = SentimentModel.init(vocab, config, seed=88)
     rng = np.random.default_rng(808)
+
+    def random_text(n_words: int) -> str:
+        return " ".join(f"w{int(rng.integers(40))}" for _ in range(n_words))
+
     worst = 0.0
     for _ in range(100):
         real = int(rng.integers(3, config.max_len))  # at least CLS + token + SEP
-        words = " ".join(f"w{int(rng.integers(40))}" for _ in range(real - 2))
-        seq = encode_pair(words, None, vocab, config.max_len)
+        seq = encode_pair(random_text(real - 2), None, vocab, config.max_len)
         n_real = seq.real_length()
         if n_real >= config.max_len:
             continue
@@ -308,9 +310,15 @@ def test_criterion_8_mask_isolation():
             positions=list(seq.positions),
             attention_mask=list(seq.attention_mask),
         )
-        # full-width path on purpose: this probes the additive mask, not trimming
-        h_clean = encode(embed(seq, model.tables), config, model.layers, seq.attention_mask).data
-        h_dirty = encode(embed(scrambled, model.tables), config, model.layers, seq.attention_mask).data
-        worst = max(worst, float(np.max(np.abs(h_clean[:n_real] - h_dirty[:n_real]))))
+        # longer neighbours pad the probe's keys with masked slots inside the attention grid
+        before, after = (
+            encode_pair(random_text(int(rng.integers(n_real - 1, config.max_len - 1))), None, vocab, config.max_len)
+            for _ in range(2)
+        )
+        h_alone = model.hidden_states([seq]).data
+        h_dirty = model.hidden_states([scrambled]).data
+        start = row_starts([before, seq, after])[1]
+        h_batched = model.hidden_states([before, seq, after]).data[start : start + n_real]
+        worst = max(worst, float(np.max(np.abs(h_alone - h_dirty))), float(np.max(np.abs(h_alone - h_batched))))
     assert worst < 1e-9, f"real-position hidden states moved by {worst}"
-    _ok(8, f"max real-position drift {worst:.2e} over 100 scrambled-pad inputs")
+    _ok(8, f"max real-position drift {worst:.2e} over 100 probes with scrambled pads and longer batch neighbours")

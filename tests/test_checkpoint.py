@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sentibert.checkpoint import load_checkpoint, save_checkpoint
-from sentibert.classify import evaluate
+from sentibert.classify import evaluate, predict_batch
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import CheckpointError
 from sentibert.model import SentimentModel
@@ -64,6 +64,64 @@ class TestRoundTrip:
         rep_b, _ = evaluate(loaded, data)
         assert abs(rep_a.accuracy - rep_b.accuracy) < 1e-4
         assert abs(rep_a.log_loss - rep_b.log_loss) < 1e-4
+
+
+def _write_v1(model, path):
+    """A format-1 file: each layer's wqkv stored as per-head wq/wk/wv."""
+    cfg = model.config
+    arrays = {}
+    for name, t in model.named_parameters().items():
+        if not name.endswith(".wqkv"):
+            arrays[name] = t.data
+            continue
+        prefix = name.removesuffix(".wqkv")
+        for p, part in enumerate("qkv"):
+            for h in range(cfg.num_heads):
+                first = p * cfg.d_model + h * cfg.d_k
+                arrays[f"{prefix}.head{h}.w{part}"] = t.data[:, first : first + cfg.d_k]
+    index, offset = [], 0
+    for name in sorted(arrays):
+        nbytes = arrays[name].size * 4
+        index.append({"name": name, "shape": list(arrays[name].shape), "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    header = {
+        "format_version": 1,
+        "config": cfg.to_dict(),
+        "labels": list(model.labels),
+        "seed": model.seed,
+        "vocab_tokens": model.vocab.tokens(),
+        "vocab_hash": model.vocab.content_hash(),
+        "tensors": index,
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = b"".join(np.ascontiguousarray(arrays[e["name"]], dtype="<f4").tobytes() for e in index)
+    path.write_bytes(struct.pack("<I", len(header_bytes)) + header_bytes + payload)
+
+
+class TestVersions:
+    def test_v1_loads_and_predicts_like_its_v2_resave(self, model, tmp_path):
+        _write_v1(model, tmp_path / "v1.ckpt")
+        from_v1 = load_checkpoint(str(tmp_path / "v1.ckpt"))
+        # the fold restores the fused column order exactly, up to the float32 payload
+        np.testing.assert_array_equal(
+            from_v1.layers[0].wqkv.data, model.layers[0].wqkv.data.astype(np.float32).astype(np.float64)
+        )
+        save_checkpoint(from_v1, str(tmp_path / "v2.ckpt"))
+        from_v2 = load_checkpoint(str(tmp_path / "v2.ckpt"))
+        texts = [ex.text for ex in generate_dataset((5, 5, 5), seed=3)]
+        for (label_a, probs_a), (label_b, probs_b) in zip(predict_batch(texts, from_v1), predict_batch(texts, from_v2)):
+            assert label_a == label_b
+            np.testing.assert_array_equal(probs_a, probs_b)
+
+    def test_load_runs_no_random_init(self, model, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint ran a random initialization")
+
+        monkeypatch.setattr(SentimentModel, "init", no_init)
+        assert load_checkpoint(str(path)).named_parameters().keys() == model.named_parameters().keys()
 
 
 class TestCorruption:

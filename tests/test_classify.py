@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentibert.classify import (
     CURVE_HEADER,
@@ -16,7 +18,8 @@ from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError
 from sentibert.model import SentimentModel
 from sentibert.synthetic import generate_dataset
-from sentibert.tokenizer import build_vocab
+from sentibert.tensor import Graph, cross_entropy
+from sentibert.tokenizer import build_vocab, encode_pair
 
 TINY = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.1)
 
@@ -68,11 +71,54 @@ class TestPredictBatch:
         got = predict_batch(texts, model)
         for text, (label, probs) in zip(texts, got):
             expected = forward_classify(text, model)
-            np.testing.assert_array_equal(probs, expected)
+            # a batch of one takes a vector product for its [CLS] head, so equal to 1 ULP, not bitwise
+            np.testing.assert_allclose(probs, expected, atol=1e-12, rtol=0.0)
             assert label == int(np.argmax(expected))
 
     def test_tie_breaks_toward_lower_index(self):
         assert int(np.argmax(np.array([0.4, 0.4, 0.2]))) == 0
+
+
+WORDS = sorted({w for ex in TOY for w in ex.text.split()})
+
+
+class TestBatchEquivalence:
+    """The batched forward against the per-sequence semantics it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(WORDS), max_size=14).map(" ".join), min_size=1, max_size=40))
+    def test_predict_batch_rows_match_single_texts(self, texts):
+        # mixed lengths (0-14 words, truncated at max_len 12) in every order hypothesis draws
+        model = _model(TOY, seed=4)
+        for text, (_, probs) in zip(texts, predict_batch(texts, model)):
+            np.testing.assert_allclose(probs, forward_classify(text, model), atol=1e-12, rtol=0.0)
+
+    def test_batched_loss_and_gradients_are_the_mean_of_single_runs(self):
+        config = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.0)
+        texts = ["terrible", "awful rude staff and a noisy floor", "plain ordinary place", "wonderful lovely view"]
+        labels = [0, 0, 1, 2]
+        model = _model(TOY + [LabeledExample(t, 0) for t in texts], seed=5, config=config)
+        seqs = [encode_pair(t, None, model.vocab, config.max_len) for t in texts]
+        params = {n: t for n, t in model.named_parameters().items() if not n.startswith("nsp.")}
+
+        def run(idx):
+            with Graph() as g:
+                loss = cross_entropy(
+                    model.class_logits([seqs[i] for i in idx], training=True, rng=np.random.default_rng(0)),
+                    [labels[i] for i in idx],
+                )
+                g.backward(loss)
+            grads = {n: t.grad for n, t in params.items()}
+            for t in params.values():
+                t.grad = None
+            return loss.item(), grads
+
+        batched_loss, batched = run(range(len(seqs)))
+        singles = [run([i]) for i in range(len(seqs))]
+        assert batched_loss == pytest.approx(np.mean([loss for loss, _ in singles]), abs=1e-12)
+        for name, grad in batched.items():
+            mean = np.mean([g[name] for _, g in singles], axis=0)
+            np.testing.assert_allclose(grad, mean, atol=1e-12, rtol=0.0, err_msg=name)
 
 
 class TestTrain:

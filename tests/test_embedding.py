@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, sum_all
 from sentibert.embedding import EmbeddingTables, embed, init_tables
 from sentibert.errors import ConfigError
-from sentibert.tensor import Graph, Tensor, cross_entropy, gather_rows, matmul, parameter, sum_all
+from sentibert.tensor import Graph, Tensor, cross_entropy, gather_rows, matmul, parameter
 from sentibert.tokenizer import EncodedSequence
 
 

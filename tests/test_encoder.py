@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, sum_all
 from sentibert.encoder import (
     EncoderConfig,
     EncoderLayerParams,
@@ -13,7 +13,7 @@ from sentibert.encoder import (
     multi_head,
 )
 from sentibert.errors import ConfigError, ShapeError
-from sentibert.tensor import Graph, Tensor, concat_cols, cross_entropy, gather_rows, matmul, parameter, softmax_rows, sum_all
+from sentibert.tensor import Graph, Tensor, cross_entropy, gather_rows, matmul, mul, parameter, softmax
 
 
 def _config(**kw):
@@ -22,46 +22,81 @@ def _config(**kw):
     return EncoderConfig(**defaults)
 
 
+def _reference_attention(qkv: np.ndarray, lengths, num_heads: int) -> np.ndarray:
+    """Per sequence, per head softmax(Q K^T / sqrt(d_k)) V on its own rows, heads side by side."""
+    d = qkv.shape[1] // 3
+    dk = d // num_heads
+    out, start = [], 0
+    for n in lengths:
+        rows = qkv[start : start + n]
+        heads = []
+        for h in range(num_heads):
+            q, k, v = (rows[:, p * d + h * dk : p * d + (h + 1) * dk] for p in range(3))
+            heads.append(softmax(q @ k.T / np.sqrt(dk)) @ v)
+        out.append(np.hstack(heads))
+        start += n
+    return np.vstack(out)
+
+
 class TestAttention:
     def test_singleton_returns_value(self):
         rng = np.random.default_rng(0)
-        v = rng.normal(size=(1, 4))
-        out = attention(Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))), Tensor(v), [1])
-        np.testing.assert_allclose(out.data, v, atol=1e-12)
+        qkv = rng.normal(size=(1, 12))
+        out = attention(Tensor(qkv), [1], 1)
+        np.testing.assert_allclose(out.data, qkv[:, 8:], atol=1e-12)
 
     def test_identical_keys_average_values(self):
         rng = np.random.default_rng(1)
-        k_row = rng.normal(size=4)
-        v = rng.normal(size=(2, 4))
-        out = attention(Tensor(rng.normal(size=(3, 4))), Tensor(np.vstack([k_row, k_row])), Tensor(v), [1, 1])
-        np.testing.assert_allclose(out.data, np.broadcast_to(v.mean(axis=0), (3, 4)), atol=1e-12)
+        qkv = rng.normal(size=(3, 12))
+        qkv[:, 4:8] = rng.normal(size=4)  # every row has the same key
+        out = attention(Tensor(qkv), [3], 1)
+        np.testing.assert_allclose(out.data, np.broadcast_to(qkv[:, 8:].mean(axis=0), (3, 4)), atol=1e-12)
 
     def test_masked_key_equals_exclusion(self):
+        # the short sequence sits in a grid padded to its neighbour's length
         rng = np.random.default_rng(2)
-        q = rng.normal(size=(2, 4))
-        k = rng.normal(size=(2, 4))
-        v = rng.normal(size=(2, 4))
-        masked = attention(Tensor(q), Tensor(k), Tensor(v), [1, 0]).data
-        excluded = attention(Tensor(q), Tensor(k[:1]), Tensor(v[:1]), [1]).data
-        np.testing.assert_allclose(masked, excluded, atol=1e-12)
+        qkv = rng.normal(size=(5, 24))
+        together = attention(Tensor(qkv), [2, 3], 2).data
+        np.testing.assert_allclose(together[:2], attention(Tensor(qkv[:2]), [2], 2).data, atol=1e-12)
+        np.testing.assert_allclose(together[2:], attention(Tensor(qkv[2:]), [3], 2).data, atol=1e-12)
 
     def test_attention_weights_sum_to_one_and_mask_kills_weight(self):
+        # one head, d_k = 4, and one-hot values: each output row is that query's weight row
         rng = np.random.default_rng(3)
-        q, k = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(5, 4)))
-        scores = matmul(q, Tensor(k.data.T)).data / 2.0
-        scores[:, 2] += -1e9
-        weights = softmax_rows(Tensor(scores)).data
-        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(weights[:, 2] < 1e-12)
+        qk = rng.normal(size=(7, 8))
+        values = np.vstack([np.eye(4)[:3], rng.normal(size=(4, 4))])
+        out = attention(Tensor(np.hstack([qk, values])), [3, 4], 1).data
+        weights = out[:3]  # the 3-row sequence, padded to 4 keys
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)  # nothing left for the pad key
+        np.testing.assert_allclose(weights[:, :3], softmax(qk[:3, :4] @ qk[:3, 4:].T / 2.0), atol=1e-12)
 
     def test_shape_errors(self):
         t = lambda *s: Tensor(np.zeros(s))
         with pytest.raises(ShapeError):
-            attention(t(2, 3), t(2, 4), t(2, 4), [1, 1])
+            attention(t(2, 12), [2], 5)  # width does not split into q/k/v heads
         with pytest.raises(ShapeError):
-            attention(t(2, 4), t(2, 4), t(3, 4), [1, 1])
+            attention(t(3, 12), [1, 1], 1)  # lengths do not cover the rows
         with pytest.raises(ShapeError):
-            attention(t(2, 4), t(2, 4), t(2, 4), [1, 1, 1])
+            attention(t(2, 12), [2, 0], 1)
+        with pytest.raises(ShapeError):
+            attention(t(0, 12), [], 1)
+        with pytest.raises(ShapeError):
+            attention(Tensor(np.zeros(12)), [1], 1)
+
+    def test_matches_per_sequence_reference(self):
+        rng = np.random.default_rng(12)
+        qkv = rng.normal(size=(9, 24))
+        got = attention(Tensor(qkv), [4, 1, 4], 2).data
+        np.testing.assert_allclose(got, _reference_attention(qkv, [4, 1, 4], 2), atol=1e-12)
+
+    def test_gradcheck_ragged_lengths(self):
+        rng = np.random.default_rng(13)
+        qkv = parameter(rng.normal(size=(9, 12)))
+        weights = Tensor(rng.normal(size=(9, 4)))
+        checked = check_gradients(
+            lambda: sum_all(mul(attention(qkv, [1, 3, 5], 2), weights)), {"qkv": qkv}, rng, probes=60, rel=1e-4
+        )
+        assert checked == 60
 
 
 class TestMultiHead:
@@ -69,48 +104,40 @@ class TestMultiHead:
         config = _config(num_heads=1, d_model=4)
         params = init_layer_params(config, np.random.default_rng(0))
         eye = np.eye(4)
-        for w in (params.wq[0], params.wk[0], params.wv[0], params.wo):
-            w.data = eye.copy()
+        params.wqkv.data = np.hstack([eye, eye, eye])
+        params.wo.data = eye.copy()
         x = np.random.default_rng(1).normal(size=(1, 4))
-        out = multi_head(Tensor(x), params, [1])
+        out = multi_head(Tensor(x), params, [1], 1)
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
     def test_zero_projections_zero_output(self):
         config = _config()
         params = init_layer_params(config, np.random.default_rng(0))
-        for head in range(config.num_heads):
-            params.wv[head].data[:] = 0.0
-        out = multi_head(Tensor(np.random.default_rng(2).normal(size=(3, 8))), params, [1, 1, 1])
+        params.wqkv.data[:, 2 * config.d_model :] = 0.0  # every value head
+        out = multi_head(Tensor(np.random.default_rng(2).normal(size=(3, 8))), params, [3], config.num_heads)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_matches_hand_assembled_heads(self):
         config = _config(num_heads=2, d_model=6)
         rng = np.random.default_rng(4)
         params = init_layer_params(config, rng)
-        x = Tensor(rng.normal(size=(4, 6)))
-        mask = [1, 1, 1, 0]
-        out = multi_head(x, params, mask)
-        heads = [
-            attention(matmul(x, params.wq[i]), matmul(x, params.wk[i]), matmul(x, params.wv[i]), mask)
-            for i in range(2)
-        ]
-        expected = matmul(concat_cols(heads), params.wo)
-        np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
+        x = rng.normal(size=(4, 6))
+        lengths = [3, 1]
+        out = multi_head(Tensor(x), params, lengths, 2)
+        expected = _reference_attention(x @ params.wqkv.data, lengths, 2) @ params.wo.data
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 class TestEncoderLayer:
     def test_zero_sublayers_reduce_to_double_layer_norm(self):
         config = _config(num_heads=2, d_model=6, d_ff=12)
         params = init_layer_params(config, np.random.default_rng(0))
-        for head in range(2):
-            params.wq[head].data[:] = 0.0
-            params.wk[head].data[:] = 0.0
-            params.wv[head].data[:] = 0.0
+        params.wqkv.data[:] = 0.0
         params.wo.data[:] = 0.0
         params.w1.data[:] = 0.0
         params.w2.data[:] = 0.0
         x = np.random.default_rng(5).normal(size=(3, 6))
-        out = encoder_layer(Tensor(x), params, [1, 1, 1]).data
+        out = encoder_layer(Tensor(x), params, [3], 2).data
         mean = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         once = (x - mean) / np.sqrt(var + 1e-5)
@@ -123,20 +150,20 @@ class TestEncoderLayer:
         config = _config(dropout_rate=0.5)
         params = init_layer_params(config, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
-        a = encoder_layer(x, params, [1] * 4, config.dropout_rate, np.random.default_rng(1), training=False)
-        b = encoder_layer(x, params, [1] * 4, config.dropout_rate, np.random.default_rng(999), training=False)
+        a = encoder_layer(x, params, [4], 2, config.dropout_rate, np.random.default_rng(1), training=False)
+        b = encoder_layer(x, params, [4], 2, config.dropout_rate, np.random.default_rng(999), training=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_training_dropout_needs_rng(self):
         config = _config(dropout_rate=0.5)
         params = init_layer_params(config, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            encoder_layer(Tensor(np.zeros((2, 8))), params, [1, 1], 0.5, None, training=True)
+            encoder_layer(Tensor(np.zeros((2, 8))), params, [2], 2, 0.5, None, training=True)
 
     def test_output_shape(self):
         config = _config()
         params = init_layer_params(config, np.random.default_rng(0))
-        out = encoder_layer(Tensor(np.zeros((5, 8))), params, [1] * 5)
+        out = encoder_layer(Tensor(np.zeros((5, 8))), params, [2, 3], 2)
         assert out.data.shape == (5, 8)
 
 
@@ -144,7 +171,7 @@ class TestEncode:
     def test_empty_stack_is_identity(self):
         config = _config(num_layers=0)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 8)))
-        out = encode(x, config, [], [1] * 4)
+        out = encode(x, config, [], [4])
         assert out is x
 
     def test_two_layers_equal_manual_composition(self):
@@ -152,27 +179,28 @@ class TestEncode:
         rng = np.random.default_rng(6)
         layers = [init_layer_params(config, rng) for _ in range(2)]
         x = Tensor(rng.normal(size=(4, 8)))
-        mask = [1, 1, 1, 1]
-        stacked = encode(x, config, layers, mask)
-        manual = encoder_layer(encoder_layer(x, layers[0], mask), layers[1], mask)
+        lengths = [1, 3]
+        stacked = encode(x, config, layers, lengths)
+        manual = encoder_layer(encoder_layer(x, layers[0], lengths, 2), layers[1], lengths, 2)
         np.testing.assert_array_equal(stacked.data, manual.data)
 
     def test_layer_count_mismatch(self):
         config = _config(num_layers=2)
         layers = [init_layer_params(config, np.random.default_rng(0))]
         with pytest.raises(ConfigError):
-            encode(Tensor(np.zeros((2, 8))), config, layers, [1, 1])
+            encode(Tensor(np.zeros((2, 8))), config, layers, [2])
 
     def test_pad_isolation(self):
+        # a sequence's rows ignore whatever its batch neighbour holds
         config = _config(num_layers=2)
         rng = np.random.default_rng(7)
         layers = [init_layer_params(config, rng) for _ in range(2)]
-        mask = [1, 1, 1, 0, 0]
+        lengths = [3, 2]
         x = rng.normal(size=(5, 8))
         scrambled = x.copy()
         scrambled[3:, :] = rng.normal(size=(2, 8)) * 10.0
-        out_a = encode(Tensor(x), config, layers, mask).data
-        out_b = encode(Tensor(scrambled), config, layers, mask).data
+        out_a = encode(Tensor(x), config, layers, lengths).data
+        out_b = encode(Tensor(scrambled), config, layers, lengths).data
         np.testing.assert_allclose(out_a[:3], out_b[:3], atol=1e-9)
 
     def test_permutation_equivariance(self):
@@ -181,8 +209,8 @@ class TestEncode:
         layers = [init_layer_params(config, rng) for _ in range(2)]
         x = rng.normal(size=(5, 8))
         perm = rng.permutation(5)
-        out = encode(Tensor(x), config, layers, [1] * 5).data
-        out_perm = encode(Tensor(x[perm]), config, layers, [1] * 5).data
+        out = encode(Tensor(x), config, layers, [5]).data
+        out_perm = encode(Tensor(x[perm]), config, layers, [5]).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
     def test_eval_determinism_bitwise(self):
@@ -190,8 +218,8 @@ class TestEncode:
         rng = np.random.default_rng(9)
         layers = [init_layer_params(config, rng) for _ in range(2)]
         x = rng.normal(size=(4, 8))
-        a = encode(Tensor(x), config, layers, [1] * 4, training=False).data
-        b = encode(Tensor(x), config, layers, [1] * 4, training=False).data
+        a = encode(Tensor(x), config, layers, [4], training=False).data
+        b = encode(Tensor(x), config, layers, [4], training=False).data
         assert np.array_equal(a, b)
 
 
@@ -202,10 +230,10 @@ class TestEncoderGradients:
         layers = [init_layer_params(config, rng) for _ in range(2)]
         head = parameter(rng.normal(size=(8, 3)))
         x = parameter(rng.normal(size=(4, 8)))
-        mask = [1, 1, 1, 0]
+        lengths = [3, 1]
 
         def build():
-            hidden = encode(x, config, layers, mask)
+            hidden = encode(x, config, layers, lengths)
             return cross_entropy(matmul(gather_rows(hidden, [0]), head), [2])
 
         params = {"x": x, "head": head}

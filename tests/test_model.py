@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sentibert.embedding import embed
-from sentibert.encoder import EncoderConfig, encode
+from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError
-from sentibert.model import SentimentModel
+from sentibert.model import SentimentModel, parameter_shapes, row_starts
 from sentibert.synthetic import generate_dataset
+from sentibert.tensor import softmax
 from sentibert.tokenizer import SPECIAL_TOKENS, Vocab, encode_pair
 
 CONFIG = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.1)
@@ -17,19 +17,43 @@ def model():
     return SentimentModel.init(vocab, CONFIG, seed=3)
 
 
+def _layer_norm(x, gamma, beta):
+    mean = x.mean(axis=1, keepdims=True)
+    return (x - mean) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5) * gamma + beta
+
+
+def _full_width_reference(model, seq) -> np.ndarray:
+    """All max_len rows, pads included, through a plain numpy encoder whose
+    attention adds -1e9 at pad keys."""
+    t = model.tables
+    x = t.token.data[seq.token_ids] + t.segment.data[seq.segment_ids] + t.position.data[seq.positions]
+    key_bias = np.where(np.asarray(seq.attention_mask) > 0, 0.0, -1e9)
+    d, dk = CONFIG.d_model, CONFIG.d_k
+    for p in model.layers:
+        qkv = x @ p.wqkv.data
+        heads = []
+        for h in range(CONFIG.num_heads):
+            q, k, v = (qkv[:, part * d + h * dk : part * d + (h + 1) * dk] for part in range(3))
+            heads.append(softmax(q @ k.T / np.sqrt(dk) + key_bias) @ v)
+        y = _layer_norm(x + np.hstack(heads) @ p.wo.data, p.ln1_gamma.data, p.ln1_beta.data)
+        ffn = np.maximum(0.0, y @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
+        x = _layer_norm(y + ffn, p.ln2_gamma.data, p.ln2_beta.data)
+    return x
+
+
 class TestTrimming:
     def test_trimmed_forward_matches_full_width(self, model):
-        # only reduction order differs between the paths, so a few ULPs at most
+        # one packed batch of 20 sequences against each one's padded full-width pass
         rng = np.random.default_rng(0)
+        seqs = []
         for _ in range(20):
             n_words = int(rng.integers(1, 9))
             text = " ".join(f"w{int(rng.integers(30))}" for _ in range(n_words))
-            seq = encode_pair(text, None, model.vocab, CONFIG.max_len)
-            real = seq.real_length()
-            trimmed = model.hidden_states(seq).data
-            full = encode(embed(seq, model.tables), CONFIG, model.layers, seq.attention_mask).data
-            assert trimmed.shape == (real, CONFIG.d_model)
-            np.testing.assert_allclose(trimmed, full[:real], atol=1e-12, rtol=0.0)
+            seqs.append(encode_pair(text, None, model.vocab, CONFIG.max_len))
+        packed = model.hidden_states(seqs).data
+        full = np.vstack([_full_width_reference(model, s)[: s.real_length()] for s in seqs])
+        assert packed.shape == (sum(s.real_length() for s in seqs), CONFIG.d_model)
+        np.testing.assert_allclose(packed, full, atol=1e-12, rtol=0.0)
 
 
 class TestParameters:
@@ -38,12 +62,13 @@ class TestParameters:
         assert {"embeddings.token", "embeddings.segment", "embeddings.position"} <= names
         assert {"classifier.weight", "classifier.bias", "nsp.weight", "nsp.bias"} <= names
         for i in range(CONFIG.num_layers):
-            for head in range(CONFIG.num_heads):
-                assert f"encoder.{i}.head{head}.wq" in names
+            assert f"encoder.{i}.wqkv" in names
             assert f"encoder.{i}.ffn.w1" in names
             assert f"encoder.{i}.ln2.beta" in names
-        per_layer = 3 * CONFIG.num_heads + 1 + 4 + 4  # qkv per head, wo, ffn, two norms
+        per_layer = 1 + 1 + 4 + 4  # fused qkv, wo, ffn, two norms
         assert len(names) == 3 + CONFIG.num_layers * per_layer + 4
+        shapes = {name: t.data.shape for name, t in model.named_parameters().items()}
+        assert shapes == parameter_shapes(len(model.vocab), CONFIG)
 
     def test_encoder_parameters_exclude_heads(self, model):
         names = set(model.encoder_parameters())
@@ -61,6 +86,18 @@ class TestParameters:
         clone.load_snapshot(snap)
         np.testing.assert_array_equal(clone.cls_w.data, model.cls_w.data)
 
+    def test_clone_copies_without_random_init(self, model, monkeypatch):
+        def no_init(*args, **kwargs):
+            raise AssertionError("clone ran a random initialization")
+
+        monkeypatch.setattr(SentimentModel, "init", no_init)
+        clone = model.clone()
+        assert clone.labels == model.labels and clone.seed == model.seed
+        for name, t in clone.named_parameters().items():
+            original = model.named_parameters()[name].data
+            np.testing.assert_array_equal(t.data, original)
+            assert not np.shares_memory(t.data, original)
+
     def test_load_snapshot_rejects_shape_drift(self, model):
         snap = model.snapshot()
         snap["classifier.weight"] = np.zeros((2, 2))
@@ -71,16 +108,17 @@ class TestParameters:
 class TestHeads:
     def test_mlm_logits_use_tied_token_table(self, model):
         seq = encode_pair("w1 w2 w3", None, model.vocab, CONFIG.max_len)
-        hidden = model.hidden_states(seq)
+        hidden = model.hidden_states([seq])
         logits = model.mlm_logits(hidden, [1, 2]).data
         expected = hidden.data[[1, 2]] @ model.tables.token.data.T
         np.testing.assert_allclose(logits, expected, atol=1e-12)
         assert logits.shape == (2, len(model.vocab))
 
     def test_class_logits_shape(self, model):
-        seq = encode_pair("w1", None, model.vocab, CONFIG.max_len)
-        assert model.class_logits(seq).data.shape == (1, 3)
+        seqs = [encode_pair(text, None, model.vocab, CONFIG.max_len) for text in ("w1", "w2 w3 w4")]
+        assert model.class_logits(seqs).data.shape == (2, 3)
+        assert row_starts(seqs) == [0, 3]
 
     def test_nsp_logits_shape(self, model):
         seq = encode_pair("w1", "w2", model.vocab, CONFIG.max_len)
-        assert model.nsp_logits(model.hidden_states(seq)).data.shape == (1, 2)
+        assert model.nsp_logits(model.hidden_states([seq]), [0]).data.shape == (1, 2)

@@ -184,7 +184,7 @@ class TestPretrainStep:
         got = eval_losses(batch, model)["mlm_loss"]
         per_position = []
         for seq, targets in zip(batch.sequences, batch.mlm_targets):
-            hidden = model.hidden_states(seq).data
+            hidden = model.hidden_states([seq]).data
             logits = hidden @ model.tables.token.data.T
             shifted = logits - logits.max(axis=1, keepdims=True)
             log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
