@@ -38,11 +38,12 @@ def init_tables(vocab_size: int, width: int, max_len: int, seed: int) -> Embeddi
     return _init_tables(vocab_size, width, max_len, np.random.default_rng(seed))
 
 
-def embed(seq: EncodedSequence, tables: EmbeddingTables) -> Tensor:
-    """Row i = token_table[token_ids[i]] + segment_table[segment_ids[i]] + position_table[i]."""
+def embed(seqs: list[EncodedSequence], tables: EmbeddingTables) -> Tensor:
+    """Packed rows of a batch, each sequence's rows back to back: the row of
+    token i = token_table[token_ids[i]] + segment_table[segment_ids[i]] + position_table[i]."""
     if tables.segment.data.shape[1] != tables.width() or tables.position.data.shape[1] != tables.width():
         raise ShapeError("embedding tables disagree on feature width")
-    tok = gather_rows(tables.token, seq.token_ids)
-    seg = gather_rows(tables.segment, seq.segment_ids)
-    pos = gather_rows(tables.position, seq.positions)
+    tok = gather_rows(tables.token, [t for s in seqs for t in s.token_ids])
+    seg = gather_rows(tables.segment, [t for s in seqs for t in s.segment_ids])
+    pos = gather_rows(tables.position, [i for s in seqs for i in range(s.real_length())])
     return add(add(tok, seg), pos)

@@ -1,11 +1,11 @@
 """Full model assembly: embeddings, encoder stack, and the task heads.
 
-A forward runs a whole batch at once on packed rows: each sequence's real
-(unpadded) rows, back to back in batch order. Pads are always a suffix, so
-dropping them leaves embedding, projections, feed-forward, layer norm and
-dropout with no padding work; only the attention op pads, internally, and
-masks the padded keys. Eval-mode callers run length-sorted chunks of
-EVAL_CHUNK sequences (eval_chunks), so a chunk pads little.
+A forward runs a whole batch at once on packed rows: each sequence's
+tokens, back to back in batch order. Sequences carry no padding, so
+embedding, projections, feed-forward, layer norm and dropout do no padding
+work; only the attention op pads, internally, and masks the padded keys.
+Eval-mode callers run length-sorted chunks of EVAL_CHUNK sequences
+(eval_chunks), so a chunk pads little.
 """
 
 import copy
@@ -150,17 +150,10 @@ class SentimentModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Encoder output [N_real x d] of a batch: each sequence's real rows,
-        back to back in batch order (see row_starts)."""
+        """Encoder output [N x d] of a batch: each sequence's rows, back to
+        back in batch order (see row_starts)."""
         lengths = [s.real_length() for s in seqs]
-        real = list(zip(seqs, lengths))
-        packed = EncodedSequence(
-            token_ids=[t for s, n in real for t in s.token_ids[:n]],
-            segment_ids=[t for s, n in real for t in s.segment_ids[:n]],
-            positions=[t for s, n in real for t in s.positions[:n]],
-            attention_mask=[1] * sum(lengths),
-        )
-        return encode(embed(packed, self.tables), self.config, self.layers, lengths, training, rng)
+        return encode(embed(seqs, self.tables), self.config, self.layers, lengths, training, rng)
 
     def class_logits(
         self,

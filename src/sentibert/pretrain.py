@@ -14,7 +14,6 @@ from .tokenizer import (
     CLS_ID,
     MASK_ID,
     NUM_SPECIALS,
-    PAD_ID,
     SEP_ID,
     EncodedSequence,
     Vocab,
@@ -37,14 +36,14 @@ def mask_tokens(
     """Select eligible positions independently with probability p; replace
     80% with [MASK], 10% with a random non-special token, 10% unchanged.
 
-    [CLS], [SEP], and [PAD] positions are never eligible.
+    [CLS] and [SEP] positions are never eligible.
     """
     if not 0.0 <= p < 1.0:
         raise ContractError(f"mask probability must be in [0, 1), got {p}")
     new_ids = list(seq.token_ids)
     targets = [SENTINEL] * len(new_ids)
     for i, token_id in enumerate(seq.token_ids):
-        if token_id in (PAD_ID, CLS_ID, SEP_ID):
+        if token_id in (CLS_ID, SEP_ID):
             continue
         if rng.random() >= p:
             continue
@@ -57,13 +56,7 @@ def mask_tokens(
                 raise ConfigError("random-token replacement needs a non-special vocab entry")
             new_ids[i] = int(rng.integers(NUM_SPECIALS, vocab_size))
         # else: keep the original token
-    masked = EncodedSequence(
-        token_ids=new_ids,
-        segment_ids=list(seq.segment_ids),
-        positions=list(seq.positions),
-        attention_mask=list(seq.attention_mask),
-    )
-    return masked, targets
+    return EncodedSequence(token_ids=new_ids, segment_ids=list(seq.segment_ids)), targets
 
 
 def nsp_pairs(
@@ -120,7 +113,7 @@ def _batch_losses(
     rows, targets = [], []
     for start, seq_targets in zip(starts, batch.mlm_targets):
         for i, t in enumerate(seq_targets):
-            if t != SENTINEL:  # never a pad: masking skips [PAD]
+            if t != SENTINEL:
                 rows.append(start + i)
                 targets.append(t)
     nsp_loss = cross_entropy(model.nsp_logits(hidden, starts), batch.nsp_labels)

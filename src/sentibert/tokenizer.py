@@ -1,4 +1,7 @@
-"""Frequency vocabulary and text-pair encoding into padded id sequences.
+"""Frequency vocabulary and text-pair encoding into id sequences.
+
+A sequence holds only its real tokens, token i at position i; batches of
+unequal lengths are padded inside the attention op alone.
 
 Tokenization is deliberately simple: lowercase, split on Unicode whitespace,
 and break out punctuation characters as standalone tokens. Subword schemes
@@ -115,23 +118,21 @@ def build_vocab(corpus: Iterable[str], max_size: int, min_freq: int = 1) -> Voca
 
 @dataclass
 class EncodedSequence:
-    """One model input: fixed-length ids with segment, position, and pad mask.
+    """One model input: the real token ids, token i at position i.
 
-    attention_mask[i] is 0 exactly where token_ids[i] is [PAD]; segment_ids
-    are 0 through the first [SEP] and 1 for segment-B tokens and their [SEP].
+    segment_ids are 0 through the first [SEP] and 1 for segment-B tokens
+    and their [SEP].
     """
 
     token_ids: list[int]
     segment_ids: list[int]
-    positions: list[int]
-    attention_mask: list[int]
 
     def real_length(self) -> int:
-        return sum(self.attention_mask)
+        return len(self.token_ids)
 
 
 def encode_pair(text_a: str, text_b: Optional[str], vocab: Vocab, max_len: int) -> EncodedSequence:
-    """Lay out [CLS] A... [SEP] (B... [SEP]) truncated to max_len, then pad.
+    """Lay out [CLS] A... [SEP] (B... [SEP]) truncated to at most max_len tokens.
 
     Truncation trims the longer segment first, one token at a time from its
     end; ties trim B. Unknown tokens map to [UNK].
@@ -154,15 +155,7 @@ def encode_pair(text_a: str, text_b: Optional[str], vocab: Vocab, max_len: int) 
     if ids_b is not None:
         token_ids += ids_b + [SEP_ID]
         segment_ids += [1] * (len(ids_b) + 1)
-    real = len(token_ids)
-    token_ids += [PAD_ID] * (max_len - real)
-    segment_ids += [0] * (max_len - real)
-    return EncodedSequence(
-        token_ids=token_ids,
-        segment_ids=segment_ids,
-        positions=list(range(max_len)),
-        attention_mask=[1] * real + [0] * (max_len - real),
-    )
+    return EncodedSequence(token_ids=token_ids, segment_ids=segment_ids)
 
 
 def decode(ids: Sequence[int], vocab: Vocab) -> list[str]:

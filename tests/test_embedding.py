@@ -9,13 +9,7 @@ from sentibert.tokenizer import EncodedSequence
 
 
 def _seq(token_ids, segments=None):
-    n = len(token_ids)
-    return EncodedSequence(
-        token_ids=list(token_ids),
-        segment_ids=list(segments) if segments else [0] * n,
-        positions=list(range(n)),
-        attention_mask=[1] * n,
-    )
+    return EncodedSequence(token_ids=list(token_ids), segment_ids=list(segments) if segments else [0] * len(token_ids))
 
 
 def _zero_tables(v=6, d=4, max_len=5):
@@ -28,13 +22,13 @@ def _zero_tables(v=6, d=4, max_len=5):
 
 class TestEmbed:
     def test_all_zero_tables(self):
-        out = embed(_seq([2, 5, 3]), _zero_tables())
+        out = embed([_seq([2, 5, 3])], _zero_tables())
         assert np.array_equal(out.data, np.zeros((3, 4)))
 
     def test_one_hot_probe(self):
         tables = _zero_tables()
         tables.token.data[5, 0] = 1.0  # e1 at token id 5
-        out = embed(_seq([2, 5, 3, 5]), tables).data
+        out = embed([_seq([2, 5, 3, 5])], tables).data
         np.testing.assert_array_equal(out[:, 0], [0.0, 1.0, 0.0, 1.0])
         assert np.all(out[:, 1:] == 0.0)
 
@@ -48,7 +42,7 @@ class TestEmbed:
         seq_b = _seq([2, 6, 5])
 
         def sorted_rows(seq):
-            out = embed(seq, tables).data
+            out = embed([seq], tables).data
             return out[np.lexsort(out.T)]
 
         np.testing.assert_array_equal(sorted_rows(seq_a), sorted_rows(seq_b))  # constant positions
@@ -63,25 +57,33 @@ class TestEmbed:
             segment=Tensor(rng.normal(size=(2, 4))),
             position=Tensor(rng.normal(size=(5, 4))),
         )
-        out = embed(seq, full).data
+        out = embed([seq], full).data
         for field in ("token", "segment", "position"):
             zeroed = EmbeddingTables(full.token, full.segment, full.position)
             setattr(zeroed, field, Tensor(np.zeros_like(getattr(full, field).data)))
             contribution = getattr(full, field).data[
-                {"token": seq.token_ids, "segment": seq.segment_ids, "position": seq.positions}[field]
+                {"token": seq.token_ids, "segment": seq.segment_ids, "position": [0, 1, 2]}[field]
             ]
-            np.testing.assert_allclose(out - embed(seq, zeroed).data, contribution, atol=1e-12)
+            np.testing.assert_allclose(out - embed([seq], zeroed).data, contribution, atol=1e-12)
+
+    def test_batch_packs_rows_and_restarts_positions(self):
+        rng = np.random.default_rng(5)
+        tables = EmbeddingTables(*(Tensor(rng.normal(size=shape)) for shape in ((6, 4), (2, 4), (5, 4))))
+        seqs = [_seq([2, 5, 3]), _seq([2, 3]), _seq([2, 4, 3, 5, 3], segments=[0, 0, 0, 1, 1])]
+        packed = embed(seqs, tables).data
+        np.testing.assert_array_equal(packed, np.vstack([embed([s], tables).data for s in seqs]))
+        np.testing.assert_array_equal(packed[3], tables.token.data[2] + tables.segment.data[0] + tables.position.data[0])
 
     def test_out_of_range_id(self):
         with pytest.raises(IndexError):
-            embed(_seq([2, 99, 3]), _zero_tables())
+            embed([_seq([2, 99, 3])], _zero_tables())
 
     def test_gradient_hits_only_used_token_rows(self):
         tables = init_tables(8, 4, 6, seed=0)
         tables_params = {"token": tables.token, "segment": tables.segment, "position": tables.position}
         seq = _seq([2, 5, 7, 3])
         with Graph() as g:
-            out = embed(seq, tables)
+            out = embed([seq], tables)
             g.backward(sum_all(out))
         used = {2, 5, 7, 3}
         for row in range(8):
@@ -99,7 +101,7 @@ class TestEmbed:
         seq = _seq([2, 5, 6, 3])
 
         def build():
-            return cross_entropy(matmul(gather_rows(embed(seq, tables), [0]), head), [1])
+            return cross_entropy(matmul(gather_rows(embed([seq], tables), [0]), head), [1])
 
         params = {"token": tables.token, "segment": tables.segment, "position": tables.position, "head": head}
         check_gradients(build, params, rng, probes=40)

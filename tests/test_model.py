@@ -6,7 +6,7 @@ from sentibert.errors import ConfigError
 from sentibert.model import SentimentModel, parameter_shapes, row_starts
 from sentibert.synthetic import generate_dataset
 from sentibert.tensor import softmax
-from sentibert.tokenizer import SPECIAL_TOKENS, Vocab, encode_pair
+from sentibert.tokenizer import PAD_ID, SPECIAL_TOKENS, Vocab, encode_pair
 
 CONFIG = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.1)
 
@@ -23,11 +23,12 @@ def _layer_norm(x, gamma, beta):
 
 
 def _full_width_reference(model, seq) -> np.ndarray:
-    """All max_len rows, pads included, through a plain numpy encoder whose
-    attention adds -1e9 at pad keys."""
-    t = model.tables
-    x = t.token.data[seq.token_ids] + t.segment.data[seq.segment_ids] + t.position.data[seq.positions]
-    key_bias = np.where(np.asarray(seq.attention_mask) > 0, 0.0, -1e9)
+    """The sequence padded with [PAD] to max_len, all rows through a plain
+    numpy encoder whose attention adds -1e9 at pad keys."""
+    t, n, pad = model.tables, seq.real_length(), CONFIG.max_len - seq.real_length()
+    ids, segments = seq.token_ids + [PAD_ID] * pad, seq.segment_ids + [0] * pad
+    x = t.token.data[ids] + t.segment.data[segments] + t.position.data[: CONFIG.max_len]
+    key_bias = np.where(np.arange(CONFIG.max_len) < n, 0.0, -1e9)
     d, dk = CONFIG.d_model, CONFIG.d_k
     for p in model.layers:
         qkv = x @ p.wqkv.data

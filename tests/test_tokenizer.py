@@ -74,20 +74,19 @@ class TestEncodePair:
 
     def test_empty_text(self, vocab):
         seq = encode_pair("", None, vocab, 8)
-        assert seq.token_ids == [2, 3, 0, 0, 0, 0, 0, 0]
-        assert seq.attention_mask == [1, 1, 0, 0, 0, 0, 0, 0]
+        assert seq.token_ids == [CLS_ID, SEP_ID]
+        assert seq.segment_ids == [0, 0]
+        assert seq.real_length() == 2
 
     def test_single_segment_layout(self, vocab):
         seq = encode_pair("good room", None, vocab, 5)
-        assert seq.token_ids == [CLS_ID, 5, 6, SEP_ID, PAD_ID]
-        assert seq.segment_ids == [0, 0, 0, 0, 0]
-        assert seq.positions == [0, 1, 2, 3, 4]
+        assert seq.token_ids == [CLS_ID, 5, 6, SEP_ID]
+        assert seq.segment_ids == [0, 0, 0, 0]
 
     def test_pair_segments(self, vocab):
         seq = encode_pair("a", "b", vocab, 8)
-        assert seq.token_ids[:5] == [CLS_ID, 7, SEP_ID, 8, SEP_ID]
-        assert seq.segment_ids[:5] == [0, 0, 0, 1, 1]
-        assert seq.segment_ids[5:] == [0, 0, 0]
+        assert seq.token_ids == [CLS_ID, 7, SEP_ID, 8, SEP_ID]
+        assert seq.segment_ids == [0, 0, 0, 1, 1]
 
     def test_unknown_tokens_become_unk(self, vocab):
         seq = encode_pair("good mystery", None, vocab, 6)
@@ -145,11 +144,11 @@ word = st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_
 def test_encoded_sequence_invariants(words_a, words_b, max_len):
     vocab = build_vocab([" ".join(words_a) + " extra words here"], max_size=40)
     seq = encode_pair(" ".join(words_a), None if words_b is None else " ".join(words_b), vocab, max_len)
-    assert len(seq.token_ids) == len(seq.segment_ids) == len(seq.attention_mask) == max_len
-    assert seq.positions == list(range(max_len))
-    # mask/pad duality
-    for tok, m in zip(seq.token_ids, seq.attention_mask):
-        assert (m == 0) == (tok == PAD_ID)
+    # real tokens only: no [PAD], and truncation keeps within max_len
+    assert len(seq.token_ids) == len(seq.segment_ids) == seq.real_length() <= max_len
+    assert PAD_ID not in seq.token_ids
+    full = 2 + len(words_a) + (0 if words_b is None else 1 + len(words_b))
+    assert seq.real_length() == min(full, max_len)
     assert seq.token_ids[0] == CLS_ID
     # one [SEP] per segment
     expected_seps = 1 if words_b is None else 2
@@ -157,10 +156,8 @@ def test_encoded_sequence_invariants(words_a, words_b, max_len):
     # segments: 0 through the first [SEP], 1 for B tokens and its [SEP]
     first_sep = seq.token_ids.index(SEP_ID)
     assert all(s == 0 for s in seq.segment_ids[: first_sep + 1])
-    real = seq.real_length()
     if expected_seps == 2:
-        assert all(s == 1 for s in seq.segment_ids[first_sep + 1 : real])
-    assert all(s == 0 for s in seq.segment_ids[real:])
+        assert all(s == 1 for s in seq.segment_ids[first_sep + 1 :])
 
 
 class TestVocabFile:
