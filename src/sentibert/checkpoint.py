@@ -10,13 +10,16 @@ Version 2 stores one fused `encoder.{i}.wqkv` per layer. Version 1 stored
 per-head `encoder.{i}.head{h}.wq/wk/wv`; the reader folds them into wqkv.
 """
 
+import itertools
 import json
+import math
 import struct
 
 import numpy as np
 
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigError
+from .fileio import atomic_open
 from .model import SentimentModel
 from .tokenizer import Vocab
 
@@ -43,7 +46,7 @@ def save_checkpoint(model: SentimentModel, path: str) -> None:
         "tensors": index,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
         for entry in index:
@@ -60,22 +63,63 @@ def _read_header(blob: bytes) -> tuple[dict, bytes]:
         header = json.loads(blob[4 : 4 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint header must be a JSON object, got {type(header).__name__}")
     return header, blob[4 + header_len :]
+
+
+def _header_field(header: dict, key: str, parse):
+    try:
+        return parse(header[key])
+    except KeyError:
+        raise CheckpointError(f"checkpoint header has no {key!r} field") from None
+    except (TypeError, ValueError, OverflowError, ConfigError) as exc:
+        raise CheckpointError(f"checkpoint header field {key!r} is invalid: {exc}") from exc
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_tensor(entry, position: int, payload: bytes) -> tuple[str, np.ndarray]:
+    """Name and float64 array of one tensor index entry, after checking its
+    fields, its payload bounds and that every value is finite."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise CheckpointError(f"checkpoint tensor entry {position} is not an object with a string name")
+    name, shape = entry["name"], entry.get("shape")
+    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+        raise CheckpointError(f"checkpoint tensor {name!r} has shape {shape!r}, not a list of nonnegative integers")
+    for key in ("offset", "nbytes"):
+        if not _is_count(entry.get(key)):
+            raise CheckpointError(f"checkpoint tensor {name!r} has {key} {entry.get(key)!r}, not a nonnegative integer")
+    nbytes = math.prod(shape) * 4
+    if entry["nbytes"] != nbytes:
+        raise CheckpointError(f"checkpoint tensor {name!r} declares {entry['nbytes']} bytes, expected {nbytes}")
+    start = entry["offset"]
+    if start + nbytes > len(payload):
+        raise CheckpointError(f"checkpoint payload is truncated at tensor {name!r}")
+    array = np.frombuffer(payload[start : start + nbytes], dtype="<f4").reshape(shape).astype(np.float64)
+    if not np.isfinite(array).all():
+        raise CheckpointError(f"checkpoint tensor {name!r} holds non-finite values")
+    return name, array
 
 
 def _fold_v1(arrays: dict[str, np.ndarray], config: EncoderConfig) -> dict[str, np.ndarray]:
     """Concatenate each layer's v1 head projections in the column order the
     fused attention reads: every head's wq, then every wk, then every wv."""
     for i in range(config.num_layers):
-        heads = [f"encoder.{i}.head{h}.w{part}" for part in "qkv" for h in range(config.num_heads)]
-        if all(name in arrays for name in heads):  # else the parameter check names what is missing
-            arrays[f"encoder.{i}.wqkv"] = np.hstack([arrays.pop(name) for name in heads])
+        # stops at the first missing name: the parameter check then names it
+        heads = (f"encoder.{i}.head{h}.w{part}" for part in "qkv" for h in range(config.num_heads))
+        present = list(itertools.takewhile(arrays.__contains__, heads))
+        if len(present) == 3 * config.num_heads:
+            arrays[f"encoder.{i}.wqkv"] = np.hstack([arrays.pop(name) for name in present])
     return arrays
 
 
 def load_checkpoint(path: str) -> SentimentModel:
     """Rebuild a model straight from the stored arrays, verifying version,
-    payload bounds, and every tensor name and shape."""
+    header fields, payload bounds, finite values, and every tensor name and
+    shape. Any fault in the file raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header, payload = _read_header(blob)
@@ -85,27 +129,17 @@ def load_checkpoint(path: str) -> SentimentModel:
         raise CheckpointError(
             f"unsupported checkpoint format version {version!r} (reader supports {READABLE_VERSIONS})"
         )
-    try:
-        vocab = Vocab(header["vocab_tokens"])
-        config = EncoderConfig.from_dict(header["config"])
-        seed = int(header["seed"])
-        labels = tuple(header["labels"])
-        index = header["tensors"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"checkpoint header is missing required fields: {exc}") from exc
+    vocab = _header_field(header, "vocab_tokens", Vocab)
+    config = _header_field(header, "config", EncoderConfig.from_dict)
+    seed = _header_field(header, "seed", int)
+    labels = _header_field(header, "labels", tuple)
+    index = _header_field(header, "tensors", list)
     if vocab.content_hash() != header.get("vocab_hash"):
         raise CheckpointError("vocab hash in header does not match the embedded vocabulary")
+    if config.num_layers > len(index):  # each layer stores at least one tensor
+        raise CheckpointError(f"checkpoint config has {config.num_layers} layers but only {len(index)} tensors")
 
-    arrays: dict[str, np.ndarray] = {}
-    for entry in index:
-        name, shape = entry["name"], tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 4
-        if entry["nbytes"] != nbytes:
-            raise CheckpointError(f"checkpoint tensor {name!r} declares {entry['nbytes']} bytes, expected {nbytes}")
-        start, end = entry["offset"], entry["offset"] + nbytes
-        if start < 0 or end > len(payload):
-            raise CheckpointError(f"checkpoint payload is truncated at tensor {name!r}")
-        arrays[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).astype(np.float64)
+    arrays = dict(_read_tensor(entry, i, payload) for i, entry in enumerate(index))
     try:
         if version == 1:
             arrays = _fold_v1(arrays, config)

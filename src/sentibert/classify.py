@@ -2,22 +2,22 @@
 tracking, best-validation checkpoint retention, and batch inference.
 """
 
-import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .balance import STRATEGIES, ClassHistogram, class_weights, oversample, undersample
 from .data import LABELS, NUM_CLASSES, LabeledExample
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .metrics import MetricsReport, confusion, log_loss, report
 from .model import SentimentModel, eval_chunks
 from .optim import OptimizerConfig, make_optimizer
 from .tensor import Graph, cross_entropy, softmax
 from .tokenizer import EncodedSequence, encode_pair
 
-CURVE_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
+CURVE_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
+CURVE_HEADER = ",".join(CURVE_COLUMNS)
 
 
 @dataclass
@@ -33,14 +33,23 @@ class TrainConfig:
     balance: str = "none"  # applied to the training partition only
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.val_split < 1.0:
             raise ConfigError(f"val_split must be in (0, 1), got {self.val_split}")
-        if self.class_weights is not None and len(self.class_weights) != NUM_CLASSES:
-            raise ConfigError(f"class_weights needs {NUM_CLASSES} entries, got {len(self.class_weights)}")
+        OptimizerConfig(algorithm=self.algorithm, lr=self.lr)  # checks both
+        if self.class_weights is not None:
+            try:
+                weights = np.asarray(self.class_weights, dtype=np.float64)
+            except (TypeError, ValueError):
+                weights = np.zeros(0)
+            if weights.shape != (NUM_CLASSES,) or not np.all(np.isfinite(weights) & (weights > 0)):
+                raise ConfigError(f"class_weights must be {NUM_CLASSES} positive numbers, got {self.class_weights!r}")
         if self.balance not in STRATEGIES:
             raise ConfigError(f"balance must be one of {STRATEGIES}, got {self.balance!r}")
         if self.balance == "class_weights" and self.class_weights is not None:
@@ -56,12 +65,14 @@ class EpochRecord:
     val_acc: float
 
 
-def curve_to_csv(curve: list[EpochRecord]) -> str:
-    buf = io.StringIO()
-    buf.write(CURVE_HEADER + "\n")
-    for r in curve:
-        buf.write(f"{r.epoch},{r.train_loss!r},{r.train_acc!r},{r.val_loss!r},{r.val_acc!r}\n")
-    return buf.getvalue()
+def curve_to_csv(rows, columns: Sequence[str] = CURVE_COLUMNS) -> str:
+    """A header of columns, then one line per epoch holding each value's repr.
+    Rows are EpochRecords or dicts with those keys (pretraining history)."""
+    lines = [",".join(columns)]
+    for row in rows:
+        values = row if isinstance(row, dict) else asdict(row)
+        lines.append(",".join(repr(values[c]) for c in columns))
+    return "\n".join(lines) + "\n"
 
 
 def _probs_for(seqs: list[EncodedSequence], model: SentimentModel) -> np.ndarray:

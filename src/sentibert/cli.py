@@ -9,19 +9,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import balance as balance_mod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .classify import EpochRecord, TrainConfig, curve_to_csv, evaluate, predict_batch, train
+from .classify import TrainConfig, curve_to_csv, evaluate, predict_batch, train
 from .data import LABELS, ingest, read_corpus, write_jsonl
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, SamplingError, SentibertError
+from .errors import ConfigError, DataError, SamplingError, SentibertError, check_type
+from .fileio import atomic_open
 from .metrics import MetricsReport, cm_to_csv
 from .model import SentimentModel
 from .optim import OptimizerConfig
-from .pretrain import PretrainConfig, run_pretraining
+from .pretrain import HISTORY_COLUMNS, PretrainConfig, run_pretraining
 from .tokenizer import Vocab, build_vocab
 
 
@@ -43,6 +45,17 @@ DEFAULT_CONFIG = {
     "vocab": {"max_size": 4000, "min_freq": 1},
     "paths": {},
 }
+# the keys each section accepts; anything else is a usage error
+SECTION_KEYS = {
+    "encoder": {f.name for f in fields(EncoderConfig)},
+    "train": {f.name for f in fields(TrainConfig)},
+    "pretrain": {"epochs", "batch_size", "mask_probability", "lr"},
+    "vocab": {"max_size", "min_freq"},
+    "paths": {
+        "train_data", "eval_data", "data_format", "pretrain_corpus", "vocab", "checkpoint", "init_checkpoint",
+        "curve", "metrics", "confusion", "rebalanced_data", "histogram", "predictions", "predict_input",
+    },
+}
 
 
 def _load_config(path: str) -> dict:
@@ -57,12 +70,20 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config {path} must hold a JSON object")
     cfg = {key: dict(value) if isinstance(value, dict) else value for key, value in DEFAULT_CONFIG.items()}
     for key, value in raw.items():
-        if key in ("encoder", "train", "pretrain", "vocab", "paths"):
+        if key not in DEFAULT_CONFIG:
+            raise UsageError(f"unknown config key {key!r} (expected one of {sorted(DEFAULT_CONFIG)})")
+        if key in SECTION_KEYS:
             if not isinstance(value, dict):
                 raise UsageError(f"config section {key!r} must be an object")
+            unknown = sorted(set(value) - SECTION_KEYS[key])
+            if unknown:
+                raise UsageError(f"unknown config key {key}.{unknown[0]} (expected one of {sorted(SECTION_KEYS[key])})")
             cfg[key].update(value)
         else:
             cfg[key] = value
+    for key, value in cfg["paths"].items():
+        if not isinstance(value, str):
+            raise UsageError(f"paths.{key} must be a string, got {value!r}")
     return cfg
 
 
@@ -88,8 +109,8 @@ def _data_format(cfg: dict, path: str) -> str:
 
 def _encoder_config(cfg: dict) -> EncoderConfig:
     try:
-        return EncoderConfig.from_dict({**EncoderConfig().to_dict(), **cfg["encoder"]})
-    except (ConfigError, TypeError) as exc:
+        return EncoderConfig(**cfg["encoder"])
+    except ConfigError as exc:
         raise UsageError(f"bad encoder config: {exc}") from exc
 
 
@@ -109,16 +130,23 @@ def _train_config(cfg: dict, args) -> TrainConfig:
         section["batch_size"] = args.batch_size
     try:
         return TrainConfig(**section)
-    except (ConfigError, TypeError) as exc:
+    except ConfigError as exc:
         raise UsageError(f"bad train config: {exc}") from exc
 
 
 def _seed(cfg: dict, args) -> int:
-    return args.seed if getattr(args, "seed", None) is not None else int(cfg["seed"])
+    seed = args.seed if args.seed is not None else cfg["seed"]
+    try:
+        check_type("seed", seed, int)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from exc
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(content)
 
 
@@ -142,9 +170,8 @@ def _cmd_build_vocab(cfg: dict, args) -> None:
             texts.extend(doc)
     if not texts:
         raise UsageError("build-vocab needs paths.train_data and/or paths.pretrain_corpus")
-    section = cfg["vocab"]
     try:
-        vocab = build_vocab(texts, int(section["max_size"]), int(section["min_freq"]))
+        vocab = build_vocab(texts, **cfg["vocab"])
     except ConfigError as exc:
         raise UsageError(f"bad vocab config: {exc}") from exc
     out = _path(cfg, "vocab", "build-vocab")
@@ -159,22 +186,16 @@ def _cmd_pretrain(cfg: dict, args) -> None:
     section = dict(cfg["pretrain"])
     if args.epochs is not None:
         section["epochs"] = args.epochs
+    optimizer = {"lr": section.pop("lr")} if "lr" in section else {}
     try:
-        pre_cfg = PretrainConfig(
-            epochs=int(section.get("epochs", 5)),
-            batch_size=int(section.get("batch_size", 8)),
-            mask_probability=float(section.get("mask_probability", 0.15)),
-            seed=seed,
-            optimizer=OptimizerConfig(lr=float(section.get("lr", 1e-3))),
-        )
+        pre_cfg = PretrainConfig(**section, seed=seed, optimizer=OptimizerConfig(**optimizer))
     except ConfigError as exc:
         raise UsageError(f"bad pretrain config: {exc}") from exc
     model = SentimentModel.init(vocab, _encoder_config(cfg), seed)
     history = run_pretraining(corpus, model, pre_cfg)
     ckpt = _path(cfg, "checkpoint", "pretrain")
     save_checkpoint(model, ckpt)
-    curve = [EpochRecord(**row) for row in history]
-    _write_text(_path(cfg, "curve", "pretrain"), curve_to_csv(curve))
+    _write_text(_path(cfg, "curve", "pretrain"), curve_to_csv(history, HISTORY_COLUMNS))
     _emit(
         {
             "command": "pretrain",

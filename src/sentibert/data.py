@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DataError
+from .fileio import atomic_open
 
 LABELS = ("negative", "neutral", "positive")
 LABEL_TO_INDEX = {name: i for i, name in enumerate(LABELS)}
@@ -76,7 +77,7 @@ def ingest(path: str, fmt: str) -> list[LabeledExample]:
 
 
 def write_jsonl(examples: list[LabeledExample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for ex in examples:
             fh.write(json.dumps({"text": ex.text, "label": LABELS[ex.label]}, sort_keys=True))
             fh.write("\n")
@@ -111,6 +112,6 @@ def read_corpus(path: str) -> list[list[str]]:
 
 
 def write_corpus(documents: list[list[str]], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n\n".join("\n".join(doc) for doc in documents))
         fh.write("\n")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_field_types
 from .tensor import Tensor, add, add_bias, attention, dropout, layer_norm, matmul, parameter, relu
 
 LAYER_NORM_EPS = 1e-5
@@ -26,6 +26,7 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_layers < 0:  # 0 layers = identity stack, allowed for probing
             raise ConfigError(f"num_layers must be nonnegative, got {self.num_layers}")
         for name in ("num_heads", "d_model", "d_ff", "max_len"):
@@ -52,7 +53,10 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EncoderConfig":
-        return cls(**{k: raw[k] for k in cls().to_dict()})
+        """Inverse of to_dict: every field and nothing else."""
+        if set(raw) != set(cls().to_dict()):
+            raise ConfigError(f"encoder config needs exactly the keys {sorted(cls().to_dict())}, got {sorted(raw)}")
+        return cls(**raw)
 
 
 # dataclass field -> parameter name suffix, as in checkpoints

@@ -1,9 +1,13 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy shared by every module, and the field type check of
+the config dataclasses.
 
 The CLI maps these onto exit codes: content problems (DataError and
 subclasses, ConfigError, SamplingError) exit 2, internal invariant
 violations (ShapeError, ContractError) exit 3.
 """
+
+import dataclasses
+import numbers
 
 
 class SentibertError(Exception):
@@ -32,3 +36,20 @@ class CheckpointError(DataError):
 
 class SamplingError(SentibertError):
     """A requested random draw is impossible (e.g. no other document to sample from)."""
+
+
+_KINDS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+
+
+def check_type(name: str, value, kind: type) -> None:
+    """ConfigError naming `name` unless value is of kind: int, float, bool or
+    str. A bool passes only as bool; an int passes as float."""
+    if not isinstance(value, _KINDS[kind]) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+def check_field_types(config) -> None:
+    """check_type on every field of a dataclass annotated int, float, bool or str."""
+    for f in dataclasses.fields(config):
+        if f.type in _KINDS:
+            check_type(f.name, getattr(config, f.name), f.type)

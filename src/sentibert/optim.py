@@ -4,8 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_field_types
 from .tensor import Tensor
+
+ALGORITHMS = ("adam", "sgd")
 
 
 @dataclass
@@ -15,6 +17,13 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown optimizer algorithm {self.algorithm!r} (expected one of {ALGORITHMS})")
+        if not self.lr >= 0.0:
+            raise ConfigError(f"lr must be nonnegative, got {self.lr}")
 
 
 class SGD:
@@ -77,4 +86,4 @@ def make_optimizer(params: dict[str, Tensor], config: OptimizerConfig):
         return Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
     if config.algorithm == "sgd":
         return SGD(params, lr=config.lr)
-    raise ConfigError(f"unknown optimizer algorithm {config.algorithm!r} (expected 'adam' or 'sgd')")
+    raise ConfigError(f"unknown optimizer algorithm {config.algorithm!r} (expected one of {ALGORITHMS})")

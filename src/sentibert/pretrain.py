@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, SamplingError
+from .errors import ConfigError, ContractError, SamplingError, check_field_types
 from .model import SentimentModel, eval_chunks, row_starts
 from .optim import OptimizerConfig, make_optimizer
 from .tensor import Graph, Tensor, add, cross_entropy
@@ -21,6 +21,7 @@ from .tokenizer import (
 )
 
 SENTINEL = -1  # mlm target at positions not selected for prediction
+HISTORY_COLUMNS = ("epoch", "train_loss", "val_loss", "mlm_loss", "nsp_loss", "mlm_acc")
 
 
 @dataclass
@@ -180,10 +181,15 @@ class PretrainConfig:
     optimizer: OptimizerConfig | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not 0.0 <= self.mask_probability < 1.0:
+            raise ConfigError(f"mask_probability must be in [0, 1), got {self.mask_probability}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.optimizer is None:
             self.optimizer = OptimizerConfig()
 
@@ -193,8 +199,10 @@ def run_pretraining(
 ) -> list[dict[str, float]]:
     """Epochs of MLM+NSP training over the corpus's sentence pairs.
 
-    Per-epoch records carry the mean step losses plus eval-mode loss and
-    masked-token accuracy on a fixed masking of the whole pair set.
+    One record per epoch, keyed by HISTORY_COLUMNS: train_loss is the mean
+    MLM+NSP loss of the epoch's steps; val_loss, mlm_loss, nsp_loss and
+    mlm_acc are eval-mode figures on a fixed masking of the whole pair set
+    (val_loss = mlm_loss + nsp_loss).
     """
     rng = np.random.default_rng(config.seed)
     eval_rng = np.random.default_rng(config.seed + 1)
@@ -222,9 +230,10 @@ def run_pretraining(
             {
                 "epoch": epoch,
                 "train_loss": float(np.mean(step_losses)),
-                "train_acc": held["mlm_accuracy"],
                 "val_loss": held["mlm_loss"] + held["nsp_loss"],
-                "val_acc": held["mlm_accuracy"],
+                "mlm_loss": held["mlm_loss"],
+                "nsp_loss": held["nsp_loss"],
+                "mlm_acc": held["mlm_accuracy"],
             }
         )
     return history

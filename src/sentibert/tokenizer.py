@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, check_type
+from .fileio import atomic_open
 
 PAD_ID = 0
 UNK_ID = 1
@@ -56,6 +57,8 @@ class Vocab:
     def __init__(self, tokens: Sequence[str]):
         if tuple(tokens[:NUM_SPECIALS]) != SPECIAL_TOKENS:
             raise ConfigError(f"vocab must start with the special tokens {SPECIAL_TOKENS}")
+        if not all(isinstance(tok, str) for tok in tokens):
+            raise ConfigError("vocab tokens must be strings")
         self._id_to_token = list(tokens)
         self._token_to_id = {tok: i for i, tok in enumerate(self._id_to_token)}
         if len(self._token_to_id) != len(self._id_to_token):
@@ -83,7 +86,7 @@ class Vocab:
         return hashlib.sha256("\n".join(self._id_to_token).encode("utf-8")).hexdigest()
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write("\n".join(self._id_to_token))
             fh.write("\n")
 
@@ -98,6 +101,8 @@ def build_vocab(corpus: Iterable[str], max_size: int, min_freq: int = 1) -> Voca
     """Frequency vocabulary: the max_size-5 most frequent tokens with count >=
     min_freq get ids 5.. in descending frequency, ties broken lexicographically.
     """
+    check_type("max_size", max_size, int)
+    check_type("min_freq", min_freq, int)
     if max_size < NUM_SPECIALS + 1:
         raise ConfigError(f"max_size must be at least {NUM_SPECIALS + 1}, got {max_size}")
     if min_freq < 1:

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sentibert.checkpoint import load_checkpoint, save_checkpoint
 from sentibert.classify import evaluate, predict_batch
@@ -177,3 +179,98 @@ class TestCorruption:
         path.write_bytes(b"\xff\xff\xff\xff not a checkpoint")
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+
+
+def _poison_first_tensor(path):
+    """Overwrite the first payload value of the first tensor with NaN."""
+    blob = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<I", blob[:4])
+    first = json.loads(blob[4 : 4 + header_len])["tensors"][0]
+    start = 4 + header_len + first["offset"]
+    blob[start : start + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+    return first["name"]
+
+
+def _replace_header(path, header):
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[:4])
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<I", len(raw)) + raw + blob[4 + header_len :])
+
+
+def _set_entry(key, value):
+    return lambda h: h["tensors"][0].update({key: value})
+
+
+MALFORMED = {
+    "header is a list": (lambda p: _replace_header(p, [1, 2]), "JSON object"),
+    "header is a string": (lambda p: _replace_header(p, "model"), "JSON object"),
+    "tensor entry is not an object": (lambda p: _rewrite_header(p, lambda h: h["tensors"].__setitem__(0, 7)), "entry 0"),
+    "string offset": (lambda p: _rewrite_header(p, _set_entry("offset", "0")), "offset"),
+    "negative shape": (lambda p: _rewrite_header(p, lambda h: h["tensors"][0].update(shape=[-2, 3], nbytes=-24)), "shape"),
+    "negative nbytes": (lambda p: _rewrite_header(p, _set_entry("nbytes", -4)), "nbytes"),
+    "NaN payload": (_poison_first_tensor, "non-finite"),
+    "seed is not a number": (lambda p: _rewrite_header(p, lambda h: h.update(seed="x")), "'seed'"),
+    "config has an unknown key": (lambda p: _rewrite_header(p, lambda h: h["config"].update(num_layer=9)), "'config'"),
+    "vocab tokens are not strings": (lambda p: _rewrite_header(p, lambda h: h["vocab_tokens"].append(5)), "vocab_tokens"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_raises_checkpoint_error(model, tmp_path, case):
+    corrupt, names = MALFORMED[case]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    corrupt(path)
+    with pytest.raises(CheckpointError, match=names):
+        load_checkpoint(str(path))
+
+
+TINY = EncoderConfig(num_layers=1, num_heads=1, d_model=4, d_ff=4, max_len=6, dropout_rate=0.0)
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "tiny.ckpt"
+    save_checkpoint(SentimentModel.init(build_vocab(["a b c"], 10), TINY, seed=1), str(path))
+    return path.read_bytes()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged(draw, blob):
+    kind = draw(st.sampled_from(["bytes", "flip", "truncate", "header value", "entry value"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    if kind == "flip":
+        out = bytearray(blob)
+        for i in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+            out[i] = draw(st.integers(0, 255))
+        return bytes(out)
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    (header_len,) = struct.unpack("<I", blob[:4])
+    header = json.loads(blob[4 : 4 + header_len])
+    target = header if kind == "header value" else header["tensors"][draw(st.integers(0, len(header["tensors"]) - 1))]
+    target[draw(st.sampled_from(sorted(target)))] = draw(json_values)
+    raw = json.dumps(header).encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw + blob[4 + header_len :]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_checkpoints_load_or_raise_checkpoint_error(tiny_blob, tmp_path, data):
+    path = tmp_path / "damaged.ckpt"
+    path.write_bytes(data.draw(damaged(tiny_blob)))
+    try:
+        model = load_checkpoint(str(path))
+    except CheckpointError:
+        return
+    assert all(np.isfinite(t.data).all() for t in model.named_parameters().values())

@@ -249,3 +249,7 @@ class TestCurveCsv:
         assert lines[0] == CURVE_HEADER == "epoch,train_loss,train_acc,val_loss,val_acc"
         assert lines[1] == "1,1.0,0.5,1.1,0.4"
         assert len(lines) == 3
+
+    def test_dict_rows_with_their_own_columns(self):
+        rows = [{"epoch": 1, "loss": 0.25, "acc": 0.5, "unused": 9}]
+        assert curve_to_csv(rows, ("epoch", "loss", "acc")) == "epoch,loss,acc\n1,0.25,0.5\n"

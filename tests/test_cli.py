@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -83,7 +84,7 @@ class TestPipeline:
         assert run_cli("pretrain", "--config", str(config_path)) == 0
         assert (tmp / "model.ckpt").exists()
         curve = (tmp / "curve.csv").read_text().strip().split("\n")
-        assert curve[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
+        assert curve[0] == "epoch,train_loss,val_loss,mlm_loss,nsp_loss,mlm_acc"
 
         # reuse the pretrained checkpoint as the fine-tuning start
         config["paths"]["init_checkpoint"] = str(tmp / "model.ckpt")
@@ -216,3 +217,81 @@ def test_console_entry_point(workspace):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip())["command"] == "build-vocab"
+
+
+def _set(path, value):
+    """Config mutation: set the dotted key path to value."""
+
+    def mutate(config):
+        *parents, last = path.split(".")
+        target = config
+        for key in parents:
+            target = target.setdefault(key, {})
+        target[last] = value
+
+    return mutate
+
+
+BAD_CONFIGS = [
+    ("train", _set("encoder.num_layer", 9), "encoder.num_layer"),
+    ("train", _set("trian", {"epochs": 1}), "trian"),
+    ("pretrain", _set("pretrain.seed", 4), "pretrain.seed"),
+    ("build-vocab", _set("vocab.max_len", 10), "vocab.max_len"),
+    ("train", _set("paths.curvee", "c.csv"), "paths.curvee"),
+    ("rebalance", _set("seed", "x"), "seed"),
+    ("rebalance", _set("seed", -1), "seed"),
+    ("build-vocab", _set("vocab.max_size", "abc"), "max_size"),
+    ("train", _set("train.epochs", 2.5), "epochs"),
+    ("train", _set("train.keep_best", "no"), "keep_best"),
+    ("train", _set("train.algorithm", "adamw"), "adamw"),
+    ("train", _set("train.class_weights", "abc"), "class_weights"),
+    ("train", _set("encoder.num_layers", 1.5), "num_layers"),
+    ("pretrain", _set("pretrain.lr", "fast"), "lr"),
+    ("pretrain", _set("pretrain.mask_probability", 1.5), "mask_probability"),
+    ("train", _set("paths.vocab", 5), "paths.vocab"),
+]
+
+
+@pytest.mark.parametrize("command, mutate, named", BAD_CONFIGS, ids=[named + "-" + cmd for cmd, _, named in BAD_CONFIGS])
+def test_bad_config_is_usage_error_naming_the_key(workspace, capsys, command, mutate, named):
+    tmp, config_path, config = workspace
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    config = copy.deepcopy(config)  # the sections may be shared module constants
+    mutate(config)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(config_path)) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "usage"
+    assert named in payload["message"]
+
+
+def test_pretrain_lr_reaches_the_optimizer(workspace):
+    from sentibert.checkpoint import load_checkpoint
+    from sentibert.encoder import EncoderConfig
+    from sentibert.model import SentimentModel
+    from sentibert.tokenizer import Vocab
+
+    tmp, config_path, config = workspace
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    config["pretrain"]["lr"] = 0.0
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("pretrain", "--config", str(config_path)) == 0
+    initial = SentimentModel.init(Vocab.load(str(tmp / "vocab.txt")), EncoderConfig(**TINY_ENCODER), seed=3)
+    loaded = load_checkpoint(str(tmp / "model.ckpt"))
+    for name, t in loaded.named_parameters().items():
+        np.testing.assert_array_equal(t.data, initial.named_parameters()[name].data.astype(np.float32))
+
+
+def test_non_finite_checkpoint_is_data_error(workspace, capsys):
+    tmp, config_path, _ = workspace
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    assert run_cli("train", "--config", str(config_path)) == 0
+    blob = bytearray((tmp / "model.ckpt").read_bytes())
+    blob[-4:] = np.float32(np.nan).tobytes()  # last value of the last tensor
+    (tmp / "model.ckpt").write_bytes(bytes(blob))
+    (tmp / "texts.txt").write_text("one fine room\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("predict", "--config", str(config_path), "--input", str(tmp / "texts.txt")) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "data" and "non-finite" in payload["message"]

@@ -8,6 +8,7 @@ from sentibert.errors import ConfigError, SamplingError
 from sentibert.model import SentimentModel
 from sentibert.optim import OptimizerConfig, make_optimizer
 from sentibert.pretrain import (
+    HISTORY_COLUMNS,
     SENTINEL,
     PretrainConfig,
     build_masked_batch,
@@ -221,6 +222,15 @@ class TestPretrainStep:
         hist_b, weights_b = run()
         assert hist_a == hist_b
         np.testing.assert_array_equal(weights_a, weights_b)
+
+    def test_history_rows_carry_honest_columns(self, corpus, vocab):
+        model = self._model(vocab, seed=9)
+        history = run_pretraining(corpus, model, PretrainConfig(epochs=2, batch_size=4, seed=31))
+        assert [tuple(row) for row in history] == [HISTORY_COLUMNS] * 2
+        assert [row["epoch"] for row in history] == [1, 2]
+        for row in history:
+            assert row["val_loss"] == row["mlm_loss"] + row["nsp_loss"]
+            assert 0.0 <= row["mlm_acc"] <= 1.0
 
     def test_fifty_steps_reduce_mlm_loss(self, corpus, vocab):
         model = self._model(vocab, seed=1)
