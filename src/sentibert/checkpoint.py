@@ -10,7 +10,6 @@ Version 2 stores one fused `encoder.{i}.wqkv` per layer. Version 1 stored
 per-head `encoder.{i}.head{h}.wq/wk/wv`; the reader folds them into wqkv.
 """
 
-import itertools
 import json
 import math
 import struct
@@ -69,10 +68,11 @@ def _read_header(blob: bytes) -> tuple[dict, bytes]:
 
 
 def _header_field(header: dict, key: str, parse):
+    """parse(header[key]), or CheckpointError naming the key."""
+    if key not in header:
+        raise CheckpointError(f"checkpoint header has no {key!r} field")
     try:
         return parse(header[key])
-    except KeyError:
-        raise CheckpointError(f"checkpoint header has no {key!r} field") from None
     except (TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint header field {key!r} is invalid: {exc}") from exc
 
@@ -108,11 +108,9 @@ def _fold_v1(arrays: dict[str, np.ndarray], config: EncoderConfig) -> dict[str, 
     """Concatenate each layer's v1 head projections in the column order the
     fused attention reads: every head's wq, then every wk, then every wv."""
     for i in range(config.num_layers):
-        # stops at the first missing name: the parameter check then names it
-        heads = (f"encoder.{i}.head{h}.w{part}" for part in "qkv" for h in range(config.num_heads))
-        present = list(itertools.takewhile(arrays.__contains__, heads))
-        if len(present) == 3 * config.num_heads:
-            arrays[f"encoder.{i}.wqkv"] = np.hstack([arrays.pop(name) for name in present])
+        heads = [f"encoder.{i}.head{h}.w{part}" for part in "qkv" for h in range(config.num_heads)]
+        if all(name in arrays for name in heads):  # else the parameter check names what is missing
+            arrays[f"encoder.{i}.wqkv"] = np.hstack([arrays.pop(name) for name in heads])
     return arrays
 
 
@@ -136,8 +134,10 @@ def load_checkpoint(path: str) -> SentimentModel:
     index = _header_field(header, "tensors", list)
     if vocab.content_hash() != header.get("vocab_hash"):
         raise CheckpointError("vocab hash in header does not match the embedded vocabulary")
-    if config.num_layers > len(index):  # each layer stores at least one tensor
-        raise CheckpointError(f"checkpoint config has {config.num_layers} layers but only {len(index)} tensors")
+    # the fewest tensors the config implies, checked before any per-layer or per-head work
+    least = config.num_layers * (3 * config.num_heads if version == 1 else 1)
+    if least > len(index):
+        raise CheckpointError(f"checkpoint config implies at least {least} tensors, the file holds {len(index)}")
 
     arrays = dict(_read_tensor(entry, i, payload) for i, entry in enumerate(index))
     try:

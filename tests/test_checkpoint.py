@@ -115,6 +115,23 @@ class TestVersions:
             assert label_a == label_b
             np.testing.assert_array_equal(probs_a, probs_b)
 
+    @pytest.mark.parametrize("version, sizes", [(2, {"num_layers": 50}), (1, {"num_heads": 2**40, "d_model": 2**40})])
+    def test_config_implying_more_tensors_than_stored_is_rejected_first(self, model, tmp_path, monkeypatch, version, sizes):
+        # a crafted header must not make the loader list 2**40 head names or build 50 layers
+        def reached(*args, **kwargs):
+            raise AssertionError("per-layer work ran before the tensor count was checked")
+
+        path = tmp_path / "model.ckpt"
+        if version == 1:
+            _write_v1(model, path)
+        else:
+            save_checkpoint(model, str(path))
+        _rewrite_header(path, lambda h: h["config"].update(sizes))
+        monkeypatch.setattr("sentibert.checkpoint._fold_v1", reached)
+        monkeypatch.setattr(SentimentModel, "from_arrays", reached)
+        with pytest.raises(CheckpointError, match="at least"):
+            load_checkpoint(str(path))
+
     def test_load_runs_no_random_init(self, model, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, str(path))
