@@ -98,7 +98,10 @@ def _read_tensor(entry, position: int, payload: bytes) -> tuple[str, np.ndarray]
     start = entry["offset"]
     if start + nbytes > len(payload):
         raise CheckpointError(f"checkpoint payload is truncated at tensor {name!r}")
-    array = np.frombuffer(payload[start : start + nbytes], dtype="<f4").reshape(shape).astype(np.float64)
+    try:
+        array = np.frombuffer(payload[start : start + nbytes], dtype="<f4").reshape(shape).astype(np.float64)
+    except ValueError as exc:  # e.g. an empty shape with a dimension numpy cannot hold
+        raise CheckpointError(f"checkpoint tensor {name!r} has shape {shape}: {exc}") from exc
     if not np.isfinite(array).all():
         raise CheckpointError(f"checkpoint tensor {name!r} holds non-finite values")
     return name, array

@@ -227,6 +227,10 @@ MALFORMED = {
     "string offset": (lambda p: _rewrite_header(p, _set_entry("offset", "0")), "offset"),
     "negative shape": (lambda p: _rewrite_header(p, lambda h: h["tensors"][0].update(shape=[-2, 3], nbytes=-24)), "shape"),
     "negative nbytes": (lambda p: _rewrite_header(p, _set_entry("nbytes", -4)), "nbytes"),
+    "empty shape numpy cannot hold": (
+        lambda p: _rewrite_header(p, lambda h: h["tensors"][0].update(shape=[0, 10**20], nbytes=0)),
+        "shape",
+    ),
     "NaN payload": (_poison_first_tensor, "non-finite"),
     "seed is not a number": (lambda p: _rewrite_header(p, lambda h: h.update(seed="x")), "'seed'"),
     "config has an unknown key": (lambda p: _rewrite_header(p, lambda h: h["config"].update(num_layer=9)), "'config'"),
