@@ -13,7 +13,7 @@ from .metrics import MetricsReport, accuracy, confusion, f1_class, log_loss, pre
 from .model import SentimentModel
 from .optim import Adam, OptimizerConfig, SGD
 from .pretrain import PretrainConfig, mask_tokens, nsp_pairs, pretrain_step, run_pretraining
-from .tensor import Graph, Tensor, cross_entropy, layer_norm, matmul, relu
+from .tensor import Graph, Tensor, cross_entropy, layer_norm, matmul
 from .tokenizer import EncodedSequence, Vocab, build_vocab, decode, encode_pair, tokenize
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "predict_batch",
     "pretrain_step",
     "recall_class",
-    "relu",
     "report",
     "run_pretraining",
     "save_checkpoint",

@@ -16,6 +16,7 @@ import struct
 
 import numpy as np
 
+from .data import LABELS
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigError
 from .fileio import atomic_open
@@ -77,6 +78,14 @@ def _header_field(header: dict, key: str, parse):
         raise CheckpointError(f"checkpoint header field {key!r} is invalid: {exc}") from exc
 
 
+def _labels(raw) -> tuple[str, ...]:
+    """The class names, which must be data.LABELS in order: classify and the
+    CLI name prediction indices by LABELS, whatever a file says."""
+    if raw != list(LABELS):
+        raise ValueError(f"expected {list(LABELS)}, got {raw!r}")
+    return LABELS
+
+
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
@@ -133,7 +142,7 @@ def load_checkpoint(path: str) -> SentimentModel:
     vocab = _header_field(header, "vocab_tokens", Vocab)
     config = _header_field(header, "config", EncoderConfig.from_dict)
     seed = _header_field(header, "seed", int)
-    labels = _header_field(header, "labels", tuple)
+    labels = _header_field(header, "labels", _labels)
     index = _header_field(header, "tensors", list)
     if vocab.content_hash() != header.get("vocab_hash"):
         raise CheckpointError("vocab hash in header does not match the embedded vocabulary")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .balance import STRATEGIES, ClassHistogram, class_weights, oversample, undersample
 from .data import LABELS, NUM_CLASSES, LabeledExample
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, check_field_types, check_finite_loss
 from .metrics import MetricsReport, confusion, log_loss, report
 from .model import SentimentModel, eval_chunks
 from .optim import OptimizerConfig, make_optimizer
@@ -130,7 +130,8 @@ def train(
 
     Records eval-mode loss (unweighted log loss) and accuracy on both
     partitions after every epoch; with keep_best the parameters from the
-    best-validation-loss epoch are what comes back.
+    best-validation-loss epoch are what comes back. A step loss or re-scored
+    loss that is not finite raises ConfigError naming the epoch and step.
     """
     hist = ClassHistogram.from_dataset(dataset)
     present = [c for c, n in enumerate(hist.counts) if n > 0]
@@ -174,15 +175,18 @@ def train(
     best_params: dict[str, np.ndarray] | None = None
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_seqs))
-        for start in range(0, len(order), config.batch_size):
+        for step, start in enumerate(range(0, len(order), config.batch_size), 1):
             chunk = order[start : start + config.batch_size]
             with Graph() as graph:
                 logits = model.class_logits([train_seqs[i] for i in chunk], training=True, rng=rng)
                 loss = cross_entropy(logits, [train_labels[i] for i in chunk], weights)
+                check_finite_loss(f"epoch {epoch}, step {step}", loss.item())
                 graph.backward(loss)
             optimizer.step()
         train_loss, train_acc = _partition_scores(train_seqs, train_labels, model)
         val_loss, val_acc = _partition_scores(val_seqs, val_labels, model)
+        check_finite_loss(f"epoch {epoch}, after step {step}, re-scored training partition", train_loss)
+        check_finite_loss(f"epoch {epoch}, after step {step}, re-scored validation partition", val_loss)
         curve.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc))
         if config.keep_best and val_loss < best_loss:
             best_loss = val_loss

@@ -1,8 +1,10 @@
 """Command-line surface tying the pipeline together.
 
 Every command takes --config pointing at a single JSON file plus a few
-flag overrides. Exit codes: 0 success, 1 usage error, 2 data error,
-3 internal invariant violation; failures emit one line of JSON on stderr.
+flag overrides. Exit codes: 0 success, 1 usage error (including a named
+path that cannot be read or written), 2 data error (including training
+that diverges), 3 internal invariant violation; failures emit one line of
+JSON on stderr.
 """
 
 import argparse
@@ -28,7 +30,7 @@ from .tokenizer import Vocab, build_vocab
 
 
 class UsageError(Exception):
-    """Bad flags, bad config values, or missing input files."""
+    """Bad flags, bad config values, or missing or unusable files."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,9 +84,17 @@ def _load_config(path: str) -> dict:
         else:
             cfg[key] = value
     for key, value in cfg["paths"].items():
-        if not isinstance(value, str):
-            raise UsageError(f"paths.{key} must be a string, got {value!r}")
+        if not _is_path(value):
+            raise UsageError(f"paths.{key} must be a string the file system can name, got {value!r}")
     return cfg
+
+
+def _is_path(value) -> bool:
+    """A string open() accepts as a name: no NUL, no unencodable lone surrogate."""
+    try:
+        return isinstance(value, str) and b"\0" not in os.fsencode(value)
+    except UnicodeEncodeError:
+        return False
 
 
 def _path(cfg: dict, key: str, required_for: str) -> str:
@@ -192,7 +202,9 @@ def _cmd_pretrain(cfg: dict, args) -> None:
     except ConfigError as exc:
         raise UsageError(f"bad pretrain config: {exc}") from exc
     model = SentimentModel.init(vocab, _encoder_config(cfg), seed)
-    history = run_pretraining(corpus, model, pre_cfg)
+    # divergence fails on its non-finite loss; numpy's warnings would add stderr lines
+    with np.errstate(all="ignore"):
+        history = run_pretraining(corpus, model, pre_cfg)
     ckpt = _path(cfg, "checkpoint", "pretrain")
     save_checkpoint(model, ckpt)
     _write_text(_path(cfg, "curve", "pretrain"), curve_to_csv(history, HISTORY_COLUMNS))
@@ -216,7 +228,9 @@ def _cmd_train(cfg: dict, args) -> None:
     else:
         vocab = Vocab.load(_require_input(_path(cfg, "vocab", "train"), "paths.vocab"))
         model = SentimentModel.init(vocab, _encoder_config(cfg), train_cfg.seed)
-    model, curve = train(dataset, train_cfg, model)
+    # divergence fails on its non-finite loss; numpy's warnings would add stderr lines
+    with np.errstate(all="ignore"):
+        model, curve = train(dataset, train_cfg, model)
     ckpt = _path(cfg, "checkpoint", "train")
     save_checkpoint(model, ckpt)
     _write_text(_path(cfg, "curve", "train"), curve_to_csv(curve))
@@ -370,6 +384,8 @@ def main(argv=None) -> int:
         _HANDLERS[args.command](cfg, args)
         return 0
     except UsageError as exc:
+        return _fail("usage", exc, 1)
+    except OSError as exc:  # every file the CLI opens is one the user named
         return _fail("usage", exc, 1)
     except (DataError, ConfigError, SamplingError) as exc:
         return _fail("data", exc, 2)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_field_types
-from .tensor import Tensor, add, add_bias, attention, dropout, layer_norm, matmul, parameter, relu
+from .tensor import Tensor, add, attention, dropout, ffn, layer_norm, matmul, parameter
 
 LAYER_NORM_EPS = 1e-5
 
@@ -29,9 +29,11 @@ class EncoderConfig:
         check_field_types(self)
         if self.num_layers < 0:  # 0 layers = identity stack, allowed for probing
             raise ConfigError(f"num_layers must be nonnegative, got {self.num_layers}")
-        for name in ("num_heads", "d_model", "d_ff", "max_len"):
+        for name in ("num_heads", "d_model", "d_ff"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.max_len < 3:  # room for [CLS], one token and [SEP]
+            raise ConfigError(f"max_len must be at least 3, got {self.max_len}")
         if self.d_model % self.num_heads != 0:
             raise ConfigError(f"d_model ({self.d_model}) must be divisible by num_heads ({self.num_heads})")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -126,9 +128,8 @@ def multi_head(x: Tensor, params: EncoderLayerParams, lengths, num_heads: int) -
 
 
 def feed_forward(x: Tensor, params: EncoderLayerParams) -> Tensor:
-    """max(0, x W_1 + b_1) W_2 + b_2."""
-    hidden = relu(add_bias(matmul(x, params.w1), params.b1))
-    return add_bias(matmul(hidden, params.w2), params.b2)
+    """max(0, x W_1 + b_1) W_2 + b_2, one fused op."""
+    return ffn(x, params.w1, params.b1, params.w2, params.b2)
 
 
 def encoder_layer(

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by every module, and the field type check of
-the config dataclasses.
+"""Exception taxonomy shared by every module, the field type check of the
+config dataclasses, and the finite-loss check of the training loops.
 
 The CLI maps these onto exit codes: content problems (DataError and
 subclasses, ConfigError, SamplingError) exit 2, internal invariant
@@ -7,6 +7,7 @@ violations (ShapeError, ContractError) exit 3.
 """
 
 import dataclasses
+import math
 import numbers
 
 
@@ -53,3 +54,10 @@ def check_field_types(config) -> None:
     for f in dataclasses.fields(config):
         if f.type in _KINDS:
             check_type(f.name, getattr(config, f.name), f.type)
+
+
+def check_finite_loss(where: str, loss: float) -> None:
+    """ConfigError naming where and the loss unless it is finite: training
+    diverged (usually a learning rate too high) and its model is unusable."""
+    if not math.isfinite(loss):
+        raise ConfigError(f"{where}: loss is {loss!r}, not finite; training diverged (lower the learning rate)")

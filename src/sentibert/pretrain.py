@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, SamplingError, check_field_types
+from .errors import ConfigError, ContractError, SamplingError, check_field_types, check_finite_loss
 from .model import SentimentModel, eval_chunks, row_starts
 from .optim import OptimizerConfig, make_optimizer
 from .tensor import Graph, Tensor, add, cross_entropy
@@ -202,7 +202,8 @@ def run_pretraining(
     One record per epoch, keyed by HISTORY_COLUMNS: train_loss is the mean
     MLM+NSP loss of the epoch's steps; val_loss, mlm_loss, nsp_loss and
     mlm_acc are eval-mode figures on a fixed masking of the whole pair set
-    (val_loss = mlm_loss + nsp_loss).
+    (val_loss = mlm_loss + nsp_loss). A step loss or val_loss that is not
+    finite raises ConfigError naming the epoch and step.
     """
     rng = np.random.default_rng(config.seed)
     eval_rng = np.random.default_rng(config.seed + 1)
@@ -218,14 +219,16 @@ def run_pretraining(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(pairs))
         step_losses = []
-        for start in range(0, len(pairs), config.batch_size):
+        for step, start in enumerate(range(0, len(pairs), config.batch_size), 1):
             chunk = [pairs[i] for i in order[start : start + config.batch_size]]
             batch = build_masked_batch(
                 chunk, model.vocab, model.config.max_len, config.mask_probability, rng
             )
             losses = pretrain_step(batch, model, optimizer, rng=rng)
             step_losses.append(losses["mlm_loss"] + losses["nsp_loss"])
+            check_finite_loss(f"epoch {epoch}, step {step}", step_losses[-1])
         held = eval_losses(eval_batch, model)
+        check_finite_loss(f"epoch {epoch}, after step {step}, held-out pairs", held["mlm_loss"] + held["nsp_loss"])
         history.append(
             {
                 "epoch": epoch,

@@ -102,10 +102,12 @@ def _wants_grad(t: Tensor) -> bool:
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+    # No copy and no +=: add's backward hands one array to both inputs, so a
+    # stored gradient may be shared and is never written in place.
     if t.grad is None:
-        t.grad = grad.copy()  # a copy: add's backward hands one array to both inputs
+        t.grad = grad
     else:
-        t.grad += grad
+        t.grad = t.grad + grad
 
 
 def _record(out: Tensor, backward_fn, *inputs: Tensor) -> None:
@@ -190,16 +192,43 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); subgradient at 0 is 0."""
-    keep = x.data > 0.0
-    out = Tensor(np.where(keep, x.data, 0.0))
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Position-wise feed-forward block max(0, x W1 + b1) W2 + b2 as one op.
+
+    The backward keeps only the activated hidden rows h and takes the ReLU
+    mask from h > 0, so the subgradient at the kink is 0.
+    """
+    for t, op in ((x, "ffn x"), (w1, "ffn w1"), (w2, "ffn w2")):
+        _require_2d(t, op)
+    d_ff = w1.data.shape[1]
+    if x.data.shape[1] != w1.data.shape[0] or w2.data.shape[0] != d_ff:
+        raise ShapeError(f"ffn: shapes {x.data.shape}, {w1.data.shape} and {w2.data.shape} do not chain")
+    if b1.data.shape != (d_ff,) or b2.data.shape != (w2.data.shape[1],):
+        raise ShapeError(f"ffn: bias shapes {b1.data.shape}/{b2.data.shape} do not fit {w1.data.shape}/{w2.data.shape}")
+    h = x.data @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.data
+    out += b2.data
+    out = Tensor(out)
 
     def backward(grad):
+        if _wants_grad(b2):
+            _accumulate(b2, grad.sum(axis=0))
+        if _wants_grad(w2):
+            _accumulate(w2, h.T @ grad)
+        if not (_wants_grad(x) or _wants_grad(w1) or _wants_grad(b1)):
+            return
+        d_h = grad @ w2.data.T
+        d_h *= h > 0.0
+        if _wants_grad(b1):
+            _accumulate(b1, d_h.sum(axis=0))
         if _wants_grad(x):
-            _accumulate(x, grad * keep)
+            _accumulate(x, d_h @ w1.data.T)
+        if _wants_grad(w1):
+            _accumulate(w1, x.data.T @ d_h)
 
-    _record(out, backward, x)
+    _record(out, backward, x, w1, b1, w2, b2)
     return out
 
 
@@ -225,11 +254,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     if eps <= 0.0:
         raise ContractError(f"layer_norm: eps must be positive, got {eps}")
-    mean = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mean) ** 2).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean) * inv_std
-    out = Tensor(x_hat * gamma.data[None, :] + beta.data[None, :])
+    # sum / d is exactly what .mean computes (add.reduce, then true_divide)
+    x_hat = x.data - x.data.sum(axis=1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt((x_hat**2).sum(axis=1, keepdims=True) / d + eps)
+    x_hat *= inv_std
+    out = x_hat * gamma.data
+    out += beta.data
+    out = Tensor(out)
 
     def backward(grad):
         if _wants_grad(gamma):
@@ -237,10 +268,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if _wants_grad(beta):
             _accumulate(beta, grad.sum(axis=0))
         if _wants_grad(x):
-            d_hat = grad * gamma.data[None, :]
-            term_mean = d_hat.mean(axis=1, keepdims=True)
-            term_proj = (d_hat * x_hat).mean(axis=1, keepdims=True)
-            _accumulate(x, inv_std * (d_hat - term_mean - x_hat * term_proj))
+            d_hat = grad * gamma.data
+            term_mean = d_hat.sum(axis=1, keepdims=True) / d
+            term_proj = (d_hat * x_hat).sum(axis=1, keepdims=True) / d
+            d_hat -= term_mean
+            d_hat -= x_hat * term_proj
+            d_hat *= inv_std
+            _accumulate(x, d_hat)
 
     _record(out, backward, x, gamma, beta)
     return out
@@ -248,8 +282,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a plain array, stabilized by subtracting each row's maximum."""
-    exps = np.exp(x - x.max(axis=-1, keepdims=True))
-    return exps / exps.sum(axis=-1, keepdims=True)
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
@@ -289,7 +325,10 @@ def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
         return view
 
     q, k, v = qkv_grid()
-    probs = softmax(q @ k.transpose(0, 1, 3, 2) * factor + key_bias)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= factor
+    scores += key_bias
+    probs = softmax(scores)
     flat, (context,) = grid(1)
     np.matmul(probs, v, out=context)
     out = Tensor(flat[slots])

@@ -31,23 +31,26 @@ def _is_punctuation(ch: str) -> bool:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased word tokens; each punctuation character is its own token."""
+    """Lowercased word tokens; each punctuation character is its own token.
+
+    A whitespace-separated chunk of letters and digits alone passes whole: no
+    punctuation character is alphanumeric. Other chunks are scanned
+    character by character.
+    """
     tokens: list[str] = []
-    word: list[str] = []
-    for ch in text.lower():
-        if ch.isspace():
-            if word:
-                tokens.append("".join(word))
-                word = []
-        elif _is_punctuation(ch):
-            if word:
-                tokens.append("".join(word))
-                word = []
-            tokens.append(ch)
-        else:
-            word.append(ch)
-    if word:
-        tokens.append("".join(word))
+    for chunk in text.lower().split():
+        if chunk.isalnum():
+            tokens.append(chunk)
+            continue
+        start = 0
+        for i, ch in enumerate(chunk):
+            if _is_punctuation(ch):
+                if i > start:
+                    tokens.append(chunk[start:i])
+                tokens.append(ch)
+                start = i + 1
+        if start < len(chunk):
+            tokens.append(chunk[start:])
     return tokens
 
 

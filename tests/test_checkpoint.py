@@ -234,6 +234,11 @@ MALFORMED = {
     "NaN payload": (_poison_first_tensor, "non-finite"),
     "seed is not a number": (lambda p: _rewrite_header(p, lambda h: h.update(seed="x")), "'seed'"),
     "config has an unknown key": (lambda p: _rewrite_header(p, lambda h: h["config"].update(num_layer=9)), "'config'"),
+    "labels in another order": (
+        lambda p: _rewrite_header(p, lambda h: h.update(labels=["positive", "neutral", "negative"])),
+        "'labels'",
+    ),
+    "labels is a string": (lambda p: _rewrite_header(p, lambda h: h.update(labels="xyz")), "'labels'"),
     "vocab tokens are not strings": (lambda p: _rewrite_header(p, lambda h: h["vocab_tokens"].append(5)), "vocab_tokens"),
 }
 

@@ -121,6 +121,17 @@ class TestBatchEquivalence:
             np.testing.assert_allclose(grad, mean, atol=1e-12, rtol=0.0, err_msg=name)
 
 
+    def test_default_fine_tuning_step_records_29_tape_nodes(self):
+        # embedding 5 (three gathers, two adds); per layer 10 (Q/K/V matmul,
+        # attention, W^O matmul, two dropouts, two residual adds, two layer
+        # norms, one fused feed-forward); [CLS] gather, matmul, bias, loss 4
+        model = _model(TOY, seed=2, config=EncoderConfig())
+        seqs = [encode_pair(ex.text, None, model.vocab, model.config.max_len) for ex in TOY]
+        with Graph() as g:
+            cross_entropy(model.class_logits(seqs, training=True, rng=np.random.default_rng(0)), [ex.label for ex in TOY])
+        assert len(g) == 29
+
+
 class TestTrain:
     def test_lr_zero_keeps_initialization(self):
         model = _model(TOY, seed=3)

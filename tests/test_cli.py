@@ -1,12 +1,16 @@
 import copy
 import json
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sentibert.cli import main
+from sentibert.cli import SECTION_KEYS, main
 from sentibert.data import LABELS, write_corpus, write_jsonl
 from sentibert.synthetic import generate_dataset, generate_documents
 
@@ -246,9 +250,12 @@ BAD_CONFIGS = [
     ("train", _set("train.algorithm", "adamw"), "adamw"),
     ("train", _set("train.class_weights", "abc"), "class_weights"),
     ("train", _set("encoder.num_layers", 1.5), "num_layers"),
+    ("train", _set("encoder.max_len", 2), "max_len"),
     ("pretrain", _set("pretrain.lr", "fast"), "lr"),
     ("pretrain", _set("pretrain.mask_probability", 1.5), "mask_probability"),
     ("train", _set("paths.vocab", 5), "paths.vocab"),
+    ("train", _set("paths.curve", "c\0.csv"), "paths.curve"),
+    ("train", _set("paths.checkpoint", "\ud800"), "paths.checkpoint"),
 ]
 
 
@@ -264,6 +271,17 @@ def test_bad_config_is_usage_error_naming_the_key(workspace, capsys, command, mu
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "usage"
     assert named in payload["message"]
+
+
+def test_output_path_that_is_a_directory_is_usage_error(workspace, capsys):
+    tmp, config_path, config = workspace
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    config["paths"]["checkpoint"] = str(tmp)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(config_path)) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "usage" and str(tmp) in payload["message"]
 
 
 def test_pretrain_lr_reaches_the_optimizer(workspace):
@@ -295,3 +313,58 @@ def test_non_finite_checkpoint_is_data_error(workspace, capsys):
     assert run_cli("predict", "--config", str(config_path), "--input", str(tmp / "texts.txt")) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "data" and "non-finite" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_diverging_training_stops_before_writing(workspace, command):
+    tmp, config_path, config = workspace
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    config[command]["lr"] = 1e300
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    # a separate process: stderr must hold the JSON line alone, no numpy warnings
+    proc = subprocess.run(
+        [sys.executable, "-m", "sentibert", command, "--config", str(config_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "data"
+    assert re.match(r"epoch 1, step \d+: loss is (nan|inf), not finite", payload["message"]), payload["message"]
+    assert not (tmp / "model.ckpt").exists() and not (tmp / "curve.csv").exists()
+
+
+FUZZ_CONFIG = {
+    "seed": 3,
+    "balance": "none",
+    "encoder": {"num_layers": 1, "num_heads": 2, "d_model": 8, "d_ff": 8, "max_len": 12, "dropout_rate": 0.1},
+    "train": {"epochs": 1, "batch_size": 8, "lr": 0.001, "val_split": 0.25},
+    "vocab": {"max_size": 100, "min_freq": 1},
+    "paths": {"train_data": "train.jsonl", "vocab": "vocab.txt", "checkpoint": "model.ckpt", "curve": "curve.csv"},
+}
+# every top-level key and every key build-vocab or train reads
+FUZZ_KEYS = [(key,) for key in FUZZ_CONFIG]
+FUZZ_KEYS += [(section, key) for section in ("encoder", "train", "vocab") for key in sorted(SECTION_KEYS[section])]
+FUZZ_KEYS += [("paths", key) for key in (*FUZZ_CONFIG["paths"], "data_format")]
+# bounded: a valid but huge count ("epochs": 10**9) would make a run endless;
+# no "/": a fuzzed path stays inside the example's directory or its parent
+fuzz_text = st.text(st.characters(blacklist_characters="/"), max_size=6)
+fuzz_leaves = st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | fuzz_text
+fuzz_values = fuzz_leaves | st.lists(fuzz_leaves, max_size=4)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(FUZZ_KEYS), value=fuzz_values)
+def test_fuzzed_config_never_exits_internal(tmp_path, monkeypatch, capsys, key, value):
+    config = copy.deepcopy(FUZZ_CONFIG)
+    target = config
+    for part in key[:-1]:
+        target = target[part]
+    target[key[-1]] = value
+    with tempfile.TemporaryDirectory(dir=tmp_path) as workdir:
+        monkeypatch.chdir(workdir)  # fuzzed relative paths land here
+        write_jsonl(generate_dataset((4, 4, 4), seed=21), "train.jsonl")
+        with open("config.json", "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        for command in ("build-vocab", "train"):
+            code = run_cli(command, "--config", "config.json")
+            assert code in (0, 1, 2), (command, key, value, capsys.readouterr().err)

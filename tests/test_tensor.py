@@ -13,12 +13,12 @@ from sentibert.tensor import (
     add_bias,
     cross_entropy,
     dropout,
+    ffn,
     gather_rows,
     layer_norm,
     matmul,
     mul,
     parameter,
-    relu,
     softmax,
     transpose,
 )
@@ -113,6 +113,12 @@ class TestLayerNorm:
             layer_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
 
 
+def relu(x: Tensor) -> Tensor:
+    """ffn's activation alone: identity projections and zero biases around it."""
+    eye, zeros = Tensor(np.eye(x.data.shape[1])), Tensor(np.zeros(x.data.shape[1]))
+    return ffn(x, eye, zeros, eye, zeros)
+
+
 class TestRelu:
     def test_definition(self):
         out = relu(Tensor([[-1.0, 0.0, 2.0]]))
@@ -122,6 +128,50 @@ class TestRelu:
         assert np.array_equal(relu(Tensor([[-3.0, -0.5]])).data, [[0.0, 0.0]])
         x = np.array([[0.5, 3.0]])
         assert np.array_equal(relu(Tensor(x)).data, x)
+
+
+def _ffn_inputs(rng, n, d=4, d_ff=6, d_out=3, margin=0.05):
+    """x, w1, b1, w2, b2 whose pre-activations all lie at least margin from
+    the ReLU kink, so finite differences never cross it."""
+    while True:
+        x, w1 = rng.normal(size=(n, d)), rng.normal(size=(d, d_ff))
+        b1 = rng.normal(size=d_ff)
+        if np.abs(x @ w1 + b1).min() >= margin:
+            return x, w1, b1, rng.normal(size=(d_ff, d_out)), rng.normal(size=d_out)
+
+
+class TestFfn:
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_gradcheck_all_five_inputs(self, n):
+        rng = np.random.default_rng(100 + n)
+        params = dict(zip(("x", "w1", "b1", "w2", "b2"), map(parameter, _ffn_inputs(rng, n))))
+        weights = Tensor(rng.normal(size=(n, 3)))  # a non-uniform upstream gradient
+        checked = check_gradients(lambda: sum_all(mul(ffn(*params.values()), weights)), params, rng, probes=60)
+        assert checked == 60
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_matches_plain_numpy(self, n):
+        rng = np.random.default_rng(200 + n)
+        x, w1, b1, w2, b2 = _ffn_inputs(rng, n)
+        upstream = rng.normal(size=(n, 3))
+        tensors = [parameter(a) for a in (x, w1, b1, w2, b2)]
+        with Graph() as g:
+            out = ffn(*tensors)
+            g.backward(sum_all(mul(out, Tensor(upstream))))
+        pre = x @ w1 + b1
+        hidden = np.where(pre > 0.0, pre, 0.0)
+        d_pre = (upstream @ w2.T) * (pre > 0.0)
+        expected = [d_pre @ w1.T, x.T @ d_pre, d_pre.sum(axis=0), hidden.T @ upstream, upstream.sum(axis=0)]
+        np.testing.assert_allclose(out.data, hidden @ w2 + b2, rtol=0, atol=1e-12)
+        for t, want in zip(tensors, expected):
+            np.testing.assert_allclose(t.grad, want, rtol=0, atol=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        x, w1, b1, w2, b2 = (Tensor(a) for a in _ffn_inputs(np.random.default_rng(1), 2))
+        with pytest.raises(ShapeError):
+            ffn(x, w2, b1, w2, b2)
+        with pytest.raises(ShapeError):
+            ffn(x, w1, b2, w2, b2)
 
 
 class TestCrossEntropy:

@@ -1,3 +1,5 @@
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,28 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
         assert tokenize("   \n\t ") == []
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The tokenizer's definition, one character at a time: whitespace ends a
+    word, a Unicode P* character ends a word and is a token itself."""
+    tokens, word = [], ""
+    for ch in text.lower():
+        if ch.isspace() or unicodedata.category(ch).startswith("P"):
+            if word:
+                tokens.append(word)
+            word = ""
+            if not ch.isspace():
+                tokens.append(ch)
+        else:
+            word += ch
+    return tokens + [word] if word else tokens
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text())
+def test_tokenize_matches_per_character_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 
 class TestBuildVocab:
