@@ -7,7 +7,7 @@ from .balance import ClassHistogram, class_weights, imbalance_ratio, oversample,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classify import TrainConfig, evaluate, forward_classify, predict_batch, train
 from .data import LABELS, LabeledExample, ingest
-from .embedding import EmbeddingTables, embed, init_tables
+from .embedding import EmbeddingTables, embed
 from .encoder import EncoderConfig, attention, encode, encoder_layer, multi_head
 from .metrics import MetricsReport, accuracy, confusion, f1_class, log_loss, precision_class, recall_class, report
 from .model import SentimentModel
@@ -51,7 +51,6 @@ __all__ = [
     "forward_classify",
     "imbalance_ratio",
     "ingest",
-    "init_tables",
     "layer_norm",
     "load_checkpoint",
     "log_loss",

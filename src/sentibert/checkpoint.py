@@ -39,7 +39,7 @@ def save_checkpoint(model: SentimentModel, path: str) -> None:
     header = {
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
-        "labels": list(model.labels),
+        "labels": list(LABELS),
         "seed": model.seed,
         "vocab_tokens": model.vocab.tokens(),
         "vocab_hash": model.vocab.content_hash(),
@@ -78,12 +78,11 @@ def _header_field(header: dict, key: str, parse):
         raise CheckpointError(f"checkpoint header field {key!r} is invalid: {exc}") from exc
 
 
-def _labels(raw) -> tuple[str, ...]:
-    """The class names, which must be data.LABELS in order: classify and the
-    CLI name prediction indices by LABELS, whatever a file says."""
+def _check_labels(raw) -> None:
+    """The class names must be data.LABELS in order: classify and the CLI
+    name prediction indices by LABELS, whatever a file says."""
     if raw != list(LABELS):
         raise ValueError(f"expected {list(LABELS)}, got {raw!r}")
-    return LABELS
 
 
 def _is_count(value) -> bool:
@@ -142,7 +141,7 @@ def load_checkpoint(path: str) -> SentimentModel:
     vocab = _header_field(header, "vocab_tokens", Vocab)
     config = _header_field(header, "config", EncoderConfig.from_dict)
     seed = _header_field(header, "seed", int)
-    labels = _header_field(header, "labels", _labels)
+    _header_field(header, "labels", _check_labels)
     index = _header_field(header, "tensors", list)
     if vocab.content_hash() != header.get("vocab_hash"):
         raise CheckpointError("vocab hash in header does not match the embedded vocabulary")
@@ -155,6 +154,6 @@ def load_checkpoint(path: str) -> SentimentModel:
     try:
         if version == 1:
             arrays = _fold_v1(arrays, config)
-        return SentimentModel.from_arrays(vocab, config, arrays, seed, labels)
+        return SentimentModel.from_arrays(vocab, config, arrays, seed)
     except (ConfigError, ValueError) as exc:  # ValueError: v1 heads that do not stack
         raise CheckpointError(f"checkpoint tensors do not fit its config: {exc}") from exc

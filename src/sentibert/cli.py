@@ -21,7 +21,7 @@ from .classify import TrainConfig, curve_to_csv, evaluate, predict_batch, train
 from .data import LABELS, ingest, read_corpus, write_jsonl
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, SamplingError, SentibertError, check_type
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 from .metrics import MetricsReport, cm_to_csv
 from .model import SentimentModel
 from .optim import OptimizerConfig
@@ -261,8 +261,7 @@ def _cmd_predict(cfg: dict, args) -> None:
     if not in_path:
         raise UsageError("predict needs --input or paths.predict_input")
     _require_input(in_path, "predict input")
-    with open(in_path, "r", encoding="utf-8") as fh:
-        texts = [line.rstrip("\n") for line in fh]
+    texts = [line.rstrip("\n") for line in read_text(in_path)]
     results = predict_batch(texts, model)
     lines = [
         json.dumps({"label": LABELS[label], "probabilities": [float(p) for p in probs]}, sort_keys=True)

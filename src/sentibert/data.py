@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DataError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 
 LABELS = ("negative", "neutral", "positive")
 LABEL_TO_INDEX = {name: i for i, name in enumerate(LABELS)}
@@ -43,6 +43,10 @@ def _ingest_jsonl(fh) -> list[LabeledExample]:
             raise DataError(f'line {line_no}: record must be an object with "text" and "label"')
         if not isinstance(record["text"], str):
             raise DataError(f'line {line_no}: "text" must be a string')
+        try:
+            record["text"].encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate escape such as "\ud800"
+            raise DataError(f'line {line_no}: "text" is not valid Unicode ({exc.reason})') from exc
         examples.append(LabeledExample(record["text"], _parse_label(record["label"], line_no)))
     return examples
 
@@ -69,8 +73,11 @@ def ingest(path: str, fmt: str) -> list[LabeledExample]:
     """Read a labeled dataset from a jsonl or csv file; empty datasets are errors."""
     if fmt not in ("jsonl", "csv"):
         raise DataError(f"unknown dataset format {fmt!r} (expected 'jsonl' or 'csv')")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    fh = read_text(path, newline="")
+    try:
         examples = _ingest_jsonl(fh) if fmt == "jsonl" else _ingest_csv(fh)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if not examples:
         raise DataError(f"{path}: no records found (empty dataset)")
     return examples
@@ -96,14 +103,13 @@ def read_corpus(path: str) -> list[list[str]]:
     """Pretraining corpus: one sentence per line, blank line separates documents."""
     documents: list[list[str]] = []
     current: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            sentence = line.strip()
-            if sentence:
-                current.append(sentence)
-            elif current:
-                documents.append(current)
-                current = []
+    for line in read_text(path):
+        sentence = line.strip()
+        if sentence:
+            current.append(sentence)
+        elif current:
+            documents.append(current)
+            current = []
     if current:
         documents.append(current)
     if not documents:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_field_types
-from .tensor import Tensor, add, attention, dropout, ffn, layer_norm, matmul, parameter
+from .tensor import Tensor, add, attention, dropout, ffn, layer_norm, matmul
 
 LAYER_NORM_EPS = 1e-5
 
@@ -89,35 +89,9 @@ class EncoderLayerParams:
     ln2_gamma: Tensor
     ln2_beta: Tensor
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{suffix}": getattr(self, field) for field, suffix in PARAM_NAMES.items()}
-
     @classmethod
     def from_named(cls, tensors: dict[str, Tensor], prefix: str) -> "EncoderLayerParams":
         return cls(**{field: tensors[f"{prefix}.{suffix}"] for field, suffix in PARAM_NAMES.items()})
-
-
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
-
-
-def init_layer_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderLayerParams:
-    """Xavier-scaled projections (a fixed 0.02 starves narrow desk-scale
-    widths); biases zero; layer-norm at identity. wqkv is one Xavier draw per
-    head and projection at fan_out d_k, in the order Q heads, K heads, V heads."""
-    d, dk, dff = config.d_model, config.d_k, config.d_ff
-    return EncoderLayerParams(
-        wqkv=parameter(np.hstack([_xavier(rng, d, dk) for _ in range(3 * config.num_heads)])),
-        wo=parameter(_xavier(rng, d, d)),
-        w1=parameter(_xavier(rng, d, dff)),
-        b1=parameter(np.zeros(dff)),
-        w2=parameter(_xavier(rng, dff, d)),
-        b2=parameter(np.zeros(d)),
-        ln1_gamma=parameter(np.ones(d)),
-        ln1_beta=parameter(np.zeros(d)),
-        ln2_gamma=parameter(np.ones(d)),
-        ln2_beta=parameter(np.zeros(d)),
-    )
 
 
 def multi_head(x: Tensor, params: EncoderLayerParams, lengths, num_heads: int) -> Tensor:

@@ -1,8 +1,12 @@
-"""Atomic file replacement for every file the package writes."""
+"""Atomic file replacement for every file the package writes, and checked
+UTF-8 reading of the text inputs (datasets, corpora, vocabularies)."""
 
 import contextlib
+import io
 import os
 import secrets
+
+from .errors import DataError
 
 
 @contextlib.contextmanager
@@ -24,3 +28,16 @@ def atomic_open(path: str, binary: bool = False):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def read_text(path: str, newline: str | None = None) -> io.StringIO:
+    """The file decoded as UTF-8, as a stream whose lines split as open()'s
+    would with this newline; DataError naming the file and line of the first
+    byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

@@ -9,23 +9,24 @@ Eval-mode callers run length-sorted chunks of EVAL_CHUNK sequences
 """
 
 import copy
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import LABELS
-from .embedding import INIT_STD, EmbeddingTables, _init_tables, embed
-from .encoder import EncoderConfig, EncoderLayerParams, encode, init_layer_params
+from .embedding import EmbeddingTables, embed
+from .encoder import EncoderConfig, EncoderLayerParams, encode
 from .errors import ConfigError
 from .tensor import Tensor, add_bias, gather_rows, matmul, parameter, transpose
 from .tokenizer import EncodedSequence, Vocab
 
 NUM_SENTIMENTS = len(LABELS)
 EVAL_CHUNK = 16  # sequences per eval-mode forward
+INIT_STD = 0.02  # scale of the normal-initialized weights
 
 
 def parameter_shapes(vocab_size: int, config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every learnable tensor, as named_parameters names them."""
+    """Name -> shape of every learnable tensor, in the order init draws them:
+    the one list of the model's weights, as named_parameters names them."""
     d, dff = config.d_model, config.d_ff
     layer = {"wqkv": (d, 3 * d), "wo": (d, d), "ffn.w1": (d, dff), "ffn.b1": (dff,), "ffn.w2": (dff, d), "ffn.b2": (d,)}
     layer.update({f"ln{i}.{p}": (d,) for i in (1, 2) for p in ("gamma", "beta")})
@@ -52,95 +53,76 @@ def eval_chunks(seqs: list[EncodedSequence]) -> list[np.ndarray]:
     return [order[i : i + EVAL_CHUNK] for i in range(0, len(order), EVAL_CHUNK)]
 
 
-@dataclass
-class SentimentModel:
-    """Every learnable weight plus the vocabulary and shape configuration."""
+def initial_array(name: str, shape: tuple[int, ...], config: EncoderConfig, rng: np.random.Generator) -> np.ndarray:
+    """Initial value of one parameter. Projections are Xavier-scaled (a fixed
+    0.02 starves narrow desk-scale widths): wqkv is one draw per head and
+    projection at fan_out d_k, in the order Q heads, K heads, V heads.
+    Embedding tables and head weights are normal(0, 0.02^2), layer-norm gains
+    ones, everything else zeros."""
+    if name.endswith(".wqkv"):
+        return np.hstack([_xavier(rng, shape[0], config.d_k) for _ in range(3 * config.num_heads)])
+    if name.endswith((".wo", ".w1", ".w2")):
+        return _xavier(rng, *shape)
+    if name.startswith("embeddings.") or name.endswith(".weight"):
+        return rng.normal(0.0, INIT_STD, shape)
+    return np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
 
-    vocab: Vocab
-    config: EncoderConfig
-    tables: EmbeddingTables
-    layers: list[EncoderLayerParams]
-    cls_w: Tensor  # [d_model x 3]
-    cls_b: Tensor  # [3]
-    nsp_w: Tensor  # [d_model x 2]
-    nsp_b: Tensor  # [2]
-    seed: int = 0
-    labels: tuple[str, ...] = field(default=LABELS)
+
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    return rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
+
+
+class SentimentModel:
+    """Every learnable weight, stored once by name in parameter_shapes order,
+    plus the vocabulary and shape configuration. tables, layers and the head
+    weights are views of the same tensors, as the forward reads them."""
+
+    def __init__(self, vocab: Vocab, config: EncoderConfig, params: dict[str, Tensor], seed: int = 0):
+        shapes = parameter_shapes(len(vocab), config)
+        _check_arrays(shapes, params)
+        self.vocab, self.config, self.seed = vocab, config, seed
+        self.params = {name: params[name] for name in shapes}
+        p = self.params
+        self.tables = EmbeddingTables(p["embeddings.token"], p["embeddings.segment"], p["embeddings.position"])
+        self.layers = [EncoderLayerParams.from_named(p, f"encoder.{i}") for i in range(config.num_layers)]
+        self.cls_w, self.cls_b = p["classifier.weight"], p["classifier.bias"]  # [d_model x 3], [3]
+        self.nsp_w, self.nsp_b = p["nsp.weight"], p["nsp.bias"]  # [d_model x 2], [2]
 
     @classmethod
     def init(cls, vocab: Vocab, config: EncoderConfig, seed: int) -> "SentimentModel":
-        """Random initialization, deterministic per seed."""
+        """Random initialization, deterministic per seed: initial_array for
+        each parameter in parameter_shapes order, from one generator."""
         rng = np.random.default_rng(seed)
-        d = config.d_model
-        return cls(
-            vocab=vocab,
-            config=config,
-            tables=_init_tables(len(vocab), d, config.max_len, rng),
-            layers=[init_layer_params(config, rng) for _ in range(config.num_layers)],
-            cls_w=parameter(rng.normal(0.0, INIT_STD, (d, NUM_SENTIMENTS))),
-            cls_b=parameter(np.zeros(NUM_SENTIMENTS)),
-            nsp_w=parameter(rng.normal(0.0, INIT_STD, (d, 2))),
-            nsp_b=parameter(np.zeros(2)),
-            seed=seed,
-        )
+        shapes = parameter_shapes(len(vocab), config)
+        params = {n: parameter(initial_array(n, s, config, rng), name=n) for n, s in shapes.items()}
+        return cls(vocab, config, params, seed)
 
     @classmethod
     def from_arrays(
-        cls, vocab: Vocab, config: EncoderConfig, arrays: dict[str, np.ndarray], seed: int, labels: tuple[str, ...]
+        cls, vocab: Vocab, config: EncoderConfig, arrays: dict[str, np.ndarray], seed: int
     ) -> "SentimentModel":
         """Model holding float64 copies of named arrays whose names and shapes
         match parameter_shapes exactly; no random initialization."""
-        _check_arrays(parameter_shapes(len(vocab), config), arrays)
-        t = {name: parameter(np.array(a, dtype=np.float64), name=name) for name, a in arrays.items()}
-        return cls(
-            vocab=vocab,
-            config=config,
-            tables=EmbeddingTables(t["embeddings.token"], t["embeddings.segment"], t["embeddings.position"]),
-            layers=[EncoderLayerParams.from_named(t, f"encoder.{i}") for i in range(config.num_layers)],
-            cls_w=t["classifier.weight"],
-            cls_b=t["classifier.bias"],
-            nsp_w=t["nsp.weight"],
-            nsp_b=t["nsp.bias"],
-            seed=seed,
-            labels=tuple(labels),
-        )
+        return cls(vocab, config, {n: parameter(np.array(a, np.float64), name=n) for n, a in arrays.items()}, seed)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {
-            "embeddings.token": self.tables.token,
-            "embeddings.segment": self.tables.segment,
-            "embeddings.position": self.tables.position,
-        }
-        for i, layer in enumerate(self.layers):
-            out.update(layer.named(f"encoder.{i}"))
-        out["classifier.weight"] = self.cls_w
-        out["classifier.bias"] = self.cls_b
-        out["nsp.weight"] = self.nsp_w
-        out["nsp.bias"] = self.nsp_b
-        return out
+        return dict(self.params)
 
     def encoder_parameters(self) -> dict[str, Tensor]:
         """Embeddings + encoder stack, without the task heads."""
-        return {
-            name: t
-            for name, t in self.named_parameters().items()
-            if not name.startswith(("classifier.", "nsp."))
-        }
+        return {name: t for name, t in self.params.items() if not name.startswith(("classifier.", "nsp."))}
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_parameters().items()}
+        return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_snapshot(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        _check_arrays({name: t.data.shape for name, t in params.items()}, arrays)
-        for name, t in params.items():
+        _check_arrays({name: t.shape for name, t in self.params.items()}, arrays)
+        for name, t in self.params.items():
             t.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
             t.grad = None
 
     def clone(self) -> "SentimentModel":
-        return SentimentModel.from_arrays(
-            self.vocab, copy.deepcopy(self.config), self.snapshot(), self.seed, self.labels
-        )
+        return SentimentModel.from_arrays(self.vocab, copy.deepcopy(self.config), self.snapshot(), self.seed)
 
     # -- forward helpers ----------------------------------------------------
 
@@ -174,7 +156,8 @@ class SentimentModel:
         return matmul(gather_rows(hidden, rows), transpose(self.tables.token))
 
 
-def _check_arrays(shapes: dict[str, tuple[int, ...]], arrays: dict[str, np.ndarray]) -> None:
+def _check_arrays(shapes: dict[str, tuple[int, ...]], arrays: dict) -> None:
+    """ConfigError unless arrays (numpy arrays or tensors) have exactly these names and shapes."""
     missing, unexpected = sorted(set(shapes) - set(arrays)), sorted(set(arrays) - set(shapes))
     if missing or unexpected:
         raise ConfigError(f"tensors missing: {missing}; not model parameters: {unexpected}")

@@ -38,9 +38,6 @@ class Tensor:
             raise ContractError(f"item() needs a scalar tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label}(shape={self.data.shape}, requires_grad={self.requires_grad})"

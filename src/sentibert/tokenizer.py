@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError, check_type
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 
 PAD_ID = 0
 UNK_ID = 1
@@ -95,9 +95,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
+        return cls([line.rstrip("\n") for line in read_text(path) if line.rstrip("\n")])
 
 
 def build_vocab(corpus: Iterable[str], max_size: int, min_freq: int = 1) -> Vocab:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sentibert.checkpoint import load_checkpoint, save_checkpoint
 from sentibert.classify import evaluate, predict_batch
+from sentibert.data import LABELS
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import CheckpointError
 from sentibert.model import SentimentModel
@@ -49,7 +50,9 @@ class TestRoundTrip:
         assert loaded.vocab.tokens() == model.vocab.tokens()
         assert loaded.config == model.config
         assert loaded.seed == model.seed
-        assert loaded.labels == model.labels
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[:4])
+        assert json.loads(blob[4 : 4 + header_len])["labels"] == list(LABELS)
 
     def test_save_is_deterministic(self, model, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -89,7 +92,7 @@ def _write_v1(model, path):
     header = {
         "format_version": 1,
         "config": cfg.to_dict(),
-        "labels": list(model.labels),
+        "labels": list(LABELS),
         "seed": model.seed,
         "vocab_tokens": model.vocab.tokens(),
         "vocab_hash": model.vocab.content_hash(),

@@ -212,6 +212,43 @@ class TestErrorPaths:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "data"
 
 
+VALID_RECORD = b'{"text": "the room was fine", "label": "neutral"}\n'
+# case -> (command, file, its bytes, the line the message names)
+NOT_UTF8 = {
+    "dataset holds byte 0xff": (
+        "build-vocab",
+        "train.jsonl",
+        VALID_RECORD + b'{"text": "bad \xff", "label": "neutral"}\n',
+        2,
+    ),
+    "record text is a lone surrogate": (
+        "build-vocab",
+        "train.jsonl",
+        VALID_RECORD * 2 + b'{"text": "bad \\ud800 text", "label": "neutral"}\n',
+        3,
+    ),
+    "corpus holds byte 0xff": ("build-vocab", "corpus.txt", b"a fine sentence\n\nanother one\n\xff\n", 4),
+    "vocab holds byte 0xff": ("train", "vocab.txt", b"[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\nroom\n\xffw\n", 7),
+    "predict input holds byte 0xff": ("predict", "texts.txt", b"the room was fine\n\xff\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_text_that_is_not_utf8_is_data_error_naming_file_and_line(workspace, capsys, case):
+    tmp, config_path, _ = workspace
+    command, name, content, line = NOT_UTF8[case]
+    if command == "predict":
+        assert run_cli("build-vocab", "--config", str(config_path)) == 0
+        assert run_cli("train", "--config", str(config_path)) == 0
+    (tmp / name).write_bytes(content)
+    capsys.readouterr()
+    extra = ["--input", str(tmp / name)] if command == "predict" else []
+    assert run_cli(command, "--config", str(config_path), *extra) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "data"
+    assert str(tmp / name) in payload["message"] and f"line {line}:" in payload["message"]
+
+
 def test_console_entry_point(workspace):
     _, config_path, _ = workspace
     proc = subprocess.run(
@@ -251,6 +288,7 @@ BAD_CONFIGS = [
     ("train", _set("train.class_weights", "abc"), "class_weights"),
     ("train", _set("encoder.num_layers", 1.5), "num_layers"),
     ("train", _set("encoder.max_len", 2), "max_len"),
+    ("train", _set("encoder.d_model", 0), "d_model"),
     ("pretrain", _set("pretrain.lr", "fast"), "lr"),
     ("pretrain", _set("pretrain.mask_probability", 1.5), "mask_probability"),
     ("train", _set("paths.vocab", 5), "paths.vocab"),

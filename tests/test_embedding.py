@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients, sum_all
-from sentibert.embedding import EmbeddingTables, embed, init_tables
-from sentibert.errors import ConfigError
+from sentibert.embedding import EmbeddingTables, embed
+from sentibert.encoder import EncoderConfig
+from sentibert.errors import ShapeError
+from sentibert.model import SentimentModel
 from sentibert.tensor import Graph, Tensor, cross_entropy, gather_rows, matmul, parameter
-from sentibert.tokenizer import EncodedSequence
+from sentibert.tokenizer import NUM_SPECIALS, SPECIAL_TOKENS, EncodedSequence, Vocab
 
 
 def _seq(token_ids, segments=None):
     return EncodedSequence(token_ids=list(token_ids), segment_ids=list(segments) if segments else [0] * len(token_ids))
+
+
+def init_tables(vocab_size, width, max_len, seed) -> EmbeddingTables:
+    """The embedding tables SentimentModel.init draws first from seed."""
+    vocab = Vocab(list(SPECIAL_TOKENS) + [f"w{i}" for i in range(vocab_size - NUM_SPECIALS)])
+    config = EncoderConfig(num_layers=0, num_heads=1, d_model=width, d_ff=1, max_len=max_len)
+    return SentimentModel.init(vocab, config, seed).tables
 
 
 def _zero_tables(v=6, d=4, max_len=5):
@@ -74,6 +83,12 @@ class TestEmbed:
         np.testing.assert_array_equal(packed, np.vstack([embed([s], tables).data for s in seqs]))
         np.testing.assert_array_equal(packed[3], tables.token.data[2] + tables.segment.data[0] + tables.position.data[0])
 
+    def test_tables_of_different_widths_raise_shape_error(self):
+        tables = _zero_tables()
+        tables.segment = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            embed([_seq([2, 5, 3])], tables)
+
     def test_out_of_range_id(self):
         with pytest.raises(IndexError):
             embed([_seq([2, 99, 3])], _zero_tables())
@@ -130,9 +145,3 @@ class TestInitTables:
     def test_tables_are_trainable(self):
         tables = init_tables(6, 2, 4, seed=0)
         assert tables.token.requires_grad and tables.segment.requires_grad and tables.position.requires_grad
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ConfigError):
-            init_tables(4, 2, 4, seed=0)
-        with pytest.raises(ConfigError):
-            init_tables(6, 0, 4, seed=0)

@@ -3,23 +3,32 @@ import pytest
 
 from gradcheck import check_gradients, sum_all
 from sentibert.encoder import (
+    PARAM_NAMES,
     EncoderConfig,
     EncoderLayerParams,
     attention,
     encode,
     encoder_layer,
     feed_forward,
-    init_layer_params,
     multi_head,
 )
 from sentibert.errors import ConfigError, ShapeError
+from sentibert.model import initial_array, parameter_shapes
 from sentibert.tensor import Graph, Tensor, cross_entropy, gather_rows, matmul, mul, parameter, softmax
+from sentibert.tokenizer import NUM_SPECIALS
 
 
 def _config(**kw):
     defaults = dict(num_layers=1, num_heads=2, d_model=8, d_ff=16, max_len=8, dropout_rate=0.0)
     defaults.update(kw)
     return EncoderConfig(**defaults)
+
+
+def init_layer_params(config, rng) -> EncoderLayerParams:
+    """The encoder.0 parameters SentimentModel.init draws for config, drawn from rng."""
+    shapes = parameter_shapes(NUM_SPECIALS, config)
+    named = {n: parameter(initial_array(n, s, config, rng)) for n, s in shapes.items() if n.startswith("encoder.0.")}
+    return EncoderLayerParams.from_named(named, "encoder.0")
 
 
 def _reference_attention(qkv: np.ndarray, lengths, num_heads: int) -> np.ndarray:
@@ -238,7 +247,7 @@ class TestEncoderGradients:
 
         params = {"x": x, "head": head}
         for i, layer in enumerate(layers):
-            params.update(layer.named(f"layer{i}"))
+            params.update({f"layer{i}.{suffix}": getattr(layer, field) for field, suffix in PARAM_NAMES.items()})
         check_gradients(build, params, rng, probes=120)
 
     def test_feed_forward_matches_formula(self):

@@ -75,6 +75,44 @@ class TestParameters:
         names = set(model.encoder_parameters())
         assert not any(n.startswith(("classifier.", "nsp.")) for n in names)
 
+    def test_init_draws_the_documented_rule_in_order(self):
+        # plain numpy, in the order the per-module initializers drew: the
+        # tables, then per layer wqkv (one Xavier block per head and
+        # projection), wo, w1 and w2, then the two head weights
+        config = EncoderConfig(num_layers=2, num_heads=2, d_model=8, d_ff=12, max_len=6)
+        vocab = Vocab(list(SPECIAL_TOKENS) + ["a", "b", "c"])
+        d, dk, dff = config.d_model, config.d_k, config.d_ff
+        rng = np.random.default_rng(17)
+
+        def xavier(fan_in, fan_out):
+            return rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
+
+        expected = {
+            "embeddings.token": rng.normal(0.0, 0.02, (len(vocab), d)),
+            "embeddings.segment": rng.normal(0.0, 0.02, (2, d)),
+            "embeddings.position": rng.normal(0.0, 0.02, (config.max_len, d)),
+        }
+        for i in range(config.num_layers):
+            expected[f"encoder.{i}.wqkv"] = np.hstack([xavier(d, dk) for _ in range(3 * config.num_heads)])
+            expected[f"encoder.{i}.wo"] = xavier(d, d)
+            expected[f"encoder.{i}.ffn.w1"] = xavier(d, dff)
+            expected[f"encoder.{i}.ffn.w2"] = xavier(dff, d)
+            expected[f"encoder.{i}.ffn.b1"] = np.zeros(dff)
+            expected[f"encoder.{i}.ffn.b2"] = np.zeros(d)
+            for norm in ("ln1", "ln2"):
+                expected[f"encoder.{i}.{norm}.gamma"] = np.ones(d)
+                expected[f"encoder.{i}.{norm}.beta"] = np.zeros(d)
+        expected["classifier.weight"] = rng.normal(0.0, 0.02, (d, 3))
+        expected["nsp.weight"] = rng.normal(0.0, 0.02, (d, 2))
+        expected["classifier.bias"], expected["nsp.bias"] = np.zeros(3), np.zeros(2)
+
+        params = SentimentModel.init(vocab, config, seed=17).named_parameters()
+        assert list(params) == list(parameter_shapes(len(vocab), config))
+        assert set(params) == set(expected)
+        for name, t in params.items():
+            assert t.data.dtype == np.float64
+            np.testing.assert_array_equal(t.data, expected[name], err_msg=name)
+
     def test_init_deterministic(self, model):
         again = SentimentModel.init(model.vocab, CONFIG, seed=3)
         for name, t in model.named_parameters().items():
@@ -93,7 +131,7 @@ class TestParameters:
 
         monkeypatch.setattr(SentimentModel, "init", no_init)
         clone = model.clone()
-        assert clone.labels == model.labels and clone.seed == model.seed
+        assert clone.seed == model.seed
         for name, t in clone.named_parameters().items():
             original = model.named_parameters()[name].data
             np.testing.assert_array_equal(t.data, original)
