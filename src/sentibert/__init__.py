@@ -7,7 +7,7 @@ from .balance import ClassHistogram, class_weights, imbalance_ratio, oversample,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classify import TrainConfig, evaluate, forward_classify, predict_batch, train
 from .data import LABELS, LabeledExample, ingest
-from .embedding import EmbeddingTables, embed
+from .embedding import embed
 from .encoder import EncoderConfig, attention, encode, encoder_layer, multi_head
 from .metrics import MetricsReport, accuracy, confusion, f1_class, log_loss, precision_class, recall_class, report
 from .model import SentimentModel
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam",
     "ClassHistogram",
-    "EmbeddingTables",
     "EncodedSequence",
     "EncoderConfig",
     "Graph",

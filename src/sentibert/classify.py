@@ -165,10 +165,7 @@ def train(
     val_seqs = [_encode(ex.text) for ex in val_examples]
     val_labels = [ex.label for ex in val_examples]
 
-    optimizer = make_optimizer(
-        {**model.encoder_parameters(), "classifier.weight": model.cls_w, "classifier.bias": model.cls_b},
-        OptimizerConfig(algorithm=config.algorithm, lr=config.lr),
-    )
+    optimizer = make_optimizer(model.named_parameters("classifier"), OptimizerConfig(config.algorithm, config.lr))
 
     curve: list[EpochRecord] = []
     best_loss = np.inf

@@ -62,10 +62,11 @@ SECTION_KEYS = {
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.load(read_text(path))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except DataError as exc:
+        raise UsageError(f"config {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -308,11 +309,10 @@ def _cmd_report(cfg: dict, args) -> None:
     metrics_path = args.metrics or cfg["paths"].get("metrics")
     if not metrics_path:
         raise UsageError("report needs --metrics or paths.metrics")
-    _require_input(metrics_path, "metrics file")
+    text = read_text(_require_input(metrics_path, "metrics file"))
     try:
-        with open(metrics_path, "r", encoding="utf-8") as fh:
-            rep = MetricsReport.from_dict(json.load(fh))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        rep = MetricsReport.from_dict(json.load(text))
+    except (json.JSONDecodeError, DataError) as exc:
         raise DataError(f"{metrics_path}: not a metrics report ({exc})") from exc
     lines = [
         f"accuracy  {rep.accuracy:.4f}",

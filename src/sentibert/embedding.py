@@ -1,23 +1,16 @@
-"""Token + segment + position embedding tables and their summation."""
+"""Token + segment + position embedding lookup and summation."""
 
-from dataclasses import dataclass
-
-from .tensor import Tensor, add, gather_rows
+from .tensor import Tensor, gather_rows
 from .tokenizer import EncodedSequence
 
 
-@dataclass
-class EmbeddingTables:
-    token: Tensor  # [V x d]
-    segment: Tensor  # [2 x d]
-    position: Tensor  # [max_len x d]
-
-
-def embed(seqs: list[EncodedSequence], tables: EmbeddingTables) -> Tensor:
+def embed(seqs: list[EncodedSequence], params: dict[str, Tensor]) -> Tensor:
     """Packed rows of a batch, each sequence's rows back to back: the row of
-    token i = token_table[token_ids[i]] + segment_table[segment_ids[i]] + position_table[i].
-    Tables that disagree on width fail in add with a ShapeError."""
-    tok = gather_rows(tables.token, [t for s in seqs for t in s.token_ids])
-    seg = gather_rows(tables.segment, [t for s in seqs for t in s.segment_ids])
-    pos = gather_rows(tables.position, [i for s in seqs for i in range(s.real_length())])
-    return add(add(tok, seg), pos)
+    token i = (token_table[token_ids[i]] + segment_table[segment_ids[i]]) + position_table[i],
+    one gather over the embeddings.* tables of params. Tables that disagree on
+    width fail with a ShapeError."""
+    return gather_rows(
+        (params["embeddings.token"], [t for s in seqs for t in s.token_ids]),
+        (params["embeddings.segment"], [t for s in seqs for t in s.segment_ids]),
+        (params["embeddings.position"], [i for s in seqs for i in range(s.real_length())]),
+    )

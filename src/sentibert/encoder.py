@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_field_types
-from .tensor import Tensor, add, attention, dropout, ffn, layer_norm, matmul
+from .tensor import Tensor, attention, dropout, ffn, layer_norm, matmul
 
 LAYER_NORM_EPS = 1e-5
 
@@ -61,81 +61,60 @@ class EncoderConfig:
         return cls(**raw)
 
 
-# dataclass field -> parameter name suffix, as in checkpoints
-PARAM_NAMES = {
-    "wqkv": "wqkv",
-    "wo": "wo",
-    "w1": "ffn.w1",
-    "b1": "ffn.b1",
-    "w2": "ffn.w2",
-    "b2": "ffn.b2",
-    "ln1_gamma": "ln1.gamma",
-    "ln1_beta": "ln1.beta",
-    "ln2_gamma": "ln2.gamma",
-    "ln2_beta": "ln2.beta",
-}
+def multi_head(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int) -> Tensor:
+    """Attention on the packed rows' fused projection x wqkv (Q heads, then K
+    heads, then V heads, d_k columns each), projected by W^O."""
+    if x.data.shape[1] != wo.data.shape[0]:
+        raise ShapeError(f"multi_head: input width {x.data.shape[1]} != d_model {wo.data.shape[0]}")
+    return matmul(attention(matmul(x, wqkv), lengths, num_heads), wo)
 
 
-@dataclass
-class EncoderLayerParams:
-    wqkv: Tensor  # [d_model x 3 d_model]: Q heads, then K heads, then V heads, d_k columns each
-    wo: Tensor  # [d_model x d_model]
-    w1: Tensor  # [d_model x d_ff]
-    b1: Tensor  # [d_ff]
-    w2: Tensor  # [d_ff x d_model]
-    b2: Tensor  # [d_model]
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-
-    @classmethod
-    def from_named(cls, tensors: dict[str, Tensor], prefix: str) -> "EncoderLayerParams":
-        return cls(**{field: tensors[f"{prefix}.{suffix}"] for field, suffix in PARAM_NAMES.items()})
-
-
-def multi_head(x: Tensor, params: EncoderLayerParams, lengths, num_heads: int) -> Tensor:
-    """Attention on the fused Q/K/V projection of the packed rows, projected by W^O."""
-    if x.data.shape[1] != params.wo.data.shape[0]:
-        raise ShapeError(f"multi_head: input width {x.data.shape[1]} != d_model {params.wo.data.shape[0]}")
-    return matmul(attention(matmul(x, params.wqkv), lengths, num_heads), params.wo)
-
-
-def feed_forward(x: Tensor, params: EncoderLayerParams) -> Tensor:
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """max(0, x W_1 + b_1) W_2 + b_2, one fused op."""
-    return ffn(x, params.w1, params.b1, params.w2, params.b2)
+    return ffn(x, w1, b1, w2, b2)
 
 
 def encoder_layer(
     x: Tensor,
-    params: EncoderLayerParams,
+    params: dict[str, Tensor],
+    prefix: str,
     lengths,
     num_heads: int,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Post-norm block: LayerNorm(x + attn), then LayerNorm(y + FFN(y))."""
+    """Post-norm block on the weights named prefix + "." + suffix in params:
+    y = LayerNorm(x + attn), then LayerNorm(y + FFN(y)), each sub-layer output
+    under its own dropout mask."""
     if training and dropout_rate > 0.0 and rng is None:
         raise ConfigError("encoder_layer: training with dropout needs an rng")
-    attn = dropout(multi_head(x, params, lengths, num_heads), dropout_rate, rng, training)
-    y = layer_norm(add(x, attn), params.ln1_gamma, params.ln1_beta, LAYER_NORM_EPS)
-    ffn = dropout(feed_forward(y, params), dropout_rate, rng, training)
-    return layer_norm(add(y, ffn), params.ln2_gamma, params.ln2_beta, LAYER_NORM_EPS)
+
+    def p(suffix: str) -> Tensor:
+        try:
+            return params[f"{prefix}.{suffix}"]
+        except KeyError:
+            raise ConfigError(f"encoder_layer: no parameter named {prefix}.{suffix}") from None
+
+    attn = multi_head(x, p("wqkv"), p("wo"), lengths, num_heads)
+    y = layer_norm(x, attn, p("ln1.gamma"), p("ln1.beta"), dropout(attn, dropout_rate, rng, training), LAYER_NORM_EPS)
+    sub = feed_forward(y, p("ffn.w1"), p("ffn.b1"), p("ffn.w2"), p("ffn.b2"))
+    return layer_norm(y, sub, p("ln2.gamma"), p("ln2.beta"), dropout(sub, dropout_rate, rng, training), LAYER_NORM_EPS)
 
 
 def encode(
     x: Tensor,
     config: EncoderConfig,
-    layers: list[EncoderLayerParams],
+    params: dict[str, Tensor],
     lengths,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Apply the layer stack sequentially; empty stack is the identity."""
-    if len(layers) != config.num_layers:
-        raise ConfigError(f"encode: got {len(layers)} layer params for num_layers={config.num_layers}")
+    """Apply layers encoder.0 .. encoder.{num_layers-1} of params in turn;
+    an empty stack is the identity. A missing layer weight is a ConfigError."""
     hidden = x
-    for params in layers:
-        hidden = encoder_layer(hidden, params, lengths, config.num_heads, config.dropout_rate, rng, training)
+    for i in range(config.num_layers):
+        hidden = encoder_layer(
+            hidden, params, f"encoder.{i}", lengths, config.num_heads, config.dropout_rate, rng, training
+        )
     return hidden

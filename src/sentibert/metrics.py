@@ -8,12 +8,14 @@ report records which entries were degenerate instead of emitting NaN.
 
 import io
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LABELS, NUM_CLASSES
-from .errors import ContractError
+from .errors import ContractError, DataError
 
 PROB_CLAMP = 1e-15  # log-loss probabilities are clamped to [1e-15, 1 - 1e-15]
 
@@ -127,17 +129,41 @@ class MetricsReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "MetricsReport":
+    def from_dict(cls, raw) -> "MetricsReport":
+        """Inverse of to_dict; DataError naming the first field that is missing
+        or mistyped. Each per_class list holds NUM_CLASSES finite numbers, the
+        macro values, accuracy and log_loss are finite numbers, and
+        degenerate_flags is a list of strings."""
+
+        def field(path: str, valid, expected: str):
+            value = raw
+            for key in path.split("."):
+                value = value.get(key) if isinstance(value, dict) else None
+            if not valid(value):
+                raise DataError(f"metrics field {path} must be {expected}, got {value!r}")
+            return value
+
+        def finite(v) -> bool:  # compared, not converted: an int past the float range is not finite
+            return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+        def real(path: str) -> float:
+            return float(field(path, finite, "a finite number"))
+
+        def per_class(path: str) -> list[float]:
+            valid = lambda v: isinstance(v, list) and len(v) == NUM_CLASSES and all(map(finite, v))
+            return [float(v) for v in field(path, valid, f"a list of {NUM_CLASSES} finite numbers")]
+
+        flags = lambda v: isinstance(v, list) and all(isinstance(flag, str) for flag in v)
         return cls(
-            precision_per_class=list(raw["precision"]["per_class"]),
-            precision_macro=raw["precision"]["macro"],
-            recall_per_class=list(raw["recall"]["per_class"]),
-            recall_macro=raw["recall"]["macro"],
-            f1_per_class=list(raw["f1"]["per_class"]),
-            f1_macro=raw["f1"]["macro"],
-            accuracy=raw["accuracy"],
-            log_loss=raw["log_loss"],
-            degenerate_flags=list(raw["degenerate_flags"]),
+            precision_per_class=per_class("precision.per_class"),
+            precision_macro=real("precision.macro"),
+            recall_per_class=per_class("recall.per_class"),
+            recall_macro=real("recall.macro"),
+            f1_per_class=per_class("f1.per_class"),
+            f1_macro=real("f1.macro"),
+            accuracy=real("accuracy"),
+            log_loss=real("log_loss"),
+            degenerate_flags=list(field("degenerate_flags", flags, "a list of strings")),
         )
 
 

@@ -13,15 +13,16 @@ import copy
 import numpy as np
 
 from .data import LABELS
-from .embedding import EmbeddingTables, embed
-from .encoder import EncoderConfig, EncoderLayerParams, encode
-from .errors import ConfigError
+from .embedding import embed
+from .encoder import EncoderConfig, encode
+from .errors import ConfigError, ContractError
 from .tensor import Tensor, add_bias, gather_rows, matmul, parameter, transpose
 from .tokenizer import EncodedSequence, Vocab
 
 NUM_SENTIMENTS = len(LABELS)
 EVAL_CHUNK = 16  # sequences per eval-mode forward
 INIT_STD = 0.02  # scale of the normal-initialized weights
+HEADS = ("classifier", "nsp")  # task heads: fine-tuning, next-sentence prediction
 
 
 def parameter_shapes(vocab_size: int, config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -74,19 +75,13 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 class SentimentModel:
     """Every learnable weight, stored once by name in parameter_shapes order,
-    plus the vocabulary and shape configuration. tables, layers and the head
-    weights are views of the same tensors, as the forward reads them."""
+    plus the vocabulary and shape configuration. The forward reads params by name."""
 
     def __init__(self, vocab: Vocab, config: EncoderConfig, params: dict[str, Tensor], seed: int = 0):
         shapes = parameter_shapes(len(vocab), config)
         _check_arrays(shapes, params)
         self.vocab, self.config, self.seed = vocab, config, seed
         self.params = {name: params[name] for name in shapes}
-        p = self.params
-        self.tables = EmbeddingTables(p["embeddings.token"], p["embeddings.segment"], p["embeddings.position"])
-        self.layers = [EncoderLayerParams.from_named(p, f"encoder.{i}") for i in range(config.num_layers)]
-        self.cls_w, self.cls_b = p["classifier.weight"], p["classifier.bias"]  # [d_model x 3], [3]
-        self.nsp_w, self.nsp_b = p["nsp.weight"], p["nsp.bias"]  # [d_model x 2], [2]
 
     @classmethod
     def init(cls, vocab: Vocab, config: EncoderConfig, seed: int) -> "SentimentModel":
@@ -105,12 +100,14 @@ class SentimentModel:
         match parameter_shapes exactly; no random initialization."""
         return cls(vocab, config, {n: parameter(np.array(a, np.float64), name=n) for n, a in arrays.items()}, seed)
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
-    def encoder_parameters(self) -> dict[str, Tensor]:
-        """Embeddings + encoder stack, without the task heads."""
-        return {name: t for name, t in self.params.items() if not name.startswith(("classifier.", "nsp."))}
+    def named_parameters(self, head: str | None = None) -> dict[str, Tensor]:
+        """Every parameter by name; given one of HEADS, only the embeddings,
+        the encoder stack and that head: the set its task trains."""
+        if head is None:
+            return dict(self.params)
+        if head not in HEADS:
+            raise ContractError(f"head must be one of {HEADS}, got {head!r}")
+        return {name: t for name, t in self.params.items() if name.split(".", 1)[0] in ("embeddings", "encoder", head)}
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
@@ -135,7 +132,7 @@ class SentimentModel:
         """Encoder output [N x d] of a batch: each sequence's rows, back to
         back in batch order (see row_starts)."""
         lengths = [s.real_length() for s in seqs]
-        return encode(embed(seqs, self.tables), self.config, self.layers, lengths, training, rng)
+        return encode(embed(seqs, self.params), self.config, self.params, lengths, training, rng)
 
     def class_logits(
         self,
@@ -144,16 +141,16 @@ class SentimentModel:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Sentiment logits [B x 3] from each sequence's [CLS] hidden state."""
-        hidden = self.hidden_states(seqs, training, rng)
-        return add_bias(matmul(gather_rows(hidden, row_starts(seqs)), self.cls_w), self.cls_b)
+        hidden, p = self.hidden_states(seqs, training, rng), self.params
+        return add_bias(matmul(gather_rows((hidden, row_starts(seqs))), p["classifier.weight"]), p["classifier.bias"])
 
     def nsp_logits(self, hidden: Tensor, starts: list[int]) -> Tensor:
         """Next-sentence logits [B x 2] from the [CLS] hidden states at rows starts."""
-        return add_bias(matmul(gather_rows(hidden, starts), self.nsp_w), self.nsp_b)
+        return add_bias(matmul(gather_rows((hidden, starts)), self.params["nsp.weight"]), self.params["nsp.bias"])
 
     def mlm_logits(self, hidden: Tensor, rows: list[int]) -> Tensor:
         """Masked-token logits [n x V] at packed rows, via the transposed token table (tied weights)."""
-        return matmul(gather_rows(hidden, rows), transpose(self.tables.token))
+        return matmul(gather_rows((hidden, rows)), transpose(self.params["embeddings.token"]))
 
 
 def _check_arrays(shapes: dict[str, tuple[int, ...]], arrays: dict) -> None:

@@ -211,10 +211,7 @@ def run_pretraining(
     eval_batch = build_masked_batch(
         pairs, model.vocab, model.config.max_len, config.mask_probability, eval_rng
     )
-    optimizer = make_optimizer(
-        {**model.encoder_parameters(), "nsp.weight": model.nsp_w, "nsp.bias": model.nsp_b},
-        config.optimizer,
-    )
+    optimizer = make_optimizer(model.named_parameters("nsp"), config.optimizer)
     history: list[dict[str, float]] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(pairs))

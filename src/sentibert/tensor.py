@@ -173,22 +173,6 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product of two same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    out = Tensor(a.data * b.data)
-
-    def backward(grad):
-        if _wants_grad(a):
-            _accumulate(a, grad * b.data)
-        if _wants_grad(b):
-            _accumulate(b, grad * a.data)
-
-    _record(out, backward, a, b)
-    return out
-
-
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Position-wise feed-forward block max(0, x W1 + b1) W2 + b2 as one op.
 
@@ -241,9 +225,15 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the feature axis (population variance)."""
+def layer_norm(
+    x: Tensor, sub: Tensor, gamma: Tensor, beta: Tensor, keep: np.ndarray | None = None, eps: float = 1e-5
+) -> Tensor:
+    """Post-norm residual: per-row normalization over the feature axis
+    (population variance) of z = x + sub * keep, or of x + sub when keep is
+    None. keep is a constant array such as a dropout mask."""
     _require_2d(x, "layer_norm")
+    if sub.data.shape != x.data.shape:
+        raise ShapeError(f"layer_norm: residual shapes {x.data.shape} and {sub.data.shape} differ")
     d = x.data.shape[1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
@@ -251,8 +241,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     if eps <= 0.0:
         raise ContractError(f"layer_norm: eps must be positive, got {eps}")
+    z = x.data + (sub.data if keep is None else sub.data * keep)
     # sum / d is exactly what .mean computes (add.reduce, then true_divide)
-    x_hat = x.data - x.data.sum(axis=1, keepdims=True) / d
+    x_hat = z - z.sum(axis=1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt((x_hat**2).sum(axis=1, keepdims=True) / d + eps)
     x_hat *= inv_std
     out = x_hat * gamma.data
@@ -264,16 +255,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             _accumulate(gamma, (grad * x_hat).sum(axis=0))
         if _wants_grad(beta):
             _accumulate(beta, grad.sum(axis=0))
-        if _wants_grad(x):
-            d_hat = grad * gamma.data
-            term_mean = d_hat.sum(axis=1, keepdims=True) / d
-            term_proj = (d_hat * x_hat).sum(axis=1, keepdims=True) / d
-            d_hat -= term_mean
-            d_hat -= x_hat * term_proj
-            d_hat *= inv_std
-            _accumulate(x, d_hat)
+        if _wants_grad(x) or _wants_grad(sub):
+            d_z = grad * gamma.data
+            term_mean = d_z.sum(axis=1, keepdims=True) / d
+            term_proj = (d_z * x_hat).sum(axis=1, keepdims=True) / d
+            d_z -= term_mean
+            d_z -= x_hat * term_proj
+            d_z *= inv_std
+            if _wants_grad(x):
+                _accumulate(x, d_z)
+            if _wants_grad(sub):
+                _accumulate(sub, d_z if keep is None else d_z * keep)
 
-    _record(out, backward, x, gamma, beta)
+    _record(out, backward, x, sub, gamma, beta)
     return out
 
 
@@ -391,35 +385,40 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     return out
 
 
-def gather_rows(table: Tensor, ids) -> Tensor:
-    """Select rows table[ids]; gradient scatter-adds back into the table."""
-    _require_2d(table, "gather_rows")
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows: ids must be 1-D, got shape {idx.shape}")
-    n = table.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"gather_rows: id out of range [0, {n})")
-    out = Tensor(table.data[idx])
+def gather_rows(*pairs) -> Tensor:
+    """Sum of the rows table[ids] over one or more (table, ids) pairs, added
+    left to right; the gradient scatter-adds back into each table. Every
+    table has the first one's width and every ids list its length."""
+    tables = [table for table, _ in pairs]
+    idxs = [np.asarray(ids, dtype=np.int64) for _, ids in pairs]
+    for table, idx in zip(tables, idxs):
+        _require_2d(table, "gather_rows")
+        if idx.ndim != 1 or idx.size != idxs[0].size or table.data.shape[1] != tables[0].data.shape[1]:
+            raise ShapeError(f"gather_rows: ids of shape {idx.shape} into table {table.data.shape} do not line up")
+        if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
+            raise IndexError(f"gather_rows: id out of range [0, {table.data.shape[0]})")
+    out = tables[0].data[idxs[0]]
+    for table, idx in zip(tables[1:], idxs[1:]):
+        out += table.data[idx]
+    out = Tensor(out)
 
     def backward(grad):
-        if _wants_grad(table):
-            scattered = np.zeros_like(table.data)
-            np.add.at(scattered, idx, grad)
-            _accumulate(table, scattered)
+        for table, idx in zip(reversed(tables), reversed(idxs)):  # last pair first, in reverse recording order
+            if _wants_grad(table):
+                scattered = np.zeros_like(table.data)
+                np.add.at(scattered, idx, grad)
+                _accumulate(table, scattered)
 
-    _record(out, backward, table)
+    _record(out, backward, *tables)
     return out
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: zero with probability rate, rescale kept slots by 1/(1-rate).
-
-    Identity when not training or rate == 0; rng is consumed only when active.
-    """
+def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> np.ndarray | None:
+    """Inverted-dropout keep mask for x, 0 with probability rate and else
+    1/(1-rate), as layer_norm's keep. None when not training or rate == 0;
+    rng is consumed only when active."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return mul(x, Tensor(mask))
+        return None
+    return (rng.random(x.data.shape) >= rate) / (1.0 - rate)

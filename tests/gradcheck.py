@@ -78,3 +78,17 @@ def sum_all(x: Tensor) -> Tensor:
 
     _record(out, backward, x)
     return out
+
+
+def weighted_sum(x: Tensor, weights) -> Tensor:
+    """Sum of x * weights for a constant array of x's shape: a loss whose
+    upstream gradient is weights rather than ones."""
+    w = np.asarray(weights, dtype=np.float64)
+    out = Tensor((x.data * w).sum())
+
+    def backward(grad):
+        if _wants_grad(x):
+            _accumulate(x, w * float(grad))
+
+    _record(out, backward, x)
+    return out

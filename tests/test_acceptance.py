@@ -55,9 +55,7 @@ def test_criterion_1_gradient_correctness():
     def build():
         return cross_entropy(model.class_logits([seq]), [1])
 
-    params = {
-        name: t for name, t in model.named_parameters().items() if not name.startswith("nsp.")
-    }
+    params = model.named_parameters("classifier")
     rng = np.random.default_rng(1001)
     checked = check_gradients(build, params, rng, probes=120, h=1e-5, rel=1e-4)
     elapsed = time.perf_counter() - started
@@ -144,10 +142,7 @@ def test_criterion_4_pretraining_sanity():
     assert initial["mlm_loss"] == pytest.approx(math.log(len(vocab)), rel=0.15)
     assert initial["nsp_loss"] == pytest.approx(math.log(2.0), rel=0.15)
 
-    optimizer = make_optimizer(
-        {**model.encoder_parameters(), "nsp.weight": model.nsp_w, "nsp.bias": model.nsp_b},
-        OptimizerConfig(lr=1e-3),
-    )
+    optimizer = make_optimizer(model.named_parameters("nsp"), OptimizerConfig(lr=1e-3))
     for _ in range(50):
         batch = build_masked_batch(pairs[:4], vocab, config.max_len, 0.15, rng)
         pretrain_step(batch, model, optimizer, rng=rng)

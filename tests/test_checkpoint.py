@@ -109,7 +109,7 @@ class TestVersions:
         from_v1 = load_checkpoint(str(tmp_path / "v1.ckpt"))
         # the fold restores the fused column order exactly, up to the float32 payload
         np.testing.assert_array_equal(
-            from_v1.layers[0].wqkv.data, model.layers[0].wqkv.data.astype(np.float32).astype(np.float64)
+            from_v1.params["encoder.0.wqkv"].data, model.params["encoder.0.wqkv"].data.astype(np.float32).astype(np.float64)
         )
         save_checkpoint(from_v1, str(tmp_path / "v2.ckpt"))
         from_v2 = load_checkpoint(str(tmp_path / "v2.ckpt"))

@@ -43,8 +43,8 @@ def _model(dataset, seed=0, config=TINY):
 class TestForwardClassify:
     def test_zeroed_head_gives_uniform(self):
         model = _model(TOY)
-        model.cls_w.data[:] = 0.0
-        model.cls_b.data[:] = 0.0
+        model.params["classifier.weight"].data[:] = 0.0
+        model.params["classifier.bias"].data[:] = 0.0
         probs = forward_classify("terrible dirty room", model)
         np.testing.assert_array_equal(probs, [1 / 3, 1 / 3, 1 / 3])
 
@@ -99,7 +99,7 @@ class TestBatchEquivalence:
         labels = [0, 0, 1, 2]
         model = _model(TOY + [LabeledExample(t, 0) for t in texts], seed=5, config=config)
         seqs = [encode_pair(t, None, model.vocab, config.max_len) for t in texts]
-        params = {n: t for n, t in model.named_parameters().items() if not n.startswith("nsp.")}
+        params = model.named_parameters("classifier")
 
         def run(idx):
             with Graph() as g:
@@ -121,15 +121,15 @@ class TestBatchEquivalence:
             np.testing.assert_allclose(grad, mean, atol=1e-12, rtol=0.0, err_msg=name)
 
 
-    def test_default_fine_tuning_step_records_29_tape_nodes(self):
-        # embedding 5 (three gathers, two adds); per layer 10 (Q/K/V matmul,
-        # attention, W^O matmul, two dropouts, two residual adds, two layer
-        # norms, one fused feed-forward); [CLS] gather, matmul, bias, loss 4
+    def test_default_fine_tuning_step_records_17_tape_nodes(self):
+        # embedding 1 (one three-table gather); per layer 6 (Q/K/V matmul,
+        # attention, W^O matmul, two residual layer norms that apply their
+        # dropout masks, one fused feed-forward); [CLS] gather, matmul, bias, loss 4
         model = _model(TOY, seed=2, config=EncoderConfig())
         seqs = [encode_pair(ex.text, None, model.vocab, model.config.max_len) for ex in TOY]
         with Graph() as g:
             cross_entropy(model.class_logits(seqs, training=True, rng=np.random.default_rng(0)), [ex.label for ex in TOY])
-        assert len(g) == 29
+        assert len(g) == 17
 
 
 class TestTrain:

@@ -214,52 +214,6 @@ class TestErrorPaths:
 
 VALID_RECORD = b'{"text": "the room was fine", "label": "neutral"}\n'
 # case -> (command, file, its bytes, the line the message names)
-NOT_UTF8 = {
-    "dataset holds byte 0xff": (
-        "build-vocab",
-        "train.jsonl",
-        VALID_RECORD + b'{"text": "bad \xff", "label": "neutral"}\n',
-        2,
-    ),
-    "record text is a lone surrogate": (
-        "build-vocab",
-        "train.jsonl",
-        VALID_RECORD * 2 + b'{"text": "bad \\ud800 text", "label": "neutral"}\n',
-        3,
-    ),
-    "corpus holds byte 0xff": ("build-vocab", "corpus.txt", b"a fine sentence\n\nanother one\n\xff\n", 4),
-    "vocab holds byte 0xff": ("train", "vocab.txt", b"[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\nroom\n\xffw\n", 7),
-    "predict input holds byte 0xff": ("predict", "texts.txt", b"the room was fine\n\xff\n", 2),
-}
-
-
-@pytest.mark.parametrize("case", sorted(NOT_UTF8))
-def test_text_that_is_not_utf8_is_data_error_naming_file_and_line(workspace, capsys, case):
-    tmp, config_path, _ = workspace
-    command, name, content, line = NOT_UTF8[case]
-    if command == "predict":
-        assert run_cli("build-vocab", "--config", str(config_path)) == 0
-        assert run_cli("train", "--config", str(config_path)) == 0
-    (tmp / name).write_bytes(content)
-    capsys.readouterr()
-    extra = ["--input", str(tmp / name)] if command == "predict" else []
-    assert run_cli(command, "--config", str(config_path), *extra) == 2
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "data"
-    assert str(tmp / name) in payload["message"] and f"line {line}:" in payload["message"]
-
-
-def test_console_entry_point(workspace):
-    _, config_path, _ = workspace
-    proc = subprocess.run(
-        [sys.executable, "-m", "sentibert", "build-vocab", "--config", str(config_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout.strip())["command"] == "build-vocab"
-
-
 def _set(path, value):
     """Config mutation: set the dotted key path to value."""
 
@@ -271,6 +225,103 @@ def _set(path, value):
         target[last] = value
 
     return mutate
+
+
+NOT_UTF8 = {  # case: command, file, its bytes, line of the bad byte, exit code
+    "dataset holds byte 0xff": (
+        "build-vocab",
+        "train.jsonl",
+        VALID_RECORD + b'{"text": "bad \xff", "label": "neutral"}\n',
+        2,
+        2,
+    ),
+    "record text is a lone surrogate": (
+        "build-vocab",
+        "train.jsonl",
+        VALID_RECORD * 2 + b'{"text": "bad \\ud800 text", "label": "neutral"}\n',
+        3,
+        2,
+    ),
+    "corpus holds byte 0xff": ("build-vocab", "corpus.txt", b"a fine sentence\n\nanother one\n\xff\n", 4, 2),
+    "vocab holds byte 0xff": ("train", "vocab.txt", b"[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\nroom\n\xffw\n", 7, 2),
+    "predict input holds byte 0xff": ("predict", "texts.txt", b"the room was fine\n\xff\n", 2, 2),
+    "config holds byte 0xff": ("build-vocab", "config.json", b'{"seed": 3,\n "paths": {"vocab": "v\xff.txt"}}\n', 2, 1),
+    "metrics file holds byte 0xff": ("report", "metrics.json", b'{"accuracy": 1.0,\n "log_loss": "\xff"}\n', 2, 2),
+}
+INPUT_FLAGS = {"predict": "--input", "report": "--metrics"}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_text_that_is_not_utf8_is_data_error_naming_file_and_line(workspace, capsys, case):
+    # a config file is the one text input whose bad bytes are a usage error (exit 1)
+    tmp, config_path, _ = workspace
+    command, name, content, line, code = NOT_UTF8[case]
+    if command == "predict":
+        assert run_cli("build-vocab", "--config", str(config_path)) == 0
+        assert run_cli("train", "--config", str(config_path)) == 0
+    (tmp / name).write_bytes(content)
+    capsys.readouterr()
+    extra = [INPUT_FLAGS[command], str(tmp / name)] if command in INPUT_FLAGS else []
+    assert run_cli(command, "--config", str(config_path), *extra) == code
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == {1: "usage", 2: "data"}[code]
+    assert str(tmp / name) in payload["message"] and f"line {line}:" in payload["message"]
+
+
+def _report_dict():
+    return {
+        "precision": {"per_class": [1.0, 0.5, 0.0], "macro": 0.5},
+        "recall": {"per_class": [1.0, 0.5, 0.0], "macro": 0.5},
+        "f1": {"per_class": [1.0, 0.5, 0.0], "macro": 0.5},
+        "accuracy": 0.75,
+        "log_loss": 0.6,
+        "degenerate_flags": ["precision.positive"],
+    }
+
+
+BAD_REPORTS = {
+    "accuracy is a string": (_set("accuracy", "x"), "accuracy"),
+    "accuracy is null": (_set("accuracy", None), "accuracy"),
+    "one precision per class": (_set("precision.per_class", [1.0]), "precision.per_class"),
+    "recall macro is NaN": (_set("recall.macro", float("nan")), "recall.macro"),
+    "f1 per class holds a bool": (_set("f1.per_class", [1.0, True, 0.0]), "f1.per_class"),
+    "flags hold a number": (_set("degenerate_flags", [3]), "degenerate_flags"),
+    "log_loss missing": (lambda raw: raw.pop("log_loss"), "log_loss"),
+    "f1 macro past the float range": (_set("f1.macro", 10**400), "f1.macro"),
+    "empty object": (lambda raw: raw.clear(), "precision.per_class"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+def test_report_on_a_mistyped_metrics_file_is_data_error_naming_it(workspace, capsys, case):
+    tmp, config_path, _ = workspace
+    mutate, field = BAD_REPORTS[case]
+    raw = _report_dict()
+    mutate(raw)
+    (tmp / "metrics.json").write_text(json.dumps(raw), encoding="utf-8")
+    assert run_cli("report", "--config", str(config_path)) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "data"
+    assert str(tmp / "metrics.json") in payload["message"] and field in payload["message"]
+
+
+def test_report_renders_a_well_formed_metrics_file(workspace, capsys):
+    tmp, config_path, _ = workspace
+    (tmp / "metrics.json").write_text(json.dumps(_report_dict()), encoding="utf-8")
+    assert run_cli("report", "--config", str(config_path)) == 0
+    out = capsys.readouterr().out
+    assert "accuracy  0.7500" in out and "degenerate metrics: precision.positive" in out
+
+
+def test_console_entry_point(workspace):
+    _, config_path, _ = workspace
+    proc = subprocess.run(
+        [sys.executable, "-m", "sentibert", "build-vocab", "--config", str(config_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout.strip())["command"] == "build-vocab"
 
 
 BAD_CONFIGS = [

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients, sum_all
+from gradcheck import check_gradients, weighted_sum
 from sentibert.encoder import (
-    PARAM_NAMES,
     EncoderConfig,
-    EncoderLayerParams,
     attention,
     encode,
     encoder_layer,
@@ -14,7 +12,7 @@ from sentibert.encoder import (
 )
 from sentibert.errors import ConfigError, ShapeError
 from sentibert.model import initial_array, parameter_shapes
-from sentibert.tensor import Graph, Tensor, cross_entropy, gather_rows, matmul, mul, parameter, softmax
+from sentibert.tensor import Tensor, cross_entropy, gather_rows, matmul, parameter, softmax
 from sentibert.tokenizer import NUM_SPECIALS
 
 
@@ -24,11 +22,24 @@ def _config(**kw):
     return EncoderConfig(**defaults)
 
 
-def init_layer_params(config, rng) -> EncoderLayerParams:
-    """The encoder.0 parameters SentimentModel.init draws for config, drawn from rng."""
+def init_layer_params(config, rng, layer=0) -> dict:
+    """The encoder.0 parameters SentimentModel.init draws for config, drawn
+    from rng and named as layer `layer`."""
     shapes = parameter_shapes(NUM_SPECIALS, config)
-    named = {n: parameter(initial_array(n, s, config, rng)) for n, s in shapes.items() if n.startswith("encoder.0.")}
-    return EncoderLayerParams.from_named(named, "encoder.0")
+    return {
+        n.replace("encoder.0.", f"encoder.{layer}.", 1): parameter(initial_array(n, s, config, rng))
+        for n, s in shapes.items()
+        if n.startswith("encoder.0.")
+    }
+
+
+def init_stack(config, rng) -> dict:
+    """init_layer_params for each of config's layers in turn, all in one dict."""
+    return {n: t for i in range(config.num_layers) for n, t in init_layer_params(config, rng, i).items()}
+
+
+def _multi_head(x, params, lengths, num_heads):
+    return multi_head(x, params["encoder.0.wqkv"], params["encoder.0.wo"], lengths, num_heads)
 
 
 def _reference_attention(qkv: np.ndarray, lengths, num_heads: int) -> np.ndarray:
@@ -101,9 +112,9 @@ class TestAttention:
     def test_gradcheck_ragged_lengths(self):
         rng = np.random.default_rng(13)
         qkv = parameter(rng.normal(size=(9, 12)))
-        weights = Tensor(rng.normal(size=(9, 4)))
+        weights = rng.normal(size=(9, 4))
         checked = check_gradients(
-            lambda: sum_all(mul(attention(qkv, [1, 3, 5], 2), weights)), {"qkv": qkv}, rng, probes=60, rel=1e-4
+            lambda: weighted_sum(attention(qkv, [1, 3, 5], 2), weights), {"qkv": qkv}, rng, probes=60, rel=1e-4
         )
         assert checked == 60
 
@@ -113,17 +124,17 @@ class TestMultiHead:
         config = _config(num_heads=1, d_model=4)
         params = init_layer_params(config, np.random.default_rng(0))
         eye = np.eye(4)
-        params.wqkv.data = np.hstack([eye, eye, eye])
-        params.wo.data = eye.copy()
+        params["encoder.0.wqkv"].data = np.hstack([eye, eye, eye])
+        params["encoder.0.wo"].data = eye.copy()
         x = np.random.default_rng(1).normal(size=(1, 4))
-        out = multi_head(Tensor(x), params, [1], 1)
+        out = _multi_head(Tensor(x), params, [1], 1)
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
     def test_zero_projections_zero_output(self):
         config = _config()
         params = init_layer_params(config, np.random.default_rng(0))
-        params.wqkv.data[:, 2 * config.d_model :] = 0.0  # every value head
-        out = multi_head(Tensor(np.random.default_rng(2).normal(size=(3, 8))), params, [3], config.num_heads)
+        params["encoder.0.wqkv"].data[:, 2 * config.d_model :] = 0.0  # every value head
+        out = _multi_head(Tensor(np.random.default_rng(2).normal(size=(3, 8))), params, [3], config.num_heads)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_matches_hand_assembled_heads(self):
@@ -132,8 +143,8 @@ class TestMultiHead:
         params = init_layer_params(config, rng)
         x = rng.normal(size=(4, 6))
         lengths = [3, 1]
-        out = multi_head(Tensor(x), params, lengths, 2)
-        expected = _reference_attention(x @ params.wqkv.data, lengths, 2) @ params.wo.data
+        out = _multi_head(Tensor(x), params, lengths, 2)
+        expected = _reference_attention(x @ params["encoder.0.wqkv"].data, lengths, 2) @ params["encoder.0.wo"].data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -141,12 +152,10 @@ class TestEncoderLayer:
     def test_zero_sublayers_reduce_to_double_layer_norm(self):
         config = _config(num_heads=2, d_model=6, d_ff=12)
         params = init_layer_params(config, np.random.default_rng(0))
-        params.wqkv.data[:] = 0.0
-        params.wo.data[:] = 0.0
-        params.w1.data[:] = 0.0
-        params.w2.data[:] = 0.0
+        for name in ("wqkv", "wo", "ffn.w1", "ffn.w2"):
+            params[f"encoder.0.{name}"].data[:] = 0.0
         x = np.random.default_rng(5).normal(size=(3, 6))
-        out = encoder_layer(Tensor(x), params, [3], 2).data
+        out = encoder_layer(Tensor(x), params, "encoder.0", [3], 2).data
         mean = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         once = (x - mean) / np.sqrt(var + 1e-5)
@@ -159,20 +168,20 @@ class TestEncoderLayer:
         config = _config(dropout_rate=0.5)
         params = init_layer_params(config, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
-        a = encoder_layer(x, params, [4], 2, config.dropout_rate, np.random.default_rng(1), training=False)
-        b = encoder_layer(x, params, [4], 2, config.dropout_rate, np.random.default_rng(999), training=False)
+        a = encoder_layer(x, params, "encoder.0", [4], 2, config.dropout_rate, np.random.default_rng(1), training=False)
+        b = encoder_layer(x, params, "encoder.0", [4], 2, config.dropout_rate, np.random.default_rng(999), training=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_training_dropout_needs_rng(self):
         config = _config(dropout_rate=0.5)
         params = init_layer_params(config, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            encoder_layer(Tensor(np.zeros((2, 8))), params, [2], 2, 0.5, None, training=True)
+            encoder_layer(Tensor(np.zeros((2, 8))), params, "encoder.0", [2], 2, 0.5, None, training=True)
 
     def test_output_shape(self):
         config = _config()
         params = init_layer_params(config, np.random.default_rng(0))
-        out = encoder_layer(Tensor(np.zeros((5, 8))), params, [2, 3], 2)
+        out = encoder_layer(Tensor(np.zeros((5, 8))), params, "encoder.0", [2, 3], 2)
         assert out.data.shape == (5, 8)
 
 
@@ -180,55 +189,63 @@ class TestEncode:
     def test_empty_stack_is_identity(self):
         config = _config(num_layers=0)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 8)))
-        out = encode(x, config, [], [4])
+        out = encode(x, config, {}, [4])
         assert out is x
 
     def test_two_layers_equal_manual_composition(self):
         config = _config(num_layers=2)
         rng = np.random.default_rng(6)
-        layers = [init_layer_params(config, rng) for _ in range(2)]
+        params = init_stack(config, rng)
         x = Tensor(rng.normal(size=(4, 8)))
         lengths = [1, 3]
-        stacked = encode(x, config, layers, lengths)
-        manual = encoder_layer(encoder_layer(x, layers[0], lengths, 2), layers[1], lengths, 2)
+        stacked = encode(x, config, params, lengths)
+        manual = encoder_layer(encoder_layer(x, params, "encoder.0", lengths, 2), params, "encoder.1", lengths, 2)
         np.testing.assert_array_equal(stacked.data, manual.data)
 
     def test_layer_count_mismatch(self):
+        # two layers configured, weights for one: the missing layer is named
         config = _config(num_layers=2)
-        layers = [init_layer_params(config, np.random.default_rng(0))]
-        with pytest.raises(ConfigError):
-            encode(Tensor(np.zeros((2, 8))), config, layers, [2])
+        params = init_layer_params(config, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=r"encoder\.1\.wqkv"):
+            encode(Tensor(np.zeros((2, 8))), config, params, [2])
+
+    def test_missing_layer_weight_is_config_error(self):
+        config = _config(num_layers=1)
+        params = init_layer_params(config, np.random.default_rng(0))
+        del params["encoder.0.ln2.beta"]
+        with pytest.raises(ConfigError, match=r"encoder\.0\.ln2\.beta"):
+            encode(Tensor(np.zeros((2, 8))), config, params, [2])
 
     def test_pad_isolation(self):
         # a sequence's rows ignore whatever its batch neighbour holds
         config = _config(num_layers=2)
         rng = np.random.default_rng(7)
-        layers = [init_layer_params(config, rng) for _ in range(2)]
+        params = init_stack(config, rng)
         lengths = [3, 2]
         x = rng.normal(size=(5, 8))
         scrambled = x.copy()
         scrambled[3:, :] = rng.normal(size=(2, 8)) * 10.0
-        out_a = encode(Tensor(x), config, layers, lengths).data
-        out_b = encode(Tensor(scrambled), config, layers, lengths).data
+        out_a = encode(Tensor(x), config, params, lengths).data
+        out_b = encode(Tensor(scrambled), config, params, lengths).data
         np.testing.assert_allclose(out_a[:3], out_b[:3], atol=1e-9)
 
     def test_permutation_equivariance(self):
         config = _config(num_layers=2)
         rng = np.random.default_rng(8)
-        layers = [init_layer_params(config, rng) for _ in range(2)]
+        params = init_stack(config, rng)
         x = rng.normal(size=(5, 8))
         perm = rng.permutation(5)
-        out = encode(Tensor(x), config, layers, [5]).data
-        out_perm = encode(Tensor(x[perm]), config, layers, [5]).data
+        out = encode(Tensor(x), config, params, [5]).data
+        out_perm = encode(Tensor(x[perm]), config, params, [5]).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
     def test_eval_determinism_bitwise(self):
         config = _config(num_layers=2, dropout_rate=0.3)
         rng = np.random.default_rng(9)
-        layers = [init_layer_params(config, rng) for _ in range(2)]
+        params = init_stack(config, rng)
         x = rng.normal(size=(4, 8))
-        a = encode(Tensor(x), config, layers, [4], training=False).data
-        b = encode(Tensor(x), config, layers, [4], training=False).data
+        a = encode(Tensor(x), config, params, [4], training=False).data
+        b = encode(Tensor(x), config, params, [4], training=False).data
         assert np.array_equal(a, b)
 
 
@@ -236,24 +253,22 @@ class TestEncoderGradients:
     def test_full_two_layer_encoder_gradcheck(self):
         config = _config(num_layers=2, num_heads=2, d_model=8, d_ff=16)
         rng = np.random.default_rng(10)
-        layers = [init_layer_params(config, rng) for _ in range(2)]
+        layers = init_stack(config, rng)
         head = parameter(rng.normal(size=(8, 3)))
         x = parameter(rng.normal(size=(4, 8)))
         lengths = [3, 1]
 
         def build():
             hidden = encode(x, config, layers, lengths)
-            return cross_entropy(matmul(gather_rows(hidden, [0]), head), [2])
+            return cross_entropy(matmul(gather_rows((hidden, [0])), head), [2])
 
-        params = {"x": x, "head": head}
-        for i, layer in enumerate(layers):
-            params.update({f"layer{i}.{suffix}": getattr(layer, field) for field, suffix in PARAM_NAMES.items()})
-        check_gradients(build, params, rng, probes=120)
+        check_gradients(build, {"x": x, "head": head, **layers}, rng, probes=120)
 
     def test_feed_forward_matches_formula(self):
         config = _config(d_model=4, d_ff=6)
         rng = np.random.default_rng(11)
         params = init_layer_params(config, rng)
         x = rng.normal(size=(3, 4))
-        expected = np.maximum(0.0, x @ params.w1.data + params.b1.data) @ params.w2.data + params.b2.data
-        np.testing.assert_allclose(feed_forward(Tensor(x), params).data, expected, atol=1e-12)
+        w1, b1, w2, b2 = (params[f"encoder.0.ffn.{name}"] for name in ("w1", "b1", "w2", "b2"))
+        expected = np.maximum(0.0, x @ w1.data + b1.data) @ w2.data + b2.data
+        np.testing.assert_allclose(feed_forward(Tensor(x), w1, b1, w2, b2).data, expected, atol=1e-12)

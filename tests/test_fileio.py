@@ -57,7 +57,7 @@ def test_save_checkpoint_failing_mid_way_keeps_previous_file(tmp_path):
     model = SentimentModel.init(build_vocab(["a b"], 10), config, seed=0)
     path = tmp_path / "out"
     path.write_bytes(b"previous")
-    model.nsp_b.data = np.array(["x", "y"])  # written after the header and the other tensors
+    model.params["nsp.bias"].data = np.array(["x", "y"])  # written after the header and the other tensors
     with pytest.raises(ValueError):
         save_checkpoint(model, str(path))
     assert path.read_bytes() == b"previous"

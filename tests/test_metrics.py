@@ -1,11 +1,13 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentibert.errors import ContractError
+from sentibert.errors import ContractError, DataError
 from sentibert.metrics import (
     MetricsReport,
     accuracy,
@@ -207,6 +209,24 @@ class TestSerialization:
         rep = report(cm, probs, [0, 1, 1, 2])
         restored = MetricsReport.from_dict(__import__("json").loads(rep.to_json()))
         assert restored == rep
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [("accuracy", "x"), ("accuracy", None), ("precision.per_class", [1.0]), ("log_loss", float("inf"))],
+    )
+    def test_from_dict_rejects_a_mistyped_field_naming_it(self, path, value):
+        raw = json.loads(report(confusion([0, 1, 2], [0, 1, 1])).to_json())
+        *parents, last = path.split(".")
+        target = raw
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(DataError, match=re.escape(path)):
+            MetricsReport.from_dict(raw)
+
+    def test_from_dict_rejects_a_non_object(self):
+        with pytest.raises(DataError, match="precision.per_class"):
+            MetricsReport.from_dict([1, 2, 3])
 
     def test_report_field_names(self):
         raw = __import__("json").loads(report(confusion([0], [0])).to_json())

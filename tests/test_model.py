@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sentibert.encoder import EncoderConfig
-from sentibert.errors import ConfigError
+from sentibert.errors import ConfigError, ContractError
 from sentibert.model import SentimentModel, parameter_shapes, row_starts
 from sentibert.synthetic import generate_dataset
 from sentibert.tensor import softmax
@@ -25,20 +25,22 @@ def _layer_norm(x, gamma, beta):
 def _full_width_reference(model, seq) -> np.ndarray:
     """The sequence padded with [PAD] to max_len, all rows through a plain
     numpy encoder whose attention adds -1e9 at pad keys."""
-    t, n, pad = model.tables, seq.real_length(), CONFIG.max_len - seq.real_length()
+    w = {name: t.data for name, t in model.params.items()}
+    n, pad = seq.real_length(), CONFIG.max_len - seq.real_length()
     ids, segments = seq.token_ids + [PAD_ID] * pad, seq.segment_ids + [0] * pad
-    x = t.token.data[ids] + t.segment.data[segments] + t.position.data[: CONFIG.max_len]
+    x = w["embeddings.token"][ids] + w["embeddings.segment"][segments] + w["embeddings.position"][: CONFIG.max_len]
     key_bias = np.where(np.arange(CONFIG.max_len) < n, 0.0, -1e9)
     d, dk = CONFIG.d_model, CONFIG.d_k
-    for p in model.layers:
-        qkv = x @ p.wqkv.data
+    for i in range(CONFIG.num_layers):
+        p = {name[len(f"encoder.{i}.") :]: a for name, a in w.items() if name.startswith(f"encoder.{i}.")}
+        qkv = x @ p["wqkv"]
         heads = []
         for h in range(CONFIG.num_heads):
             q, k, v = (qkv[:, part * d + h * dk : part * d + (h + 1) * dk] for part in range(3))
             heads.append(softmax(q @ k.T / np.sqrt(dk) + key_bias) @ v)
-        y = _layer_norm(x + np.hstack(heads) @ p.wo.data, p.ln1_gamma.data, p.ln1_beta.data)
-        ffn = np.maximum(0.0, y @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
-        x = _layer_norm(y + ffn, p.ln2_gamma.data, p.ln2_beta.data)
+        y = _layer_norm(x + np.hstack(heads) @ p["wo"], p["ln1.gamma"], p["ln1.beta"])
+        ffn = np.maximum(0.0, y @ p["ffn.w1"] + p["ffn.b1"]) @ p["ffn.w2"] + p["ffn.b2"]
+        x = _layer_norm(y + ffn, p["ln2.gamma"], p["ln2.beta"])
     return x
 
 
@@ -71,9 +73,18 @@ class TestParameters:
         shapes = {name: t.data.shape for name, t in model.named_parameters().items()}
         assert shapes == parameter_shapes(len(model.vocab), CONFIG)
 
-    def test_encoder_parameters_exclude_heads(self, model):
-        names = set(model.encoder_parameters())
-        assert not any(n.startswith(("classifier.", "nsp.")) for n in names)
+    def test_head_parameters_exclude_the_other_head(self, model):
+        # what fine-tuning and pretraining train: embeddings, encoder stack, one head
+        everything = model.named_parameters()
+        for head, other in (("classifier", "nsp"), ("nsp", "classifier")):
+            params = model.named_parameters(head)
+            assert list(params) == [n for n in everything if not n.startswith(f"{other}.")]
+            assert {f"{head}.weight", f"{head}.bias"} <= set(params)
+            assert all(params[n] is everything[n] for n in params)
+
+    def test_named_parameters_reject_an_unknown_head(self, model):
+        with pytest.raises(ContractError, match="mlm"):
+            model.named_parameters("mlm")
 
     def test_init_draws_the_documented_rule_in_order(self):
         # plain numpy, in the order the per-module initializers drew: the
@@ -121,9 +132,9 @@ class TestParameters:
     def test_snapshot_round_trip(self, model):
         clone = model.clone()
         snap = model.snapshot()
-        clone.cls_w.data += 1.0
+        clone.params["classifier.weight"].data += 1.0
         clone.load_snapshot(snap)
-        np.testing.assert_array_equal(clone.cls_w.data, model.cls_w.data)
+        np.testing.assert_array_equal(clone.params["classifier.weight"].data, model.params["classifier.weight"].data)
 
     def test_clone_copies_without_random_init(self, model, monkeypatch):
         def no_init(*args, **kwargs):
@@ -149,7 +160,7 @@ class TestHeads:
         seq = encode_pair("w1 w2 w3", None, model.vocab, CONFIG.max_len)
         hidden = model.hidden_states([seq])
         logits = model.mlm_logits(hidden, [1, 2]).data
-        expected = hidden.data[[1, 2]] @ model.tables.token.data.T
+        expected = hidden.data[[1, 2]] @ model.params["embeddings.token"].data.T
         np.testing.assert_allclose(logits, expected, atol=1e-12)
         assert logits.shape == (2, len(model.vocab))
 

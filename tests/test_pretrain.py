@@ -152,8 +152,7 @@ class TestPretrainStep:
         return SentimentModel.init(vocab, SMALL, seed=seed)
 
     def _optimizer(self, model, lr=1e-3):
-        params = {**model.encoder_parameters(), "nsp.weight": model.nsp_w, "nsp.bias": model.nsp_b}
-        return make_optimizer(params, OptimizerConfig(lr=lr))
+        return make_optimizer(model.named_parameters("nsp"), OptimizerConfig(lr=lr))
 
     def test_initial_losses_near_uniform(self, corpus, vocab):
         model = self._model(vocab)
@@ -169,11 +168,11 @@ class TestPretrainStep:
         rng = np.random.default_rng(3)
         pairs = nsp_pairs(corpus, rng)[:4]
         batch = build_masked_batch(pairs, vocab, SMALL.max_len, 0.0, rng)
-        before = model.nsp_w.data.copy()
+        before = model.params["nsp.weight"].data.copy()
         losses = pretrain_step(batch, model, self._optimizer(model), rng=rng)
         assert losses["mlm_loss"] == 0.0
         assert losses["nsp_loss"] > 0.0
-        assert not np.array_equal(model.nsp_w.data, before)
+        assert not np.array_equal(model.params["nsp.weight"].data, before)
 
     def test_loss_only_over_selected_positions(self, corpus, vocab):
         # independent recount: gather per-position log-softmax by hand at the
@@ -186,7 +185,7 @@ class TestPretrainStep:
         per_position = []
         for seq, targets in zip(batch.sequences, batch.mlm_targets):
             hidden = model.hidden_states([seq]).data
-            logits = hidden @ model.tables.token.data.T
+            logits = hidden @ model.params["embeddings.token"].data.T
             shifted = logits - logits.max(axis=1, keepdims=True)
             log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
             for i, t in enumerate(targets):
@@ -209,14 +208,14 @@ class TestPretrainStep:
             g.backward(nsp_loss)
         # gradient flows into the token table through the embeddings, but the tied
         # mlm projection contributes nothing: with p=0 there are no mlm logits at all
-        assert model.tables.token.grad is not None
+        assert model.params["embeddings.token"].grad is not None
 
     def test_fixed_seed_reproducible_trajectory(self, corpus, vocab):
         def run():
             model = self._model(vocab, seed=9)
             config = PretrainConfig(epochs=2, batch_size=4, mask_probability=0.15, seed=31)
             history = run_pretraining(corpus, model, config)
-            return history, model.tables.token.data.copy()
+            return history, model.params["embeddings.token"].data.copy()
 
         hist_a, weights_a = run()
         hist_b, weights_b = run()

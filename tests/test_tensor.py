@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients, sum_all
+from gradcheck import check_gradients, sum_all, weighted_sum
 from sentibert.errors import ContractError, ShapeError
 from sentibert.optim import SGD, Adam, OptimizerConfig, make_optimizer
 from sentibert.tensor import (
@@ -17,7 +17,6 @@ from sentibert.tensor import (
     gather_rows,
     layer_norm,
     matmul,
-    mul,
     parameter,
     softmax,
     transpose,
@@ -89,28 +88,48 @@ class TestSoftmaxRows:
             np.testing.assert_allclose(y, shifted, atol=1e-12)
 
 
+def norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """layer_norm with a zero residual branch: the plain normalization of x."""
+    return layer_norm(x, Tensor(np.zeros_like(x.data)), gamma, beta, None, eps)
+
+
 class TestLayerNorm:
     def test_constant_row_collapses_to_beta(self):
         x = Tensor([[4.0, 4.0, 4.0]])
-        out = layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        out = norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
-        out5 = layer_norm(x, Tensor(np.ones(3)), Tensor([5.0, 5.0, 5.0]))
+        out5 = norm(x, Tensor(np.ones(3)), Tensor([5.0, 5.0, 5.0]))
         np.testing.assert_allclose(out5.data, 5.0, atol=1e-12)
 
     def test_hand_mean_variance(self):
-        out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+        out = norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-9)
 
     def test_normalizes_nonconstant_rows(self):
         rng = np.random.default_rng(11)
         x = rng.normal(scale=3.0, size=(8, 16))
-        out = layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16)), eps=1e-10).data
+        out = norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16)), eps=1e-10).data
         assert np.all(np.abs(out.mean(axis=1)) <= 1e-10)
         np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-6)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ContractError):
-            layer_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
+            norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
+
+    def test_normalizes_the_residual_sum_bit_for_bit(self):
+        # x + sub * keep, in that order, then the plain normalization
+        rng = np.random.default_rng(12)
+        x, sub = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        keep = dropout(Tensor(sub), 0.3, np.random.default_rng(4), True)
+        gamma, beta = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
+        masked = layer_norm(Tensor(x), Tensor(sub), gamma, beta, keep).data
+        np.testing.assert_array_equal(masked, norm(Tensor(x + sub * keep), gamma, beta).data)
+        unmasked = layer_norm(Tensor(x), Tensor(sub), gamma, beta).data
+        np.testing.assert_array_equal(unmasked, norm(Tensor(x + sub), gamma, beta).data)
+
+    def test_residual_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="residual"):
+            layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -145,8 +164,8 @@ class TestFfn:
     def test_gradcheck_all_five_inputs(self, n):
         rng = np.random.default_rng(100 + n)
         params = dict(zip(("x", "w1", "b1", "w2", "b2"), map(parameter, _ffn_inputs(rng, n))))
-        weights = Tensor(rng.normal(size=(n, 3)))  # a non-uniform upstream gradient
-        checked = check_gradients(lambda: sum_all(mul(ffn(*params.values()), weights)), params, rng, probes=60)
+        weights = rng.normal(size=(n, 3))  # a non-uniform upstream gradient
+        checked = check_gradients(lambda: weighted_sum(ffn(*params.values()), weights), params, rng, probes=60)
         assert checked == 60
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -157,7 +176,7 @@ class TestFfn:
         tensors = [parameter(a) for a in (x, w1, b1, w2, b2)]
         with Graph() as g:
             out = ffn(*tensors)
-            g.backward(sum_all(mul(out, Tensor(upstream))))
+            g.backward(weighted_sum(out, upstream))
         pre = x @ w1 + b1
         hidden = np.where(pre > 0.0, pre, 0.0)
         d_pre = (upstream @ w2.T) * (pre > 0.0)
@@ -228,13 +247,13 @@ class TestBackward:
     def test_quadratic_gradient(self):
         w = parameter([[1.0, 2.0]])
         with Graph() as g:
-            g.backward(sum_all(mul(w, w)))
+            g.backward(sum_all(matmul(w, transpose(w))))  # w w^T = sum of squares
         assert np.array_equal(w.grad, [[2.0, 4.0]])
 
     def test_nonscalar_loss_rejected(self):
         w = parameter([[1.0, 2.0]])
         with Graph() as g:
-            out = mul(w, w)
+            out = add(w, w)
             with pytest.raises(ContractError):
                 g.backward(out)
 
@@ -253,7 +272,7 @@ class TestBackward:
 
     def test_no_recording_without_graph(self):
         w = parameter([[1.0, 2.0]])
-        out = mul(w, w)
+        out = add(w, w)
         assert not out._on_tape and w.grad is None
 
 
@@ -263,17 +282,19 @@ class TestGradientsAgainstFiniteDifferences:
         a = parameter(rng.normal(size=(3, 4)))
         b = parameter(rng.normal(size=(4, 2)))
         c = parameter(rng.normal(size=(3, 2)))
+        e = parameter(rng.normal(size=(3, 4)))
         bias = parameter(rng.normal(size=2))
         gamma = parameter(rng.normal(size=4) + 1.5)
         beta = parameter(rng.normal(size=4))
+        w32, w34, w42 = (rng.normal(size=shape) for shape in ((3, 2), (3, 4), (4, 2)))
         cases = {
-            "matmul": (lambda: sum_all(mul(matmul(a, b), c)), {"a": a, "b": b, "c": c}),
-            "add": (lambda: sum_all(mul(add(c, c), c)), {"c": c}),
-            "add_bias": (lambda: sum_all(mul(add_bias(matmul(a, b), bias), c)), {"a": a, "bias": bias}),
-            "transpose": (lambda: sum_all(mul(transpose(b), mul(transpose(b), transpose(b)))), {"b": b}),
-            "layer_norm": (lambda: sum_all(mul(layer_norm(a, gamma, beta), mul(a, a))), {"a": a, "gamma": gamma, "beta": beta}),
+            "matmul": (lambda: weighted_sum(matmul(a, b), w32), {"a": a, "b": b}),
+            "add": (lambda: weighted_sum(add(add(c, c), matmul(a, b)), w32), {"a": a, "c": c}),
+            "add_bias": (lambda: weighted_sum(add_bias(matmul(a, b), bias), w32), {"a": a, "bias": bias}),
+            "transpose": (lambda: weighted_sum(matmul(transpose(b), transpose(a)), w32.T), {"a": a, "b": b}),
+            "layer_norm": (lambda: weighted_sum(layer_norm(a, e, gamma, beta), w34), {"a": a, "e": e, "gamma": gamma, "beta": beta}),
             "cross_entropy": (lambda: cross_entropy(a, [0, 1, 0], weights=[1.5, 1.0, 0.5, 2.0]), {"a": a}),
-            "gather": (lambda: sum_all(mul(gather_rows(a, [2, 0, 2]), gather_rows(a, [1, 1, 0]))), {"a": a}),
+            "gather": (lambda: weighted_sum(gather_rows((a, [2, 0, 2])), w34), {"a": a}),
         }
         for name, (build, params) in cases.items():
             checked = check_gradients(build, params, rng, probes=25)
@@ -284,32 +305,78 @@ class TestGradientsAgainstFiniteDifferences:
         raw = rng.normal(size=(4, 5))
         raw[np.abs(raw) < 1e-3] = 0.3  # keep probes off the kink
         x = parameter(raw)
-        check_gradients(lambda: sum_all(mul(relu(x), x)), {"x": x}, rng, probes=30)
+        upstream = rng.normal(size=(4, 5))
+        check_gradients(lambda: weighted_sum(relu(x), upstream), {"x": x}, rng, probes=30)
 
     def test_dropout_with_fixed_mask(self):
+        # the mask reaches the gradient through the residual layer norm: dropped
+        # slots of the branch get exactly zero, kept ones d_z / (1 - rate)
         rng = np.random.default_rng(21)
-        x = parameter(rng.normal(size=(4, 6)))
+        x, sub = parameter(rng.normal(size=(4, 6))), parameter(rng.normal(size=(4, 6)))
+        gamma, beta = Tensor(rng.normal(size=6) + 1.5), Tensor(rng.normal(size=6))
+        keep = dropout(sub, 0.4, np.random.default_rng(123), True)
+        upstream = rng.normal(size=(4, 6))
+        assert np.any(keep == 0.0)
 
         def build():
-            # fresh identically-seeded rng per call: the mask is constant across FD evals
-            return sum_all(mul(dropout(x, 0.4, np.random.default_rng(123), True), x))
+            return weighted_sum(layer_norm(x, sub, gamma, beta, keep), upstream)
 
-        check_gradients(build, {"x": x}, rng, probes=25)
+        check_gradients(build, {"x": x, "sub": sub}, rng, probes=25)
+        with Graph() as g:
+            g.backward(build())
+        np.testing.assert_array_equal(sub.grad, x.grad * keep)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["keep-none", "fixed-mask"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "x-is-sub"])
+    def test_residual_layer_norm(self, masked, shared):
+        rng = np.random.default_rng(31)
+        x = parameter(rng.normal(size=(4, 6)))
+        sub = x if shared else parameter(rng.normal(size=(4, 6)))
+        gamma, beta = parameter(rng.normal(size=6) + 1.5), parameter(rng.normal(size=6))
+        keep = dropout(x, 0.4, np.random.default_rng(123), True) if masked else None
+        upstream = rng.normal(size=(4, 6))
+        params = {"x": x, "gamma": gamma, "beta": beta}
+        if not shared:
+            params["sub"] = sub
+        build = lambda: weighted_sum(layer_norm(x, sub, gamma, beta, keep), upstream)
+        assert check_gradients(build, params, rng, probes=40) == 40
+
+    def test_multi_table_gather(self):
+        # repeated ids within a table, and table a passed as the first and the third pair
+        rng = np.random.default_rng(33)
+        a, e = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=(5, 4)))
+        upstream = rng.normal(size=(4, 4))
+        build = lambda: weighted_sum(gather_rows((a, [2, 0, 2, 2]), (e, [4, 4, 1, 0]), (a, [0, 0, 1, 2])), upstream)
+        assert check_gradients(build, {"a": a, "e": e}, rng, probes=40) == 40
+        with Graph() as g:
+            g.backward(build())
+        expected_a = np.zeros((3, 4))
+        for ids in ([2, 0, 2, 2], [0, 0, 1, 2]):
+            np.add.at(expected_a, ids, upstream)
+        np.testing.assert_allclose(a.grad, expected_a, atol=1e-12, rtol=0)
 
 
 class TestDropout:
     def test_inactive_paths_identity(self):
+        # no mask: the residual layer norm keeps the whole branch
         x = Tensor(np.ones((2, 2)))
-        assert dropout(x, 0.0, np.random.default_rng(0), True) is x
-        assert dropout(x, 0.5, np.random.default_rng(0), False) is x
+        rng = np.random.default_rng(0)
+        assert dropout(x, 0.0, rng, True) is None
+        assert dropout(x, 0.5, rng, False) is None
+        assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
 
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.25, rng, True).data
+        out = x.data * dropout(x, 0.25, rng, True)
         kept = out[out > 0]
         assert np.allclose(kept, 1.0 / 0.75)
         assert abs(out.mean() - 1.0) < 0.02
+
+    def test_mask_is_one_uniform_draw_per_slot(self):
+        keep = dropout(Tensor(np.zeros((3, 5))), 0.4, np.random.default_rng(8), True)
+        expected = (np.random.default_rng(8).random((3, 5)) >= 0.4) / 0.6
+        np.testing.assert_array_equal(keep, expected)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ContractError):
@@ -371,7 +438,7 @@ class TestDeterminismAndFiniteness:
             x = Tensor(rng.normal(size=(5, 8)))
             g = Tensor(np.ones(8))
             b = Tensor(np.zeros(8))
-            return layer_norm(Tensor(softmax(x.data)), g, b).data
+            return norm(Tensor(softmax(x.data)), g, b).data
 
         assert np.array_equal(run(), run())
 
@@ -380,7 +447,7 @@ class TestDeterminismAndFiniteness:
         x = Tensor(rng.normal(scale=50.0, size=(6, 6)))
         for out in (
             softmax(x.data),
-            layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))).data,
+            norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))).data,
             relu(x).data,
             matmul(x, x).data,
         ):
