@@ -46,7 +46,7 @@ class TrainConfig:
         if self.class_weights is not None:
             try:
                 weights = np.asarray(self.class_weights, dtype=np.float64)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 weights = np.zeros(0)
             if weights.shape != (NUM_CLASSES,) or not np.all(np.isfinite(weights) & (weights > 0)):
                 raise ConfigError(f"class_weights must be {NUM_CLASSES} positive numbers, got {self.class_weights!r}")

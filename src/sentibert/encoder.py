@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_field_types
-from .tensor import Tensor, attention, dropout, ffn, layer_norm, matmul
+from .tensor import Tensor, attention, dropout, ffn, gather_rows, layer_norm, matmul
 
 LAYER_NORM_EPS = 1e-5
 
@@ -61,12 +61,13 @@ class EncoderConfig:
         return cls(**raw)
 
 
-def multi_head(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int) -> Tensor:
+def multi_head(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     """Attention on the packed rows' fused projection x wqkv (Q heads, then K
-    heads, then V heads, d_k columns each), projected by W^O."""
+    heads, then V heads, d_k columns each), projected by W^O: one output row
+    per query row, every row by default (see tensor.attention)."""
     if x.data.shape[1] != wo.data.shape[0]:
         raise ShapeError(f"multi_head: input width {x.data.shape[1]} != d_model {wo.data.shape[0]}")
-    return matmul(attention(matmul(x, wqkv), lengths, num_heads), wo)
+    return matmul(attention(matmul(x, wqkv), lengths, num_heads, rows), wo)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -83,10 +84,14 @@ def encoder_layer(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     training: bool = False,
+    rows=None,
 ) -> Tensor:
     """Post-norm block on the weights named prefix + "." + suffix in params:
     y = LayerNorm(x + attn), then LayerNorm(y + FFN(y)), each sub-layer output
-    under its own dropout mask."""
+    under its own dropout mask. Given rows, the block computes outputs only at
+    those packed rows, in that order: keys and values still come from every
+    row, and both dropout masks are drawn at the full [N x d] shape and then
+    indexed, so the rng stream does not depend on rows."""
     if training and dropout_rate > 0.0 and rng is None:
         raise ConfigError("encoder_layer: training with dropout needs an rng")
 
@@ -96,10 +101,15 @@ def encoder_layer(
         except KeyError:
             raise ConfigError(f"encoder_layer: no parameter named {prefix}.{suffix}") from None
 
-    attn = multi_head(x, p("wqkv"), p("wo"), lengths, num_heads)
-    y = layer_norm(x, attn, p("ln1.gamma"), p("ln1.beta"), dropout(attn, dropout_rate, rng, training), LAYER_NORM_EPS)
+    def keep() -> np.ndarray | None:
+        mask = dropout(x, dropout_rate, rng, training)
+        return mask if mask is None or rows is None else mask[rows]
+
+    attn = multi_head(x, p("wqkv"), p("wo"), lengths, num_heads, rows)
+    residual = x if rows is None else gather_rows((x, rows))
+    y = layer_norm(residual, attn, p("ln1.gamma"), p("ln1.beta"), keep(), LAYER_NORM_EPS)
     sub = feed_forward(y, p("ffn.w1"), p("ffn.b1"), p("ffn.w2"), p("ffn.b2"))
-    return layer_norm(y, sub, p("ln2.gamma"), p("ln2.beta"), dropout(sub, dropout_rate, rng, training), LAYER_NORM_EPS)
+    return layer_norm(y, sub, p("ln2.gamma"), p("ln2.beta"), keep(), LAYER_NORM_EPS)
 
 
 def encode(
@@ -109,12 +119,18 @@ def encode(
     lengths,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    rows=None,
 ) -> Tensor:
     """Apply layers encoder.0 .. encoder.{num_layers-1} of params in turn;
-    an empty stack is the identity. A missing layer weight is a ConfigError."""
+    an empty stack is the identity. Given rows, the output holds only those
+    packed rows, in that order: the last layer computes nothing else. A
+    missing layer weight is a ConfigError."""
+    if config.num_layers == 0:
+        return x if rows is None else gather_rows((x, rows))
     hidden = x
     for i in range(config.num_layers):
+        layer_rows = rows if i == config.num_layers - 1 else None
         hidden = encoder_layer(
-            hidden, params, f"encoder.{i}", lengths, config.num_heads, config.dropout_rate, rng, training
+            hidden, params, f"encoder.{i}", lengths, config.num_heads, config.dropout_rate, rng, training, layer_rows
         )
     return hidden

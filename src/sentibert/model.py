@@ -128,11 +128,13 @@ class SentimentModel:
         seqs: list[EncodedSequence],
         training: bool = False,
         rng: np.random.Generator | None = None,
+        rows: list[int] | None = None,
     ) -> Tensor:
         """Encoder output [N x d] of a batch: each sequence's rows, back to
-        back in batch order (see row_starts)."""
+        back in batch order (see row_starts). Given rows, only those packed
+        rows, in that order; the last encoder layer computes nothing else."""
         lengths = [s.real_length() for s in seqs]
-        return encode(embed(seqs, self.params), self.config, self.params, lengths, training, rng)
+        return encode(embed(seqs, self.params), self.config, self.params, lengths, training, rng, rows)
 
     def class_logits(
         self,
@@ -141,8 +143,8 @@ class SentimentModel:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Sentiment logits [B x 3] from each sequence's [CLS] hidden state."""
-        hidden, p = self.hidden_states(seqs, training, rng), self.params
-        return add_bias(matmul(gather_rows((hidden, row_starts(seqs))), p["classifier.weight"]), p["classifier.bias"])
+        hidden, p = self.hidden_states(seqs, training, rng, rows=row_starts(seqs)), self.params
+        return add_bias(matmul(hidden, p["classifier.weight"]), p["classifier.bias"])
 
     def nsp_logits(self, hidden: Tensor, starts: list[int]) -> Tensor:
         """Next-sentence logits [B x 2] from the [CLS] hidden states at rows starts."""

@@ -1,5 +1,6 @@
 """Parameter update rules: plain SGD and bias-corrected Adam."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,12 @@ class OptimizerConfig:
         check_field_types(self)
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown optimizer algorithm {self.algorithm!r} (expected one of {ALGORITHMS})")
-        if not self.lr >= 0.0:
-            raise ConfigError(f"lr must be nonnegative, got {self.lr}")
+        try:
+            lr = float(self.lr)
+        except OverflowError:  # an int past the float range
+            lr = math.inf
+        if not (math.isfinite(lr) and lr >= 0.0):
+            raise ConfigError(f"lr must be a finite nonnegative number, got {self.lr}")
 
 
 class SGD:

@@ -108,8 +108,10 @@ def _batch_losses(
     training: bool,
     rng: np.random.Generator | None,
 ) -> tuple[Tensor | None, Tensor, np.ndarray | None, list[int]]:
-    """Forward the batch at once; returns (mlm_loss or None, nsp_loss, mlm logits, mlm targets)."""
-    hidden = model.hidden_states(batch.sequences, training, rng)
+    """Forward the batch at once; returns (mlm_loss or None, nsp_loss, mlm logits, mlm targets).
+
+    The encoder computes its last layer only at the rows the heads read: each
+    sequence's [CLS], then every masked position."""
     starts = row_starts(batch.sequences)
     rows, targets = [], []
     for start, seq_targets in zip(starts, batch.mlm_targets):
@@ -117,10 +119,12 @@ def _batch_losses(
             if t != SENTINEL:
                 rows.append(start + i)
                 targets.append(t)
-    nsp_loss = cross_entropy(model.nsp_logits(hidden, starts), batch.nsp_labels)
+    hidden = model.hidden_states(batch.sequences, training, rng, rows=starts + rows)
+    b = len(starts)
+    nsp_loss = cross_entropy(model.nsp_logits(hidden, range(b)), batch.nsp_labels)
     if not rows:
         return None, nsp_loss, None, []
-    mlm_logits = model.mlm_logits(hidden, rows)
+    mlm_logits = model.mlm_logits(hidden, range(b, b + len(rows)))
     return cross_entropy(mlm_logits, targets), nsp_loss, mlm_logits.data, targets
 
 

@@ -279,16 +279,36 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
+def _query_slots(rows, slots: np.ndarray, length: int) -> tuple[np.ndarray, int]:
+    """Slots of the checked query rows in a grid of Q_max positions per
+    sequence (sequence * Q_max + position), and Q_max: one past the furthest
+    position any query row holds."""
+    queries = np.asarray(rows, dtype=np.int64)
+    if queries.ndim != 1:
+        raise ShapeError(f"attention: rows must be a list of row indices, got shape {queries.shape}")
+    if queries.size and (queries.min() < 0 or queries.max() >= slots.size):
+        raise IndexError(f"attention: query row out of range [0, {slots.size})")
+    if queries.size > 1 and np.unique(queries).size != queries.size:
+        raise ShapeError("attention: query rows repeat")
+    seq, position = np.divmod(slots[queries], length)
+    q_length = int(position.max(initial=0)) + 1
+    return seq * q_length + position, q_length
+
+
+def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     """Multi-head softmax(Q K^T / sqrt(d_k)) V over sequences packed back to back.
 
     qkv is [N x 3d]: per real row, the query heads, then the key heads, then
     the value heads, d_k = d / num_heads columns each. lengths are the row
-    counts of the sequences and sum to N. Rows are scattered into a
-    [B, H, L_max, d_k] grid, keys past a sequence's length get the additive
-    -1e9 mask, and the [N x d] result holds each row's heads side by side.
-    Padding exists only inside this op; the backward keeps the probability
-    grid and rebuilds q/k/v from qkv.
+    counts of the sequences and sum to N. rows, when given, are the distinct
+    packed rows whose outputs are wanted, in any order; by default every row.
+    Rows are scattered into a [B, H, L_max, d_k] grid, and keys past a
+    sequence's length get the additive -1e9 mask. Queries run over each
+    sequence's first Q_max positions only, Q_max being one past the furthest
+    position of a wanted row, so the [CLS] rows alone cost a 1 x L_max score
+    grid. The result holds each wanted row's heads side by side, in the order
+    of rows. Padding exists only inside this op; the backward keeps the
+    probability grid and rebuilds q/k/v from qkv.
     """
     _require_2d(qkv, "attention")
     n, width = qkv.data.shape
@@ -302,39 +322,44 @@ def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
     d_k = d // num_heads
     # grid slot of packed row r, position p of sequence s: s * L_max + p
     slots = np.arange(n) + np.repeat(np.arange(b) * length - (np.cumsum(lengths) - lengths), lengths)
+    if rows is None:
+        q_slots, q_length = slots, length
+    else:
+        q_slots, q_length = _query_slots(rows, slots, length)
     key_bias = np.where(np.arange(length) < lengths[:, None], 0.0, NEG_INF_MASK)[:, None, None, :]
     factor = 1.0 / np.sqrt(d_k)
 
-    def grid(parts: int) -> tuple[np.ndarray, np.ndarray]:
-        """Zeroed [B*L_max x parts*d] slot rows and their [parts, B, H, L_max, d_k] view."""
-        flat = np.zeros((b * length, parts * d))
-        return flat, flat.reshape(b, length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
+    def grid(grid_length: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+        """Zeroed [B*grid_length x parts*d] slot rows and their [parts, B, H, grid_length, d_k] view."""
+        flat = np.zeros((b * grid_length, parts * d))
+        return flat, flat.reshape(b, grid_length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
 
-    def qkv_grid() -> np.ndarray:
-        flat, view = grid(3)
+    def qkv_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """q of each sequence's first Q_max positions; k and v of every position."""
+        flat, (q, k, v) = grid(length, 3)
         flat[slots] = qkv.data
-        return view
+        return q[:, :, :q_length], k, v
 
     q, k, v = qkv_grid()
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= factor
     scores += key_bias
     probs = softmax(scores)
-    flat, (context,) = grid(1)
+    flat, (context,) = grid(q_length, 1)
     np.matmul(probs, v, out=context)
-    out = Tensor(flat[slots])
+    out = Tensor(flat[q_slots])
 
     def backward(grad):
         if _wants_grad(qkv):
             q, k, v = qkv_grid()
-            flat_g, (g,) = grid(1)
-            flat_g[slots] = grad
+            flat_g, (g,) = grid(q_length, 1)
+            flat_g[q_slots] = grad  # positions not wanted get zero gradient
             d_scores = g @ v.transpose(0, 1, 3, 2)  # d probs, turned into d scores in place
             d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
             d_scores *= probs
             d_scores *= factor
-            d_flat, (grad_q, grad_k, grad_v) = grid(3)
-            np.matmul(d_scores, k, out=grad_q)
+            d_flat, (grad_q, grad_k, grad_v) = grid(length, 3)
+            np.matmul(d_scores, k, out=grad_q[:, :, :q_length])
             np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=grad_k)
             np.matmul(probs.transpose(0, 1, 3, 2), g, out=grad_v)
             _accumulate(qkv, d_flat[slots])

@@ -1,6 +1,7 @@
 """The benchmark's span wrappers replace attributes by name; every one of
-them must still exist where the benchmark looks for it, and the layer spans
-must still record calls when the program runs."""
+them must still exist where the benchmark looks for it, the layer spans
+must still record calls when the program runs, and the forward hook must
+still read the training flag where the benchmark looks for it."""
 
 import importlib.util
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 
 from sentibert import checkpoint, classify, cli, encoder, model, optim, pretrain, tensor
 from sentibert.data import LabeledExample
+from sentibert.synthetic import generate_documents
 from sentibert.tokenizer import build_vocab, encode_pair
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -63,6 +65,35 @@ def test_layer_spans_record_calls_in_training_and_eval():
     by_name = spans.summary(recorder.spans)
     silent = [name for name in LAYER_SPANS if by_name.get(name, {"calls": 0})["calls"] < 1]
     assert not silent, f"spans that recorded no call: {silent}"
-    forwards = [sp[4] for sp in recorder.spans if sp[0] == "model.hidden_states"]
-    assert 1 in forwards and 0 in forwards  # training and eval-mode forwards both pass the hook
     assert not hasattr(model.SentimentModel.hidden_states, "__wrapped__")  # restored afterwards
+
+
+def test_forward_hook_records_each_forwards_training_flag():
+    # the benchmark reads hidden_states' training flag from its second
+    # argument and counts flagged forwards per optimizer step; a query-row
+    # list passed in that slot would flag eval-mode forwards as training
+    spans = _spans_module()
+    data = [LabeledExample(text, label) for text, label in (("awful room", 0), ("plain room", 1), ("lovely room", 2))]
+    corpus = generate_documents(n_docs=3, sentences_per_doc=3, seed=1)
+    vocab = build_vocab([ex.text for ex in data] + [s for doc in corpus for s in doc], 100)
+    config = encoder.EncoderConfig(num_layers=2, num_heads=2, d_model=8, d_ff=16, max_len=16, dropout_rate=0.1)
+    net = model.SentimentModel.init(vocab, config, seed=0)
+    recorder = spans.Recorder()
+    with spans.instrumented(recorder, SB):
+        cli.train(data * 2, classify.TrainConfig(epochs=2, batch_size=4, val_split=0.5), net)  # the wrapped name
+        classify.predict_batch(["lovely room", "awful room"], net)
+        pretrain.run_pretraining(corpus, net, pretrain.PretrainConfig(epochs=1, batch_size=2))
+    recorded = recorder.spans
+    forwards = [i for i, sp in enumerate(recorded) if sp[0] == "model.hidden_states"]
+
+    def under(name):
+        return [i for i in forwards if spans.has_ancestor(recorded, i, name)]
+
+    rescoring, pretrain_eval = under("classify.rescore"), under("pretrain.eval_losses")
+    training = [i for i in under("classify.train") if i not in rescoring] + under("pretrain.pretrain_step")
+    predicting = [i for i in forwards if recorded[i][3] == -1]  # predict_batch: no enclosing span
+    assert rescoring and pretrain_eval and training and predicting
+    assert sorted(training + rescoring + pretrain_eval + predicting) == forwards
+    assert [recorded[i][4] for i in training] == [1] * len(training)
+    assert [recorded[i][4] for i in rescoring + pretrain_eval + predicting] == [0] * (len(forwards) - len(training))
+    assert len(training) == sum(1 for sp in recorded if sp[0] == "optim.step")  # one forward per step

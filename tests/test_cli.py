@@ -350,6 +350,23 @@ BAD_CONFIGS = [
 
 @pytest.mark.parametrize("command, mutate, named", BAD_CONFIGS, ids=[named + "-" + cmd for cmd, _, named in BAD_CONFIGS])
 def test_bad_config_is_usage_error_naming_the_key(workspace, capsys, command, mutate, named):
+    _assert_usage_error_naming(workspace, capsys, command, mutate, named)
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "train.lr", 10**400),
+        ("pretrain", "pretrain.lr", 10**400),
+        ("train", "train.class_weights", [1, 10**400, 1]),
+    ],
+)
+def test_number_past_the_float_range_is_usage_error_naming_the_key(workspace, capsys, command, key, value):
+    # JSON allows integers of any size; float() of this one overflows
+    _assert_usage_error_naming(workspace, capsys, command, _set(key, value), key.split(".")[1])
+
+
+def _assert_usage_error_naming(workspace, capsys, command, mutate, named):
     tmp, config_path, config = workspace
     assert run_cli("build-vocab", "--config", str(config_path)) == 0
     config = copy.deepcopy(config)  # the sections may be shared module constants

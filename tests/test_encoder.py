@@ -12,7 +12,7 @@ from sentibert.encoder import (
 )
 from sentibert.errors import ConfigError, ShapeError
 from sentibert.model import initial_array, parameter_shapes
-from sentibert.tensor import Tensor, cross_entropy, gather_rows, matmul, parameter, softmax
+from sentibert.tensor import Graph, Tensor, cross_entropy, gather_rows, matmul, parameter, softmax
 from sentibert.tokenizer import NUM_SPECIALS
 
 
@@ -117,6 +117,51 @@ class TestAttention:
             lambda: weighted_sum(attention(qkv, [1, 3, 5], 2), weights), {"qkv": qkv}, rng, probes=60, rel=1e-4
         )
         assert checked == 60
+
+    def test_query_rows_match_the_full_output(self):
+        rng = np.random.default_rng(14)
+        qkv = rng.normal(size=(9, 24))
+        rows = [8, 0, 5, 2, 6]  # any order; the 1-row sequence has no query
+        got = attention(Tensor(qkv), [3, 1, 5], 2, rows).data
+        np.testing.assert_allclose(got, attention(Tensor(qkv), [3, 1, 5], 2).data[rows], atol=1e-12, rtol=0)
+
+    def test_query_rows_gradient_matches_the_full_path(self):
+        # the full output under a loss that ignores every other row
+        rng = np.random.default_rng(15)
+        rows = [8, 0, 5, 2, 6]
+        weights = rng.normal(size=(5, 8))
+        padded = np.zeros((9, 8))
+        padded[rows] = weights
+        qkv = rng.normal(size=(9, 24))
+
+        def grad(query_rows, upstream):
+            leaf = parameter(qkv)
+            with Graph() as graph:
+                graph.backward(weighted_sum(attention(leaf, [3, 1, 5], 2, query_rows), upstream))
+            return leaf.grad
+
+        np.testing.assert_allclose(grad(rows, weights), grad(None, padded), atol=1e-12, rtol=0)
+
+    def test_gradcheck_query_rows(self):
+        rng = np.random.default_rng(16)
+        qkv = parameter(rng.normal(size=(9, 12)))
+        rows = [8, 0, 5, 2, 6]  # several queries in two sequences, none in the 1-row one
+        weights = rng.normal(size=(5, 4))
+        checked = check_gradients(
+            lambda: weighted_sum(attention(qkv, [3, 1, 5], 2, rows), weights), {"qkv": qkv}, rng, probes=80, rel=1e-4
+        )
+        assert checked == 80
+
+    def test_bad_query_rows(self):
+        qkv = Tensor(np.zeros((5, 12)))
+        with pytest.raises(IndexError):
+            attention(qkv, [2, 3], 1, [5])
+        with pytest.raises(IndexError):
+            attention(qkv, [2, 3], 1, [0, -1])
+        with pytest.raises(ShapeError):
+            attention(qkv, [2, 3], 1, [1, 4, 1])  # repeated
+        with pytest.raises(ShapeError):
+            attention(qkv, [2, 3], 1, [[0, 1]])
 
 
 class TestMultiHead:
@@ -247,6 +292,21 @@ class TestEncode:
         a = encode(Tensor(x), config, params, [4], training=False).data
         b = encode(Tensor(x), config, params, [4], training=False).data
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("num_layers", [0, 1, 2])
+    def test_rows_match_the_full_output_in_training(self, num_layers):
+        # both dropout masks are drawn at the full shape and then indexed, so
+        # one rng seed gives the same masks and leaves the same stream behind
+        config = _config(num_layers=num_layers, dropout_rate=0.3)
+        rng = np.random.default_rng(17)
+        params = init_stack(config, rng)
+        x = Tensor(rng.normal(size=(9, 8)))
+        rows = [3, 0, 8, 5]
+        full_rng, cut_rng = np.random.default_rng(1), np.random.default_rng(1)
+        full = encode(x, config, params, [3, 1, 5], True, full_rng).data[rows]
+        cut = encode(x, config, params, [3, 1, 5], True, cut_rng, rows).data
+        np.testing.assert_allclose(cut, full, atol=1e-12, rtol=0)
+        assert full_rng.random() == cut_rng.random()
 
 
 class TestEncoderGradients:

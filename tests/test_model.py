@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sentibert.encoder import EncoderConfig
-from sentibert.errors import ConfigError, ContractError
+from sentibert.errors import ConfigError, ContractError, ShapeError
 from sentibert.model import SentimentModel, parameter_shapes, row_starts
 from sentibert.synthetic import generate_dataset
-from sentibert.tensor import softmax
+from sentibert.tensor import Graph, add_bias, cross_entropy, gather_rows, matmul, softmax
 from sentibert.tokenizer import PAD_ID, SPECIAL_TOKENS, Vocab, encode_pair
 
 CONFIG = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.1)
@@ -172,3 +172,61 @@ class TestHeads:
     def test_nsp_logits_shape(self, model):
         seq = encode_pair("w1", "w2", model.vocab, CONFIG.max_len)
         assert model.nsp_logits(model.hidden_states([seq]), [0]).data.shape == (1, 2)
+
+
+def _random_batch(vocab, count, seed):
+    rng = np.random.default_rng(seed)
+    texts = (" ".join(f"w{int(rng.integers(30))}" for _ in range(int(rng.integers(1, 9)))) for _ in range(count))
+    return [encode_pair(text, None, vocab, CONFIG.max_len) for text in texts]
+
+
+def _full_path_class_logits(net, seqs, training=False, rng=None):
+    """Sentiment logits from every row's hidden state, gathered at the [CLS] rows afterwards."""
+    hidden = gather_rows((net.hidden_states(seqs, training, rng), row_starts(seqs)))
+    return add_bias(matmul(hidden, net.params["classifier.weight"]), net.params["classifier.bias"])
+
+
+class TestQueryRows:
+    """class_logits computes the last layer only at the [CLS] rows; the full
+    path gathered at the same rows is the reference."""
+
+    def test_class_logits_match_the_full_path(self, model):
+        seqs = _random_batch(model.vocab, 12, seed=5)
+        np.testing.assert_allclose(
+            model.class_logits(seqs).data, _full_path_class_logits(model, seqs).data, atol=1e-12, rtol=0
+        )
+
+    def test_training_gradients_match_the_full_path(self, model):
+        # one rng seed per side: dropout masks are drawn at the full shape either way
+        seqs = _random_batch(model.vocab, 12, seed=6)
+        labels = [i % 3 for i in range(12)]
+
+        def grads(logits_of):
+            net = model.clone()
+            with Graph() as graph:
+                graph.backward(cross_entropy(logits_of(net, np.random.default_rng(7)), labels))
+            return {name: t.grad for name, t in net.params.items() if t.grad is not None}
+
+        cut = grads(lambda net, rng: net.class_logits(seqs, True, rng))
+        full = grads(lambda net, rng: _full_path_class_logits(net, seqs, True, rng))
+        assert set(cut) == set(full) == set(model.named_parameters("classifier"))
+        for name in full:
+            np.testing.assert_allclose(cut[name], full[name], atol=1e-12, rtol=0, err_msg=name)
+
+    def test_zero_layer_stack_reads_the_embedding_rows(self, model):
+        config = EncoderConfig(num_layers=0, num_heads=2, d_model=16, d_ff=32, max_len=12)
+        net = SentimentModel.init(model.vocab, config, seed=4)
+        seqs = _random_batch(model.vocab, 5, seed=8)
+        rows = [4, 0, 7]
+        np.testing.assert_array_equal(net.hidden_states(seqs, rows=rows).data, net.hidden_states(seqs).data[rows])
+        np.testing.assert_allclose(
+            net.class_logits(seqs).data, _full_path_class_logits(net, seqs).data, atol=1e-12, rtol=0
+        )
+
+    def test_bad_rows(self, model):
+        seqs = _random_batch(model.vocab, 3, seed=9)
+        n = sum(s.real_length() for s in seqs)
+        with pytest.raises(IndexError):
+            model.hidden_states(seqs, rows=[0, n])
+        with pytest.raises(ShapeError):
+            model.hidden_states(seqs, rows=[1, 0, 1])

@@ -5,12 +5,13 @@ import pytest
 
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, SamplingError
-from sentibert.model import SentimentModel
+from sentibert.model import SentimentModel, row_starts
 from sentibert.optim import OptimizerConfig, make_optimizer
 from sentibert.pretrain import (
     HISTORY_COLUMNS,
     SENTINEL,
     PretrainConfig,
+    _batch_losses,
     build_masked_batch,
     eval_losses,
     mask_tokens,
@@ -19,6 +20,7 @@ from sentibert.pretrain import (
     run_pretraining,
 )
 from sentibert.synthetic import generate_documents
+from sentibert.tensor import Graph, add, cross_entropy
 from sentibert.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, build_vocab, encode_pair
 
 SMALL = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32, max_len=24, dropout_rate=0.0)
@@ -195,9 +197,6 @@ class TestPretrainStep:
         assert got == pytest.approx(float(np.mean(per_position)), abs=1e-12)
 
     def test_p_zero_leaves_token_table_mlm_free(self, corpus, vocab):
-        from sentibert.pretrain import _batch_losses
-        from sentibert.tensor import Graph
-
         model = self._model(vocab)
         rng = np.random.default_rng(5)
         pairs = nsp_pairs(corpus, rng)[:3]
@@ -243,3 +242,44 @@ class TestPretrainStep:
             pretrain_step(batch, model, optimizer, rng=rng)
         final = eval_losses(eval_batch, model)["mlm_loss"]
         assert final < initial
+
+    def test_row_path_matches_the_full_path(self, corpus, vocab, monkeypatch):
+        # _batch_losses computes the last layer only at the [CLS] and masked
+        # rows; the full hidden states gathered at the same rows are the reference
+        config = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=24, dropout_rate=0.2)
+        model = SentimentModel.init(vocab, config, seed=2)
+        rng = np.random.default_rng(6)
+        batch = build_masked_batch(nsp_pairs(corpus, rng)[:5], vocab, config.max_len, 0.3, rng)
+        starts = row_starts(batch.sequences)
+        picked = [(s + i, t) for s, seq_targets in zip(starts, batch.mlm_targets) for i, t in enumerate(seq_targets)]
+        rows, targets = zip(*[(r, t) for r, t in picked if t != SENTINEL])
+
+        def run(full: bool):
+            net = model.clone()
+            seen = []
+            nsp_logits = net.nsp_logits
+
+            def spy(*args):
+                seen.append(nsp_logits(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(net, "nsp_logits", spy)
+            with Graph() as graph:
+                if full:
+                    hidden = net.hidden_states(batch.sequences, True, np.random.default_rng(8))
+                    logits = net.mlm_logits(hidden, list(rows))
+                    mlm, mlm_logits = cross_entropy(logits, list(targets)), logits.data
+                    nsp = cross_entropy(net.nsp_logits(hidden, starts), batch.nsp_labels)
+                else:
+                    mlm, nsp, mlm_logits, _ = _batch_losses(batch, net, True, np.random.default_rng(8))
+                graph.backward(add(mlm, nsp))
+            grads = {name: t.grad for name, t in net.params.items() if t.grad is not None}
+            return seen[0].data, mlm_logits, grads
+
+        cut_nsp, cut_mlm, cut_grads = run(full=False)
+        full_nsp, full_mlm, full_grads = run(full=True)
+        np.testing.assert_allclose(cut_nsp, full_nsp, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(cut_mlm, full_mlm, atol=1e-12, rtol=0)
+        assert set(cut_grads) == set(full_grads) == set(model.named_parameters("nsp"))
+        for name in full_grads:
+            np.testing.assert_allclose(cut_grads[name], full_grads[name], atol=1e-12, rtol=0, err_msg=name)
