@@ -11,7 +11,7 @@ from .embedding import embed
 from .encoder import EncoderConfig, attention, encode, encoder_layer, multi_head
 from .metrics import MetricsReport, accuracy, confusion, f1_class, log_loss, precision_class, recall_class, report
 from .model import SentimentModel
-from .optim import Adam, OptimizerConfig, SGD
+from .optim import Adam, SGD
 from .pretrain import PretrainConfig, mask_tokens, nsp_pairs, pretrain_step, run_pretraining
 from .tensor import Graph, Tensor, cross_entropy, layer_norm, matmul
 from .tokenizer import EncodedSequence, Vocab, build_vocab, decode, encode_pair, tokenize
@@ -27,7 +27,6 @@ __all__ = [
     "LABELS",
     "LabeledExample",
     "MetricsReport",
-    "OptimizerConfig",
     "PretrainConfig",
     "SGD",
     "SentimentModel",

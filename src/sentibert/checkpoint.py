@@ -6,8 +6,8 @@ tensor payloads back to back in index order. In-memory math is float64, so
 a round trip perturbs parameters by at most the float32 quantization step
 (< 1e-6 absolute for desk-scale weight magnitudes).
 
-Version 2 stores one fused `encoder.{i}.wqkv` per layer. Version 1 stored
-per-head `encoder.{i}.head{h}.wq/wk/wv`; the reader folds them into wqkv.
+Version 2, the only one read or written, stores one fused
+`encoder.{i}.wqkv` per layer.
 """
 
 import json
@@ -24,7 +24,6 @@ from .model import SentimentModel
 from .tokenizer import Vocab
 
 FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
 
 
 def save_checkpoint(model: SentimentModel, path: str) -> None:
@@ -89,6 +88,13 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _check_seed(raw) -> int:
+    """The seed as stored, so a re-save writes the same header."""
+    if not _is_count(raw):
+        raise ValueError(f"expected a nonnegative integer, got {raw!r}")
+    return raw
+
+
 def _read_tensor(entry, position: int, payload: bytes) -> tuple[str, np.ndarray]:
     """Name and float64 array of one tensor index entry, after checking its
     fields, its payload bounds and that every value is finite."""
@@ -115,16 +121,6 @@ def _read_tensor(entry, position: int, payload: bytes) -> tuple[str, np.ndarray]
     return name, array
 
 
-def _fold_v1(arrays: dict[str, np.ndarray], config: EncoderConfig) -> dict[str, np.ndarray]:
-    """Concatenate each layer's v1 head projections in the column order the
-    fused attention reads: every head's wq, then every wk, then every wv."""
-    for i in range(config.num_layers):
-        heads = [f"encoder.{i}.head{h}.w{part}" for part in "qkv" for h in range(config.num_heads)]
-        if all(name in arrays for name in heads):  # else the parameter check names what is missing
-            arrays[f"encoder.{i}.wqkv"] = np.hstack([arrays.pop(name) for name in heads])
-    return arrays
-
-
 def load_checkpoint(path: str) -> SentimentModel:
     """Rebuild a model straight from the stored arrays, verifying version,
     header fields, payload bounds, finite values, and every tensor name and
@@ -134,26 +130,22 @@ def load_checkpoint(path: str) -> SentimentModel:
     header, payload = _read_header(blob)
 
     version = header.get("format_version")
-    if version not in READABLE_VERSIONS:
-        raise CheckpointError(
-            f"unsupported checkpoint format version {version!r} (reader supports {READABLE_VERSIONS})"
-        )
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint format version {version!r} (reader supports {FORMAT_VERSION})")
     vocab = _header_field(header, "vocab_tokens", Vocab)
     config = _header_field(header, "config", EncoderConfig.from_dict)
-    seed = _header_field(header, "seed", int)
+    seed = _header_field(header, "seed", _check_seed)
     _header_field(header, "labels", _check_labels)
     index = _header_field(header, "tensors", list)
     if vocab.content_hash() != header.get("vocab_hash"):
         raise CheckpointError("vocab hash in header does not match the embedded vocabulary")
-    # the fewest tensors the config implies, checked before any per-layer or per-head work
-    least = config.num_layers * (3 * config.num_heads if version == 1 else 1)
-    if least > len(index):
-        raise CheckpointError(f"checkpoint config implies at least {least} tensors, the file holds {len(index)}")
+    if config.num_layers > len(index):  # one wqkv per layer at least; checked before any per-layer work
+        raise CheckpointError(
+            f"checkpoint config implies at least {config.num_layers} tensors, the file holds {len(index)}"
+        )
 
     arrays = dict(_read_tensor(entry, i, payload) for i, entry in enumerate(index))
     try:
-        if version == 1:
-            arrays = _fold_v1(arrays, config)
         return SentimentModel.from_arrays(vocab, config, arrays, seed)
-    except (ConfigError, ValueError) as exc:  # ValueError: v1 heads that do not stack
+    except ConfigError as exc:
         raise CheckpointError(f"checkpoint tensors do not fit its config: {exc}") from exc

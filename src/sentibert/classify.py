@@ -9,10 +9,10 @@ import numpy as np
 
 from .balance import STRATEGIES, ClassHistogram, class_weights, oversample, undersample
 from .data import LABELS, NUM_CLASSES, LabeledExample
-from .errors import ConfigError, check_field_types, check_finite_loss
+from .errors import ConfigError, check_field_types, check_finite_loss, check_type
 from .metrics import MetricsReport, confusion, log_loss, report
 from .model import SentimentModel, eval_chunks
-from .optim import OptimizerConfig, make_optimizer
+from .optim import OPTIMIZERS, check_optimizer
 from .tensor import Graph, cross_entropy, softmax
 from .tokenizer import EncodedSequence, encode_pair
 
@@ -42,7 +42,7 @@ class TrainConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.val_split < 1.0:
             raise ConfigError(f"val_split must be in (0, 1), got {self.val_split}")
-        OptimizerConfig(algorithm=self.algorithm, lr=self.lr)  # checks both
+        check_optimizer(self.algorithm, self.lr)
         if self.class_weights is not None:
             try:
                 weights = np.asarray(self.class_weights, dtype=np.float64)
@@ -50,6 +50,8 @@ class TrainConfig:
                 weights = np.zeros(0)
             if weights.shape != (NUM_CLASSES,) or not np.all(np.isfinite(weights) & (weights > 0)):
                 raise ConfigError(f"class_weights must be {NUM_CLASSES} positive numbers, got {self.class_weights!r}")
+            for i, w in enumerate(self.class_weights):  # numpy would read True as 1.0 and "2" as 2.0
+                check_type(f"class_weights[{i}]", w, float)
         if self.balance not in STRATEGIES:
             raise ConfigError(f"balance must be one of {STRATEGIES}, got {self.balance!r}")
         if self.balance == "class_weights" and self.class_weights is not None:
@@ -165,7 +167,7 @@ def train(
     val_seqs = [_encode(ex.text) for ex in val_examples]
     val_labels = [ex.label for ex in val_examples]
 
-    optimizer = make_optimizer(model.named_parameters("classifier"), OptimizerConfig(config.algorithm, config.lr))
+    optimizer = OPTIMIZERS[config.algorithm](model.named_parameters("classifier"), config.lr)
 
     curve: list[EpochRecord] = []
     best_loss = np.inf

@@ -24,7 +24,6 @@ from .errors import ConfigError, DataError, SamplingError, SentibertError, check
 from .fileio import atomic_open, read_text
 from .metrics import MetricsReport, cm_to_csv
 from .model import SentimentModel
-from .optim import OptimizerConfig
 from .pretrain import HISTORY_COLUMNS, PretrainConfig, run_pretraining
 from .tokenizer import Vocab, build_vocab
 
@@ -51,7 +50,7 @@ DEFAULT_CONFIG = {
 SECTION_KEYS = {
     "encoder": {f.name for f in fields(EncoderConfig)},
     "train": {f.name for f in fields(TrainConfig)},
-    "pretrain": {"epochs", "batch_size", "mask_probability", "lr"},
+    "pretrain": {f.name for f in fields(PretrainConfig)} - {"seed"},  # the seed is top-level
     "vocab": {"max_size", "min_freq"},
     "paths": {
         "train_data", "eval_data", "data_format", "pretrain_corpus", "vocab", "checkpoint", "init_checkpoint",
@@ -197,9 +196,8 @@ def _cmd_pretrain(cfg: dict, args) -> None:
     section = dict(cfg["pretrain"])
     if args.epochs is not None:
         section["epochs"] = args.epochs
-    optimizer = {"lr": section.pop("lr")} if "lr" in section else {}
     try:
-        pre_cfg = PretrainConfig(**section, seed=seed, optimizer=OptimizerConfig(**optimizer))
+        pre_cfg = PretrainConfig(**section, seed=seed)
     except ConfigError as exc:
         raise UsageError(f"bad pretrain config: {exc}") from exc
     model = SentimentModel.init(vocab, _encoder_config(cfg), seed)
@@ -223,12 +221,19 @@ def _cmd_train(cfg: dict, args) -> None:
     data_path = _require_input(_path(cfg, "train_data", "train"), "paths.train_data")
     dataset = ingest(data_path, _data_format(cfg, data_path))
     train_cfg = _train_config(cfg, args)
+    encoder_cfg = _encoder_config(cfg)
     init_ckpt = cfg["paths"].get("init_checkpoint")
     if init_ckpt:
         model = load_checkpoint(_require_input(init_ckpt, "paths.init_checkpoint"))
+        for key in sorted(cfg["encoder"]):  # the checkpoint fixes the shape; a section may only repeat it
+            if getattr(encoder_cfg, key) != getattr(model.config, key):
+                raise UsageError(
+                    f"encoder.{key} is {getattr(encoder_cfg, key)!r}, but paths.init_checkpoint {init_ckpt} "
+                    f"has {getattr(model.config, key)!r}"
+                )
     else:
         vocab = Vocab.load(_require_input(_path(cfg, "vocab", "train"), "paths.vocab"))
-        model = SentimentModel.init(vocab, _encoder_config(cfg), train_cfg.seed)
+        model = SentimentModel.init(vocab, encoder_cfg, train_cfg.seed)
     # divergence fails on its non-finite loss; numpy's warnings would add stderr lines
     with np.errstate(all="ignore"):
         model, curve = train(dataset, train_cfg, model)

@@ -1,34 +1,17 @@
-"""Parameter update rules: plain SGD and bias-corrected Adam."""
+"""Parameter update rules: plain SGD and bias-corrected Adam.
+
+Adam's beta1, beta2 and eps are fixed at 0.9, 0.999 and 1e-8, the values
+BERT trains with; the learning rate is the only setting.
+"""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_field_types
+from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
-ALGORITHMS = ("adam", "sgd")
-
-
-@dataclass
-class OptimizerConfig:
-    algorithm: str = "adam"  # "adam" or "sgd"
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown optimizer algorithm {self.algorithm!r} (expected one of {ALGORITHMS})")
-        try:
-            lr = float(self.lr)
-        except OverflowError:  # an int past the float range
-            lr = math.inf
-        if not (math.isfinite(lr) and lr >= 0.0):
-            raise ConfigError(f"lr must be a finite nonnegative number, got {self.lr}")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class SGD:
@@ -50,19 +33,9 @@ class SGD:
 class Adam:
     """Adam with bias correction; first-step update magnitude is ~lr per coordinate."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -72,23 +45,31 @@ class Adam:
             if p.grad is None:
                 raise ContractError(f"optimizer step: missing gradient for parameter {name!r}")
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+        bias1 = 1.0 - BETA1**self.t
+        bias2 = 1.0 - BETA2**self.t
         for name, p in self.params.items():
             g = p.grad
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
             p.grad = None
 
 
-def make_optimizer(params: dict[str, Tensor], config: OptimizerConfig):
-    if config.algorithm == "adam":
-        return Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
-    if config.algorithm == "sgd":
-        return SGD(params, lr=config.lr)
-    raise ConfigError(f"unknown optimizer algorithm {config.algorithm!r} (expected one of {ALGORITHMS})")
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
+
+def check_optimizer(algorithm: str, lr: float) -> None:
+    """ConfigError unless algorithm names an OPTIMIZERS entry and lr is a
+    finite nonnegative number; an int past the float range is not finite."""
+    if algorithm not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer algorithm {algorithm!r} (expected one of {tuple(OPTIMIZERS)})")
+    try:
+        finite = math.isfinite(float(lr))
+    except OverflowError:
+        finite = False
+    if not (finite and lr >= 0.0):
+        raise ConfigError(f"lr must be a finite nonnegative number, got {lr}")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, SamplingError, check_field_types, check_finite_loss
 from .model import SentimentModel, eval_chunks, row_starts
-from .optim import OptimizerConfig, make_optimizer
+from .optim import Adam, check_optimizer
 from .tensor import Graph, Tensor, add, cross_entropy
 from .tokenizer import (
     CLS_ID,
@@ -182,7 +182,7 @@ class PretrainConfig:
     batch_size: int = 8
     mask_probability: float = 0.15
     seed: int = 0
-    optimizer: OptimizerConfig | None = None
+    lr: float = 1e-3  # pretraining runs Adam
 
     def __post_init__(self):
         check_field_types(self)
@@ -194,8 +194,7 @@ class PretrainConfig:
             raise ConfigError(f"mask_probability must be in [0, 1), got {self.mask_probability}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.optimizer is None:
-            self.optimizer = OptimizerConfig()
+        check_optimizer("adam", self.lr)
 
 
 def run_pretraining(
@@ -215,7 +214,7 @@ def run_pretraining(
     eval_batch = build_masked_batch(
         pairs, model.vocab, model.config.max_len, config.mask_probability, eval_rng
     )
-    optimizer = make_optimizer(model.named_parameters("nsp"), config.optimizer)
+    optimizer = Adam(model.named_parameters("nsp"), config.lr)
     history: list[dict[str, float]] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(pairs))

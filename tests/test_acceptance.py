@@ -33,7 +33,7 @@ from sentibert.pretrain import (
     nsp_pairs,
     pretrain_step,
 )
-from sentibert.optim import OptimizerConfig, make_optimizer
+from sentibert.optim import Adam
 from sentibert.synthetic import generate_documents, generate_imbalanced, generate_split
 from sentibert.tokenizer import SPECIAL_TOKENS, Vocab, build_vocab, encode_pair
 
@@ -142,7 +142,7 @@ def test_criterion_4_pretraining_sanity():
     assert initial["mlm_loss"] == pytest.approx(math.log(len(vocab)), rel=0.15)
     assert initial["nsp_loss"] == pytest.approx(math.log(2.0), rel=0.15)
 
-    optimizer = make_optimizer(model.named_parameters("nsp"), OptimizerConfig(lr=1e-3))
+    optimizer = Adam(model.named_parameters("nsp"), 1e-3)
     for _ in range(50):
         batch = build_masked_batch(pairs[:4], vocab, config.max_len, 0.15, rng)
         pretrain_step(batch, model, optimizer, rng=rng)

@@ -71,66 +71,16 @@ class TestRoundTrip:
         assert abs(rep_a.log_loss - rep_b.log_loss) < 1e-4
 
 
-def _write_v1(model, path):
-    """A format-1 file: each layer's wqkv stored as per-head wq/wk/wv."""
-    cfg = model.config
-    arrays = {}
-    for name, t in model.named_parameters().items():
-        if not name.endswith(".wqkv"):
-            arrays[name] = t.data
-            continue
-        prefix = name.removesuffix(".wqkv")
-        for p, part in enumerate("qkv"):
-            for h in range(cfg.num_heads):
-                first = p * cfg.d_model + h * cfg.d_k
-                arrays[f"{prefix}.head{h}.w{part}"] = t.data[:, first : first + cfg.d_k]
-    index, offset = [], 0
-    for name in sorted(arrays):
-        nbytes = arrays[name].size * 4
-        index.append({"name": name, "shape": list(arrays[name].shape), "offset": offset, "nbytes": nbytes})
-        offset += nbytes
-    header = {
-        "format_version": 1,
-        "config": cfg.to_dict(),
-        "labels": list(LABELS),
-        "seed": model.seed,
-        "vocab_tokens": model.vocab.tokens(),
-        "vocab_hash": model.vocab.content_hash(),
-        "tensors": index,
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(arrays[e["name"]], dtype="<f4").tobytes() for e in index)
-    path.write_bytes(struct.pack("<I", len(header_bytes)) + header_bytes + payload)
-
-
 class TestVersions:
-    def test_v1_loads_and_predicts_like_its_v2_resave(self, model, tmp_path):
-        _write_v1(model, tmp_path / "v1.ckpt")
-        from_v1 = load_checkpoint(str(tmp_path / "v1.ckpt"))
-        # the fold restores the fused column order exactly, up to the float32 payload
-        np.testing.assert_array_equal(
-            from_v1.params["encoder.0.wqkv"].data, model.params["encoder.0.wqkv"].data.astype(np.float32).astype(np.float64)
-        )
-        save_checkpoint(from_v1, str(tmp_path / "v2.ckpt"))
-        from_v2 = load_checkpoint(str(tmp_path / "v2.ckpt"))
-        texts = [ex.text for ex in generate_dataset((5, 5, 5), seed=3)]
-        for (label_a, probs_a), (label_b, probs_b) in zip(predict_batch(texts, from_v1), predict_batch(texts, from_v2)):
-            assert label_a == label_b
-            np.testing.assert_array_equal(probs_a, probs_b)
-
-    @pytest.mark.parametrize("version, sizes", [(2, {"num_layers": 50}), (1, {"num_heads": 2**40, "d_model": 2**40})])
-    def test_config_implying_more_tensors_than_stored_is_rejected_first(self, model, tmp_path, monkeypatch, version, sizes):
-        # a crafted header must not make the loader list 2**40 head names or build 50 layers
+    @pytest.mark.parametrize("sizes", [{"num_layers": 50}])
+    def test_config_implying_more_tensors_than_stored_is_rejected_first(self, model, tmp_path, monkeypatch, sizes):
+        # a crafted header must not make the loader build 50 layers
         def reached(*args, **kwargs):
             raise AssertionError("per-layer work ran before the tensor count was checked")
 
         path = tmp_path / "model.ckpt"
-        if version == 1:
-            _write_v1(model, path)
-        else:
-            save_checkpoint(model, str(path))
+        save_checkpoint(model, str(path))
         _rewrite_header(path, lambda h: h["config"].update(sizes))
-        monkeypatch.setattr("sentibert.checkpoint._fold_v1", reached)
         monkeypatch.setattr(SentimentModel, "from_arrays", reached)
         with pytest.raises(CheckpointError, match="at least"):
             load_checkpoint(str(path))
@@ -163,11 +113,13 @@ class TestCorruption:
             load_checkpoint(str(path))
 
     def test_version_mismatch(self, model, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, str(path))
-        _rewrite_header(path, lambda h: h.update(format_version=99))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(str(path))
+        # a format-1 file (per-head wq/wk/wv) fails loudly, never loads as a wrong model
+        for version in (1, 99):
+            path = tmp_path / f"v{version}.ckpt"
+            save_checkpoint(model, str(path))
+            _rewrite_header(path, lambda h: h.update(format_version=version))
+            with pytest.raises(CheckpointError, match=f"version {version}"):
+                load_checkpoint(str(path))
 
     def test_wrong_d_model_names_first_bad_tensor(self, model, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -236,6 +188,10 @@ MALFORMED = {
     ),
     "NaN payload": (_poison_first_tensor, "non-finite"),
     "seed is not a number": (lambda p: _rewrite_header(p, lambda h: h.update(seed="x")), "'seed'"),
+    "seed is a numeric string": (lambda p: _rewrite_header(p, lambda h: h.update(seed="12")), "'seed'"),
+    "seed is a fraction": (lambda p: _rewrite_header(p, lambda h: h.update(seed=3.7)), "'seed'"),
+    "seed is a bool": (lambda p: _rewrite_header(p, lambda h: h.update(seed=True)), "'seed'"),
+    "seed is negative": (lambda p: _rewrite_header(p, lambda h: h.update(seed=-4)), "'seed'"),
     "config has an unknown key": (lambda p: _rewrite_header(p, lambda h: h["config"].update(num_layer=9)), "'config'"),
     "labels in another order": (
         lambda p: _rewrite_header(p, lambda h: h.update(labels=["positive", "neutral", "negative"])),

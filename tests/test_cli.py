@@ -337,6 +337,8 @@ BAD_CONFIGS = [
     ("train", _set("train.keep_best", "no"), "keep_best"),
     ("train", _set("train.algorithm", "adamw"), "adamw"),
     ("train", _set("train.class_weights", "abc"), "class_weights"),
+    ("train", _set("train.class_weights", [True, 1, 1]), "class_weights[0]"),
+    ("train", _set("train.class_weights", [1, 1, "2"]), "class_weights[2]"),
     ("train", _set("encoder.num_layers", 1.5), "num_layers"),
     ("train", _set("encoder.max_len", 2), "max_len"),
     ("train", _set("encoder.d_model", 0), "d_model"),
@@ -377,6 +379,34 @@ def _assert_usage_error_naming(workspace, capsys, command, mutate, named):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "usage"
     assert named in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "encoder, named",
+    [
+        ({"num_layers": 4, "d_model": 0, "dropout_rate": 0.5}, "d_model"),  # invalid, as without a checkpoint
+        ({"num_layers": 4}, "encoder.num_layers"),
+        ({**TINY_ENCODER, "dropout_rate": 0.5}, "encoder.dropout_rate"),
+        ({}, None),  # an empty section takes the checkpoint's shape
+    ],
+)
+def test_encoder_section_must_agree_with_the_init_checkpoint(workspace, capsys, encoder, named):
+    tmp, config_path, config = workspace
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    assert run_cli("pretrain", "--config", str(config_path)) == 0
+    config = copy.deepcopy(config)
+    config["encoder"] = encoder
+    config["paths"]["init_checkpoint"] = str(tmp / "model.ckpt")
+    config["paths"]["checkpoint"] = str(tmp / "finetuned.ckpt")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    if named is None:
+        assert run_cli("train", "--config", str(config_path)) == 0
+        return
+    assert run_cli("train", "--config", str(config_path)) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "usage" and named in payload["message"]
+    assert not (tmp / "finetuned.ckpt").exists()
 
 
 def test_output_path_that_is_a_directory_is_usage_error(workspace, capsys):
@@ -444,12 +474,22 @@ FUZZ_CONFIG = {
     "balance": "none",
     "encoder": {"num_layers": 1, "num_heads": 2, "d_model": 8, "d_ff": 8, "max_len": 12, "dropout_rate": 0.1},
     "train": {"epochs": 1, "batch_size": 8, "lr": 0.001, "val_split": 0.25},
+    "pretrain": {"epochs": 1, "batch_size": 4, "mask_probability": 0.15, "lr": 0.001},
     "vocab": {"max_size": 100, "min_freq": 1},
-    "paths": {"train_data": "train.jsonl", "vocab": "vocab.txt", "checkpoint": "model.ckpt", "curve": "curve.csv"},
+    "paths": {
+        "train_data": "train.jsonl",
+        "pretrain_corpus": "corpus.txt",
+        "vocab": "vocab.txt",
+        "checkpoint": "model.ckpt",
+        "curve": "curve.csv",
+    },
 }
-# every top-level key and every key build-vocab or train reads
+# every top-level key and every key build-vocab, train or pretrain reads;
+# a pretrain key runs build-vocab and pretrain, any other build-vocab and train
 FUZZ_KEYS = [(key,) for key in FUZZ_CONFIG]
-FUZZ_KEYS += [(section, key) for section in ("encoder", "train", "vocab") for key in sorted(SECTION_KEYS[section])]
+FUZZ_KEYS += [
+    (section, key) for section in ("encoder", "train", "pretrain", "vocab") for key in sorted(SECTION_KEYS[section])
+]
 FUZZ_KEYS += [("paths", key) for key in (*FUZZ_CONFIG["paths"], "data_format")]
 # bounded: a valid but huge count ("epochs": 10**9) would make a run endless;
 # no "/": a fuzzed path stays inside the example's directory or its parent
@@ -469,8 +509,9 @@ def test_fuzzed_config_never_exits_internal(tmp_path, monkeypatch, capsys, key, 
     with tempfile.TemporaryDirectory(dir=tmp_path) as workdir:
         monkeypatch.chdir(workdir)  # fuzzed relative paths land here
         write_jsonl(generate_dataset((4, 4, 4), seed=21), "train.jsonl")
+        write_corpus(generate_documents(4, 3, seed=23), "corpus.txt")
         with open("config.json", "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        for command in ("build-vocab", "train"):
+        for command in ("build-vocab", "pretrain" if key[0] == "pretrain" and len(key) == 2 else "train"):
             code = run_cli(command, "--config", "config.json")
             assert code in (0, 1, 2), (command, key, value, capsys.readouterr().err)

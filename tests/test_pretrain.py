@@ -6,7 +6,7 @@ import pytest
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, SamplingError
 from sentibert.model import SentimentModel, row_starts
-from sentibert.optim import OptimizerConfig, make_optimizer
+from sentibert.optim import Adam
 from sentibert.pretrain import (
     HISTORY_COLUMNS,
     SENTINEL,
@@ -154,7 +154,7 @@ class TestPretrainStep:
         return SentimentModel.init(vocab, SMALL, seed=seed)
 
     def _optimizer(self, model, lr=1e-3):
-        return make_optimizer(model.named_parameters("nsp"), OptimizerConfig(lr=lr))
+        return Adam(model.named_parameters("nsp"), lr)
 
     def test_initial_losses_near_uniform(self, corpus, vocab):
         model = self._model(vocab)

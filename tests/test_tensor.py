@@ -5,7 +5,7 @@ import pytest
 
 from gradcheck import check_gradients, sum_all, weighted_sum
 from sentibert.errors import ContractError, ShapeError
-from sentibert.optim import SGD, Adam, OptimizerConfig, make_optimizer
+from sentibert.optim import OPTIMIZERS, SGD, Adam
 from sentibert.tensor import (
     Graph,
     Tensor,
@@ -425,10 +425,10 @@ class TestOptimizers:
             x -= 0.01 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
             assert w.data[0] == pytest.approx(x, abs=1e-12)
 
-    def test_make_optimizer_dispatch(self):
+    def test_algorithm_dispatch(self):
         w = parameter([1.0])
-        assert isinstance(make_optimizer({"w": w}, OptimizerConfig(algorithm="sgd")), SGD)
-        assert isinstance(make_optimizer({"w": w}, OptimizerConfig()), Adam)
+        assert isinstance(OPTIMIZERS["sgd"]({"w": w}, 1e-3), SGD)
+        assert isinstance(OPTIMIZERS["adam"]({"w": w}, 1e-3), Adam)
 
 
 class TestDeterminismAndFiniteness:
