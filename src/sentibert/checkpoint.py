@@ -13,6 +13,7 @@ Version 2, the only one read or written, stores one fused
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def save_checkpoint(model: SentimentModel, path: str) -> None:
         offset += nbytes
     header = {
         "format_version": FORMAT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "labels": list(LABELS),
         "seed": model.seed,
         "vocab_tokens": model.vocab.tokens(),

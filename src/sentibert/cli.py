@@ -1,10 +1,11 @@
 """Command-line surface tying the pipeline together.
 
-Every command takes --config pointing at a single JSON file plus a few
-flag overrides. Exit codes: 0 success, 1 usage error (including a named
-path that cannot be read or written), 2 data error (including training
-that diverges), 3 internal invariant violation; failures emit one line of
-JSON on stderr.
+Every command takes --config pointing at a single JSON file; each other
+flag overrides one config key (FLAGS). The whole config is checked before
+any command runs, whatever the command reads. Exit codes: 0 success, 1
+usage error (including a named path that cannot be read or written), 2
+data error (including training that diverges), 3 internal invariant
+violation; failures emit one line of JSON on stderr.
 """
 
 import argparse
@@ -18,14 +19,14 @@ import numpy as np
 from . import balance as balance_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classify import TrainConfig, curve_to_csv, evaluate, predict_batch, train
-from .data import LABELS, ingest, read_corpus, write_jsonl
+from .data import FORMATS, LABELS, ingest, read_corpus, write_jsonl
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, SamplingError, SentibertError, check_type
 from .fileio import atomic_open, read_text
 from .metrics import MetricsReport, cm_to_csv
 from .model import SentimentModel
 from .pretrain import HISTORY_COLUMNS, PretrainConfig, run_pretraining
-from .tokenizer import Vocab, build_vocab
+from .tokenizer import Vocab, build_vocab, check_vocab_limits
 
 
 class UsageError(Exception):
@@ -49,17 +50,32 @@ DEFAULT_CONFIG = {
 # the keys each section accepts; anything else is a usage error
 SECTION_KEYS = {
     "encoder": {f.name for f in fields(EncoderConfig)},
-    "train": {f.name for f in fields(TrainConfig)},
-    "pretrain": {f.name for f in fields(PretrainConfig)} - {"seed"},  # the seed is top-level
+    # seed and balance are top-level only
+    "train": {f.name for f in fields(TrainConfig)} - {"seed", "balance"},
+    "pretrain": {f.name for f in fields(PretrainConfig)} - {"seed"},
     "vocab": {"max_size", "min_freq"},
     "paths": {
         "train_data", "eval_data", "data_format", "pretrain_corpus", "vocab", "checkpoint", "init_checkpoint",
         "curve", "metrics", "confusion", "rebalanced_data", "histogram", "predictions", "predict_input",
     },
 }
+# flag -> (the one config key it overrides, the commands that read that key, argparse settings)
+FLAGS = {
+    "--seed": ("seed", ("pretrain", "train", "rebalance"), {"type": int}),
+    "--epochs": ("{command}.epochs", ("pretrain", "train"), {"type": int}),
+    "--balance": ("balance", ("train", "rebalance"), {"choices": balance_mod.STRATEGIES}),
+    "--lr": ("train.lr", ("train",), {"type": float}),
+    "--batch-size": ("train.batch_size", ("train",), {"type": int}),
+    "--input": ("paths.predict_input", ("predict",), {}),
+    "--output": ("paths.predictions", ("predict",), {}),
+    "--metrics": ("paths.metrics", ("report",), {}),
+}
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    """The config file with args' flag overrides applied, every section
+    checked: encoder, train and pretrain hold their built configs."""
+    path = args.config
     try:
         raw = json.load(read_text(path))
     except OSError as exc:
@@ -83,10 +99,34 @@ def _load_config(path: str) -> dict:
             cfg[key].update(value)
         else:
             cfg[key] = value
+    for key, value in vars(args).items():  # each flag's dest is the key it overrides
+        if key not in ("command", "config") and value is not None:
+            section, _, name = key.rpartition(".")
+            (cfg[section] if section else cfg)[name] = value
     for key, value in cfg["paths"].items():
         if not _is_path(value):
             raise UsageError(f"paths.{key} must be a string the file system can name, got {value!r}")
+    fmt = cfg["paths"].get("data_format")
+    if fmt and fmt not in FORMATS:
+        raise UsageError(f"paths.data_format must be one of {list(FORMATS)}, got {fmt!r}")
+    seed = cfg["seed"]
+    _checked("", check_type, "seed", seed, int)
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
+    cfg["encoder_keys"] = sorted(cfg["encoder"])  # the keys the file sets; see _cmd_train
+    cfg["encoder"] = _checked("bad encoder config: ", EncoderConfig, **cfg["encoder"])
+    cfg["train"] = _checked("bad train config: ", TrainConfig, **cfg["train"], seed=seed, balance=cfg["balance"])
+    cfg["pretrain"] = _checked("bad pretrain config: ", PretrainConfig, **cfg["pretrain"], seed=seed)
+    _checked("bad vocab config: ", check_vocab_limits, **cfg["vocab"])
     return cfg
+
+
+def _checked(prefix: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its ConfigError turned into a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ConfigError as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
 
 
 def _is_path(value) -> bool:
@@ -117,44 +157,6 @@ def _data_format(cfg: dict, path: str) -> str:
     return "csv" if path.endswith(".csv") else "jsonl"
 
 
-def _encoder_config(cfg: dict) -> EncoderConfig:
-    try:
-        return EncoderConfig(**cfg["encoder"])
-    except ConfigError as exc:
-        raise UsageError(f"bad encoder config: {exc}") from exc
-
-
-def _train_config(cfg: dict, args) -> TrainConfig:
-    section = dict(cfg["train"])
-    section.setdefault("seed", cfg["seed"])
-    section.setdefault("balance", cfg["balance"])
-    if args.epochs is not None:
-        section["epochs"] = args.epochs
-    if args.seed is not None:
-        section["seed"] = args.seed
-    if getattr(args, "balance", None) is not None:
-        section["balance"] = args.balance
-    if getattr(args, "lr", None) is not None:
-        section["lr"] = args.lr
-    if getattr(args, "batch_size", None) is not None:
-        section["batch_size"] = args.batch_size
-    try:
-        return TrainConfig(**section)
-    except ConfigError as exc:
-        raise UsageError(f"bad train config: {exc}") from exc
-
-
-def _seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    try:
-        check_type("seed", seed, int)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from exc
-    if seed < 0:
-        raise UsageError(f"seed must be nonnegative, got {seed}")
-    return seed
-
-
 def _write_text(path: str, content: str) -> None:
     with atomic_open(path) as fh:
         fh.write(content)
@@ -167,7 +169,7 @@ def _emit(payload: dict) -> None:
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_build_vocab(cfg: dict, args) -> None:
+def _cmd_build_vocab(cfg: dict) -> None:
     texts: list[str] = []
     data_path = cfg["paths"].get("train_data")
     corpus_path = cfg["paths"].get("pretrain_corpus")
@@ -180,30 +182,19 @@ def _cmd_build_vocab(cfg: dict, args) -> None:
             texts.extend(doc)
     if not texts:
         raise UsageError("build-vocab needs paths.train_data and/or paths.pretrain_corpus")
-    try:
-        vocab = build_vocab(texts, **cfg["vocab"])
-    except ConfigError as exc:
-        raise UsageError(f"bad vocab config: {exc}") from exc
+    vocab = build_vocab(texts, **cfg["vocab"])
     out = _path(cfg, "vocab", "build-vocab")
     vocab.save(out)
     _emit({"command": "build-vocab", "vocab_size": len(vocab), "path": out})
 
 
-def _cmd_pretrain(cfg: dict, args) -> None:
+def _cmd_pretrain(cfg: dict) -> None:
     vocab = Vocab.load(_require_input(_path(cfg, "vocab", "pretrain"), "paths.vocab"))
     corpus = read_corpus(_require_input(_path(cfg, "pretrain_corpus", "pretrain"), "paths.pretrain_corpus"))
-    seed = _seed(cfg, args)
-    section = dict(cfg["pretrain"])
-    if args.epochs is not None:
-        section["epochs"] = args.epochs
-    try:
-        pre_cfg = PretrainConfig(**section, seed=seed)
-    except ConfigError as exc:
-        raise UsageError(f"bad pretrain config: {exc}") from exc
-    model = SentimentModel.init(vocab, _encoder_config(cfg), seed)
+    model = SentimentModel.init(vocab, cfg["encoder"], cfg["seed"])
     # divergence fails on its non-finite loss; numpy's warnings would add stderr lines
     with np.errstate(all="ignore"):
-        history = run_pretraining(corpus, model, pre_cfg)
+        history = run_pretraining(corpus, model, cfg["pretrain"])
     ckpt = _path(cfg, "checkpoint", "pretrain")
     save_checkpoint(model, ckpt)
     _write_text(_path(cfg, "curve", "pretrain"), curve_to_csv(history, HISTORY_COLUMNS))
@@ -217,15 +208,14 @@ def _cmd_pretrain(cfg: dict, args) -> None:
     )
 
 
-def _cmd_train(cfg: dict, args) -> None:
+def _cmd_train(cfg: dict) -> None:
     data_path = _require_input(_path(cfg, "train_data", "train"), "paths.train_data")
     dataset = ingest(data_path, _data_format(cfg, data_path))
-    train_cfg = _train_config(cfg, args)
-    encoder_cfg = _encoder_config(cfg)
+    train_cfg, encoder_cfg = cfg["train"], cfg["encoder"]
     init_ckpt = cfg["paths"].get("init_checkpoint")
     if init_ckpt:
         model = load_checkpoint(_require_input(init_ckpt, "paths.init_checkpoint"))
-        for key in sorted(cfg["encoder"]):  # the checkpoint fixes the shape; a section may only repeat it
+        for key in cfg["encoder_keys"]:  # the checkpoint fixes the shape; a section may only repeat it
             if getattr(encoder_cfg, key) != getattr(model.config, key):
                 raise UsageError(
                     f"encoder.{key} is {getattr(encoder_cfg, key)!r}, but paths.init_checkpoint {init_ckpt} "
@@ -251,7 +241,7 @@ def _cmd_train(cfg: dict, args) -> None:
     )
 
 
-def _cmd_evaluate(cfg: dict, args) -> None:
+def _cmd_evaluate(cfg: dict) -> None:
     model = load_checkpoint(_require_input(_path(cfg, "checkpoint", "evaluate"), "paths.checkpoint"))
     data_path = _require_input(_path(cfg, "eval_data", "evaluate"), "paths.eval_data")
     dataset = ingest(data_path, _data_format(cfg, data_path))
@@ -261,9 +251,9 @@ def _cmd_evaluate(cfg: dict, args) -> None:
     _emit({"command": "evaluate", "accuracy": rep.accuracy, "log_loss": rep.log_loss})
 
 
-def _cmd_predict(cfg: dict, args) -> None:
+def _cmd_predict(cfg: dict) -> None:
     model = load_checkpoint(_require_input(_path(cfg, "checkpoint", "predict"), "paths.checkpoint"))
-    in_path = args.input or cfg["paths"].get("predict_input")
+    in_path = cfg["paths"].get("predict_input")
     if not in_path:
         raise UsageError("predict needs --input or paths.predict_input")
     _require_input(in_path, "predict input")
@@ -273,7 +263,7 @@ def _cmd_predict(cfg: dict, args) -> None:
         json.dumps({"label": LABELS[label], "probabilities": [float(p) for p in probs]}, sort_keys=True)
         for label, probs in results
     ]
-    out_path = args.output or cfg["paths"].get("predictions")
+    out_path = cfg["paths"].get("predictions")
     if out_path:
         _write_text(out_path, "\n".join(lines) + ("\n" if lines else ""))
         _emit({"command": "predict", "count": len(lines), "path": out_path})
@@ -282,15 +272,13 @@ def _cmd_predict(cfg: dict, args) -> None:
             print(line)
 
 
-def _cmd_rebalance(cfg: dict, args) -> None:
+def _cmd_rebalance(cfg: dict) -> None:
     data_path = _require_input(_path(cfg, "train_data", "rebalance"), "paths.train_data")
     dataset = ingest(data_path, _data_format(cfg, data_path))
-    strategy = args.balance if args.balance is not None else cfg["balance"]
+    strategy = cfg["balance"]
     if strategy == "class_weights":
         raise UsageError("class_weights changes the loss, not the dataset; use train --balance class_weights")
-    if strategy not in ("none", "oversample", "undersample"):
-        raise UsageError(f"rebalance strategy must be none|oversample|undersample, got {strategy!r}")
-    rng = np.random.default_rng(_seed(cfg, args))
+    rng = np.random.default_rng(cfg["seed"])
     before = balance_mod.ClassHistogram.from_dataset(dataset)
     if strategy == "oversample":
         rebalanced = balance_mod.oversample(dataset, rng)
@@ -310,8 +298,8 @@ def _cmd_rebalance(cfg: dict, args) -> None:
     _emit(payload)
 
 
-def _cmd_report(cfg: dict, args) -> None:
-    metrics_path = args.metrics or cfg["paths"].get("metrics")
+def _cmd_report(cfg: dict) -> None:
+    metrics_path = cfg["paths"].get("metrics")
     if not metrics_path:
         raise UsageError("report needs --metrics or paths.metrics")
     text = read_text(_require_input(metrics_path, "metrics file"))
@@ -353,23 +341,10 @@ def _build_parser() -> _Parser:
     for name in _HANDLERS:
         cmd = sub.add_parser(name, description=f"run the {name} step")
         cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--epochs", type=int, default=None, help="override the epoch count")
-        if name in ("train", "rebalance"):
-            cmd.add_argument(
-                "--balance",
-                choices=balance_mod.STRATEGIES,
-                default=None,
-                help="rebalancing strategy override",
-            )
-        if name == "train":
-            cmd.add_argument("--lr", type=float, default=None, help="override the learning rate")
-            cmd.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        if name == "predict":
-            cmd.add_argument("--input", default=None, help="texts file, one per line")
-            cmd.add_argument("--output", default=None, help="JSONL predictions path")
-        if name == "report":
-            cmd.add_argument("--metrics", default=None, help="metrics JSON to render")
+        for flag, (key, commands, settings) in FLAGS.items():
+            if name in commands:
+                key = key.format(command=name)
+                cmd.add_argument(flag, dest=key, help=f"override {key}", **settings)
     return parser
 
 
@@ -384,8 +359,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("no command given (expected one of: " + ", ".join(_HANDLERS) + ")")
-        cfg = _load_config(args.config)
-        _HANDLERS[args.command](cfg, args)
+        _HANDLERS[args.command](_load_config(args))
         return 0
     except UsageError as exc:
         return _fail("usage", exc, 1)

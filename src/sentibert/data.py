@@ -69,13 +69,17 @@ def _ingest_csv(fh) -> list[LabeledExample]:
     return examples
 
 
+# dataset format name -> its reader
+FORMATS = {"jsonl": _ingest_jsonl, "csv": _ingest_csv}
+
+
 def ingest(path: str, fmt: str) -> list[LabeledExample]:
     """Read a labeled dataset from a jsonl or csv file; empty datasets are errors."""
-    if fmt not in ("jsonl", "csv"):
-        raise DataError(f"unknown dataset format {fmt!r} (expected 'jsonl' or 'csv')")
+    if fmt not in FORMATS:
+        raise DataError(f"unknown dataset format {fmt!r} (expected {' or '.join(map(repr, FORMATS))})")
     fh = read_text(path, newline="")
     try:
-        examples = _ingest_jsonl(fh) if fmt == "jsonl" else _ingest_csv(fh)
+        examples = FORMATS[fmt](fh)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
     if not examples:

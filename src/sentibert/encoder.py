@@ -6,7 +6,7 @@ sequences back to back, with `lengths` giving each sequence's row count.
 Only the fused attention op pads, internally.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,21 +43,12 @@ class EncoderConfig:
     def d_k(self) -> int:
         return self.d_model // self.num_heads
 
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "d_model": self.d_model,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "dropout_rate": self.dropout_rate,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "EncoderConfig":
-        """Inverse of to_dict: every field and nothing else."""
-        if set(raw) != set(cls().to_dict()):
-            raise ConfigError(f"encoder config needs exactly the keys {sorted(cls().to_dict())}, got {sorted(raw)}")
+        """Inverse of dataclasses.asdict: every field and nothing else."""
+        keys = {f.name for f in fields(cls)}
+        if set(raw) != keys:
+            raise ConfigError(f"encoder config needs exactly the keys {sorted(keys)}, got {sorted(raw)}")
         return cls(**raw)
 
 

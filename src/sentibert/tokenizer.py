@@ -98,16 +98,22 @@ class Vocab:
         return cls([line.rstrip("\n") for line in read_text(path) if line.rstrip("\n")])
 
 
-def build_vocab(corpus: Iterable[str], max_size: int, min_freq: int = 1) -> Vocab:
-    """Frequency vocabulary: the max_size-5 most frequent tokens with count >=
-    min_freq get ids 5.. in descending frequency, ties broken lexicographically.
-    """
+def check_vocab_limits(max_size: int, min_freq: int) -> None:
+    """ConfigError naming the setting unless both are ints, max_size leaves
+    room for one token past the specials and min_freq is positive."""
     check_type("max_size", max_size, int)
     check_type("min_freq", min_freq, int)
     if max_size < NUM_SPECIALS + 1:
         raise ConfigError(f"max_size must be at least {NUM_SPECIALS + 1}, got {max_size}")
     if min_freq < 1:
         raise ConfigError(f"min_freq must be positive, got {min_freq}")
+
+
+def build_vocab(corpus: Iterable[str], max_size: int, min_freq: int = 1) -> Vocab:
+    """Frequency vocabulary: the max_size-5 most frequent tokens with count >=
+    min_freq get ids 5.. in descending frequency, ties broken lexicographically.
+    """
+    check_vocab_limits(max_size, min_freq)
     counts: Counter[str] = Counter()
     seen_any = False
     for doc in corpus:

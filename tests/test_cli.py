@@ -1,24 +1,27 @@
+import argparse
 import copy
 import json
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentibert.cli import SECTION_KEYS, main
+from sentibert import cli
+from sentibert.cli import DEFAULT_CONFIG, FLAGS, SECTION_KEYS, main
 from sentibert.data import LABELS, write_corpus, write_jsonl
 from sentibert.synthetic import generate_dataset, generate_documents
 
 TINY_ENCODER = {"num_layers": 1, "num_heads": 2, "d_model": 16, "d_ff": 32, "max_len": 12, "dropout_rate": 0.1}
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def _make_workspace(tmp_path):
     data = generate_dataset((12, 12, 12), seed=21)
     write_jsonl(data, str(tmp_path / "train.jsonl"))
     write_jsonl(generate_dataset((6, 6, 6), seed=22), str(tmp_path / "test.jsonl"))
@@ -46,6 +49,11 @@ def workspace(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     return tmp_path, config_path, config
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return _make_workspace(tmp_path)
 
 
 def run_cli(*argv):
@@ -347,6 +355,9 @@ BAD_CONFIGS = [
     ("train", _set("paths.vocab", 5), "paths.vocab"),
     ("train", _set("paths.curve", "c\0.csv"), "paths.curve"),
     ("train", _set("paths.checkpoint", "\ud800"), "paths.checkpoint"),
+    ("train", _set("paths.data_format", "xml"), "paths.data_format"),
+    ("train", _set("train.seed", 4), "train.seed"),  # seed and balance are top-level only
+    ("train", _set("train.balance", "oversample"), "train.balance"),
 ]
 
 
@@ -515,3 +526,79 @@ def test_fuzzed_config_never_exits_internal(tmp_path, monkeypatch, capsys, key, 
         for command in ("build-vocab", "pretrain" if key[0] == "pretrain" and len(key) == 2 else "train"):
             code = run_cli(command, "--config", "config.json")
             assert code in (0, 1, 2), (command, key, value, capsys.readouterr().err)
+
+
+COMMANDS = ("build-vocab", "pretrain", "train", "evaluate", "predict", "rebalance", "report")
+# one bad value per section; the message must name every part of its key
+BAD_VALUES = {
+    "encoder.d_model": 0,
+    "train.epochs": 2.5,
+    "pretrain.mask_probability": 1.5,
+    "vocab.max_size": "abc",
+    "balance": "bogus",
+    "seed": "x",
+    "paths.data_format": "xml",
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A workspace after build-vocab, train and evaluate: every file any command reads exists."""
+    root, config_path, config = _make_workspace(tmp_path_factory.mktemp("trained"))
+    (root / "texts.txt").write_text("the room was lovely\n", encoding="utf-8")
+    config["paths"]["predict_input"] = str(root / "texts.txt")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    for command in ("build-vocab", "train", "evaluate"):
+        assert run_cli(command, "--config", str(config_path)) == 0
+    return root, config
+
+
+@pytest.mark.parametrize("key", sorted(BAD_VALUES))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_checks_every_key(trained, tmp_path, capsys, command, key):
+    root, config = trained
+    work = tmp_path / "work"
+    shutil.copytree(root, work)
+    config = copy.deepcopy(config)
+    config["paths"] = {name: path.replace(str(root), str(work)) for name, path in config["paths"].items()}
+    _set(key, BAD_VALUES[key])(config)
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in work.iterdir()}
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(work / "config.json")) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(err.strip())
+    assert payload["error"] == "usage"
+    assert all(part in payload["message"] for part in key.split(".")), payload["message"]
+    assert out == "" and {path.name: path.read_bytes() for path in work.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, flag", [("evaluate", "--epochs"), ("build-vocab", "--seed")])
+def test_flag_on_a_command_that_does_not_read_its_key_is_usage_error(workspace, capsys, command, flag):
+    _, config_path, _ = workspace
+    assert run_cli(command, "--config", str(config_path), flag, "1") == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "usage" and flag in payload["message"]
+
+
+def test_every_optional_flag_overrides_one_config_key():
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subcommands.choices) == set(COMMANDS)
+    for command, parser in subcommands.choices.items():
+        for action in parser._actions:
+            if not action.option_strings or action.required or isinstance(action, argparse._HelpAction):
+                continue
+            (flag,) = action.option_strings
+            assert flag in FLAGS and command in FLAGS[flag][1], (command, flag)
+            section, _, name = action.dest.rpartition(".")
+            assert name in (SECTION_KEYS[section] if section else DEFAULT_CONFIG), (command, flag, action.dest)
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_the_documented_example_config_loads(tmp_path, doc):
+    text = (Path(__file__).resolve().parents[1] / doc).read_text(encoding="utf-8")
+    example = re.search(r"A config file:\s*```json\n(.*?)```", text, re.S).group(1)
+    (tmp_path / "run.json").write_text(example, encoding="utf-8")
+    args = cli._build_parser().parse_args(["train", "--config", str(tmp_path / "run.json")])
+    cfg = cli._load_config(args)
+    assert cfg["train"].epochs == json.loads(example)["train"]["epochs"]
