@@ -4,8 +4,9 @@ A forward runs a whole batch at once on packed rows: each sequence's
 tokens, back to back in batch order. Sequences carry no padding, so
 embedding, projections, feed-forward, layer norm and dropout do no padding
 work; only the attention op pads, internally, and masks the padded keys.
-Eval-mode callers run length-sorted chunks of EVAL_CHUNK sequences
-(eval_chunks), so a chunk pads little.
+Eval-mode callers run length-sorted chunks of at most EVAL_SLOTS padded
+token slots each (eval_chunks), so a chunk pads little and its temporaries
+stay small whatever the lengths.
 """
 
 import copy
@@ -20,7 +21,7 @@ from .tensor import Tensor, add_bias, gather_rows, matmul, parameter, transpose
 from .tokenizer import EncodedSequence, Vocab
 
 NUM_SENTIMENTS = len(LABELS)
-EVAL_CHUNK = 16  # sequences per eval-mode forward
+EVAL_SLOTS = 512  # padded token slots (sequences x longest length) per eval-mode forward
 INIT_STD = 0.02  # scale of the normal-initialized weights
 HEADS = ("classifier", "nsp")  # task heads: fine-tuning, next-sentence prediction
 
@@ -48,10 +49,18 @@ def row_starts(seqs: list[EncodedSequence]) -> list[int]:
 
 
 def eval_chunks(seqs: list[EncodedSequence]) -> list[np.ndarray]:
-    """Input indices in length-sorted chunks of EVAL_CHUNK: the batches of an
-    eval-mode pass. Callers put each chunk's results back at its indices."""
-    order = np.argsort([s.real_length() for s in seqs], kind="stable")
-    return [order[i : i + EVAL_CHUNK] for i in range(0, len(order), EVAL_CHUNK)]
+    """Input indices, stably sorted by length, cut into the batches of an
+    eval-mode pass: a chunk ends where one more sequence would make its count
+    times its longest length exceed EVAL_SLOTS, so a sequence longer than the
+    budget runs alone. Callers put each chunk's results back at its indices."""
+    lengths = [s.real_length() for s in seqs]
+    order = np.argsort(lengths, kind="stable")
+    chunks, start = [], 0
+    for end, i in enumerate(order):
+        if end > start and (end - start + 1) * lengths[i] > EVAL_SLOTS:
+            chunks.append(order[start:end])
+            start = end
+    return chunks + [order[start:]] if seqs else []
 
 
 def initial_array(name: str, shape: tuple[int, ...], config: EncoderConfig, rng: np.random.Generator) -> np.ndarray:

@@ -8,6 +8,7 @@ graph the same functions are pure eager math, which keeps read-only
 inference cheap and safe for concurrent use.
 """
 
+import functools
 import threading
 
 import numpy as np
@@ -295,6 +296,19 @@ def _query_slots(rows, slots: np.ndarray, length: int) -> tuple[np.ndarray, int]
     return seq * q_length + position, q_length
 
 
+@functools.lru_cache(maxsize=64)
+def _padding_layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only padding layout of checked lengths, computed once per distinct
+    tuple: the grid slot of each packed row (position p of sequence s sits at
+    s * L_max + p) and the [B, 1, 1, L_max] additive key mask."""
+    lens = np.array(lengths, dtype=np.int64)
+    b, length = lens.size, int(lens.max())
+    slots = np.arange(lens.sum()) + np.repeat(np.arange(b) * length - (np.cumsum(lens) - lens), lens)
+    key_bias = np.where(np.arange(length) < lens[:, None], 0.0, NEG_INF_MASK)[:, None, None, :]
+    slots.flags.writeable = key_bias.flags.writeable = False
+    return slots, key_bias
+
+
 def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     """Multi-head softmax(Q K^T / sqrt(d_k)) V over sequences packed back to back.
 
@@ -307,7 +321,8 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     sequence's first Q_max positions only, Q_max being one past the furthest
     position of a wanted row, so the [CLS] rows alone cost a 1 x L_max score
     grid. The result holds each wanted row's heads side by side, in the order
-    of rows. Padding exists only inside this op; the backward keeps the
+    of rows. Padding exists only inside this op, and its layout is computed
+    once per distinct lengths (_padding_layout); the backward keeps the
     probability grid and rebuilds q/k/v from qkv.
     """
     _require_2d(qkv, "attention")
@@ -317,16 +332,14 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n:
         raise ShapeError(f"attention: lengths {lengths.tolist()} do not partition {n} rows")
-    b, length = lengths.size, int(lengths.max())
+    slots, key_bias = _padding_layout(tuple(lengths.tolist()))
+    b, length = key_bias.shape[0], key_bias.shape[-1]
     d = width // 3
     d_k = d // num_heads
-    # grid slot of packed row r, position p of sequence s: s * L_max + p
-    slots = np.arange(n) + np.repeat(np.arange(b) * length - (np.cumsum(lengths) - lengths), lengths)
     if rows is None:
         q_slots, q_length = slots, length
     else:
         q_slots, q_length = _query_slots(rows, slots, length)
-    key_bias = np.where(np.arange(length) < lengths[:, None], 0.0, NEG_INF_MASK)[:, None, None, :]
     factor = 1.0 / np.sqrt(d_k)
 
     def grid(grid_length: int, parts: int) -> tuple[np.ndarray, np.ndarray]:

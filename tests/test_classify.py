@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from sentibert.classify import (
 from sentibert.data import LabeledExample
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError
-from sentibert.model import SentimentModel
+from sentibert.model import SentimentModel, eval_chunks
 from sentibert.synthetic import generate_dataset
 from sentibert.tensor import Graph, cross_entropy
 from sentibert.tokenizer import build_vocab, encode_pair
@@ -92,6 +94,41 @@ class TestBatchEquivalence:
         model = _model(TOY, seed=4)
         for text, (_, probs) in zip(texts, predict_batch(texts, model)):
             np.testing.assert_allclose(probs, forward_classify(text, model), atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("max_len", [12, 600])
+    def test_mixed_one_token_and_full_length_texts_across_chunks(self, max_len):
+        # at max_len 12 the first chunk mixes both lengths and the long texts fill two more;
+        # at 600 each full-length text is over the slot budget and runs alone
+        config = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32, max_len=max_len, dropout_rate=0.1)
+        model = _model(TOY, seed=4, config=config)
+        count = 100 if max_len == 12 else 4
+        longs = [" ".join(WORDS[(i + j) % len(WORDS)] for j in range(max_len)) for i in range(count)]
+        texts = list(np.random.default_rng(0).permutation(longs + [WORDS[i % len(WORDS)] for i in range(20)]))
+        seqs = [encode_pair(t, None, model.vocab, max_len) for t in texts]
+        chunks = eval_chunks(seqs)
+        sizes = [[seqs[i].real_length() for i in chunk] for chunk in chunks]
+        if max_len == 12:
+            assert sizes == [[3] * 20 + [12] * 22, [12] * 42, [12] * 36]
+        else:
+            assert sizes == [[3] * 20] + [[600]] * 4
+        for text, (label, probs) in zip(texts, predict_batch(texts, model)):
+            expected = forward_classify(text, model)
+            np.testing.assert_allclose(probs, expected, atol=1e-12, rtol=0.0)
+            assert label == int(np.argmax(expected))
+
+    def test_predict_batch_memory_peak(self):
+        # 64 full-length texts at the default shape: the bound sits between chunks of
+        # 16 sequences (6.9 MB traced) and of EVAL_SLOTS padded tokens (3.5 MB)
+        texts = [" ".join(WORDS[(i + j) % len(WORDS)] for j in range(70)) for i in range(64)]
+        model = _model(TOY, seed=0, config=EncoderConfig())
+        predict_batch(texts[:2], model)  # warm lazy imports and caches outside the traced window
+        tracemalloc.start()
+        try:
+            predict_batch(texts, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.0e6, f"predict_batch peaked at {peak / 1e6:.2f} MB traced"
 
     def test_batched_loss_and_gradients_are_the_mean_of_single_runs(self):
         config = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.0)

@@ -12,7 +12,7 @@ from sentibert.encoder import (
 )
 from sentibert.errors import ConfigError, ShapeError
 from sentibert.model import initial_array, parameter_shapes
-from sentibert.tensor import Graph, Tensor, cross_entropy, gather_rows, matmul, parameter, softmax
+from sentibert.tensor import Graph, Tensor, _padding_layout, cross_entropy, gather_rows, matmul, parameter, softmax
 from sentibert.tokenizer import NUM_SPECIALS
 
 
@@ -162,6 +162,44 @@ class TestAttention:
             attention(qkv, [2, 3], 1, [1, 4, 1])  # repeated
         with pytest.raises(ShapeError):
             attention(qkv, [2, 3], 1, [[0, 1]])
+
+
+class TestPaddingLayout:
+    """attention's padding layout, computed once per distinct lengths."""
+
+    def test_lengths_as_list_tuple_or_array_are_bit_identical(self):
+        rng = np.random.default_rng(17)
+        qkv, upstream = rng.normal(size=(9, 24)), rng.normal(size=(9, 8))
+
+        def run(lengths):
+            leaf = parameter(qkv)
+            with Graph() as graph:
+                out = attention(leaf, lengths, 2)
+                graph.backward(weighted_sum(out, upstream))
+            return out.data, leaf.grad
+
+        ref_out, ref_grad = run([4, 1, 4])
+        for lengths in ((4, 1, 4), np.array([4, 1, 4]), np.array([4, 1, 4], dtype=np.int32)):
+            out, grad = run(lengths)
+            np.testing.assert_array_equal(out, ref_out)
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_layout_arrays_are_read_only(self):
+        slots, key_bias = _padding_layout((3, 1, 5))
+        np.testing.assert_array_equal(slots, [0, 1, 2, 5, 10, 11, 12, 13, 14])
+        np.testing.assert_array_equal(key_bias[:, 0, 0, :] == 0.0, np.arange(5) < np.array([[3], [1], [5]]))
+        for array in (slots, key_bias):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_bad_lengths_raise_before_the_cache(self):
+        before = _padding_layout.cache_info()  # no lookup: hits, misses and size all stay
+        t = lambda *s: Tensor(np.zeros(s))
+        for n, lengths in ((0, []), (2, [2, 0]), (3, [0, 3]), (3, [1, 1]), (3, (1, 3)), (3, np.array([4]))):
+            with pytest.raises(ShapeError, match="do not partition"):
+                attention(t(n, 12), lengths, 1)
+        assert _padding_layout.cache_info() == before
 
 
 class TestMultiHead:

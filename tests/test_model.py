@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, ContractError, ShapeError
-from sentibert.model import SentimentModel, parameter_shapes, row_starts
+from sentibert.model import EVAL_SLOTS, SentimentModel, eval_chunks, parameter_shapes, row_starts
 from sentibert.synthetic import generate_dataset
 from sentibert.tensor import Graph, add_bias, cross_entropy, gather_rows, matmul, softmax
-from sentibert.tokenizer import PAD_ID, SPECIAL_TOKENS, Vocab, encode_pair
+from sentibert.tokenizer import PAD_ID, SPECIAL_TOKENS, EncodedSequence, Vocab, encode_pair
 
 CONFIG = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.1)
 
@@ -230,3 +232,21 @@ class TestQueryRows:
             model.hidden_states(seqs, rows=[0, n])
         with pytest.raises(ShapeError):
             model.hidden_states(seqs, rows=[1, 0, 1])
+
+
+
+class TestEvalChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([12, 64, 600]).flatmap(lambda max_len: st.lists(st.integers(1, max_len), max_size=300)))
+    @example([64] * 9 + [3] * 3 + [600, 600])  # a chunk of exactly EVAL_SLOTS slots, then two over the budget
+    def test_chunks_cover_sorted_and_within_the_slot_budget(self, lengths):
+        # max_len 600 puts some sequences over the budget, where each must run alone
+        chunks = eval_chunks([EncodedSequence([0] * n, [0] * n) for n in lengths])
+        order = np.concatenate(chunks).tolist() if chunks else []
+        assert sorted(order) == list(range(len(lengths)))  # every index exactly once
+        for a, b in zip(order, order[1:]):  # non-decreasing lengths, ties in input order
+            assert (lengths[a], a) < (lengths[b], b)
+        for chunk in chunks:
+            assert chunk.size == 1 or chunk.size * max(lengths[i] for i in chunk) <= EVAL_SLOTS
+        for chunk, following in zip(chunks, chunks[1:]):  # a chunk ends only when one more would overflow it
+            assert (chunk.size + 1) * lengths[following[0]] > EVAL_SLOTS
