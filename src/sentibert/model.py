@@ -17,11 +17,10 @@ from .data import LABELS
 from .embedding import embed
 from .encoder import EncoderConfig, encode
 from .errors import ConfigError, ContractError
-from .tensor import Tensor, add_bias, gather_rows, matmul, parameter, transpose
+from .tensor import Tensor, add_bias, gather_rows, length_groups, matmul, parameter, transpose
 from .tokenizer import EncodedSequence, Vocab
 
 NUM_SENTIMENTS = len(LABELS)
-EVAL_SLOTS = 512  # padded token slots (sequences x longest length) per eval-mode forward
 INIT_STD = 0.02  # scale of the normal-initialized weights
 HEADS = ("classifier", "nsp")  # task heads: fine-tuning, next-sentence prediction
 
@@ -49,18 +48,13 @@ def row_starts(seqs: list[EncodedSequence]) -> list[int]:
 
 
 def eval_chunks(seqs: list[EncodedSequence]) -> list[np.ndarray]:
-    """Input indices, stably sorted by length, cut into the batches of an
-    eval-mode pass: a chunk ends where one more sequence would make its count
-    times its longest length exceed EVAL_SLOTS, so a sequence longer than the
-    budget runs alone. Callers put each chunk's results back at its indices."""
-    lengths = [s.real_length() for s in seqs]
-    order = np.argsort(lengths, kind="stable")
-    chunks, start = [], 0
-    for end, i in enumerate(order):
-        if end > start and (end - start + 1) * lengths[i] > EVAL_SLOTS:
-            chunks.append(order[start:end])
-            start = end
-    return chunks + [order[start:]] if seqs else []
+    """Input indices cut into the batches of an eval-mode pass by
+    tensor.length_groups: stably sorted by length, a chunk ending where one
+    more sequence would make its count times its longest length exceed
+    EVAL_SLOTS, so a sequence longer than the budget runs alone and each chunk
+    fits one attention grid. Callers put each chunk's results back at its
+    indices."""
+    return length_groups([s.real_length() for s in seqs])
 
 
 def initial_array(name: str, shape: tuple[int, ...], config: EncoderConfig, rng: np.random.Generator) -> np.ndarray:

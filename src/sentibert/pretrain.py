@@ -133,16 +133,20 @@ def pretrain_step(
     model: SentimentModel,
     optimizer,
     rng: np.random.Generator | None = None,
+    where: str = "pretrain step",
 ) -> dict[str, float]:
     """One combined MLM+NSP optimization step; returns both loss values.
 
     A batch with zero selected positions trains NSP only and reports mlm_loss 0.
+    A combined loss that is not finite raises ConfigError naming where before
+    backward, so the weights do not take the step.
     """
     if not batch.sequences:
         raise ContractError("pretrain_step: empty batch")
     with Graph() as graph:
         mlm_loss, nsp_loss, _, _ = _batch_losses(batch, model, training=True, rng=rng)
         total = nsp_loss if mlm_loss is None else add(mlm_loss, nsp_loss)
+        check_finite_loss(where, total.item())
         graph.backward(total)
     optimizer.step()
     return {
@@ -224,9 +228,8 @@ def run_pretraining(
             batch = build_masked_batch(
                 chunk, model.vocab, model.config.max_len, config.mask_probability, rng
             )
-            losses = pretrain_step(batch, model, optimizer, rng=rng)
+            losses = pretrain_step(batch, model, optimizer, rng=rng, where=f"epoch {epoch}, step {step}")
             step_losses.append(losses["mlm_loss"] + losses["nsp_loss"])
-            check_finite_loss(f"epoch {epoch}, step {step}", step_losses[-1])
         held = eval_losses(eval_batch, model)
         check_finite_loss(f"epoch {epoch}, after step {step}, held-out pairs", held["mlm_loss"] + held["nsp_loss"])
         history.append(

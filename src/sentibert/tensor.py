@@ -10,12 +10,14 @@ inference cheap and safe for concurrent use.
 
 import functools
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
 NEG_INF_MASK = -1e9  # additive pre-softmax penalty for masked attention slots
+EVAL_SLOTS = 512  # padded token slots (sequences x longest length) per attention grid and per eval-mode forward
 
 
 class Tensor:
@@ -272,41 +274,106 @@ def layer_norm(
     return out
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a plain array, stabilized by subtracting each row's maximum."""
-    out = x - x.max(axis=-1, keepdims=True)
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis of a plain array, stabilized by subtracting
+    each row's maximum; written into out when given, which may be x itself."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
-def _query_slots(rows, slots: np.ndarray, length: int) -> tuple[np.ndarray, int]:
-    """Slots of the checked query rows in a grid of Q_max positions per
-    sequence (sequence * Q_max + position), and Q_max: one past the furthest
-    position any query row holds."""
-    queries = np.asarray(rows, dtype=np.int64)
-    if queries.ndim != 1:
-        raise ShapeError(f"attention: rows must be a list of row indices, got shape {queries.shape}")
-    if queries.size and (queries.min() < 0 or queries.max() >= slots.size):
-        raise IndexError(f"attention: query row out of range [0, {slots.size})")
-    if queries.size > 1 and np.unique(queries).size != queries.size:
-        raise ShapeError("attention: query rows repeat")
-    seq, position = np.divmod(slots[queries], length)
-    q_length = int(position.max(initial=0)) + 1
-    return seq * q_length + position, q_length
+def length_groups(lengths) -> list[np.ndarray]:
+    """Indices of lengths, stably sorted by length, cut into groups: a group
+    ends where one more length would make its count times its longest exceed
+    EVAL_SLOTS, so a length over the budget stands alone."""
+    order = np.argsort(lengths, kind="stable")
+    groups, start = [], 0
+    for end, i in enumerate(order):
+        if end > start and (end - start + 1) * lengths[i] > EVAL_SLOTS:
+            groups.append(order[start:end])
+            start = end
+    return groups + [order[start:]] if len(lengths) else []
+
+
+class _Group(NamedTuple):
+    """One padded grid of an attention batch, L being its longest length."""
+
+    rows: np.ndarray | None  # its packed rows in grid order; None: the whole batch, in packed order
+    slots: np.ndarray  # grid slot of each of those rows: sequence * L + position
+    key_bias: np.ndarray  # [B_g, 1, 1, L] additive key mask
+
+
+class _Layout(NamedTuple):
+    """Padding layout of a batch: its grids, and per sequence its first
+    packed row, the grid it sits in and its index within that grid."""
+
+    groups: tuple[_Group, ...]
+    start: np.ndarray
+    group: np.ndarray
+    seq: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
-def _padding_layout(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _padding_layout(lengths: tuple[int, ...]) -> _Layout:
     """Read-only padding layout of checked lengths, computed once per distinct
-    tuple: the grid slot of each packed row (position p of sequence s sits at
-    s * L_max + p) and the [B, 1, 1, L_max] additive key mask."""
+    tuple. The sequences are cut into grids by length_groups; a batch that
+    fits one grid keeps its packed order, so its rows need no gather."""
     lens = np.array(lengths, dtype=np.int64)
-    b, length = lens.size, int(lens.max())
-    slots = np.arange(lens.sum()) + np.repeat(np.arange(b) * length - (np.cumsum(lens) - lens), lens)
-    key_bias = np.where(np.arange(length) < lens[:, None], 0.0, NEG_INF_MASK)[:, None, None, :]
-    slots.flags.writeable = key_bias.flags.writeable = False
-    return slots, key_bias
+    starts = np.cumsum(lens) - lens
+    cut = length_groups(lengths)
+    if len(cut) == 1:
+        cut = [np.arange(lens.size)]
+    group_of, seq_of, groups = np.empty_like(lens), np.empty_like(lens), []
+    for g, members in enumerate(cut):
+        group_lens = lens[members]
+        b, length, count = members.size, int(group_lens.max()), int(group_lens.sum())
+        offsets = np.cumsum(group_lens) - group_lens  # first grid-order row of each sequence
+        slots = np.arange(count) + np.repeat(np.arange(b) * length - offsets, group_lens)
+        key_bias = np.where(np.arange(length) < group_lens[:, None], 0.0, NEG_INF_MASK)[:, None, None, :]
+        rows = None if len(cut) == 1 else np.arange(count) + np.repeat(starts[members] - offsets, group_lens)
+        group_of[members], seq_of[members] = g, np.arange(b)
+        groups.append(_Group(rows, slots, key_bias))
+    layout = _Layout(tuple(groups), starts, group_of, seq_of)
+    for array in (*layout[1:], *(a for group in groups for a in group if a is not None)):
+        array.flags.writeable = False
+    return layout
+
+
+def _query_plan(layout: _Layout, rows, n: int) -> list[tuple[np.ndarray | None, np.ndarray, int] | None]:
+    """Per grid of layout: the output rows its queries fill (None: all of
+    them, in order), their slots in a grid of Q_max positions per sequence
+    (sequence * Q_max + position), and Q_max, one past the furthest wanted
+    position; None for a grid that holds no wanted row. rows, the distinct
+    packed query rows (default: every row), are checked here."""
+    if rows is None:
+        return [(group.rows, group.slots, int(group.key_bias.shape[-1])) for group in layout.groups]
+    queries = np.asarray(rows, dtype=np.int64)
+    if queries.ndim != 1:
+        raise ShapeError(f"attention: rows must be a list of row indices, got shape {queries.shape}")
+    if queries.size and (queries.min() < 0 or queries.max() >= n):
+        raise IndexError(f"attention: query row out of range [0, {n})")
+    if queries.size > 1:
+        seen = np.zeros(n, dtype=bool)
+        seen[queries] = True
+        if np.count_nonzero(seen) != queries.size:
+            raise ShapeError("attention: query rows repeat")
+    if len(layout.groups) == 1:
+        (group,) = layout.groups
+        seq, position = np.divmod(group.slots[queries], group.key_bias.shape[-1])
+        q_length = int(position.max(initial=0)) + 1
+        return [(None, seq * q_length + position, q_length)]
+    seq = np.searchsorted(layout.start, queries, side="right") - 1
+    position = queries - layout.start[seq]
+    plan = []
+    for g in range(len(layout.groups)):
+        picked = np.flatnonzero(layout.group[seq] == g)
+        if not picked.size:
+            plan.append(None)
+            continue
+        q_length = int(position[picked].max()) + 1
+        plan.append((picked, layout.seq[seq[picked]] * q_length + position[picked], q_length))
+    return plan
 
 
 def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
@@ -316,14 +383,18 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     the value heads, d_k = d / num_heads columns each. lengths are the row
     counts of the sequences and sum to N. rows, when given, are the distinct
     packed rows whose outputs are wanted, in any order; by default every row.
-    Rows are scattered into a [B, H, L_max, d_k] grid, and keys past a
-    sequence's length get the additive -1e9 mask. Queries run over each
-    sequence's first Q_max positions only, Q_max being one past the furthest
-    position of a wanted row, so the [CLS] rows alone cost a 1 x L_max score
-    grid. The result holds each wanted row's heads side by side, in the order
-    of rows. Padding exists only inside this op, and its layout is computed
-    once per distinct lengths (_padding_layout); the backward keeps the
-    probability grid and rebuilds q/k/v from qkv.
+    The result holds each wanted row's heads side by side, in the order of
+    rows. Padding exists only inside this op: the sequences, stably sorted by
+    length, are cut into grids of at most EVAL_SLOTS padded slots each
+    (length_groups; a longer sequence gets a grid of its own), and each grid
+    is padded to its own longest length, with the additive -1e9 mask on keys
+    past a sequence's length. A batch that fits one grid keeps its packed
+    order. Queries run over each sequence's first Q_max positions only, Q_max
+    being one past the furthest wanted position in that grid, so the [CLS]
+    rows alone cost a 1 x L score grid, and a grid holding no wanted row is
+    skipped. The layout is computed once per distinct lengths
+    (_padding_layout); the backward reuses the forward's q/k/v and
+    probability grids.
     """
     _require_2d(qkv, "attention")
     n, width = qkv.data.shape
@@ -332,50 +403,68 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n:
         raise ShapeError(f"attention: lengths {lengths.tolist()} do not partition {n} rows")
-    slots, key_bias = _padding_layout(tuple(lengths.tolist()))
-    b, length = key_bias.shape[0], key_bias.shape[-1]
+    layout = _padding_layout(tuple(lengths.tolist()))
+    plan = _query_plan(layout, rows, n)
     d = width // 3
     d_k = d // num_heads
-    if rows is None:
-        q_slots, q_length = slots, length
-    else:
-        q_slots, q_length = _query_slots(rows, slots, length)
     factor = 1.0 / np.sqrt(d_k)
 
-    def grid(grid_length: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
-        """Zeroed [B*grid_length x parts*d] slot rows and their [parts, B, H, grid_length, d_k] view."""
-        flat = np.zeros((b * grid_length, parts * d))
-        return flat, flat.reshape(b, grid_length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
+    def heads(flat: np.ndarray, grid_length: int, parts: int) -> np.ndarray:
+        """The [parts, B, H, grid_length, d_k] view of [B*grid_length x parts*d] slot rows."""
+        return flat.reshape(-1, grid_length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
 
-    def qkv_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """q of each sequence's first Q_max positions; k and v of every position."""
-        flat, (q, k, v) = grid(length, 3)
-        flat[slots] = qkv.data
-        return q[:, :, :q_length], k, v
-
-    q, k, v = qkv_grid()
-    scores = q @ k.transpose(0, 1, 3, 2)
-    scores *= factor
-    scores += key_bias
-    probs = softmax(scores)
-    flat, (context,) = grid(q_length, 1)
-    np.matmul(probs, v, out=context)
-    out = Tensor(flat[q_slots])
+    kept = []  # per computed grid: its group, plan entry, q/k/v slot rows and probabilities
+    out = None if len(layout.groups) == 1 else np.empty((n if rows is None else len(rows), d))
+    for group, part in zip(layout.groups, plan):
+        if part is None:
+            continue
+        picked, q_slots, q_length = part
+        length = group.key_bias.shape[-1]
+        flat = np.zeros((group.key_bias.shape[0] * length, width))
+        flat[group.slots] = qkv.data if group.rows is None else qkv.data[group.rows]
+        q, k, v = heads(flat, length, 3)
+        scores = q[:, :, :q_length] @ k.transpose(0, 1, 3, 2)
+        scores *= factor
+        scores += group.key_bias
+        probs = softmax(scores, out=scores)
+        context = np.empty((group.key_bias.shape[0] * q_length, d))
+        np.matmul(probs, v, out=heads(context, q_length, 1)[0])
+        if picked is None:
+            out = context[q_slots]
+        else:
+            out[picked] = context[q_slots]
+        kept.append((group, part, flat, probs))
+    out = Tensor(out)
 
     def backward(grad):
-        if _wants_grad(qkv):
-            q, k, v = qkv_grid()
-            flat_g, (g,) = grid(q_length, 1)
-            flat_g[q_slots] = grad  # positions not wanted get zero gradient
+        if not _wants_grad(qkv):
+            return
+        d_qkv = None
+        if len(layout.groups) > 1:  # rows of a skipped grid get zero gradient
+            d_qkv = (np.empty if len(kept) == len(plan) else np.zeros)((n, width))
+        for group, (picked, q_slots, q_length), flat, probs in kept:
+            length = group.key_bias.shape[-1]
+            q, k, v = heads(flat, length, 3)
+            q = q[:, :, :q_length]
+            flat_g = np.zeros((group.key_bias.shape[0] * q_length, d))
+            flat_g[q_slots] = grad if picked is None else grad[picked]  # positions not wanted get zero gradient
+            (g,) = heads(flat_g, q_length, 1)
             d_scores = g @ v.transpose(0, 1, 3, 2)  # d probs, turned into d scores in place
             d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
             d_scores *= probs
             d_scores *= factor
-            d_flat, (grad_q, grad_k, grad_v) = grid(length, 3)
+            d_flat = np.empty_like(flat)
+            grad_q, grad_k, grad_v = heads(d_flat, length, 3)
             np.matmul(d_scores, k, out=grad_q[:, :, :q_length])
+            grad_q[:, :, q_length:] = 0.0
             np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=grad_k)
             np.matmul(probs.transpose(0, 1, 3, 2), g, out=grad_v)
-            _accumulate(qkv, d_flat[slots])
+            if d_qkv is None:
+                _accumulate(qkv, d_flat[group.slots])
+            else:
+                d_qkv[group.rows] = d_flat[group.slots]
+        if d_qkv is not None:
+            _accumulate(qkv, d_qkv)
 
     _record(out, backward, qkv)
     return out
@@ -425,7 +514,7 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
 
 def gather_rows(*pairs) -> Tensor:
     """Sum of the rows table[ids] over one or more (table, ids) pairs, added
-    left to right; the gradient scatter-adds back into each table. Every
+    left to right; the gradient sums back into each table (_segment_sum). Every
     table has the first one's width and every ids list its length."""
     tables = [table for table, _ in pairs]
     idxs = [np.asarray(ids, dtype=np.int64) for _, ids in pairs]
@@ -443,12 +532,23 @@ def gather_rows(*pairs) -> Tensor:
     def backward(grad):
         for table, idx in zip(reversed(tables), reversed(idxs)):  # last pair first, in reverse recording order
             if _wants_grad(table):
-                scattered = np.zeros_like(table.data)
-                np.add.at(scattered, idx, grad)
-                _accumulate(table, scattered)
+                _accumulate(table, _segment_sum(grad, idx, table.data.shape[0]))
 
     _record(out, backward, *tables)
     return out
+
+
+def _segment_sum(grad: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+    """[size x width] rows holding, at each id, the sum of the grad rows that
+    name it: one reduceat over the rows stably sorted by id, in place of a
+    scatter-add; sums agree with the scatter-add within rounding."""
+    summed = np.zeros((size, grad.shape[1]))
+    if idx.size:
+        order = np.argsort(idx, kind="stable")
+        ids = idx[order]
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        summed[ids[starts]] = np.add.reduceat(grad[order], starts, axis=0)
+    return summed
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> np.ndarray | None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients, weighted_sum
+from sentibert import tensor
 from sentibert.encoder import (
     EncoderConfig,
     attention,
@@ -12,7 +13,17 @@ from sentibert.encoder import (
 )
 from sentibert.errors import ConfigError, ShapeError
 from sentibert.model import initial_array, parameter_shapes
-from sentibert.tensor import Graph, Tensor, _padding_layout, cross_entropy, gather_rows, matmul, parameter, softmax
+from sentibert.tensor import (
+    NEG_INF_MASK,
+    Graph,
+    Tensor,
+    _padding_layout,
+    cross_entropy,
+    gather_rows,
+    matmul,
+    parameter,
+    softmax,
+)
 from sentibert.tokenizer import NUM_SPECIALS
 
 
@@ -40,6 +51,18 @@ def init_stack(config, rng) -> dict:
 
 def _multi_head(x, params, lengths, num_heads):
     return multi_head(x, params["encoder.0.wqkv"], params["encoder.0.wo"], lengths, num_heads)
+
+
+@pytest.fixture
+def slot_budget(monkeypatch):
+    """Sets tensor.EVAL_SLOTS for one test, clearing the layout memo around it."""
+
+    def set_budget(slots):
+        monkeypatch.setattr(tensor, "EVAL_SLOTS", slots)
+        _padding_layout.cache_clear()
+
+    yield set_budget
+    _padding_layout.cache_clear()
 
 
 def _reference_attention(qkv: np.ndarray, lengths, num_heads: int) -> np.ndarray:
@@ -185,10 +208,16 @@ class TestPaddingLayout:
             np.testing.assert_array_equal(grad, ref_grad)
 
     def test_layout_arrays_are_read_only(self):
-        slots, key_bias = _padding_layout((3, 1, 5))
-        np.testing.assert_array_equal(slots, [0, 1, 2, 5, 10, 11, 12, 13, 14])
-        np.testing.assert_array_equal(key_bias[:, 0, 0, :] == 0.0, np.arange(5) < np.array([[3], [1], [5]]))
-        for array in (slots, key_bias):
+        layout = _padding_layout((3, 1, 5))
+        (group,) = layout.groups  # 3 x 5 slots fit one grid: packed order, no gather
+        assert group.rows is None
+        np.testing.assert_array_equal(group.slots, [0, 1, 2, 5, 10, 11, 12, 13, 14])
+        np.testing.assert_array_equal(group.key_bias[:, 0, 0, :] == 0.0, np.arange(5) < np.array([[3], [1], [5]]))
+        np.testing.assert_array_equal(np.unique(group.key_bias), [NEG_INF_MASK, 0.0])
+        np.testing.assert_array_equal(layout.start, [0, 3, 4])
+        np.testing.assert_array_equal(layout.group, [0, 0, 0])
+        np.testing.assert_array_equal(layout.seq, [0, 1, 2])
+        for array in (group.slots, group.key_bias, layout.start, layout.group, layout.seq):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -200,6 +229,149 @@ class TestPaddingLayout:
             with pytest.raises(ShapeError, match="do not partition"):
                 attention(t(n, 12), lengths, 1)
         assert _padding_layout.cache_info() == before
+
+
+def _attention_and_grad(qkv, lengths, rows, upstream, num_heads=2):
+    leaf = parameter(qkv)
+    with Graph() as graph:
+        out = attention(leaf, lengths, num_heads, rows)
+        graph.backward(weighted_sum(out, upstream))
+    return out.data, leaf.grad
+
+
+def _one_grid_reference(qkv, lengths, num_heads, upstream):
+    """Output and qkv gradient of sum(out * upstream) with every row a query,
+    all sequences padded into one grid to the longest length."""
+    width, b, length = qkv.shape[1], len(lengths), max(lengths)
+    d = width // 3
+    d_k = d // num_heads
+    factor = 1.0 / np.sqrt(d_k)
+    slots = np.concatenate([s * length + np.arange(m) for s, m in enumerate(lengths)])
+    key_bias = np.where(np.arange(length) < np.array(lengths)[:, None], 0.0, NEG_INF_MASK)[:, None, None, :]
+
+    def heads(flat, parts):
+        return flat.reshape(b, length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
+
+    flat = np.zeros((b * length, width))
+    flat[slots] = qkv
+    q, k, v = heads(flat, 3)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= factor
+    scores += key_bias
+    probs = softmax(scores)
+    context = np.zeros((b * length, d))
+    np.matmul(probs, v, out=heads(context, 1)[0])
+    flat_g = np.zeros((b * length, d))
+    flat_g[slots] = upstream
+    (g,) = heads(flat_g, 1)
+    d_scores = g @ v.transpose(0, 1, 3, 2)
+    d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+    d_scores *= probs
+    d_scores *= factor
+    d_flat = np.zeros((b * length, width))
+    grad_q, grad_k, grad_v = heads(d_flat, 3)
+    np.matmul(d_scores, k, out=grad_q)
+    np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=grad_k)
+    np.matmul(probs.transpose(0, 1, 3, 2), g, out=grad_v)
+    return context[slots], d_flat[slots]
+
+
+class TestLengthGroups:
+    """A batch over EVAL_SLOTS padded slots runs as several grids, each
+    padded to its own longest length."""
+
+    def test_split_layout(self, slot_budget):
+        slot_budget(6)  # sorted lengths 1, 3 fill 2 x 3 slots; the 5 stands alone
+        layout = _padding_layout((3, 1, 5))
+        assert len(layout.groups) == 2
+        first, second = layout.groups
+        np.testing.assert_array_equal(first.rows, [3, 0, 1, 2])
+        np.testing.assert_array_equal(first.slots, [0, 3, 4, 5])
+        np.testing.assert_array_equal(first.key_bias[:, 0, 0, :] == 0.0, [[True, False, False], [True] * 3])
+        np.testing.assert_array_equal(second.rows, [4, 5, 6, 7, 8])
+        np.testing.assert_array_equal(second.slots, np.arange(5))
+        assert second.key_bias.shape == (1, 1, 1, 5) and not second.key_bias.any()
+        np.testing.assert_array_equal(layout.start, [0, 3, 4])
+        np.testing.assert_array_equal(layout.group, [0, 0, 1])
+        np.testing.assert_array_equal(layout.seq, [1, 0, 0])
+        for array in (*layout[1:], first.rows, first.slots, first.key_bias, second.rows):
+            assert not array.flags.writeable
+
+    def test_one_grid_up_to_the_budget(self):
+        assert len(_padding_layout((64,) * 8).groups) == 1  # exactly EVAL_SLOTS slots
+        assert len(_padding_layout((1,) + (64,) * 8).groups) == 2
+        assert len(_padding_layout((300,)).groups) == 1  # over the budget alone
+
+    @pytest.mark.parametrize("budget, max_length, max_batch", [(None, 64, 32), (8, 6, 8)])
+    def test_grids_match_one_grid(self, slot_budget, budget, max_length, max_batch):
+        # random ragged batches; queries every row, a random subset, or only
+        # the longest sequence's rows, so that other grids hold no wanted row
+        if budget is not None:
+            slot_budget(budget)
+        rng = np.random.default_rng(18)
+        cases, split, skipped = [], 0, 0
+        for trial in range(30):
+            lengths = rng.integers(1, max_length + 1, size=int(rng.integers(1, max_batch + 1))).tolist()
+            n, longest = sum(lengths), int(np.argmax(lengths))
+            start = sum(lengths[:longest])
+            rows = [
+                None,
+                rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist(),
+                list(range(start + lengths[longest] - 1, start - 1, -1)),
+            ][trial % 3]
+            qkv = rng.normal(size=(n, 12))
+            upstream = rng.normal(size=(n if rows is None else len(rows), 4))
+            layout = _padding_layout(tuple(lengths))
+            split += len(layout.groups) > 1
+            if rows is not None:  # the grids holding a wanted row, found from each row's sequence
+                wanted = layout.group[np.searchsorted(layout.start, rows, side="right") - 1]
+                skipped += len(set(wanted.tolist())) < len(layout.groups)
+            cases.append((qkv, lengths, rows, upstream, _attention_and_grad(qkv, lengths, rows, upstream)))
+        assert split >= 10 and skipped >= 3
+        slot_budget(10**9)  # every batch in one grid
+        for qkv, lengths, rows, upstream, (out, grad) in cases:
+            assert len(_padding_layout(tuple(lengths)).groups) == 1
+            one_out, one_grad = _attention_and_grad(qkv, lengths, rows, upstream)
+            np.testing.assert_allclose(out, one_out, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(grad, one_grad, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("rows", [None, [10, 0, 6], [7, 5]])
+    def test_gradcheck_across_a_forced_split(self, slot_budget, rows):
+        slot_budget(6)  # lengths sorted 1, 2 | 3 | 5: three grids; rows [7, 5] want only the last
+        lengths = [3, 1, 5, 2]
+        assert len(_padding_layout(tuple(lengths)).groups) == 3
+        rng = np.random.default_rng(19)
+        qkv = parameter(rng.normal(size=(11, 12)))
+        weights = rng.normal(size=(11 if rows is None else len(rows), 4))
+        checked = check_gradients(
+            lambda: weighted_sum(attention(qkv, lengths, 2, rows), weights), {"qkv": qkv}, rng, probes=60, rel=1e-4
+        )
+        assert checked == 60
+
+    def test_one_grid_path_is_the_single_grid_formula(self):
+        rng = np.random.default_rng(20)
+        for lengths in ([4, 1, 4], [7], [64] * 8, list(rng.integers(1, 33, size=15))):
+            assert _padding_layout(tuple(lengths)).groups[0].rows is None
+            n = sum(lengths)
+            qkv, upstream = rng.normal(size=(n, 24)), rng.normal(size=(n, 8))
+            out, grad = _attention_and_grad(qkv, lengths, None, upstream)
+            ref_out, ref_grad = _one_grid_reference(qkv, lengths, 2, upstream)
+            np.testing.assert_array_equal(out, ref_out)
+            np.testing.assert_array_equal(grad, ref_grad)
+
+
+    def test_bad_query_rows_in_a_split_batch(self, slot_budget):
+        slot_budget(6)
+        assert len(_padding_layout((3, 1, 5, 2)).groups) == 3
+        qkv = Tensor(np.zeros((11, 12)))
+        with pytest.raises(IndexError):
+            attention(qkv, [3, 1, 5, 2], 1, [11])
+        with pytest.raises(IndexError):
+            attention(qkv, [3, 1, 5, 2], 1, [0, -1])
+        with pytest.raises(ShapeError):
+            attention(qkv, [3, 1, 5, 2], 1, [9, 4, 9])  # repeated
+        with pytest.raises(ShapeError):
+            attention(qkv, [3, 1, 5, 2], 1, [[0, 1]])
 
 
 class TestMultiHead:

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, ContractError, ShapeError
-from sentibert.model import EVAL_SLOTS, SentimentModel, eval_chunks, parameter_shapes, row_starts
+from sentibert.model import SentimentModel, eval_chunks, parameter_shapes, row_starts
 from sentibert.synthetic import generate_dataset
-from sentibert.tensor import Graph, add_bias, cross_entropy, gather_rows, matmul, softmax
+from sentibert.tensor import EVAL_SLOTS, Graph, add_bias, cross_entropy, gather_rows, matmul, softmax
 from sentibert.tokenizer import PAD_ID, SPECIAL_TOKENS, EncodedSequence, Vocab, encode_pair
 
 CONFIG = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.1)

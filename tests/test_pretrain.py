@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sentibert import pretrain
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, SamplingError
 from sentibert.model import SentimentModel, row_starts
@@ -220,6 +221,25 @@ class TestPretrainStep:
         hist_b, weights_b = run()
         assert hist_a == hist_b
         np.testing.assert_array_equal(weights_a, weights_b)
+
+    def test_non_finite_step_loss_stops_before_the_step(self, corpus, vocab, monkeypatch):
+        # the step loss is checked before backward, so the weights keep their
+        # values from before the failing step
+        model = self._model(vocab, seed=9)
+        before = []
+        step = pretrain.pretrain_step
+
+        def spy(*args, **kwargs):
+            before.append(model.snapshot())
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(pretrain, "pretrain_step", spy)
+        diverging = PretrainConfig(epochs=1, batch_size=4, seed=31, lr=1e300)
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match=r"^epoch 1, step \d+: loss is (nan|inf)"):
+            run_pretraining(corpus, model, diverging)
+        assert len(before) >= 2  # an earlier step did move the weights
+        for name, value in model.snapshot().items():
+            np.testing.assert_array_equal(value, before[-1][name], err_msg=name)
 
     def test_history_rows_carry_honest_columns(self, corpus, vocab):
         model = self._model(vocab, seed=9)

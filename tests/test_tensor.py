@@ -355,6 +355,25 @@ class TestGradientsAgainstFiniteDifferences:
             np.add.at(expected_a, ids, upstream)
         np.testing.assert_allclose(a.grad, expected_a, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("kind", ["repeated", "random", "distinct", "empty"])
+    def test_gather_backward_is_the_scatter_add_sum(self, kind):
+        # the backward sums the grad rows of each id by a sorted segment sum;
+        # an np.add.at scatter-add is the reference, within rounding
+        rng = np.random.default_rng(34)
+        ids = {
+            "repeated": [5, 5, 0, 5, 60, 0, 5],
+            "random": rng.integers(0, 61, size=480).tolist(),
+            "distinct": rng.permutation(61)[:20].tolist(),
+            "empty": [],
+        }[kind]
+        table = parameter(rng.normal(size=(61, 7)))
+        upstream = rng.normal(size=(len(ids), 7))
+        with Graph() as g:
+            g.backward(weighted_sum(gather_rows((table, ids)), upstream))
+        expected = np.zeros((61, 7))
+        np.add.at(expected, np.asarray(ids, dtype=np.int64), upstream)
+        np.testing.assert_allclose(table.grad, expected, atol=1e-12, rtol=0)
+
 
 class TestDropout:
     def test_inactive_paths_identity(self):
