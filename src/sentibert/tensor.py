@@ -358,13 +358,11 @@ def _query_plan(layout: _Layout, rows, n: int) -> list[tuple[np.ndarray | None, 
         seen[queries] = True
         if np.count_nonzero(seen) != queries.size:
             raise ShapeError("attention: query rows repeat")
-    if len(layout.groups) == 1:
-        (group,) = layout.groups
-        seq, position = np.divmod(group.slots[queries], group.key_bias.shape[-1])
-        q_length = int(position.max(initial=0)) + 1
-        return [(None, seq * q_length + position, q_length)]
     seq = np.searchsorted(layout.start, queries, side="right") - 1
     position = queries - layout.start[seq]
+    if len(layout.groups) == 1:
+        q_length = int(position.max(initial=0)) + 1
+        return [(None, layout.seq[seq] * q_length + position, q_length)]
     plan = []
     for g in range(len(layout.groups)):
         picked = np.flatnonzero(layout.group[seq] == g)
