@@ -84,6 +84,16 @@ def undersample(dataset: list[LabeledExample], rng: np.random.Generator) -> list
     return result
 
 
+def rebalance(dataset: list[LabeledExample], strategy: str, rng: np.random.Generator) -> list[LabeledExample]:
+    """The examples as a STRATEGIES entry resamples them: oversampled,
+    undersampled, or ("none", "class_weights") the input list itself."""
+    if strategy == "oversample":
+        return oversample(dataset, rng)
+    if strategy == "undersample":
+        return undersample(dataset, rng)
+    return dataset
+
+
 def class_weights(dataset: list[LabeledExample]) -> list[float]:
     """Inverse-frequency weights total / (num_classes * count_c); the
     prevalence-weighted mean of the weights is exactly 1.

@@ -1,31 +1,27 @@
-"""Three-class sentiment head: fine-tuning loop with per-epoch curve
-tracking, best-validation checkpoint retention, and batch inference.
+"""Three-class sentiment head: fine-tuning on the shared epoch loop with
+per-epoch curve tracking and best-validation checkpoint retention, and
+batch inference.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .balance import STRATEGIES, ClassHistogram, class_weights, oversample, undersample
+from .balance import STRATEGIES, ClassHistogram, class_weights, rebalance
 from .data import LABELS, NUM_CLASSES, LabeledExample
-from .errors import ConfigError, check_field_types, check_finite_loss, check_type
+from .errors import ConfigError, check_finite_loss, check_type
 from .metrics import MetricsReport, confusion, log_loss, report
 from .model import SentimentModel, eval_chunks
-from .optim import OPTIMIZERS, check_optimizer
-from .tensor import Graph, cross_entropy, softmax
+from .optim import OPTIMIZERS, LoopConfig, descend, run_epochs
+from .tensor import cross_entropy, softmax
 from .tokenizer import EncodedSequence, encode_pair
 
 CURVE_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
-CURVE_HEADER = ",".join(CURVE_COLUMNS)
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 5
-    batch_size: int = 16
-    lr: float = 1e-3
-    seed: int = 0
+class TrainConfig(LoopConfig):
     class_weights: Optional[Sequence[float]] = None
     val_split: float = 0.2
     keep_best: bool = True  # False returns the final-epoch parameters
@@ -33,16 +29,9 @@ class TrainConfig:
     balance: str = "none"  # applied to the training partition only
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        super().__post_init__()
         if not 0.0 < self.val_split < 1.0:
             raise ConfigError(f"val_split must be in (0, 1), got {self.val_split}")
-        check_optimizer(self.algorithm, self.lr)
         if self.class_weights is not None:
             try:
                 weights = np.asarray(self.class_weights, dtype=np.float64)
@@ -58,22 +47,11 @@ class TrainConfig:
             raise ConfigError("give explicit class_weights or balance='class_weights', not both")
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    train_loss: float
-    train_acc: float
-    val_loss: float
-    val_acc: float
-
-
-def curve_to_csv(rows, columns: Sequence[str] = CURVE_COLUMNS) -> str:
-    """A header of columns, then one line per epoch holding each value's repr.
-    Rows are EpochRecords or dicts with those keys (pretraining history)."""
+def curve_to_csv(rows: Sequence[dict], columns: Sequence[str] = CURVE_COLUMNS) -> str:
+    """A header of columns, then one line per epoch record holding each value's repr."""
     lines = [",".join(columns)]
     for row in rows:
-        values = row if isinstance(row, dict) else asdict(row)
-        lines.append(",".join(repr(values[c]) for c in columns))
+        lines.append(",".join(repr(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -127,13 +105,14 @@ def _stratified_split(
 
 def train(
     dataset: list[LabeledExample], config: TrainConfig, model: SentimentModel
-) -> tuple[SentimentModel, list[EpochRecord]]:
+) -> tuple[SentimentModel, list[dict]]:
     """Shuffled mini-batch cross-entropy fine-tuning.
 
     Records eval-mode loss (unweighted log loss) and accuracy on both
-    partitions after every epoch; with keep_best the parameters from the
-    best-validation-loss epoch are what comes back. A step loss or re-scored
-    loss that is not finite raises ConfigError naming the epoch and step.
+    partitions after every epoch, one dict keyed by CURVE_COLUMNS; with
+    keep_best the parameters from the best-validation-loss epoch are what
+    comes back. A step loss or re-scored loss that is not finite raises
+    ConfigError naming the epoch and step.
     """
     hist = ClassHistogram.from_dataset(dataset)
     present = [c for c, n in enumerate(hist.counts) if n > 0]
@@ -147,13 +126,8 @@ def train(
     val_examples = [dataset[i] for i in val_idx]
 
     # rebalancing touches the training partition only; validation stays as-is
-    weights = config.class_weights
-    if config.balance == "oversample":
-        train_examples = oversample(train_examples, rng)
-    elif config.balance == "undersample":
-        train_examples = undersample(train_examples, rng)
-    elif config.balance == "class_weights":
-        weights = class_weights(train_examples)
+    train_examples = rebalance(train_examples, config.balance, rng)
+    weights = class_weights(train_examples) if config.balance == "class_weights" else config.class_weights
 
     cache: dict[str, EncodedSequence] = {}
 
@@ -169,29 +143,27 @@ def train(
 
     optimizer = OPTIMIZERS[config.algorithm](model.named_parameters("classifier"), config.lr)
 
-    curve: list[EpochRecord] = []
-    best_loss = np.inf
-    best_params: dict[str, np.ndarray] | None = None
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(train_seqs))
-        for step, start in enumerate(range(0, len(order), config.batch_size), 1):
-            chunk = order[start : start + config.batch_size]
-            with Graph() as graph:
-                logits = model.class_logits([train_seqs[i] for i in chunk], training=True, rng=rng)
-                loss = cross_entropy(logits, [train_labels[i] for i in chunk], weights)
-                check_finite_loss(f"epoch {epoch}, step {step}", loss.item())
-                graph.backward(loss)
-            optimizer.step()
+    def step(where: str, idx) -> float:
+        def loss():
+            logits = model.class_logits([train_seqs[i] for i in idx], training=True, rng=rng)
+            return cross_entropy(logits, [train_labels[i] for i in idx], weights)
+
+        return descend(optimizer, where, loss)
+
+    best_loss, best_params = np.inf, None
+
+    def end_epoch(where: str, _) -> dict:
+        nonlocal best_loss, best_params
         train_loss, train_acc = _partition_scores(train_seqs, train_labels, model)
         val_loss, val_acc = _partition_scores(val_seqs, val_labels, model)
-        check_finite_loss(f"epoch {epoch}, after step {step}, re-scored training partition", train_loss)
-        check_finite_loss(f"epoch {epoch}, after step {step}, re-scored validation partition", val_loss)
-        curve.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc))
+        check_finite_loss(f"{where}, re-scored training partition", train_loss)
+        check_finite_loss(f"{where}, re-scored validation partition", val_loss)
         if config.keep_best and val_loss < best_loss:
-            best_loss = val_loss
-            best_params = model.snapshot()
+            best_loss, best_params = val_loss, model.snapshot()
+        return {"train_loss": train_loss, "train_acc": train_acc, "val_loss": val_loss, "val_acc": val_acc}
 
-    if config.keep_best and best_params is not None:
+    curve = run_epochs(config, len(train_seqs), rng, step, end_epoch)
+    if best_params is not None:
         model.load_snapshot(best_params)
     return model, curve
 

@@ -192,9 +192,7 @@ def _cmd_pretrain(cfg: dict) -> None:
     vocab = Vocab.load(_require_input(_path(cfg, "vocab", "pretrain"), "paths.vocab"))
     corpus = read_corpus(_require_input(_path(cfg, "pretrain_corpus", "pretrain"), "paths.pretrain_corpus"))
     model = SentimentModel.init(vocab, cfg["encoder"], cfg["seed"])
-    # divergence fails on its non-finite loss; numpy's warnings would add stderr lines
-    with np.errstate(all="ignore"):
-        history = run_pretraining(corpus, model, cfg["pretrain"])
+    history = run_pretraining(corpus, model, cfg["pretrain"])
     ckpt = _path(cfg, "checkpoint", "pretrain")
     save_checkpoint(model, ckpt)
     _write_text(_path(cfg, "curve", "pretrain"), curve_to_csv(history, HISTORY_COLUMNS))
@@ -224,9 +222,7 @@ def _cmd_train(cfg: dict) -> None:
     else:
         vocab = Vocab.load(_require_input(_path(cfg, "vocab", "train"), "paths.vocab"))
         model = SentimentModel.init(vocab, encoder_cfg, train_cfg.seed)
-    # divergence fails on its non-finite loss; numpy's warnings would add stderr lines
-    with np.errstate(all="ignore"):
-        model, curve = train(dataset, train_cfg, model)
+    model, curve = train(dataset, train_cfg, model)
     ckpt = _path(cfg, "checkpoint", "train")
     save_checkpoint(model, ckpt)
     _write_text(_path(cfg, "curve", "train"), curve_to_csv(curve))
@@ -235,8 +231,8 @@ def _cmd_train(cfg: dict) -> None:
             "command": "train",
             "checkpoint": ckpt,
             "epochs": len(curve),
-            "final_val_acc": curve[-1].val_acc,
-            "final_train_loss": curve[-1].train_loss,
+            "final_val_acc": curve[-1]["val_acc"],
+            "final_train_loss": curve[-1]["train_loss"],
         }
     )
 
@@ -278,14 +274,8 @@ def _cmd_rebalance(cfg: dict) -> None:
     strategy = cfg["balance"]
     if strategy == "class_weights":
         raise UsageError("class_weights changes the loss, not the dataset; use train --balance class_weights")
-    rng = np.random.default_rng(cfg["seed"])
     before = balance_mod.ClassHistogram.from_dataset(dataset)
-    if strategy == "oversample":
-        rebalanced = balance_mod.oversample(dataset, rng)
-    elif strategy == "undersample":
-        rebalanced = balance_mod.undersample(dataset, rng)
-    else:
-        rebalanced = list(dataset)
+    rebalanced = balance_mod.rebalance(dataset, strategy, np.random.default_rng(cfg["seed"]))
     after = balance_mod.ClassHistogram.from_dataset(rebalanced)
     write_jsonl(rebalanced, _path(cfg, "rebalanced_data", "rebalance"))
     payload = {

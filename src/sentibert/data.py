@@ -1,7 +1,6 @@
 """Labeled sentiment records, dataset file ingestion, and corpus I/O."""
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -92,15 +91,6 @@ def write_jsonl(examples: list[LabeledExample], path: str) -> None:
         for ex in examples:
             fh.write(json.dumps({"text": ex.text, "label": LABELS[ex.label]}, sort_keys=True))
             fh.write("\n")
-
-
-def dataset_to_csv(examples: list[LabeledExample]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["text", "label"])
-    for ex in examples:
-        writer.writerow([ex.text, LABELS[ex.label]])
-    return buf.getvalue()
 
 
 def read_corpus(path: str) -> list[list[str]]:

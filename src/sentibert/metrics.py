@@ -205,16 +205,3 @@ def cm_to_csv(cm) -> str:
     for c in range(NUM_CLASSES):
         buf.write(LABELS[c] + "," + ",".join(str(int(v)) for v in arr[c]) + "\n")
     return buf.getvalue()
-
-
-def cm_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln]
-    if len(lines) != NUM_CLASSES + 1 or lines[0] != "," + ",".join(LABELS):
-        raise ContractError("confusion CSV does not match the expected 3-class layout")
-    rows = []
-    for c, line in enumerate(lines[1:]):
-        fields = line.split(",")
-        if fields[0] != LABELS[c] or len(fields) != NUM_CLASSES + 1:
-            raise ContractError(f"confusion CSV row {c + 1} is malformed")
-        rows.append([int(v) for v in fields[1:]])
-    return np.asarray(rows, dtype=np.int64)

@@ -1,17 +1,26 @@
-"""Parameter update rules: plain SGD and bias-corrected Adam.
+"""Parameter update rules (plain SGD and bias-corrected Adam) and the one
+training loop both tasks run: run_epochs drives the epochs and batches,
+descend takes each optimization step.
 
 Adam's beta1, beta2 and eps are fixed at 0.9, 0.999 and 1e-8, the values
 BERT trains with; the learning rate is the only setting.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-from .tensor import Tensor
+from .errors import ConfigError, ContractError, check_field_types, check_finite_loss
+from .tensor import Graph, Tensor
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def _check_gradients(params: dict[str, Tensor]) -> None:
+    for name, p in params.items():
+        if p.grad is None:
+            raise ContractError(f"optimizer step: missing gradient for parameter {name!r}")
 
 
 class SGD:
@@ -22,9 +31,7 @@ class SGD:
         self.lr = lr
 
     def step(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise ContractError(f"optimizer step: missing gradient for parameter {name!r}")
+        _check_gradients(self.params)
         for p in self.params.values():
             p.data -= self.lr * p.grad
             p.grad = None
@@ -41,9 +48,7 @@ class Adam:
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
     def step(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise ContractError(f"optimizer step: missing gradient for parameter {name!r}")
+        _check_gradients(self.params)
         self.t += 1
         bias1 = 1.0 - BETA1**self.t
         bias2 = 1.0 - BETA2**self.t
@@ -73,3 +78,63 @@ def check_optimizer(algorithm: str, lr: float) -> None:
         finite = False
     if not (finite and lr >= 0.0):
         raise ConfigError(f"lr must be a finite nonnegative number, got {lr}")
+
+
+@dataclass
+class LoopConfig:
+    """The settings run_epochs reads, checked on construction; each task's
+    config extends it. algorithm is a class attribute, not a field: a task
+    whose optimizer is a setting declares it as a field."""
+
+    epochs: int = 5
+    batch_size: int = 16
+    lr: float = 1e-3
+    seed: int = 0
+    algorithm = "adam"
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_optimizer(self.algorithm, self.lr)
+
+
+def descend(optimizer, where: str, loss_fn) -> float:
+    """One optimization step on the scalar loss loss_fn() records; returns its value.
+
+    A loss that is not finite raises ConfigError naming where before
+    backward, so the weights do not take the step.
+    """
+    with Graph() as graph:
+        loss = loss_fn()
+        value = loss.item()
+        check_finite_loss(where, value)
+        graph.backward(loss)
+    optimizer.step()
+    return value
+
+
+def run_epochs(config: LoopConfig, n: int, rng: np.random.Generator, step, end_epoch) -> list[dict]:
+    """config.epochs passes over n examples in shuffled batches; one record per epoch.
+
+    Each epoch draws one permutation of range(n) from rng and cuts it into
+    batch_size slices. step(where, idx) trains on the examples at idx and
+    returns its loss; where names the epoch and step ("epoch 2, step 5").
+    After the last step, end_epoch(where, step_losses) returns the epoch's
+    record, where reading "epoch 2, after step 8"; "epoch" is put first.
+    numpy's floating-point warnings are off inside: a diverging run fails
+    on its non-finite loss instead.
+    """
+    records = []
+    with np.errstate(all="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            losses = []
+            for start in range(0, n, config.batch_size):
+                losses.append(step(f"epoch {epoch}, step {len(losses) + 1}", order[start : start + config.batch_size]))
+            records.append({"epoch": epoch, **end_epoch(f"epoch {epoch}, after step {len(losses)}", losses)})
+    return records

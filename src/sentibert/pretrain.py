@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, SamplingError, check_field_types, check_finite_loss
+from .errors import ConfigError, ContractError, SamplingError, check_finite_loss
 from .model import SentimentModel, eval_chunks, row_starts
-from .optim import Adam, check_optimizer
-from .tensor import Graph, Tensor, add, cross_entropy
+from .optim import OPTIMIZERS, LoopConfig, descend, run_epochs
+from .tensor import Tensor, add, cross_entropy
 from .tokenizer import (
     CLS_ID,
     MASK_ID,
@@ -143,16 +143,15 @@ def pretrain_step(
     """
     if not batch.sequences:
         raise ContractError("pretrain_step: empty batch")
-    with Graph() as graph:
+    losses = {}
+
+    def total():
         mlm_loss, nsp_loss, _, _ = _batch_losses(batch, model, training=True, rng=rng)
-        total = nsp_loss if mlm_loss is None else add(mlm_loss, nsp_loss)
-        check_finite_loss(where, total.item())
-        graph.backward(total)
-    optimizer.step()
-    return {
-        "mlm_loss": 0.0 if mlm_loss is None else mlm_loss.item(),
-        "nsp_loss": nsp_loss.item(),
-    }
+        losses.update(mlm_loss=0.0 if mlm_loss is None else mlm_loss.item(), nsp_loss=nsp_loss.item())
+        return nsp_loss if mlm_loss is None else add(mlm_loss, nsp_loss)
+
+    descend(optimizer, where, total)
+    return losses
 
 
 def eval_losses(batch: MaskedBatch, model: SentimentModel) -> dict[str, float]:
@@ -181,24 +180,15 @@ def eval_losses(batch: MaskedBatch, model: SentimentModel) -> dict[str, float]:
 
 
 @dataclass
-class PretrainConfig:
-    epochs: int = 5
+class PretrainConfig(LoopConfig):
     batch_size: int = 8
     mask_probability: float = 0.15
-    seed: int = 0
-    lr: float = 1e-3  # pretraining runs Adam
+    # pretraining runs Adam: algorithm stays LoopConfig's class attribute
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        super().__post_init__()
         if not 0.0 <= self.mask_probability < 1.0:
             raise ConfigError(f"mask_probability must be in [0, 1), got {self.mask_probability}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        check_optimizer("adam", self.lr)
 
 
 def run_pretraining(
@@ -218,28 +208,23 @@ def run_pretraining(
     eval_batch = build_masked_batch(
         pairs, model.vocab, model.config.max_len, config.mask_probability, eval_rng
     )
-    optimizer = Adam(model.named_parameters("nsp"), config.lr)
-    history: list[dict[str, float]] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(pairs))
-        step_losses = []
-        for step, start in enumerate(range(0, len(pairs), config.batch_size), 1):
-            chunk = [pairs[i] for i in order[start : start + config.batch_size]]
-            batch = build_masked_batch(
-                chunk, model.vocab, model.config.max_len, config.mask_probability, rng
-            )
-            losses = pretrain_step(batch, model, optimizer, rng=rng, where=f"epoch {epoch}, step {step}")
-            step_losses.append(losses["mlm_loss"] + losses["nsp_loss"])
+    optimizer = OPTIMIZERS[config.algorithm](model.named_parameters("nsp"), config.lr)
+
+    def step(where: str, idx) -> float:
+        chunk = [pairs[i] for i in idx]
+        batch = build_masked_batch(chunk, model.vocab, model.config.max_len, config.mask_probability, rng)
+        losses = pretrain_step(batch, model, optimizer, rng=rng, where=where)
+        return losses["mlm_loss"] + losses["nsp_loss"]
+
+    def end_epoch(where: str, step_losses: list[float]) -> dict[str, float]:
         held = eval_losses(eval_batch, model)
-        check_finite_loss(f"epoch {epoch}, after step {step}, held-out pairs", held["mlm_loss"] + held["nsp_loss"])
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": float(np.mean(step_losses)),
-                "val_loss": held["mlm_loss"] + held["nsp_loss"],
-                "mlm_loss": held["mlm_loss"],
-                "nsp_loss": held["nsp_loss"],
-                "mlm_acc": held["mlm_accuracy"],
-            }
-        )
-    return history
+        check_finite_loss(f"{where}, held-out pairs", held["mlm_loss"] + held["nsp_loss"])
+        return {
+            "train_loss": float(np.mean(step_losses)),
+            "val_loss": held["mlm_loss"] + held["nsp_loss"],
+            "mlm_loss": held["mlm_loss"],
+            "nsp_loss": held["nsp_loss"],
+            "mlm_acc": held["mlm_accuracy"],
+        }
+
+    return run_epochs(config, len(pairs), rng, step, end_epoch)

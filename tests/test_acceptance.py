@@ -117,7 +117,7 @@ def test_criterion_3_synthetic_corpus_learning():
     vocab = build_vocab([ex.text for ex in train_set], max_size=4000)
     model = SentimentModel.init(vocab, EncoderConfig(), seed=13)  # desk-scale default
     model, curve = train(train_set, TrainConfig(epochs=5, batch_size=16, lr=1e-3, seed=13), model)
-    losses = [r.train_loss for r in curve]
+    losses = [r["train_loss"] for r in curve]
     assert len(losses) == 5
     assert all(b < a for a, b in zip(losses, losses[1:])), f"train loss not strictly decreasing: {losses}"
     rep, _ = evaluate(model, test_set)

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentibert.balance import (
+    STRATEGIES,
     ClassHistogram,
     class_weights,
     imbalance_ratio,
     oversample,
+    rebalance,
     undersample,
 )
 from sentibert.data import LabeledExample
@@ -117,6 +119,19 @@ class TestClassWeights:
     def test_missing_class_rejected(self):
         with pytest.raises(ConfigError, match="negative"):
             class_weights(make_dataset([0, 5, 5]))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rebalance_matches_the_direct_call(strategy):
+    data = make_dataset([3, 7, 5])
+    direct = {"oversample": oversample, "undersample": undersample}.get(strategy)
+    rng, direct_rng = np.random.default_rng(8), np.random.default_rng(8)
+    result = rebalance(data, strategy, rng)
+    if direct is None:  # "none" and "class_weights" resample nothing
+        assert result is data
+    else:
+        assert result == direct(data, direct_rng)
+    assert rng.random() == direct_rng.random()  # the same draws were taken
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentibert.classify import (
-    CURVE_HEADER,
-    EpochRecord,
+    CURVE_COLUMNS,
     TrainConfig,
     curve_to_csv,
     evaluate,
@@ -196,7 +195,7 @@ class TestTrain:
         data = generate_dataset((40, 40, 40), seed=5)
         model = _model(data, seed=1, config=EncoderConfig(num_layers=1, num_heads=2, d_model=32, d_ff=64, max_len=16, dropout_rate=0.0))
         _, curve = train(data, TrainConfig(epochs=4, batch_size=8, seed=1), model)
-        assert curve[-1].train_loss < curve[0].train_loss
+        assert curve[-1]["train_loss"] < curve[0]["train_loss"]
 
     def test_monotone_overfit_small_dataset(self):
         # <=16 distinct texts must reach train accuracy 1.0 within 200 epochs
@@ -207,7 +206,7 @@ class TestTrain:
             TrainConfig(epochs=200, batch_size=8, lr=3e-3, seed=2, val_split=0.25, keep_best=False),
             model,
         )
-        assert max(r.train_acc for r in curve) == 1.0
+        assert max(r["train_acc"] for r in curve) == 1.0
 
     @pytest.mark.parametrize("lr", [1e-3, 0.2])  # 0.2 makes the val loss oscillate
     def test_keep_best_returns_best_validation_epoch(self, lr):
@@ -223,7 +222,7 @@ class TestTrain:
         _, val_idx = _stratified_split(data, tc.val_split, np.random.default_rng(tc.seed))
         val_seqs = [encode_pair(data[i].text, None, model.vocab, config.max_len) for i in val_idx]
         val_loss, _ = _partition_scores(val_seqs, [data[i].label for i in val_idx], model)
-        assert val_loss == pytest.approx(min(r.val_loss for r in curve), abs=1e-9)
+        assert val_loss == pytest.approx(min(r["val_loss"] for r in curve), abs=1e-9)
 
     def test_oversample_balance_strategy_trains_balanced(self):
         data = generate_dataset((6, 30, 30), seed=6)
@@ -262,7 +261,7 @@ class TestConcurrencyAndAlgorithms:
         model = _model(TOY, seed=7)
         _, curve = train(TOY, TrainConfig(epochs=2, batch_size=4, lr=0.05, seed=7, val_split=0.25, algorithm="sgd"), model)
         assert len(curve) == 2
-        assert all(np.isfinite([r.train_loss, r.val_loss]).all() for r in curve)
+        assert all(np.isfinite([r["train_loss"], r["val_loss"]]).all() for r in curve)
 
 
 class TestEvaluate:
@@ -291,10 +290,10 @@ class TestEvaluate:
 
 class TestCurveCsv:
     def test_header_and_layout(self):
-        curve = [EpochRecord(1, 1.0, 0.5, 1.1, 0.4), EpochRecord(2, 0.5, 0.9, 0.6, 0.8)]
+        curve = [dict(zip(CURVE_COLUMNS, (1, 1.0, 0.5, 1.1, 0.4))), dict(zip(CURVE_COLUMNS, (2, 0.5, 0.9, 0.6, 0.8)))]
         text = curve_to_csv(curve)
         lines = text.strip().split("\n")
-        assert lines[0] == CURVE_HEADER == "epoch,train_loss,train_acc,val_loss,val_acc"
+        assert lines[0] == ",".join(CURVE_COLUMNS) == "epoch,train_loss,train_acc,val_loss,val_acc"
         assert lines[1] == "1,1.0,0.5,1.1,0.4"
         assert len(lines) == 3
 

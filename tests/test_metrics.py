@@ -11,7 +11,6 @@ from sentibert.errors import ContractError, DataError
 from sentibert.metrics import (
     MetricsReport,
     accuracy,
-    cm_from_csv,
     cm_to_csv,
     confusion,
     f1_class,
@@ -235,11 +234,7 @@ class TestSerialization:
 
     def test_cm_csv_round_trip(self):
         cm = confusion([0, 1, 2, 0, 1], [0, 2, 2, 0, 1])
-        text = cm_to_csv(cm)
-        lines = text.strip().split("\n")
-        assert lines[0] == ",negative,neutral,positive"
-        assert len(lines) == 4
-        assert np.array_equal(cm_from_csv(text), cm)
+        assert cm_to_csv(cm) == ",negative,neutral,positive\nnegative,2,0,0\nneutral,0,1,0\npositive,0,1,1\n"
 
     def test_report_values_in_range(self):
         rng = np.random.default_rng(2)

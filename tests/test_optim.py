@@ -1,0 +1,77 @@
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from sentibert.classify import TrainConfig
+from sentibert.errors import ConfigError
+from sentibert.optim import LoopConfig, run_epochs
+from sentibert.pretrain import PretrainConfig
+
+
+def test_run_epochs_slices_one_permutation_per_epoch():
+    calls = []
+
+    def step(where, idx):
+        calls.append((where, list(idx)))
+        return float(len(idx))
+
+    def end_epoch(where, losses):
+        calls.append((where, losses))
+        return {"last": where, "losses": losses}
+
+    records = run_epochs(LoopConfig(epochs=2, batch_size=4), 10, np.random.default_rng(5), step, end_epoch)
+
+    expected = np.random.default_rng(5)
+    for epoch in (1, 2):
+        order = list(expected.permutation(10))
+        epoch_calls = calls[4 * (epoch - 1) : 4 * epoch]
+        assert epoch_calls == [
+            (f"epoch {epoch}, step 1", order[0:4]),
+            (f"epoch {epoch}, step 2", order[4:8]),
+            (f"epoch {epoch}, step 3", order[8:10]),
+            (f"epoch {epoch}, after step 3", [4.0, 4.0, 2.0]),
+        ]
+    assert len(calls) == 8
+    assert records == [
+        {"epoch": 1, "last": "epoch 1, after step 3", "losses": [4.0, 4.0, 2.0]},
+        {"epoch": 2, "last": "epoch 2, after step 3", "losses": [4.0, 4.0, 2.0]},
+    ]
+    assert [list(r) for r in records] == [["epoch", "last", "losses"]] * 2
+
+
+def test_run_epochs_with_no_examples_still_ends_each_epoch():
+    # the task's end_epoch decides what an empty set means (pretraining's
+    # held-out scoring raises ContractError on it)
+    calls = []
+    records = run_epochs(LoopConfig(epochs=1), 0, np.random.default_rng(0), None, lambda *args: calls.append(args) or {})
+    assert calls == [("epoch 1, after step 0", [])]
+    assert records == [{"epoch": 1}]
+
+
+def test_run_epochs_silences_numpy_warnings():
+    # a diverging run fails on its non-finite loss, not on a numpy warning
+    def step(where, idx):
+        return float(np.float64(1.0) / np.float64(0.0))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_epochs(LoopConfig(epochs=1), 3, np.random.default_rng(0), step, lambda where, losses: {})
+    assert records == [{"epoch": 1}]
+
+
+@pytest.mark.parametrize("config_cls", [TrainConfig, PretrainConfig])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("epochs", 0, "epochs must be at least 1, got 0"),
+        ("batch_size", 0, "batch_size must be at least 1, got 0"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
+        ("lr", float("nan"), "lr must be a finite nonnegative number, got nan"),
+        ("epochs", 2.0, "epochs must be int, got 2.0"),
+    ],
+)
+def test_both_task_configs_check_the_loop_fields(config_cls, field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_cls(**{field: value})

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sentibert import pretrain
+from sentibert import classify, pretrain
+from sentibert.classify import TrainConfig
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, SamplingError
 from sentibert.model import SentimentModel, row_starts
@@ -20,7 +21,7 @@ from sentibert.pretrain import (
     pretrain_step,
     run_pretraining,
 )
-from sentibert.synthetic import generate_documents
+from sentibert.synthetic import generate_dataset, generate_documents
 from sentibert.tensor import Graph, add, cross_entropy
 from sentibert.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, build_vocab, encode_pair
 
@@ -222,21 +223,29 @@ class TestPretrainStep:
         assert hist_a == hist_b
         np.testing.assert_array_equal(weights_a, weights_b)
 
-    def test_non_finite_step_loss_stops_before_the_step(self, corpus, vocab, monkeypatch):
+    @pytest.mark.parametrize("task", ["pretrain", "finetune"])
+    def test_non_finite_step_loss_stops_before_the_step(self, corpus, vocab, monkeypatch, task):
         # the step loss is checked before backward, so the weights keep their
         # values from before the failing step
-        model = self._model(vocab, seed=9)
+        if task == "pretrain":
+            model = self._model(vocab, seed=9)
+            module, name = pretrain, "pretrain_step"
+            run = lambda: run_pretraining(corpus, model, PretrainConfig(epochs=1, batch_size=4, seed=31, lr=1e300))
+        else:
+            data = generate_dataset((8, 8, 8), seed=31)
+            model = SentimentModel.init(build_vocab([ex.text for ex in data], max_size=200), SMALL, seed=9)
+            module, name = classify, "descend"
+            run = lambda: classify.train(data, TrainConfig(epochs=1, batch_size=4, seed=31, lr=1e300), model)
         before = []
-        step = pretrain.pretrain_step
+        step = getattr(module, name)
 
         def spy(*args, **kwargs):
             before.append(model.snapshot())
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(pretrain, "pretrain_step", spy)
-        diverging = PretrainConfig(epochs=1, batch_size=4, seed=31, lr=1e300)
+        monkeypatch.setattr(module, name, spy)
         with np.errstate(all="ignore"), pytest.raises(ConfigError, match=r"^epoch 1, step \d+: loss is (nan|inf)"):
-            run_pretraining(corpus, model, diverging)
+            run()
         assert len(before) >= 2  # an earlier step did move the weights
         for name, value in model.snapshot().items():
             np.testing.assert_array_equal(value, before[-1][name], err_msg=name)
