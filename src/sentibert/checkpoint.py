@@ -53,7 +53,7 @@ def save_checkpoint(model: SentimentModel, path: str) -> None:
             fh.write(np.ascontiguousarray(params[entry["name"]].data, dtype="<f4").tobytes())
 
 
-def _read_header(blob: bytes) -> tuple[dict, bytes]:
+def _read_header(blob: bytes) -> tuple[dict, memoryview]:
     if len(blob) < 4:
         raise CheckpointError("checkpoint too short to hold a header length")
     (header_len,) = struct.unpack("<I", blob[:4])
@@ -65,7 +65,7 @@ def _read_header(blob: bytes) -> tuple[dict, bytes]:
         raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint header must be a JSON object, got {type(header).__name__}")
-    return header, blob[4 + header_len :]
+    return header, memoryview(blob)[4 + header_len :]
 
 
 def _header_field(header: dict, key: str, parse):
@@ -96,9 +96,10 @@ def _check_seed(raw) -> int:
     return raw
 
 
-def _read_tensor(entry, position: int, payload: bytes) -> tuple[str, np.ndarray]:
-    """Name and float64 array of one tensor index entry, after checking its
-    fields, its payload bounds and that every value is finite."""
+def _read_tensor(entry, position: int, payload: memoryview) -> tuple[str, np.ndarray]:
+    """Name and read-only float32 view into payload of one tensor index entry,
+    after checking its fields, its payload bounds and that every value is
+    finite."""
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         raise CheckpointError(f"checkpoint tensor entry {position} is not an object with a string name")
     name, shape = entry["name"], entry.get("shape")
@@ -114,7 +115,7 @@ def _read_tensor(entry, position: int, payload: bytes) -> tuple[str, np.ndarray]
     if start + nbytes > len(payload):
         raise CheckpointError(f"checkpoint payload is truncated at tensor {name!r}")
     try:
-        array = np.frombuffer(payload[start : start + nbytes], dtype="<f4").reshape(shape).astype(np.float64)
+        array = np.frombuffer(payload[start : start + nbytes], dtype="<f4").reshape(shape)
     except ValueError as exc:  # e.g. an empty shape with a dimension numpy cannot hold
         raise CheckpointError(f"checkpoint tensor {name!r} has shape {shape}: {exc}") from exc
     if not np.isfinite(array).all():

@@ -43,28 +43,34 @@ def _check_cm(cm) -> np.ndarray:
     return arr
 
 
+# (numerator, denominator) of each per-class ratio in the one-vs-rest view
+_RATIOS = {
+    "precision": lambda arr, c: (arr[c, c], arr[:, c].sum()),  # TP / (TP + FP)
+    "recall": lambda arr, c: (arr[c, c], arr[c, :].sum()),  # TP / (TP + FN)
+    "f1": lambda arr, c: (2 * arr[c, c], arr[:, c].sum() + arr[c, :].sum()),  # 2TP / (2TP + FP + FN)
+}
+
+
+def _ratio(metric: str, arr: np.ndarray, c: int) -> tuple[float, bool]:
+    """Value of metric for class c, and whether it is degenerate: a 0
+    denominator, for which the value is 0."""
+    numerator, denominator = _RATIOS[metric](arr, c)
+    return (float(numerator / denominator), False) if denominator > 0 else (0.0, True)
+
+
 def precision_class(cm, c: int) -> float:
     """TP / (TP + FP) for class c; 0 when column c is empty."""
-    arr = _check_cm(cm)
-    tp = arr[c, c]
-    col = arr[:, c].sum()
-    return float(tp / col) if col > 0 else 0.0
+    return _ratio("precision", _check_cm(cm), c)[0]
 
 
 def recall_class(cm, c: int) -> float:
     """TP / (TP + FN) for class c; 0 when row c is empty."""
-    arr = _check_cm(cm)
-    tp = arr[c, c]
-    row = arr[c, :].sum()
-    return float(tp / row) if row > 0 else 0.0
+    return _ratio("recall", _check_cm(cm), c)[0]
 
 
 def f1_class(cm, c: int) -> float:
     """2TP / (2TP + FP + FN) for class c; 0 when that denominator is 0."""
-    arr = _check_cm(cm)
-    tp = arr[c, c]
-    denom = 2 * tp + (arr[:, c].sum() - tp) + (arr[c, :].sum() - tp)
-    return float(2 * tp / denom) if denom > 0 else 0.0
+    return _ratio("f1", _check_cm(cm), c)[0]
 
 
 def accuracy(cm) -> float:
@@ -170,27 +176,22 @@ class MetricsReport:
 def report(cm, probabilities=None, labels=None) -> MetricsReport:
     """Assemble the full report; log_loss is 0 when probabilities are absent."""
     arr = _check_cm(cm)
-    flags = []
-    precisions, recalls, f1s = [], [], []
-    for c in range(NUM_CLASSES):
-        tp = arr[c, c]
-        if arr[:, c].sum() == 0:
-            flags.append(f"precision.{LABELS[c]}")
-        if arr[c, :].sum() == 0:
-            flags.append(f"recall.{LABELS[c]}")
-        if 2 * tp + (arr[:, c].sum() - tp) + (arr[c, :].sum() - tp) == 0:
-            flags.append(f"f1.{LABELS[c]}")
-        precisions.append(precision_class(arr, c))
-        recalls.append(recall_class(arr, c))
-        f1s.append(f1_class(arr, c))
+    flags, per_class = [], {}
+    for metric in _RATIOS:
+        per_class[metric] = []
+        for c in range(NUM_CLASSES):
+            value, degenerate = _ratio(metric, arr, c)
+            per_class[metric].append(value)
+            if degenerate:
+                flags.append(f"{metric}.{LABELS[c]}")
     ll = log_loss(probabilities, labels) if probabilities is not None else 0.0
     return MetricsReport(
-        precision_per_class=precisions,
-        precision_macro=macro(precisions),
-        recall_per_class=recalls,
-        recall_macro=macro(recalls),
-        f1_per_class=f1s,
-        f1_macro=macro(f1s),
+        precision_per_class=per_class["precision"],
+        precision_macro=macro(per_class["precision"]),
+        recall_per_class=per_class["recall"],
+        recall_macro=macro(per_class["recall"]),
+        f1_per_class=per_class["f1"],
+        f1_macro=macro(per_class["f1"]),
         accuracy=accuracy(arr),
         log_loss=ll,
         degenerate_flags=sorted(flags),

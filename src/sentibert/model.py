@@ -13,14 +13,13 @@ import copy
 
 import numpy as np
 
-from .data import LABELS
+from .data import NUM_CLASSES
 from .embedding import embed
 from .encoder import EncoderConfig, encode
 from .errors import ConfigError, ContractError
 from .tensor import Tensor, add_bias, gather_rows, length_groups, matmul, parameter, transpose
 from .tokenizer import EncodedSequence, Vocab
 
-NUM_SENTIMENTS = len(LABELS)
 INIT_STD = 0.02  # scale of the normal-initialized weights
 HEADS = ("classifier", "nsp")  # task heads: fine-tuning, next-sentence prediction
 
@@ -37,7 +36,7 @@ def parameter_shapes(vocab_size: int, config: EncoderConfig) -> dict[str, tuple[
         "embeddings.position": (config.max_len, d),
     }
     shapes.update({f"encoder.{i}.{name}": shape for i in range(config.num_layers) for name, shape in layer.items()})
-    shapes.update({"classifier.weight": (d, NUM_SENTIMENTS), "classifier.bias": (NUM_SENTIMENTS,)})
+    shapes.update({"classifier.weight": (d, NUM_CLASSES), "classifier.bias": (NUM_CLASSES,)})
     shapes.update({"nsp.weight": (d, 2), "nsp.bias": (2,)})
     return shapes
 

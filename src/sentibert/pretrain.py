@@ -75,12 +75,12 @@ def nsp_pairs(
             if rng.random() < 0.5:
                 pairs.append((first, successor, 1))
             else:
-                others = [i for i in range(len(corpus)) if i != doc_index]
-                if not others:
+                if len(corpus) < 2:
                     raise SamplingError(
                         "cannot sample a non-successor: corpus has a single document"
                     )
-                other_doc = corpus[others[int(rng.integers(len(others)))]]
+                other = int(rng.integers(len(corpus) - 1))
+                other_doc = corpus[other + (other >= doc_index)]  # any document but this one
                 pairs.append((first, other_doc[int(rng.integers(len(other_doc)))], 0))
     return pairs
 
@@ -199,9 +199,12 @@ def run_pretraining(
     One record per epoch, keyed by HISTORY_COLUMNS: train_loss is the mean
     MLM+NSP loss of the epoch's steps; val_loss, mlm_loss, nsp_loss and
     mlm_acc are eval-mode figures on a fixed masking of the whole pair set
-    (val_loss = mlm_loss + nsp_loss). A step loss or val_loss that is not
-    finite raises ConfigError naming the epoch and step.
+    (val_loss = mlm_loss + nsp_loss). A corpus with no documents raises
+    ConfigError, as does a step loss or val_loss that is not finite, naming
+    the epoch and step.
     """
+    if not corpus:
+        raise ConfigError("pretraining corpus has no documents")
     rng = np.random.default_rng(config.seed)
     eval_rng = np.random.default_rng(config.seed + 1)
     pairs = nsp_pairs(corpus, rng)

@@ -296,58 +296,51 @@ def length_groups(lengths) -> list[np.ndarray]:
     return groups + [order[start:]] if len(lengths) else []
 
 
-class _Group(NamedTuple):
-    """One padded grid of an attention batch, L being its longest length."""
-
-    rows: np.ndarray | None  # its packed rows in grid order; None: the whole batch, in packed order
-    slots: np.ndarray  # grid slot of each of those rows: sequence * L + position
-    key_bias: np.ndarray  # [B_g, 1, 1, L] additive key mask
-
-
 class _Layout(NamedTuple):
-    """Padding layout of a batch: its grids, and per sequence its first
-    packed row, the grid it sits in and its index within that grid."""
+    """Padding layout of a batch. Its grids lie end to end in one slot
+    buffer, grid g holding B_g sequences of L_g slots each. slots holds each
+    packed row's slot: its grid's offset, plus its sequence within the grid
+    times L_g, plus its position."""
 
-    groups: tuple[_Group, ...]
-    start: np.ndarray
-    group: np.ndarray
-    seq: np.ndarray
+    key_bias: tuple[np.ndarray, ...]  # per grid, its [B_g, 1, 1, L_g] additive key mask
+    grids: tuple[slice, ...]  # per grid, its B_g * L_g slots
+    slots: np.ndarray
+    start: np.ndarray  # per sequence, its first packed row
+    group: np.ndarray  # per sequence, its grid
 
 
 @functools.lru_cache(maxsize=64)
 def _padding_layout(lengths: tuple[int, ...]) -> _Layout:
     """Read-only padding layout of checked lengths, computed once per distinct
     tuple. The sequences are cut into grids by length_groups; a batch that
-    fits one grid keeps its packed order, so its rows need no gather."""
+    fits one grid keeps its packed order."""
     lens = np.array(lengths, dtype=np.int64)
     starts = np.cumsum(lens) - lens
     cut = length_groups(lengths)
     if len(cut) == 1:
         cut = [np.arange(lens.size)]
-    group_of, seq_of, groups = np.empty_like(lens), np.empty_like(lens), []
+    group_of, first_slot = np.empty_like(lens), np.empty_like(lens)
+    key_bias, grids, offset = [], [], 0
     for g, members in enumerate(cut):
         group_lens = lens[members]
-        b, length, count = members.size, int(group_lens.max()), int(group_lens.sum())
-        offsets = np.cumsum(group_lens) - group_lens  # first grid-order row of each sequence
-        slots = np.arange(count) + np.repeat(np.arange(b) * length - offsets, group_lens)
-        key_bias = np.where(np.arange(length) < group_lens[:, None], 0.0, NEG_INF_MASK)[:, None, None, :]
-        rows = None if len(cut) == 1 else np.arange(count) + np.repeat(starts[members] - offsets, group_lens)
-        group_of[members], seq_of[members] = g, np.arange(b)
-        groups.append(_Group(rows, slots, key_bias))
-    layout = _Layout(tuple(groups), starts, group_of, seq_of)
-    for array in (*layout[1:], *(a for group in groups for a in group if a is not None)):
+        b, length = members.size, int(group_lens.max())
+        group_of[members], first_slot[members] = g, offset + np.arange(b) * length
+        key_bias.append(np.where(np.arange(length) < group_lens[:, None], 0.0, NEG_INF_MASK)[:, None, None, :])
+        grids.append(slice(offset, offset + b * length))
+        offset += b * length
+    slots = np.arange(sum(lengths)) + np.repeat(first_slot - starts, lens)
+    layout = _Layout(tuple(key_bias), tuple(grids), slots, starts, group_of)
+    for array in (*layout.key_bias, slots, starts, group_of):
         array.flags.writeable = False
     return layout
 
 
-def _query_plan(layout: _Layout, rows, n: int) -> list[tuple[np.ndarray | None, np.ndarray, int] | None]:
-    """Per grid of layout: the output rows its queries fill (None: all of
-    them, in order), their slots in a grid of Q_max positions per sequence
-    (sequence * Q_max + position), and Q_max, one past the furthest wanted
-    position; None for a grid that holds no wanted row. rows, the distinct
-    packed query rows (default: every row), are checked here."""
+def _query_plan(layout: _Layout, rows, n: int) -> tuple[list[int], np.ndarray]:
+    """Per grid of layout, Q_max: one past the furthest wanted position in it,
+    0 for a grid holding no wanted row; and each wanted row's slot. rows, the
+    distinct packed query rows (default: every row), are checked here."""
     if rows is None:
-        return [(group.rows, group.slots, int(group.key_bias.shape[-1])) for group in layout.groups]
+        return [bias.shape[-1] for bias in layout.key_bias], layout.slots
     queries = np.asarray(rows, dtype=np.int64)
     if queries.ndim != 1:
         raise ShapeError(f"attention: rows must be a list of row indices, got shape {queries.shape}")
@@ -359,19 +352,9 @@ def _query_plan(layout: _Layout, rows, n: int) -> list[tuple[np.ndarray | None, 
         if np.count_nonzero(seen) != queries.size:
             raise ShapeError("attention: query rows repeat")
     seq = np.searchsorted(layout.start, queries, side="right") - 1
-    position = queries - layout.start[seq]
-    if len(layout.groups) == 1:
-        q_length = int(position.max(initial=0)) + 1
-        return [(None, layout.seq[seq] * q_length + position, q_length)]
-    plan = []
-    for g in range(len(layout.groups)):
-        picked = np.flatnonzero(layout.group[seq] == g)
-        if not picked.size:
-            plan.append(None)
-            continue
-        q_length = int(position[picked].max()) + 1
-        plan.append((picked, layout.seq[seq[picked]] * q_length + position[picked], q_length))
-    return plan
+    q_lengths = np.zeros(len(layout.grids), dtype=np.int64)
+    np.maximum.at(q_lengths, layout.group[seq], queries - layout.start[seq] + 1)
+    return q_lengths.tolist(), layout.slots[queries]
 
 
 def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
@@ -386,13 +369,15 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     length, are cut into grids of at most EVAL_SLOTS padded slots each
     (length_groups; a longer sequence gets a grid of its own), and each grid
     is padded to its own longest length, with the additive -1e9 mask on keys
-    past a sequence's length. A batch that fits one grid keeps its packed
-    order. Queries run over each sequence's first Q_max positions only, Q_max
-    being one past the furthest wanted position in that grid, so the [CLS]
-    rows alone cost a 1 x L score grid, and a grid holding no wanted row is
-    skipped. The layout is computed once per distinct lengths
-    (_padding_layout); the backward reuses the forward's q/k/v and
-    probability grids.
+    past a sequence's length. The grids lie end to end in one slot buffer,
+    which the rows enter with one scatter; a batch that fits one grid keeps
+    its packed order. Queries run over each sequence's first Q_max positions
+    only, Q_max being one past the furthest wanted position in that grid, so
+    the [CLS] rows alone cost a 1 x L score grid, and a grid holding no
+    wanted row runs no query. The context lands in a buffer of the same
+    slots, which the outputs leave with one gather. The layout is computed
+    once per distinct lengths (_padding_layout); the backward reuses the
+    forward's q/k/v and probability grids.
     """
     _require_2d(qkv, "attention")
     n, width = qkv.data.shape
@@ -402,7 +387,7 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n:
         raise ShapeError(f"attention: lengths {lengths.tolist()} do not partition {n} rows")
     layout = _padding_layout(tuple(lengths.tolist()))
-    plan = _query_plan(layout, rows, n)
+    q_lengths, q_slots = _query_plan(layout, rows, n)
     d = width // 3
     d_k = d // num_heads
     factor = 1.0 / np.sqrt(d_k)
@@ -411,58 +396,42 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
         """The [parts, B, H, grid_length, d_k] view of [B*grid_length x parts*d] slot rows."""
         return flat.reshape(-1, grid_length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
 
-    kept = []  # per computed grid: its group, plan entry, q/k/v slot rows and probabilities
-    out = None if len(layout.groups) == 1 else np.empty((n if rows is None else len(rows), d))
-    for group, part in zip(layout.groups, plan):
-        if part is None:
-            continue
-        picked, q_slots, q_length = part
-        length = group.key_bias.shape[-1]
-        flat = np.zeros((group.key_bias.shape[0] * length, width))
-        flat[group.slots] = qkv.data if group.rows is None else qkv.data[group.rows]
-        q, k, v = heads(flat, length, 3)
+    flat = np.zeros((layout.grids[-1].stop, width))
+    flat[layout.slots] = qkv.data
+    context = np.empty((flat.shape[0], d))  # each sequence's first Q_max slots are written
+    kept = []  # per grid: its slots and its probabilities
+    for key_bias, kv, q_length in zip(layout.key_bias, layout.grids, q_lengths):
+        length = key_bias.shape[-1]
+        q, k, v = heads(flat[kv], length, 3)
         scores = q[:, :, :q_length] @ k.transpose(0, 1, 3, 2)
         scores *= factor
-        scores += group.key_bias
+        scores += key_bias
         probs = softmax(scores, out=scores)
-        context = np.empty((group.key_bias.shape[0] * q_length, d))
-        np.matmul(probs, v, out=heads(context, q_length, 1)[0])
-        if picked is None:
-            out = context[q_slots]
-        else:
-            out[picked] = context[q_slots]
-        kept.append((group, part, flat, probs))
-    out = Tensor(out)
+        np.matmul(probs, v, out=heads(context[kv], length, 1)[0][:, :, :q_length])
+        kept.append((kv, probs))
+    out = Tensor(context[q_slots])
 
     def backward(grad):
         if not _wants_grad(qkv):
             return
-        d_qkv = None
-        if len(layout.groups) > 1:  # rows of a skipped grid get zero gradient
-            d_qkv = (np.empty if len(kept) == len(plan) else np.zeros)((n, width))
-        for group, (picked, q_slots, q_length), flat, probs in kept:
-            length = group.key_bias.shape[-1]
-            q, k, v = heads(flat, length, 3)
+        flat_g = np.zeros_like(context)
+        flat_g[q_slots] = grad  # positions not wanted get zero gradient
+        d_flat = np.empty_like(flat)
+        for kv, probs in kept:
+            q_length, length = probs.shape[-2:]
+            q, k, v = heads(flat[kv], length, 3)
             q = q[:, :, :q_length]
-            flat_g = np.zeros((group.key_bias.shape[0] * q_length, d))
-            flat_g[q_slots] = grad if picked is None else grad[picked]  # positions not wanted get zero gradient
-            (g,) = heads(flat_g, q_length, 1)
+            g = heads(flat_g[kv], length, 1)[0][:, :, :q_length]
             d_scores = g @ v.transpose(0, 1, 3, 2)  # d probs, turned into d scores in place
             d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
             d_scores *= probs
             d_scores *= factor
-            d_flat = np.empty_like(flat)
-            grad_q, grad_k, grad_v = heads(d_flat, length, 3)
+            grad_q, grad_k, grad_v = heads(d_flat[kv], length, 3)
             np.matmul(d_scores, k, out=grad_q[:, :, :q_length])
             grad_q[:, :, q_length:] = 0.0
             np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=grad_k)
             np.matmul(probs.transpose(0, 1, 3, 2), g, out=grad_v)
-            if d_qkv is None:
-                _accumulate(qkv, d_flat[group.slots])
-            else:
-                d_qkv[group.rows] = d_flat[group.slots]
-        if d_qkv is not None:
-            _accumulate(qkv, d_qkv)
+        _accumulate(qkv, d_flat[layout.slots])
 
     _record(out, backward, qkv)
     return out

@@ -43,6 +43,16 @@ class TestRoundTrip:
             other = loaded.named_parameters()[name]
             assert np.max(np.abs(t.data - other.data)) < 1e-6, name
 
+    def test_loaded_weights_are_the_stored_float32_values_as_writeable_float64(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        loaded = load_checkpoint(str(path))
+        for name, t in model.named_parameters().items():
+            got = loaded.named_parameters()[name].data
+            assert got.dtype == np.float64 and got.flags.writeable and got.flags.c_contiguous, name
+            np.testing.assert_array_equal(got, t.data.astype(np.float32).astype(np.float64), err_msg=name)
+            got += 1.0  # each weight owns its array
+
     def test_vocab_and_config_survive(self, model, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, str(path))

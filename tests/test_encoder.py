@@ -209,15 +209,14 @@ class TestPaddingLayout:
 
     def test_layout_arrays_are_read_only(self):
         layout = _padding_layout((3, 1, 5))
-        (group,) = layout.groups  # 3 x 5 slots fit one grid: packed order, no gather
-        assert group.rows is None
-        np.testing.assert_array_equal(group.slots, [0, 1, 2, 5, 10, 11, 12, 13, 14])
-        np.testing.assert_array_equal(group.key_bias[:, 0, 0, :] == 0.0, np.arange(5) < np.array([[3], [1], [5]]))
-        np.testing.assert_array_equal(np.unique(group.key_bias), [NEG_INF_MASK, 0.0])
+        (key_bias,) = layout.key_bias  # 3 x 5 slots fit one grid, in packed order
+        assert layout.grids == (slice(0, 15),)
+        np.testing.assert_array_equal(layout.slots, [0, 1, 2, 5, 10, 11, 12, 13, 14])
+        np.testing.assert_array_equal(key_bias[:, 0, 0, :] == 0.0, np.arange(5) < np.array([[3], [1], [5]]))
+        np.testing.assert_array_equal(np.unique(key_bias), [NEG_INF_MASK, 0.0])
         np.testing.assert_array_equal(layout.start, [0, 3, 4])
         np.testing.assert_array_equal(layout.group, [0, 0, 0])
-        np.testing.assert_array_equal(layout.seq, [0, 1, 2])
-        for array in (group.slots, group.key_bias, layout.start, layout.group, layout.seq):
+        for array in (key_bias, *layout[2:]):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -283,24 +282,36 @@ class TestLengthGroups:
     def test_split_layout(self, slot_budget):
         slot_budget(6)  # sorted lengths 1, 3 fill 2 x 3 slots; the 5 stands alone
         layout = _padding_layout((3, 1, 5))
-        assert len(layout.groups) == 2
-        first, second = layout.groups
-        np.testing.assert_array_equal(first.rows, [3, 0, 1, 2])
-        np.testing.assert_array_equal(first.slots, [0, 3, 4, 5])
-        np.testing.assert_array_equal(first.key_bias[:, 0, 0, :] == 0.0, [[True, False, False], [True] * 3])
-        np.testing.assert_array_equal(second.rows, [4, 5, 6, 7, 8])
-        np.testing.assert_array_equal(second.slots, np.arange(5))
-        assert second.key_bias.shape == (1, 1, 1, 5) and not second.key_bias.any()
+        first, second = layout.key_bias
+        # grid 0 holds the 1 then the 3 in slots 0-5; grid 1 the 5 in slots 6-10
+        assert layout.grids == (slice(0, 6), slice(6, 11))
+        np.testing.assert_array_equal(layout.slots, [3, 4, 5, 0, 6, 7, 8, 9, 10])
+        np.testing.assert_array_equal(first[:, 0, 0, :] == 0.0, [[True, False, False], [True] * 3])
+        assert second.shape == (1, 1, 1, 5) and not second.any()
         np.testing.assert_array_equal(layout.start, [0, 3, 4])
         np.testing.assert_array_equal(layout.group, [0, 0, 1])
-        np.testing.assert_array_equal(layout.seq, [1, 0, 0])
-        for array in (*layout[1:], first.rows, first.slots, first.key_bias, second.rows):
+        for array in (first, second, *layout[2:]):
             assert not array.flags.writeable
 
+    @pytest.mark.parametrize("lengths", [(3, 1, 5, 2), (6, 1, 1, 4, 2, 3, 5), (2,) * 7])
+    def test_split_slots_cover_each_grids_unmasked_keys(self, slot_budget, lengths):
+        slot_budget(6)
+        layout = _padding_layout(lengths)
+        assert len(layout.key_bias) > 1
+        slots = np.sort(layout.slots)
+        assert np.unique(slots).size == slots.size
+        # the grids tile the buffer end to end
+        assert layout.grids[0].start == 0 and all(a.stop == b.start for a, b in zip(layout.grids, layout.grids[1:]))
+        for key_bias, grid in zip(layout.key_bias, layout.grids):
+            assert key_bias.size == grid.stop - grid.start
+            unmasked = grid.start + np.flatnonzero(key_bias[:, 0, 0, :].ravel() == 0.0)
+            np.testing.assert_array_equal(slots[(slots >= grid.start) & (slots < grid.stop)], unmasked)
+        assert slots[-1] < layout.grids[-1].stop
+
     def test_one_grid_up_to_the_budget(self):
-        assert len(_padding_layout((64,) * 8).groups) == 1  # exactly EVAL_SLOTS slots
-        assert len(_padding_layout((1,) + (64,) * 8).groups) == 2
-        assert len(_padding_layout((300,)).groups) == 1  # over the budget alone
+        assert len(_padding_layout((64,) * 8).key_bias) == 1  # exactly EVAL_SLOTS slots
+        assert len(_padding_layout((1,) + (64,) * 8).key_bias) == 2
+        assert len(_padding_layout((300,)).key_bias) == 1  # over the budget alone
 
     @pytest.mark.parametrize("budget, max_length, max_batch", [(None, 64, 32), (8, 6, 8)])
     def test_grids_match_one_grid(self, slot_budget, budget, max_length, max_batch):
@@ -322,15 +333,15 @@ class TestLengthGroups:
             qkv = rng.normal(size=(n, 12))
             upstream = rng.normal(size=(n if rows is None else len(rows), 4))
             layout = _padding_layout(tuple(lengths))
-            split += len(layout.groups) > 1
+            split += len(layout.key_bias) > 1
             if rows is not None:  # the grids holding a wanted row, found from each row's sequence
                 wanted = layout.group[np.searchsorted(layout.start, rows, side="right") - 1]
-                skipped += len(set(wanted.tolist())) < len(layout.groups)
+                skipped += len(set(wanted.tolist())) < len(layout.key_bias)
             cases.append((qkv, lengths, rows, upstream, _attention_and_grad(qkv, lengths, rows, upstream)))
         assert split >= 10 and skipped >= 3
         slot_budget(10**9)  # every batch in one grid
         for qkv, lengths, rows, upstream, (out, grad) in cases:
-            assert len(_padding_layout(tuple(lengths)).groups) == 1
+            assert len(_padding_layout(tuple(lengths)).key_bias) == 1
             one_out, one_grad = _attention_and_grad(qkv, lengths, rows, upstream)
             np.testing.assert_allclose(out, one_out, atol=1e-12, rtol=0)
             np.testing.assert_allclose(grad, one_grad, atol=1e-12, rtol=0)
@@ -339,7 +350,7 @@ class TestLengthGroups:
     def test_gradcheck_across_a_forced_split(self, slot_budget, rows):
         slot_budget(6)  # lengths sorted 1, 2 | 3 | 5: three grids; rows [7, 5] want only the last
         lengths = [3, 1, 5, 2]
-        assert len(_padding_layout(tuple(lengths)).groups) == 3
+        assert len(_padding_layout(tuple(lengths)).key_bias) == 3
         rng = np.random.default_rng(19)
         qkv = parameter(rng.normal(size=(11, 12)))
         weights = rng.normal(size=(11 if rows is None else len(rows), 4))
@@ -348,10 +359,25 @@ class TestLengthGroups:
         )
         assert checked == 60
 
+    def test_grid_with_no_wanted_row_gives_exactly_zero_gradient(self, slot_budget):
+        slot_budget(6)  # grids: lengths 1, 2 | 3 | 5; rows 7, 5 sit in the 5's grid
+        lengths, rows = [3, 1, 5, 2], [7, 5]
+        rng = np.random.default_rng(21)
+        layout = _padding_layout(tuple(lengths))
+        q_lengths, _ = tensor._query_plan(layout, rows, 11)
+        np.testing.assert_array_equal(q_lengths, [0, 0, 4])
+        _, grad = _attention_and_grad(rng.normal(size=(11, 12)), lengths, rows, rng.normal(size=(2, 4)))
+        assert np.all(grad[[0, 1, 2, 3, 9, 10]] == 0.0)
+        assert np.all(grad[4:9, 4:] != 0.0)  # the 5's keys and values
+
     def test_one_grid_path_is_the_single_grid_formula(self):
         rng = np.random.default_rng(20)
         for lengths in ([4, 1, 4], [7], [64] * 8, list(rng.integers(1, 33, size=15))):
-            assert _padding_layout(tuple(lengths)).groups[0].rows is None
+            layout = _padding_layout(tuple(lengths))
+            assert len(layout.key_bias) == 1  # packed order: sequence * L + position
+            np.testing.assert_array_equal(
+                layout.slots, np.concatenate([s * max(lengths) + np.arange(m) for s, m in enumerate(lengths)])
+            )
             n = sum(lengths)
             qkv, upstream = rng.normal(size=(n, 24)), rng.normal(size=(n, 8))
             out, grad = _attention_and_grad(qkv, lengths, None, upstream)
@@ -362,7 +388,7 @@ class TestLengthGroups:
 
     def test_bad_query_rows_in_a_split_batch(self, slot_budget):
         slot_budget(6)
-        assert len(_padding_layout((3, 1, 5, 2)).groups) == 3
+        assert len(_padding_layout((3, 1, 5, 2)).key_bias) == 3
         qkv = Tensor(np.zeros((11, 12)))
         with pytest.raises(IndexError):
             attention(qkv, [3, 1, 5, 2], 1, [11])

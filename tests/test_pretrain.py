@@ -142,6 +142,22 @@ class TestNspPairs:
         mean = np.mean(labels)
         assert abs(mean - 0.5) < 0.015
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_non_successor_draw_matches_the_list_of_other_documents(self, seed):
+        # reference: draw an index into the list of every other document
+        docs = [[f"d{d}s{s}" for s in range(2 + d % 3)] for d in range(6)]
+        rng, expected = np.random.default_rng(seed), []
+        for doc_index, doc in enumerate(docs):
+            for first, successor in zip(doc, doc[1:]):
+                if rng.random() < 0.5:
+                    expected.append((first, successor, 1))
+                else:
+                    others = [i for i in range(len(docs)) if i != doc_index]
+                    other_doc = docs[others[int(rng.integers(len(others)))]]
+                    expected.append((first, other_doc[int(rng.integers(len(other_doc)))], 0))
+        assert nsp_pairs(docs, np.random.default_rng(seed)) == expected
+        assert any(label == 0 for _, _, label in expected)
+
     def test_single_document_negative_request_fails(self):
         with pytest.raises(SamplingError):
             nsp_pairs([["a", "b"]], _ScriptedRng(0.9))
@@ -249,6 +265,10 @@ class TestPretrainStep:
         assert len(before) >= 2  # an earlier step did move the weights
         for name, value in model.snapshot().items():
             np.testing.assert_array_equal(value, before[-1][name], err_msg=name)
+
+    def test_empty_corpus_is_a_config_error(self, vocab):
+        with pytest.raises(ConfigError, match="corpus has no documents"):
+            run_pretraining([], self._model(vocab), PretrainConfig(epochs=1))
 
     def test_history_rows_carry_honest_columns(self, corpus, vocab):
         model = self._model(vocab, seed=9)
