@@ -129,16 +129,14 @@ def train(
     train_examples = rebalance(train_examples, config.balance, rng)
     weights = class_weights(train_examples) if config.balance == "class_weights" else config.class_weights
 
-    cache: dict[str, EncodedSequence] = {}
-
-    def _encode(text: str) -> EncodedSequence:
-        if text not in cache:
-            cache[text] = encode_pair(text, None, model.vocab, model.config.max_len)
-        return cache[text]
-
-    train_seqs = [_encode(ex.text) for ex in train_examples]
+    # one encoding per distinct text: oversampled copies share it
+    encoded = {
+        text: encode_pair(text, None, model.vocab, model.config.max_len)
+        for text in dict.fromkeys(ex.text for ex in train_examples + val_examples)
+    }
+    train_seqs = [encoded[ex.text] for ex in train_examples]
     train_labels = [ex.label for ex in train_examples]
-    val_seqs = [_encode(ex.text) for ex in val_examples]
+    val_seqs = [encoded[ex.text] for ex in val_examples]
     val_labels = [ex.label for ex in val_examples]
 
     optimizer = OPTIMIZERS[config.algorithm](model.named_parameters("classifier"), config.lr)

@@ -19,9 +19,9 @@ import numpy as np
 from . import balance as balance_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classify import TrainConfig, curve_to_csv, evaluate, predict_batch, train
-from .data import FORMATS, LABELS, ingest, read_corpus, write_jsonl
+from .data import FORMATS, LABELS, LabeledExample, ingest, read_corpus, write_jsonl
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, SamplingError, SentibertError, check_type
+from .errors import ConfigError, DataError, SamplingError, check_type
 from .fileio import atomic_open, read_text
 from .metrics import MetricsReport, cm_to_csv
 from .model import SentimentModel
@@ -137,24 +137,28 @@ def _is_path(value) -> bool:
         return False
 
 
-def _path(cfg: dict, key: str, required_for: str) -> str:
+def _path(cfg: dict, key: str, command: str) -> str:
+    """paths.<key>, which command needs; the error names the flag that sets it, if any."""
     value = cfg["paths"].get(key)
     if not value:
-        raise UsageError(f"{required_for} needs paths.{key} in the config")
+        flag = next((f for f, (k, commands, _) in FLAGS.items() if k == f"paths.{key}" and command in commands), None)
+        raise UsageError(f"{command} needs {f'{flag} or ' if flag else ''}paths.{key} in the config")
     return value
 
 
-def _require_input(path: str, what: str) -> str:
+def _input(cfg: dict, key: str, command: str) -> str:
+    """paths.<key>, which command reads: it must be set and name an existing file."""
+    path = _path(cfg, key, command)
     if not os.path.exists(path):
-        raise UsageError(f"{what} does not exist: {path}")
+        raise UsageError(f"paths.{key} does not exist: {path}")
     return path
 
 
-def _data_format(cfg: dict, path: str) -> str:
-    fmt = cfg["paths"].get("data_format")
-    if fmt:
-        return fmt
-    return "csv" if path.endswith(".csv") else "jsonl"
+def _dataset(cfg: dict, key: str, command: str) -> list[LabeledExample]:
+    """The labeled dataset at _input(cfg, key, command), read as paths.data_format
+    if set, else as CSV for a .csv name and JSONL for any other."""
+    path = _input(cfg, key, command)
+    return ingest(path, cfg["paths"].get("data_format") or ("csv" if path.endswith(".csv") else "jsonl"))
 
 
 def _write_text(path: str, content: str) -> None:
@@ -171,14 +175,10 @@ def _emit(payload: dict) -> None:
 
 def _cmd_build_vocab(cfg: dict) -> None:
     texts: list[str] = []
-    data_path = cfg["paths"].get("train_data")
-    corpus_path = cfg["paths"].get("pretrain_corpus")
-    if data_path:
-        _require_input(data_path, "paths.train_data")
-        texts.extend(ex.text for ex in ingest(data_path, _data_format(cfg, data_path)))
-    if corpus_path:
-        _require_input(corpus_path, "paths.pretrain_corpus")
-        for doc in read_corpus(corpus_path):
+    if cfg["paths"].get("train_data"):
+        texts.extend(ex.text for ex in _dataset(cfg, "train_data", "build-vocab"))
+    if cfg["paths"].get("pretrain_corpus"):
+        for doc in read_corpus(_input(cfg, "pretrain_corpus", "build-vocab")):
             texts.extend(doc)
     if not texts:
         raise UsageError("build-vocab needs paths.train_data and/or paths.pretrain_corpus")
@@ -189,8 +189,8 @@ def _cmd_build_vocab(cfg: dict) -> None:
 
 
 def _cmd_pretrain(cfg: dict) -> None:
-    vocab = Vocab.load(_require_input(_path(cfg, "vocab", "pretrain"), "paths.vocab"))
-    corpus = read_corpus(_require_input(_path(cfg, "pretrain_corpus", "pretrain"), "paths.pretrain_corpus"))
+    vocab = Vocab.load(_input(cfg, "vocab", "pretrain"))
+    corpus = read_corpus(_input(cfg, "pretrain_corpus", "pretrain"))
     model = SentimentModel.init(vocab, cfg["encoder"], cfg["seed"])
     history = run_pretraining(corpus, model, cfg["pretrain"])
     ckpt = _path(cfg, "checkpoint", "pretrain")
@@ -207,12 +207,11 @@ def _cmd_pretrain(cfg: dict) -> None:
 
 
 def _cmd_train(cfg: dict) -> None:
-    data_path = _require_input(_path(cfg, "train_data", "train"), "paths.train_data")
-    dataset = ingest(data_path, _data_format(cfg, data_path))
+    dataset = _dataset(cfg, "train_data", "train")
     train_cfg, encoder_cfg = cfg["train"], cfg["encoder"]
     init_ckpt = cfg["paths"].get("init_checkpoint")
     if init_ckpt:
-        model = load_checkpoint(_require_input(init_ckpt, "paths.init_checkpoint"))
+        model = load_checkpoint(_input(cfg, "init_checkpoint", "train"))
         for key in cfg["encoder_keys"]:  # the checkpoint fixes the shape; a section may only repeat it
             if getattr(encoder_cfg, key) != getattr(model.config, key):
                 raise UsageError(
@@ -220,7 +219,7 @@ def _cmd_train(cfg: dict) -> None:
                     f"has {getattr(model.config, key)!r}"
                 )
     else:
-        vocab = Vocab.load(_require_input(_path(cfg, "vocab", "train"), "paths.vocab"))
+        vocab = Vocab.load(_input(cfg, "vocab", "train"))
         model = SentimentModel.init(vocab, encoder_cfg, train_cfg.seed)
     model, curve = train(dataset, train_cfg, model)
     ckpt = _path(cfg, "checkpoint", "train")
@@ -238,22 +237,16 @@ def _cmd_train(cfg: dict) -> None:
 
 
 def _cmd_evaluate(cfg: dict) -> None:
-    model = load_checkpoint(_require_input(_path(cfg, "checkpoint", "evaluate"), "paths.checkpoint"))
-    data_path = _require_input(_path(cfg, "eval_data", "evaluate"), "paths.eval_data")
-    dataset = ingest(data_path, _data_format(cfg, data_path))
-    rep, cm = evaluate(model, dataset)
+    model = load_checkpoint(_input(cfg, "checkpoint", "evaluate"))
+    rep, cm = evaluate(model, _dataset(cfg, "eval_data", "evaluate"))
     _write_text(_path(cfg, "metrics", "evaluate"), rep.to_json() + "\n")
     _write_text(_path(cfg, "confusion", "evaluate"), cm_to_csv(cm))
     _emit({"command": "evaluate", "accuracy": rep.accuracy, "log_loss": rep.log_loss})
 
 
 def _cmd_predict(cfg: dict) -> None:
-    model = load_checkpoint(_require_input(_path(cfg, "checkpoint", "predict"), "paths.checkpoint"))
-    in_path = cfg["paths"].get("predict_input")
-    if not in_path:
-        raise UsageError("predict needs --input or paths.predict_input")
-    _require_input(in_path, "predict input")
-    texts = [line.rstrip("\n") for line in read_text(in_path)]
+    model = load_checkpoint(_input(cfg, "checkpoint", "predict"))
+    texts = [line.rstrip("\n") for line in read_text(_input(cfg, "predict_input", "predict"))]
     results = predict_batch(texts, model)
     lines = [
         json.dumps({"label": LABELS[label], "probabilities": [float(p) for p in probs]}, sort_keys=True)
@@ -269,8 +262,7 @@ def _cmd_predict(cfg: dict) -> None:
 
 
 def _cmd_rebalance(cfg: dict) -> None:
-    data_path = _require_input(_path(cfg, "train_data", "rebalance"), "paths.train_data")
-    dataset = ingest(data_path, _data_format(cfg, data_path))
+    dataset = _dataset(cfg, "train_data", "rebalance")
     strategy = cfg["balance"]
     if strategy == "class_weights":
         raise UsageError("class_weights changes the loss, not the dataset; use train --balance class_weights")
@@ -289,10 +281,8 @@ def _cmd_rebalance(cfg: dict) -> None:
 
 
 def _cmd_report(cfg: dict) -> None:
-    metrics_path = cfg["paths"].get("metrics")
-    if not metrics_path:
-        raise UsageError("report needs --metrics or paths.metrics")
-    text = read_text(_require_input(metrics_path, "metrics file"))
+    metrics_path = _input(cfg, "metrics", "report")
+    text = read_text(metrics_path)
     try:
         rep = MetricsReport.from_dict(json.load(text))
     except (json.JSONDecodeError, DataError) as exc:
@@ -351,14 +341,10 @@ def main(argv=None) -> int:
             raise UsageError("no command given (expected one of: " + ", ".join(_HANDLERS) + ")")
         _HANDLERS[args.command](_load_config(args))
         return 0
-    except UsageError as exc:
-        return _fail("usage", exc, 1)
-    except OSError as exc:  # every file the CLI opens is one the user named
+    except (UsageError, OSError) as exc:  # every file the CLI opens is one the user named
         return _fail("usage", exc, 1)
     except (DataError, ConfigError, SamplingError) as exc:
         return _fail("data", exc, 2)
-    except SentibertError as exc:
-        return _fail("internal", exc, 3)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, never raises
         return _fail("internal", exc, 3)
 

@@ -24,7 +24,7 @@ class LabeledExample:
 
 def _parse_label(raw, line_no: int) -> int:
     # labels are case-sensitive on purpose; "Positive" is a data bug, not a synonym
-    if raw not in LABEL_TO_INDEX:
+    if not isinstance(raw, str) or raw not in LABEL_TO_INDEX:  # a list or dict label is unhashable
         raise DataError(f"line {line_no}: unknown label {raw!r} (expected one of {list(LABELS)})")
     return LABEL_TO_INDEX[raw]
 

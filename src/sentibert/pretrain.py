@@ -107,24 +107,21 @@ def _batch_losses(
     model: SentimentModel,
     training: bool,
     rng: np.random.Generator | None,
-) -> tuple[Tensor | None, Tensor, np.ndarray | None, list[int]]:
+) -> tuple[Tensor | None, Tensor, np.ndarray | None, np.ndarray]:
     """Forward the batch at once; returns (mlm_loss or None, nsp_loss, mlm logits, mlm targets).
 
     The encoder computes its last layer only at the rows the heads read: each
     sequence's [CLS], then every masked position."""
     starts = row_starts(batch.sequences)
-    rows, targets = [], []
-    for start, seq_targets in zip(starts, batch.mlm_targets):
-        for i, t in enumerate(seq_targets):
-            if t != SENTINEL:
-                rows.append(start + i)
-                targets.append(t)
-    hidden = model.hidden_states(batch.sequences, training, rng, rows=starts + rows)
+    packed = np.concatenate(batch.mlm_targets)  # one target per packed row
+    rows = np.flatnonzero(packed != SENTINEL)
+    targets = packed[rows]
+    hidden = model.hidden_states(batch.sequences, training, rng, rows=np.concatenate((starts, rows)))
     b = len(starts)
     nsp_loss = cross_entropy(model.nsp_logits(hidden, range(b)), batch.nsp_labels)
-    if not rows:
-        return None, nsp_loss, None, []
-    mlm_logits = model.mlm_logits(hidden, range(b, b + len(rows)))
+    if not rows.size:
+        return None, nsp_loss, None, targets
+    mlm_logits = model.mlm_logits(hidden, range(b, b + rows.size))
     return cross_entropy(mlm_logits, targets), nsp_loss, mlm_logits.data, targets
 
 

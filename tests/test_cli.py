@@ -188,6 +188,14 @@ class TestErrorPaths:
         assert payload["error"] == "data"
         assert "line 1" in payload["message"]
 
+    def test_label_that_is_not_a_string_is_data_error(self, workspace, capsys):
+        tmp, config_path, _ = workspace
+        (tmp / "train.jsonl").write_text('{"text": "nice room", "label": ["positive"]}\n', encoding="utf-8")
+        assert run_cli("build-vocab", "--config", str(config_path)) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "data"
+        assert f"{tmp / 'train.jsonl'}: line 1: unknown label" in payload["message"]
+
     def test_corrupt_checkpoint_is_data_error(self, workspace, capsys):
         tmp, config_path, _ = workspace
         (tmp / "model.ckpt").write_bytes(b"garbage")
@@ -602,3 +610,66 @@ def test_the_documented_example_config_loads(tmp_path, doc):
     args = cli._build_parser().parse_args(["train", "--config", str(tmp_path / "run.json")])
     cfg = cli._load_config(args)
     assert cfg["train"].epochs == json.loads(example)["train"]["epochs"]
+
+
+# command -> the paths keys it reads; OPTIONAL_INPUTS are read only when set
+REQUIRED_INPUTS = {
+    "pretrain": ("vocab", "pretrain_corpus"),
+    "train": ("train_data", "vocab"),
+    "evaluate": ("checkpoint", "eval_data"),
+    "predict": ("checkpoint", "predict_input"),
+    "rebalance": ("train_data",),
+    "report": ("metrics",),
+}
+OPTIONAL_INPUTS = {"build-vocab": ("train_data", "pretrain_corpus"), "train": ("init_checkpoint",)}
+INPUT_KEY_FLAGS = {"predict_input": "--input", "metrics": "--metrics"}
+
+
+def _input_failure(trained, tmp_path, capsys, command, key, value):
+    """The usage message of command run with paths.<key> set to value (None: unset);
+    the run writes no file and prints nothing on stdout."""
+    root, config = trained
+    config = copy.deepcopy(config)
+    if value is None:
+        config["paths"].pop(key, None)
+    else:
+        config["paths"][key] = value
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in root.iterdir()}
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(tmp_path / "config.json")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and {path.name: path.read_bytes() for path in root.iterdir()} == before
+    payload = json.loads(err.strip())
+    assert payload["error"] == "usage"
+    return payload["message"]
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in REQUIRED_INPUTS.items() for k in keys])
+def test_unset_input_is_usage_error_naming_its_key_and_flag(trained, tmp_path, capsys, command, key):
+    flag = INPUT_KEY_FLAGS.get(key)
+    via = f"{flag} or " if flag else ""
+    message = _input_failure(trained, tmp_path, capsys, command, key, None)
+    assert message == f"{command} needs {via}paths.{key} in the config"
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for inputs in (REQUIRED_INPUTS, OPTIONAL_INPUTS) for c, ks in inputs.items() for k in ks]
+)
+def test_missing_input_file_is_usage_error_naming_its_key(trained, tmp_path, capsys, command, key):
+    missing = str(tmp_path / "missing" / key)
+    message = _input_failure(trained, tmp_path, capsys, command, key, missing)
+    assert message == f"paths.{key} does not exist: {missing}"
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_the_documented_flag_table_matches_flags(doc):
+    text = (Path(__file__).resolve().parents[1] / doc).read_text(encoding="utf-8")
+    table = re.search(r"^\| flag \| overrides \| commands \|\n\|[-|]+\|\n((?:\|.*\n)+)", text, re.M).group(1)
+    documented = {}
+    for row in table.splitlines():
+        flag, keys, commands = (cell.strip() for cell in row.strip("|").split("|"))
+        documented[flag.strip("`")] = (set(re.findall(r"`([^`]+)`", keys)), tuple(commands.split(", ")))
+    assert documented == {
+        flag: ({key.format(command=c) for c in commands}, commands) for flag, (key, commands, _) in FLAGS.items()
+    }

@@ -51,6 +51,14 @@ class TestJsonlIngest:
         with pytest.raises(DataError, match="line 1"):
             ingest(str(path), "jsonl")
 
+    @pytest.mark.parametrize("label", ['["positive"]', '{"x": 1}', "2", "true", "null"])
+    def test_label_that_is_not_a_string_names_line(self, tmp_path, label):
+        path = tmp_path / "data.jsonl"
+        lines = ['{"text": "ok", "label": "neutral"}', '{"text": "nice room", "label": %s}' % label]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}: line 2: unknown label"):
+            ingest(str(path), "jsonl")
+
     def test_round_trip(self, tmp_path):
         examples = [LabeledExample("a, quoted \"text\"", 0), LabeledExample("", 1)]
         path = tmp_path / "out.jsonl"
