@@ -22,7 +22,7 @@ from .classify import TrainConfig, curve_to_csv, evaluate, predict_batch, train
 from .data import FORMATS, LABELS, LabeledExample, ingest, read_corpus, write_jsonl
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, SamplingError, check_type
-from .fileio import atomic_open, read_text
+from .fileio import atomic_open, parse_json, read_text
 from .metrics import MetricsReport, cm_to_csv
 from .model import SentimentModel
 from .pretrain import HISTORY_COLUMNS, PretrainConfig, run_pretraining
@@ -77,13 +77,11 @@ def _load_config(args) -> dict:
     checked: encoder, train and pretrain hold their built configs."""
     path = args.config
     try:
-        raw = json.load(read_text(path))
+        raw = parse_json(read_text(path).getvalue(), path)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except DataError as exc:
         raise UsageError(f"config {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     cfg = {key: dict(value) if isinstance(value, dict) else value for key, value in DEFAULT_CONFIG.items()}
@@ -154,6 +152,17 @@ def _input(cfg: dict, key: str, command: str) -> str:
     return path
 
 
+def _output(cfg: dict, key: str, command: str) -> str:
+    """paths.<key>, which command writes: it must be set and name a file in an
+    existing directory. Commands resolve their outputs before any work."""
+    path = _path(cfg, key, command)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise UsageError(f"paths.{key} is in a directory that does not exist: {path}")
+    if os.path.isdir(path):
+        raise UsageError(f"paths.{key} is a directory: {path}")
+    return path
+
+
 def _dataset(cfg: dict, key: str, command: str) -> list[LabeledExample]:
     """The labeled dataset at _input(cfg, key, command), read as paths.data_format
     if set, else as CSV for a .csv name and JSONL for any other."""
@@ -174,6 +183,7 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_build_vocab(cfg: dict) -> None:
+    out = _output(cfg, "vocab", "build-vocab")
     texts: list[str] = []
     if cfg["paths"].get("train_data"):
         texts.extend(ex.text for ex in _dataset(cfg, "train_data", "build-vocab"))
@@ -183,19 +193,18 @@ def _cmd_build_vocab(cfg: dict) -> None:
     if not texts:
         raise UsageError("build-vocab needs paths.train_data and/or paths.pretrain_corpus")
     vocab = build_vocab(texts, **cfg["vocab"])
-    out = _path(cfg, "vocab", "build-vocab")
     vocab.save(out)
     _emit({"command": "build-vocab", "vocab_size": len(vocab), "path": out})
 
 
 def _cmd_pretrain(cfg: dict) -> None:
+    ckpt, curve_path = _output(cfg, "checkpoint", "pretrain"), _output(cfg, "curve", "pretrain")
     vocab = Vocab.load(_input(cfg, "vocab", "pretrain"))
     corpus = read_corpus(_input(cfg, "pretrain_corpus", "pretrain"))
     model = SentimentModel.init(vocab, cfg["encoder"], cfg["seed"])
     history = run_pretraining(corpus, model, cfg["pretrain"])
-    ckpt = _path(cfg, "checkpoint", "pretrain")
     save_checkpoint(model, ckpt)
-    _write_text(_path(cfg, "curve", "pretrain"), curve_to_csv(history, HISTORY_COLUMNS))
+    _write_text(curve_path, curve_to_csv(history, HISTORY_COLUMNS))
     _emit(
         {
             "command": "pretrain",
@@ -207,6 +216,7 @@ def _cmd_pretrain(cfg: dict) -> None:
 
 
 def _cmd_train(cfg: dict) -> None:
+    ckpt, curve_path = _output(cfg, "checkpoint", "train"), _output(cfg, "curve", "train")
     dataset = _dataset(cfg, "train_data", "train")
     train_cfg, encoder_cfg = cfg["train"], cfg["encoder"]
     init_ckpt = cfg["paths"].get("init_checkpoint")
@@ -222,9 +232,8 @@ def _cmd_train(cfg: dict) -> None:
         vocab = Vocab.load(_input(cfg, "vocab", "train"))
         model = SentimentModel.init(vocab, encoder_cfg, train_cfg.seed)
     model, curve = train(dataset, train_cfg, model)
-    ckpt = _path(cfg, "checkpoint", "train")
     save_checkpoint(model, ckpt)
-    _write_text(_path(cfg, "curve", "train"), curve_to_csv(curve))
+    _write_text(curve_path, curve_to_csv(curve))
     _emit(
         {
             "command": "train",
@@ -237,14 +246,16 @@ def _cmd_train(cfg: dict) -> None:
 
 
 def _cmd_evaluate(cfg: dict) -> None:
+    metrics_path, confusion_path = _output(cfg, "metrics", "evaluate"), _output(cfg, "confusion", "evaluate")
     model = load_checkpoint(_input(cfg, "checkpoint", "evaluate"))
     rep, cm = evaluate(model, _dataset(cfg, "eval_data", "evaluate"))
-    _write_text(_path(cfg, "metrics", "evaluate"), rep.to_json() + "\n")
-    _write_text(_path(cfg, "confusion", "evaluate"), cm_to_csv(cm))
+    _write_text(metrics_path, rep.to_json() + "\n")
+    _write_text(confusion_path, cm_to_csv(cm))
     _emit({"command": "evaluate", "accuracy": rep.accuracy, "log_loss": rep.log_loss})
 
 
 def _cmd_predict(cfg: dict) -> None:
+    out_path = cfg["paths"].get("predictions") and _output(cfg, "predictions", "predict")  # unset: stdout
     model = load_checkpoint(_input(cfg, "checkpoint", "predict"))
     texts = [line.rstrip("\n") for line in read_text(_input(cfg, "predict_input", "predict"))]
     results = predict_batch(texts, model)
@@ -252,7 +263,6 @@ def _cmd_predict(cfg: dict) -> None:
         json.dumps({"label": LABELS[label], "probabilities": [float(p) for p in probs]}, sort_keys=True)
         for label, probs in results
     ]
-    out_path = cfg["paths"].get("predictions")
     if out_path:
         _write_text(out_path, "\n".join(lines) + ("\n" if lines else ""))
         _emit({"command": "predict", "count": len(lines), "path": out_path})
@@ -262,6 +272,7 @@ def _cmd_predict(cfg: dict) -> None:
 
 
 def _cmd_rebalance(cfg: dict) -> None:
+    data_path, histogram_path = _output(cfg, "rebalanced_data", "rebalance"), _output(cfg, "histogram", "rebalance")
     dataset = _dataset(cfg, "train_data", "rebalance")
     strategy = cfg["balance"]
     if strategy == "class_weights":
@@ -269,23 +280,26 @@ def _cmd_rebalance(cfg: dict) -> None:
     before = balance_mod.ClassHistogram.from_dataset(dataset)
     rebalanced = balance_mod.rebalance(dataset, strategy, np.random.default_rng(cfg["seed"]))
     after = balance_mod.ClassHistogram.from_dataset(rebalanced)
-    write_jsonl(rebalanced, _path(cfg, "rebalanced_data", "rebalance"))
+    write_jsonl(rebalanced, data_path)
     payload = {
         "command": "rebalance",
         "strategy": strategy,
         "before": before.to_dict(),
         "after": after.to_dict(),
     }
-    _write_text(_path(cfg, "histogram", "rebalance"), json.dumps(payload, sort_keys=True) + "\n")
+    _write_text(histogram_path, json.dumps(payload, sort_keys=True) + "\n")
     _emit(payload)
 
 
 def _cmd_report(cfg: dict) -> None:
     metrics_path = _input(cfg, "metrics", "report")
-    text = read_text(metrics_path)
+    raw = parse_json(read_text(metrics_path).getvalue(), metrics_path)
+    if not isinstance(raw, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(type(raw), "a number")
+        raise DataError(f"{metrics_path}: not a metrics report (the file must hold a JSON object, got {kind})")
     try:
-        rep = MetricsReport.from_dict(json.load(text))
-    except (json.JSONDecodeError, DataError) as exc:
+        rep = MetricsReport.from_dict(raw)
+    except DataError as exc:
         raise DataError(f"{metrics_path}: not a metrics report ({exc})") from exc
     lines = [
         f"accuracy  {rep.accuracy:.4f}",

@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DataError
-from .fileio import atomic_open, read_text
+from .fileio import atomic_open, parse_json, read_text
 
 LABELS = ("negative", "neutral", "positive")
 LABEL_TO_INDEX = {name: i for i, name in enumerate(LABELS)}
@@ -34,10 +34,7 @@ def _ingest_jsonl(fh) -> list[LabeledExample]:
     for line_no, line in enumerate(fh, start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        record = parse_json(line, f"line {line_no}")
         if not isinstance(record, dict) or "text" not in record or "label" not in record:
             raise DataError(f'line {line_no}: record must be an object with "text" and "label"')
         if not isinstance(record["text"], str):

@@ -1,8 +1,10 @@
-"""Atomic file replacement for every file the package writes, and checked
-UTF-8 reading of the text inputs (datasets, corpora, vocabularies)."""
+"""Atomic file replacement for every file the package writes, checked UTF-8
+reading of the text inputs (datasets, corpora, vocabularies), and checked
+JSON parsing (config, metrics and JSONL records)."""
 
 import contextlib
 import io
+import json
 import os
 import secrets
 
@@ -14,9 +16,10 @@ def atomic_open(path: str, binary: bool = False):
     """Write a new file beside path, then os.replace it onto path.
 
     Text mode is UTF-8 with newlines written as given. If the block raises,
-    the partial file is removed and path keeps its previous bytes. (The data
-    is not fsynced: this guards against a failing or killed process, not
-    against power loss.)
+    the partial file is removed and path keeps its previous bytes, and an
+    OSError on the temp file is raised again naming path. (The data is not
+    fsynced: this guards against a failing or killed process, not against
+    power loss.)
     """
     head, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
@@ -24,9 +27,11 @@ def atomic_open(path: str, binary: bool = False):
         with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the file the caller asked for
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -41,3 +46,14 @@ def read_text(path: str, newline: str | None = None) -> io.StringIO:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def parse_json(text: str, where: str):
+    """json.loads(text); DataError prefixed by where if text is not JSON or
+    nests deeper than the parser can recurse."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise DataError(f"{where}: JSON nested too deeply to parse") from exc

@@ -8,6 +8,7 @@ graph the same functions are pure eager math, which keeps read-only
 inference cheap and safe for concurrent use.
 """
 
+import ctypes
 import functools
 import threading
 from typing import NamedTuple
@@ -18,6 +19,20 @@ from .errors import ContractError, ShapeError
 
 NEG_INF_MASK = -1e9  # additive pre-softmax penalty for masked attention slots
 EVAL_SLOTS = 512  # padded token slots (sequences x longest length) per attention grid and per eval-mode forward
+# glibc trims freed pages off the heap top and maps large arrays fresh, so every training step faults
+HEAP_TOP_PAD = 64 << 20  # its ~13 MB of temporaries back in; a padded top keeps them (address space, not RSS)
+
+
+def _pad_heap_top() -> bool:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # a libc with no mallopt (macOS, Windows): left as it is
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(-2, HEAP_TOP_PAD) == 1  # -2 is M_TOP_PAD; glibc returns 1 on success
+
+
+_pad_heap_top()
 
 
 class Tensor:

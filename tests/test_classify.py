@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from sentibert.data import LabeledExample
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError
 from sentibert.model import SentimentModel, eval_chunks
-from sentibert.synthetic import generate_dataset
+from sentibert.synthetic import generate_dataset, make_sentence
 from sentibert.tensor import Graph, cross_entropy
 from sentibert.tokenizer import build_vocab, encode_pair
 
@@ -300,3 +301,32 @@ class TestCurveCsv:
     def test_dict_rows_with_their_own_columns(self):
         rows = [{"epoch": 1, "loss": 0.25, "acc": 0.5, "unused": 9}]
         assert curve_to_csv(rows, ("epoch", "loss", "acc")) == "epoch,loss,acc\n1,0.25,0.5\n"
+
+
+def _libc_mallopt():
+    try:
+        return getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return None
+
+
+@pytest.mark.skipif(_libc_mallopt() is None, reason="libc exposes no mallopt")
+def test_a_warm_fine_tune_takes_almost_no_page_faults():
+    # tensor.HEAP_TOP_PAD keeps each step's freed temporaries mapped; without it
+    # every step faults them back in (about 5,600 faults for this fine-tune)
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(5)
+    dataset = [
+        LabeledExample(", and also ".join(make_sentence(i % 3, rng) for _ in range(1 + i % 7)) + " .", i % 3)
+        for i in range(48)
+    ]
+    vocab = build_vocab([ex.text for ex in dataset], 4000)
+
+    def minor_faults() -> int:
+        model = SentimentModel.init(vocab, EncoderConfig(), 0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(dataset, TrainConfig(epochs=1, batch_size=16, seed=0), model)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    minor_faults()  # the first run grows the heap
+    assert minor_faults() < 500

@@ -625,9 +625,9 @@ OPTIONAL_INPUTS = {"build-vocab": ("train_data", "pretrain_corpus"), "train": ("
 INPUT_KEY_FLAGS = {"predict_input": "--input", "metrics": "--metrics"}
 
 
-def _input_failure(trained, tmp_path, capsys, command, key, value):
+def _paths_failure(trained, tmp_path, capsys, command, key, value):
     """The usage message of command run with paths.<key> set to value (None: unset);
-    the run writes no file and prints nothing on stdout."""
+    the run writes no file, changes none and prints nothing on stdout."""
     root, config = trained
     config = copy.deepcopy(config)
     if value is None:
@@ -649,7 +649,7 @@ def _input_failure(trained, tmp_path, capsys, command, key, value):
 def test_unset_input_is_usage_error_naming_its_key_and_flag(trained, tmp_path, capsys, command, key):
     flag = INPUT_KEY_FLAGS.get(key)
     via = f"{flag} or " if flag else ""
-    message = _input_failure(trained, tmp_path, capsys, command, key, None)
+    message = _paths_failure(trained, tmp_path, capsys, command, key, None)
     assert message == f"{command} needs {via}paths.{key} in the config"
 
 
@@ -658,7 +658,7 @@ def test_unset_input_is_usage_error_naming_its_key_and_flag(trained, tmp_path, c
 )
 def test_missing_input_file_is_usage_error_naming_its_key(trained, tmp_path, capsys, command, key):
     missing = str(tmp_path / "missing" / key)
-    message = _input_failure(trained, tmp_path, capsys, command, key, missing)
+    message = _paths_failure(trained, tmp_path, capsys, command, key, missing)
     assert message == f"paths.{key} does not exist: {missing}"
 
 
@@ -673,3 +673,76 @@ def test_the_documented_flag_table_matches_flags(doc):
     assert documented == {
         flag: ({key.format(command=c) for c in commands}, commands) for flag, (key, commands, _) in FLAGS.items()
     }
+
+
+DEEP = "[" * 100_000  # past any parser's recursion limit
+# case -> command, file, its text, exit code, what the message names besides the file
+DEEPLY_NESTED = {
+    "config": ("build-vocab", "config.json", DEEP, 1, "config"),
+    "metrics file": ("report", "metrics.json", DEEP, 2, "metrics.json: JSON"),
+    "dataset label": ("build-vocab", "train.jsonl", VALID_RECORD.decode() + '{"text": "x", "label": ' + DEEP, 2, "line 2:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEPLY_NESTED))
+def test_deeply_nested_json_fails_with_its_inputs_exit_code(workspace, capsys, case):
+    tmp, config_path, _ = workspace
+    command, name, text, code, named = DEEPLY_NESTED[case]
+    (tmp / name).write_text(text, encoding="utf-8")
+    assert run_cli(command, "--config", str(config_path)) == code
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == {1: "usage", 2: "data"}[code]
+    assert str(tmp / name) in payload["message"] and named in payload["message"]
+    assert "nested too deeply" in payload["message"]
+
+
+@pytest.mark.parametrize("raw, kind", [([1, 2], "an array"), (None, "null")])
+def test_report_on_a_file_that_is_not_an_object_says_so(workspace, capsys, raw, kind):
+    tmp, config_path, _ = workspace
+    (tmp / "metrics.json").write_text(json.dumps(raw), encoding="utf-8")
+    assert run_cli("report", "--config", str(config_path)) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "data"
+    assert payload["message"] == (
+        f"{tmp / 'metrics.json'}: not a metrics report (the file must hold a JSON object, got {kind})"
+    )
+
+
+# command -> the paths keys it writes (predictions only when set)
+OUTPUTS = {
+    "build-vocab": ("vocab",),
+    "pretrain": ("checkpoint", "curve"),
+    "train": ("checkpoint", "curve"),
+    "evaluate": ("metrics", "confusion"),
+    "predict": ("predictions",),
+    "rebalance": ("rebalanced_data", "histogram"),
+}
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in OUTPUTS.items() for k in keys])
+def test_output_in_a_missing_directory_fails_before_any_work(trained, tmp_path, capsys, command, key):
+    # _paths_failure also checks that every existing file, the checkpoint included, keeps its bytes
+    missing = str(tmp_path / "no" / "such" / "dir" / f"{key}.out")
+    message = _paths_failure(trained, tmp_path, capsys, command, key, missing)
+    assert message == f"paths.{key} is in a directory that does not exist: {missing}"
+
+
+def test_train_with_its_curve_in_a_missing_directory_reads_and_trains_nothing(workspace, capsys, monkeypatch):
+    tmp, config_path, config = workspace
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    assert run_cli("train", "--config", str(config_path)) == 0
+    checkpoint = (tmp / "model.ckpt").read_bytes()
+    config["paths"]["curve"] = str(tmp / "no" / "such" / "dir" / "c.csv")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.setattr(cli, "ingest", lambda *a: pytest.fail("read data before checking its outputs"))
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(config_path)) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "usage" and "paths.curve" in payload["message"]
+    assert (tmp / "model.ckpt").read_bytes() == checkpoint
+
+
+def test_output_that_is_a_directory_fails_before_any_work(trained, tmp_path, capsys):
+    root, _ = trained
+    message = _paths_failure(trained, tmp_path, capsys, "train", "checkpoint", str(root))
+    assert message == f"paths.checkpoint is a directory: {root}"

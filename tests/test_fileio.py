@@ -6,7 +6,8 @@ import pytest
 from sentibert.checkpoint import save_checkpoint
 from sentibert.data import LabeledExample, write_jsonl
 from sentibert.encoder import EncoderConfig
-from sentibert.fileio import atomic_open
+from sentibert.errors import DataError
+from sentibert.fileio import atomic_open, parse_json
 from sentibert.model import SentimentModel
 from sentibert.tokenizer import build_vocab
 
@@ -40,6 +41,26 @@ class TestAtomicOpen:
                 raise RuntimeError("interrupted")
         assert path.read_bytes() == b"previous"
         _only_file(tmp_path)
+
+    def test_failure_names_the_target_not_the_temp_file(self, tmp_path):
+        missing = str(tmp_path / "no" / "out")
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_open(missing):
+                pass
+        assert info.value.filename == missing and ".tmp" not in str(info.value)
+        with pytest.raises(IsADirectoryError) as info:  # replacing a directory fails after the write
+            with atomic_open(str(tmp_path)) as fh:
+                fh.write("x")
+        assert info.value.filename == str(tmp_path) and ".tmp" not in str(info.value)
+        assert not list(tmp_path.parent.glob(f".{tmp_path.name}.*.tmp")), "a temp file was left behind"
+
+
+def test_parse_json_names_where_and_catches_deep_nesting():
+    assert parse_json('{"a": [1]}', "f") == {"a": [1]}
+    with pytest.raises(DataError, match=r"^f: line 3: invalid JSON \(Expecting value"):
+        parse_json("[1, ", "f: line 3")
+    with pytest.raises(DataError, match=r"^f: JSON nested too deeply to parse$"):
+        parse_json("[" * 100_000, "f")
 
 
 def test_write_jsonl_failing_mid_way_keeps_previous_file(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients, sum_all, weighted_sum
+from sentibert import tensor
 from sentibert.errors import ContractError, ShapeError
 from sentibert.optim import OPTIMIZERS, SGD, Adam
 from sentibert.tensor import (
@@ -471,3 +472,12 @@ class TestDeterminismAndFiniteness:
             matmul(x, x).data,
         ):
             assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("error", [AttributeError, OSError, TypeError])
+def test_heap_pad_is_a_no_op_where_libc_has_no_mallopt(monkeypatch, error):
+    def no_mallopt(name):
+        raise error("no mallopt here")
+
+    monkeypatch.setattr(tensor.ctypes, "CDLL", no_mallopt)
+    assert tensor._pad_heap_top() is False
