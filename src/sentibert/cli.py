@@ -152,6 +152,15 @@ def _input(cfg: dict, key: str, command: str) -> str:
     return path
 
 
+def _vocab(cfg: dict, command: str) -> Vocab:
+    """The vocab at paths.vocab, which command reads; a bad file's error names the key and the path."""
+    path = _input(cfg, "vocab", command)
+    try:
+        return Vocab.load(path)
+    except ConfigError as exc:
+        raise ConfigError(f"paths.vocab {path}: {exc}") from exc
+
+
 def _output(cfg: dict, key: str, command: str) -> str:
     """paths.<key>, which command writes: it must be set and name a file in an
     existing directory. Commands resolve their outputs before any work."""
@@ -199,20 +208,13 @@ def _cmd_build_vocab(cfg: dict) -> None:
 
 def _cmd_pretrain(cfg: dict) -> None:
     ckpt, curve_path = _output(cfg, "checkpoint", "pretrain"), _output(cfg, "curve", "pretrain")
-    vocab = Vocab.load(_input(cfg, "vocab", "pretrain"))
+    vocab = _vocab(cfg, "pretrain")
     corpus = read_corpus(_input(cfg, "pretrain_corpus", "pretrain"))
     model = SentimentModel.init(vocab, cfg["encoder"], cfg["seed"])
     history = run_pretraining(corpus, model, cfg["pretrain"])
     save_checkpoint(model, ckpt)
     _write_text(curve_path, curve_to_csv(history, HISTORY_COLUMNS))
-    _emit(
-        {
-            "command": "pretrain",
-            "checkpoint": ckpt,
-            "epochs": len(history),
-            "final_loss": history[-1]["val_loss"],
-        }
-    )
+    _emit({"command": "pretrain", "checkpoint": ckpt, "epochs": len(history), "final_loss": history[-1]["val_loss"]})
 
 
 def _cmd_train(cfg: dict) -> None:
@@ -229,7 +231,7 @@ def _cmd_train(cfg: dict) -> None:
                     f"has {getattr(model.config, key)!r}"
                 )
     else:
-        vocab = Vocab.load(_input(cfg, "vocab", "train"))
+        vocab = _vocab(cfg, "train")
         model = SentimentModel.init(vocab, encoder_cfg, train_cfg.seed)
     model, curve = train(dataset, train_cfg, model)
     save_checkpoint(model, ckpt)
@@ -281,12 +283,7 @@ def _cmd_rebalance(cfg: dict) -> None:
     rebalanced = balance_mod.rebalance(dataset, strategy, np.random.default_rng(cfg["seed"]))
     after = balance_mod.ClassHistogram.from_dataset(rebalanced)
     write_jsonl(rebalanced, data_path)
-    payload = {
-        "command": "rebalance",
-        "strategy": strategy,
-        "before": before.to_dict(),
-        "after": after.to_dict(),
-    }
+    payload = {"command": "rebalance", "strategy": strategy, "before": before.to_dict(), "after": after.to_dict()}
     _write_text(histogram_path, json.dumps(payload, sort_keys=True) + "\n")
     _emit(payload)
 

@@ -10,6 +10,7 @@ stay small whatever the lengths.
 """
 
 import copy
+import itertools
 
 import numpy as np
 
@@ -43,7 +44,7 @@ def parameter_shapes(vocab_size: int, config: EncoderConfig) -> dict[str, tuple[
 
 def row_starts(seqs: list[EncodedSequence]) -> list[int]:
     """Packed row of each sequence's [CLS] (its first row) in hidden_states output."""
-    return np.cumsum([0] + [s.real_length() for s in seqs])[:-1].tolist()
+    return list(itertools.accumulate((s.real_length() for s in seqs), initial=0))[:-1]
 
 
 def eval_chunks(seqs: list[EncodedSequence]) -> list[np.ndarray]:

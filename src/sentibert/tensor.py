@@ -302,33 +302,35 @@ def length_groups(lengths) -> list[np.ndarray]:
     """Indices of lengths, stably sorted by length, cut into groups: a group
     ends where one more length would make its count times its longest exceed
     EVAL_SLOTS, so a length over the budget stands alone."""
-    order = np.argsort(lengths, kind="stable")
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)  # stable, on Python ints
     groups, start = [], 0
     for end, i in enumerate(order):
         if end > start and (end - start + 1) * lengths[i] > EVAL_SLOTS:
             groups.append(order[start:end])
             start = end
-    return groups + [order[start:]] if len(lengths) else []
+    return [np.array(group, dtype=np.intp) for group in groups + [order[start:]]] if order else []
 
 
 class _Layout(NamedTuple):
-    """Padding layout of a batch. Its grids lie end to end in one slot
-    buffer, grid g holding B_g sequences of L_g slots each. slots holds each
-    packed row's slot: its grid's offset, plus its sequence within the grid
-    times L_g, plus its position."""
+    """Plan of a batch: everything that depends only on its lengths. Its
+    grids lie end to end in one slot buffer, grid g holding B_g sequences of
+    L_g slots each. slots holds each packed row's slot: its grid's offset,
+    plus its sequence within the grid times L_g, plus its position."""
 
     key_bias: tuple[np.ndarray, ...]  # per grid, its [B_g, 1, 1, L_g] additive key mask
     grids: tuple[slice, ...]  # per grid, its B_g * L_g slots
     slots: np.ndarray
     start: np.ndarray  # per sequence, its first packed row
     group: np.ndarray  # per sequence, its grid
+    positions: np.ndarray  # per packed row, its position in its sequence
+    cls: np.ndarray  # per sequence, the slot of its first row
 
 
 @functools.lru_cache(maxsize=64)
 def _padding_layout(lengths: tuple[int, ...]) -> _Layout:
-    """Read-only padding layout of checked lengths, computed once per distinct
-    tuple. The sequences are cut into grids by length_groups; a batch that
-    fits one grid keeps its packed order."""
+    """Read-only plan of lengths, computed once per distinct tuple. The
+    sequences are cut into grids by length_groups; a batch that fits one grid
+    keeps its packed order."""
     lens = np.array(lengths, dtype=np.int64)
     starts = np.cumsum(lens) - lens
     cut = length_groups(lengths)
@@ -343,11 +345,25 @@ def _padding_layout(lengths: tuple[int, ...]) -> _Layout:
         key_bias.append(np.where(np.arange(length) < group_lens[:, None], 0.0, NEG_INF_MASK)[:, None, None, :])
         grids.append(slice(offset, offset + b * length))
         offset += b * length
-    slots = np.arange(sum(lengths)) + np.repeat(first_slot - starts, lens)
-    layout = _Layout(tuple(key_bias), tuple(grids), slots, starts, group_of)
-    for array in (*layout.key_bias, slots, starts, group_of):
+    positions = np.arange(sum(lengths)) - np.repeat(starts, lens)
+    slots = positions + np.repeat(first_slot, lens)
+    layout = _Layout(tuple(key_bias), tuple(grids), slots, starts, group_of, positions, first_slot)
+    for array in (*layout.key_bias, *layout[2:]):
         array.flags.writeable = False
     return layout
+
+
+@functools.lru_cache(maxsize=256)
+def _sequence_layout(length: int) -> _Layout:
+    """_padding_layout of one sequence, memoized by its length apart from
+    batches, so that a pass over many lengths does not flush it."""
+    return _padding_layout.__wrapped__((length,))
+
+
+def batch_layout(lengths: tuple[int, ...]) -> _Layout:
+    """The memoized plan of lengths, a tuple of ints; one sequence's comes
+    from the memo keyed by its length."""
+    return _sequence_layout(lengths[0]) if len(lengths) == 1 else _padding_layout(lengths)
 
 
 def _query_plan(layout: _Layout, rows, n: int) -> tuple[list[int], np.ndarray]:
@@ -386,23 +402,31 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     is padded to its own longest length, with the additive -1e9 mask on keys
     past a sequence's length. The grids lie end to end in one slot buffer,
     which the rows enter with one scatter; a batch that fits one grid keeps
-    its packed order. Queries run over each sequence's first Q_max positions
-    only, Q_max being one past the furthest wanted position in that grid, so
-    the [CLS] rows alone cost a 1 x L score grid, and a grid holding no
-    wanted row runs no query. The context lands in a buffer of the same
-    slots, which the outputs leave with one gather. The layout is computed
-    once per distinct lengths (_padding_layout); the backward reuses the
-    forward's q/k/v and probability grids.
+    its packed order, so when it has no padding slot (one sequence, or equal
+    lengths) qkv itself is the buffer. Queries run over each sequence's first
+    Q_max positions only, Q_max being one past the furthest wanted position
+    in that grid, so the [CLS] rows alone cost a 1 x L score grid, and a grid
+    holding no wanted row runs no query. The context lands in a buffer of the
+    same slots, which the outputs leave with one gather. The plan is computed
+    once per distinct lengths (batch_layout), and rows equal to the sequence
+    starts take its [CLS] slots unchecked; the backward reuses the forward's
+    q/k/v and probability grids.
     """
     _require_2d(qkv, "attention")
     n, width = qkv.data.shape
     if num_heads < 1 or width % (3 * num_heads):
         raise ShapeError(f"attention: width {width} does not split into q/k/v for {num_heads} heads")
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n:
-        raise ShapeError(f"attention: lengths {lengths.tolist()} do not partition {n} rows")
-    layout = _padding_layout(tuple(lengths.tolist()))
-    q_lengths, q_slots = _query_plan(layout, rows, n)
+    key = lengths.tolist()
+    if lengths.ndim != 1 or not key or min(key) < 1 or sum(key) != n:
+        raise ShapeError(f"attention: lengths {key} do not partition {n} rows")
+    layout = batch_layout(tuple(key))
+    queries = None if rows is None else np.asarray(rows, dtype=np.int64)
+    if queries is not None and queries.shape == layout.start.shape and queries.tobytes() == layout.start.tobytes():
+        q_lengths, q_slots = [1] * len(layout.grids), layout.cls  # each sequence's [CLS] row, in order
+    else:
+        q_lengths, q_slots = _query_plan(layout, queries, n)
+    dense = len(layout.grids) == 1 and layout.grids[0].stop == n  # no padding slot: slot i holds row i
     d = width // 3
     d_k = d // num_heads
     factor = 1.0 / np.sqrt(d_k)
@@ -411,8 +435,11 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
         """The [parts, B, H, grid_length, d_k] view of [B*grid_length x parts*d] slot rows."""
         return flat.reshape(-1, grid_length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
 
-    flat = np.zeros((layout.grids[-1].stop, width))
-    flat[layout.slots] = qkv.data
+    if dense:
+        flat = qkv.data
+    else:
+        flat = np.zeros((layout.grids[-1].stop, width))
+        flat[layout.slots] = qkv.data
     context = np.empty((flat.shape[0], d))  # each sequence's first Q_max slots are written
     kept = []  # per grid: its slots and its probabilities
     for key_bias, kv, q_length in zip(layout.key_bias, layout.grids, q_lengths):
@@ -424,13 +451,16 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
         probs = softmax(scores, out=scores)
         np.matmul(probs, v, out=heads(context[kv], length, 1)[0][:, :, :q_length])
         kept.append((kv, probs))
-    out = Tensor(context[q_slots])
+    out = Tensor(context if dense and rows is None else context[q_slots])
 
     def backward(grad):
         if not _wants_grad(qkv):
             return
-        flat_g = np.zeros_like(context)
-        flat_g[q_slots] = grad  # positions not wanted get zero gradient
+        if dense and rows is None:
+            flat_g = np.ascontiguousarray(grad)
+        else:
+            flat_g = np.zeros_like(context)
+            flat_g[q_slots] = grad  # positions not wanted get zero gradient
         d_flat = np.empty_like(flat)
         for kv, probs in kept:
             q_length, length = probs.shape[-2:]
@@ -446,7 +476,7 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
             grad_q[:, :, q_length:] = 0.0
             np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=grad_k)
             np.matmul(probs.transpose(0, 1, 3, 2), g, out=grad_v)
-        _accumulate(qkv, d_flat[layout.slots])
+        _accumulate(qkv, d_flat if dense else d_flat[layout.slots])
 
     _record(out, backward, qkv)
     return out
@@ -494,17 +524,18 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     return out
 
 
-def gather_rows(*pairs) -> Tensor:
+def gather_rows(*pairs, trusted: bool = False) -> Tensor:
     """Sum of the rows table[ids] over one or more (table, ids) pairs, added
     left to right; the gradient sums back into each table (_segment_sum). Every
-    table has the first one's width and every ids list its length."""
+    table has the first one's width and every ids list its length. trusted
+    skips those checks, for ids an op has already checked (attention's rows)."""
     tables = [table for table, _ in pairs]
     idxs = [np.asarray(ids, dtype=np.int64) for _, ids in pairs]
-    for table, idx in zip(tables, idxs):
+    for table, idx in () if trusted else zip(tables, idxs):
         _require_2d(table, "gather_rows")
         if idx.ndim != 1 or idx.size != idxs[0].size or table.data.shape[1] != tables[0].data.shape[1]:
             raise ShapeError(f"gather_rows: ids of shape {idx.shape} into table {table.data.shape} do not line up")
-        if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
+        if idx.size and idx.view(np.uint64).max() >= table.data.shape[0]:  # a negative id reads as over 2**63
             raise IndexError(f"gather_rows: id out of range [0, {table.data.shape[0]})")
     out = tables[0].data[idxs[0]]
     for table, idx in zip(tables[1:], idxs[1:]):

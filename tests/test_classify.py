@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentibert import tensor
 from sentibert.classify import (
     CURVE_COLUMNS,
     TrainConfig,
@@ -82,6 +83,25 @@ class TestPredictBatch:
 
 
 WORDS = sorted({w for ex in TOY for w in ex.text.split()})
+
+
+def test_a_long_predict_batch_leaves_single_text_plans_warm():
+    # a predict_batch over many ragged chunks turns the 64-entry batch memo
+    # over; single texts keep their plans in a memo of their own
+    model = _model(TOY, config=EncoderConfig(num_layers=1, num_heads=1, d_model=4, d_ff=4, max_len=64))
+    words = " ".join(ex.text for ex in TOY).split()
+    rng = np.random.default_rng(24)
+    batch = [" ".join(rng.choice(words, size=int(rng.integers(1, 63)))) for _ in range(1500)]
+    singles = ["lovely room", "terrible dirty room awful rude staff", " ".join(words)]
+    for text in singles:
+        forward_classify(text, model)
+    before = tensor._padding_layout.cache_info()
+    predict_batch(batch, model)
+    assert tensor._padding_layout.cache_info().misses - before.misses > 64
+    warm = tensor._sequence_layout.cache_info()
+    for text in singles:
+        forward_classify(text, model)
+    assert tensor._sequence_layout.cache_info().misses == warm.misses
 
 
 class TestBatchEquivalence:

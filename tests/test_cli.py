@@ -696,6 +696,25 @@ def test_deeply_nested_json_fails_with_its_inputs_exit_code(workspace, capsys, c
     assert "nested too deeply" in payload["message"]
 
 
+BAD_VOCABS = {
+    "missing specials": ("room\nlovely\n", "vocab must start with the special tokens"),
+    "duplicate token": ("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\nroom\nroom\n", "vocab contains duplicate tokens"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+@pytest.mark.parametrize("case", sorted(BAD_VOCABS))
+def test_bad_vocab_is_data_error_naming_key_and_file(workspace, capsys, command, case):
+    tmp, config_path, _ = workspace
+    text, library_message = BAD_VOCABS[case]
+    (tmp / "vocab.txt").write_text(text, encoding="utf-8")
+    assert run_cli(command, "--config", str(config_path)) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "data"
+    assert payload["message"].startswith(f"paths.vocab {tmp / 'vocab.txt'}: {library_message}")
+    assert not (tmp / "model.ckpt").exists()
+
+
 @pytest.mark.parametrize("raw, kind", [([1, 2], "an array"), (None, "null")])
 def test_report_on_a_file_that_is_not_an_object_says_so(workspace, capsys, raw, kind):
     tmp, config_path, _ = workspace

@@ -6,7 +6,7 @@ from sentibert.embedding import embed
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ShapeError
 from sentibert.model import SentimentModel
-from sentibert.tensor import Graph, Tensor, cross_entropy, gather_rows, matmul, parameter
+from sentibert.tensor import Graph, Tensor, batch_layout, cross_entropy, gather_rows, matmul, parameter
 from sentibert.tokenizer import NUM_SPECIALS, SPECIAL_TOKENS, EncodedSequence, Vocab
 
 
@@ -89,6 +89,29 @@ class TestEmbed:
     def test_out_of_range_id(self):
         with pytest.raises(IndexError):
             embed([_seq([2, 99, 3])], _zero_tables())
+
+    @pytest.mark.parametrize("tokens, segments", [([2, -1, 3], None), ([2, 5, 3], [0, 2, 0]), ([2, 5, 3], [0, -1, 0])])
+    def test_negative_or_out_of_range_ids_raise(self, tokens, segments):
+        with pytest.raises(IndexError):
+            embed([_seq([2, 3]), _seq(tokens, segments)], _zero_tables())
+
+    def test_positions_of_a_ragged_batch_restart_per_sequence(self):
+        # the position ids come from the batch plan: each sequence's arange
+        rng = np.random.default_rng(15)
+        tables = _zero_tables(max_len=12)
+        tables["embeddings.position"].data[:, 0] = np.arange(12)
+        for _ in range(25):
+            lengths = rng.integers(1, 13, size=int(rng.integers(1, 9))).tolist()
+            expected = np.concatenate([np.arange(m) for m in lengths])
+            np.testing.assert_array_equal(batch_layout(tuple(lengths)).positions, expected)
+            out = embed([_seq([2] * m) for m in lengths], tables).data
+            np.testing.assert_array_equal(out[:, 0], expected)
+
+    @pytest.mark.parametrize("lengths", [(6,), (2, 6), (6, 1, 3)])
+    def test_sequence_longer_than_the_position_table_raises(self, lengths):
+        # a hand-built sequence past max_len = 5 positions
+        with pytest.raises(IndexError, match="out of range"):
+            embed([_seq([2] * m) for m in lengths], _zero_tables(max_len=5))
 
     def test_gradient_hits_only_used_token_rows(self):
         tables = init_tables(8, 4, 6, seed=0)

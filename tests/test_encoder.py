@@ -229,6 +229,50 @@ class TestPaddingLayout:
                 attention(t(n, 12), lengths, 1)
         assert _padding_layout.cache_info() == before
 
+    def test_one_sequence_has_a_memo_of_its_own(self):
+        memos = lambda: (_padding_layout.cache_info(), tensor._sequence_layout.cache_info())
+        before = memos()
+        with pytest.raises(ShapeError, match="do not partition"):
+            attention(Tensor(np.zeros((3, 12))), [4], 1)  # checked before either memo
+        assert memos() == before
+        layout = tensor.batch_layout((7,))
+        assert layout is tensor._sequence_layout(7) and _padding_layout.cache_info() == before[0]
+        general = _padding_layout.__wrapped__((7,))
+        assert layout.grids == general.grids == (slice(0, 7),)
+        for mine, theirs in zip((*layout.key_bias, *layout[2:]), (*general.key_bias, *general[2:])):
+            np.testing.assert_array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("budget", [None, 8])
+    def test_cls_plan_is_the_general_plan_of_the_starts(self, slot_budget, monkeypatch, budget):
+        # attention takes the [CLS] plan from the layout when rows are the
+        # sequence starts; it must be exactly what _query_plan works out
+        if budget is not None:
+            slot_budget(budget)  # lengths over 8 stand alone: many grids
+        rng = np.random.default_rng(23)
+        cases, split = [], 0
+        for _ in range(60):
+            lengths = tuple(rng.integers(1, 24, size=int(rng.integers(1, 14))).tolist())
+            layout, n = tensor.batch_layout(lengths), sum(lengths)
+            starts = [sum(lengths[:i]) for i in range(len(lengths))]
+            q_lengths, slots = tensor._query_plan(layout, starts, n)
+            assert q_lengths == [1] * len(layout.grids)
+            np.testing.assert_array_equal(layout.cls, slots)
+            np.testing.assert_array_equal(layout.start, starts)
+            split += len(layout.grids) > 1
+            cases.append((lengths, starts))
+        assert split >= (20 if budget else 0)
+        asked = []
+        general = tensor._query_plan
+        monkeypatch.setattr(tensor, "_query_plan", lambda *args: asked.append(args) or general(*args))
+        for lengths, starts in cases[:10]:
+            qkv = Tensor(rng.normal(size=(sum(lengths), 12)))
+            for rows in (starts, np.array(starts, dtype=np.int32), tuple(starts)):
+                attention(qkv, lengths, 2, rows)
+            assert not asked
+            attention(qkv, lengths, 2, starts[:-1])  # not every start: the general plan
+            assert len(asked) == 1
+            asked.clear()
+
 
 def _attention_and_grad(qkv, lengths, rows, upstream, num_heads=2):
     leaf = parameter(qkv)
