@@ -19,8 +19,8 @@ import numpy as np
 
 from .data import LABELS
 from .encoder import EncoderConfig
-from .errors import CheckpointError, ConfigError
-from .fileio import atomic_open
+from .errors import CheckpointError, ConfigError, DataError
+from .fileio import parse_json, write_file
 from .model import SentimentModel
 from .tokenizer import Vocab
 
@@ -46,11 +46,8 @@ def save_checkpoint(model: SentimentModel, path: str) -> None:
         "tensors": index,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_open(path, binary=True) as fh:
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for entry in index:
-            fh.write(np.ascontiguousarray(params[entry["name"]].data, dtype="<f4").tobytes())
+    tensors = [np.ascontiguousarray(params[entry["name"]].data, dtype="<f4") for entry in index]
+    write_file(path, b"".join([struct.pack("<I", len(header_bytes)), header_bytes, *tensors]))
 
 
 def _read_header(blob: bytes) -> tuple[dict, memoryview]:
@@ -60,9 +57,11 @@ def _read_header(blob: bytes) -> tuple[dict, memoryview]:
     if len(blob) < 4 + header_len:
         raise CheckpointError("checkpoint header is truncated")
     try:
-        header = json.loads(blob[4 : 4 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = parse_json(blob[4 : 4 + header_len].decode("utf-8"), "checkpoint header")
+    except UnicodeDecodeError as exc:
         raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from exc
+    except DataError as exc:
+        raise CheckpointError(str(exc)) from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint header must be a JSON object, got {type(header).__name__}")
     return header, memoryview(blob)[4 + header_len :]

@@ -22,7 +22,7 @@ from .classify import TrainConfig, curve_to_csv, evaluate, predict_batch, train
 from .data import FORMATS, LABELS, LabeledExample, ingest, read_corpus, write_jsonl
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, SamplingError, check_type
-from .fileio import atomic_open, parse_json, read_text
+from .fileio import parse_json, read_text, write_file
 from .metrics import MetricsReport, cm_to_csv
 from .model import SentimentModel
 from .pretrain import HISTORY_COLUMNS, PretrainConfig, run_pretraining
@@ -172,16 +172,21 @@ def _output(cfg: dict, key: str, command: str) -> str:
     return path
 
 
+def _distinct(cfg: dict, *keys: str) -> None:
+    """Usage error if two of the set paths.<key>s name one file; train may
+    write its paths.checkpoint over the paths.init_checkpoint it reads first."""
+    seen: dict[str, str] = {}
+    for key in filter(cfg["paths"].get, keys):
+        other = seen.setdefault(os.path.realpath(cfg["paths"][key]), key)
+        if other != key and {other, key} != {"checkpoint", "init_checkpoint"}:
+            raise UsageError(f"paths.{other} and paths.{key} name the same file: {cfg['paths'][key]}")
+
+
 def _dataset(cfg: dict, key: str, command: str) -> list[LabeledExample]:
     """The labeled dataset at _input(cfg, key, command), read as paths.data_format
     if set, else as CSV for a .csv name and JSONL for any other."""
     path = _input(cfg, key, command)
     return ingest(path, cfg["paths"].get("data_format") or ("csv" if path.endswith(".csv") else "jsonl"))
-
-
-def _write_text(path: str, content: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(content)
 
 
 def _emit(payload: dict) -> None:
@@ -193,6 +198,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_build_vocab(cfg: dict) -> None:
     out = _output(cfg, "vocab", "build-vocab")
+    _distinct(cfg, "vocab", "train_data", "pretrain_corpus")
     texts: list[str] = []
     if cfg["paths"].get("train_data"):
         texts.extend(ex.text for ex in _dataset(cfg, "train_data", "build-vocab"))
@@ -208,20 +214,26 @@ def _cmd_build_vocab(cfg: dict) -> None:
 
 def _cmd_pretrain(cfg: dict) -> None:
     ckpt, curve_path = _output(cfg, "checkpoint", "pretrain"), _output(cfg, "curve", "pretrain")
+    _distinct(cfg, "checkpoint", "curve", "vocab", "pretrain_corpus")
     vocab = _vocab(cfg, "pretrain")
-    corpus = read_corpus(_input(cfg, "pretrain_corpus", "pretrain"))
+    corpus_path = _input(cfg, "pretrain_corpus", "pretrain")
+    corpus = read_corpus(corpus_path)
     model = SentimentModel.init(vocab, cfg["encoder"], cfg["seed"])
-    history = run_pretraining(corpus, model, cfg["pretrain"])
+    try:
+        history = run_pretraining(corpus, model, cfg["pretrain"])
+    except SamplingError as exc:  # the corpus's shape; a diverging loss is not the file's fault
+        raise SamplingError(f"paths.pretrain_corpus {corpus_path}: {exc}") from exc
     save_checkpoint(model, ckpt)
-    _write_text(curve_path, curve_to_csv(history, HISTORY_COLUMNS))
+    write_file(curve_path, curve_to_csv(history, HISTORY_COLUMNS))
     _emit({"command": "pretrain", "checkpoint": ckpt, "epochs": len(history), "final_loss": history[-1]["val_loss"]})
 
 
 def _cmd_train(cfg: dict) -> None:
     ckpt, curve_path = _output(cfg, "checkpoint", "train"), _output(cfg, "curve", "train")
+    init_ckpt = cfg["paths"].get("init_checkpoint")
+    _distinct(cfg, "checkpoint", "curve", "train_data", "init_checkpoint" if init_ckpt else "vocab")
     dataset = _dataset(cfg, "train_data", "train")
     train_cfg, encoder_cfg = cfg["train"], cfg["encoder"]
-    init_ckpt = cfg["paths"].get("init_checkpoint")
     if init_ckpt:
         model = load_checkpoint(_input(cfg, "init_checkpoint", "train"))
         for key in cfg["encoder_keys"]:  # the checkpoint fixes the shape; a section may only repeat it
@@ -235,29 +247,24 @@ def _cmd_train(cfg: dict) -> None:
         model = SentimentModel.init(vocab, encoder_cfg, train_cfg.seed)
     model, curve = train(dataset, train_cfg, model)
     save_checkpoint(model, ckpt)
-    _write_text(curve_path, curve_to_csv(curve))
-    _emit(
-        {
-            "command": "train",
-            "checkpoint": ckpt,
-            "epochs": len(curve),
-            "final_val_acc": curve[-1]["val_acc"],
-            "final_train_loss": curve[-1]["train_loss"],
-        }
-    )
+    write_file(curve_path, curve_to_csv(curve))
+    final = {"final_val_acc": curve[-1]["val_acc"], "final_train_loss": curve[-1]["train_loss"]}
+    _emit({"command": "train", "checkpoint": ckpt, "epochs": len(curve), **final})
 
 
 def _cmd_evaluate(cfg: dict) -> None:
     metrics_path, confusion_path = _output(cfg, "metrics", "evaluate"), _output(cfg, "confusion", "evaluate")
+    _distinct(cfg, "metrics", "confusion", "checkpoint", "eval_data")
     model = load_checkpoint(_input(cfg, "checkpoint", "evaluate"))
     rep, cm = evaluate(model, _dataset(cfg, "eval_data", "evaluate"))
-    _write_text(metrics_path, rep.to_json() + "\n")
-    _write_text(confusion_path, cm_to_csv(cm))
+    write_file(metrics_path, rep.to_json() + "\n")
+    write_file(confusion_path, cm_to_csv(cm))
     _emit({"command": "evaluate", "accuracy": rep.accuracy, "log_loss": rep.log_loss})
 
 
 def _cmd_predict(cfg: dict) -> None:
     out_path = cfg["paths"].get("predictions") and _output(cfg, "predictions", "predict")  # unset: stdout
+    _distinct(cfg, "predictions", "checkpoint", "predict_input")
     model = load_checkpoint(_input(cfg, "checkpoint", "predict"))
     texts = [line.rstrip("\n") for line in read_text(_input(cfg, "predict_input", "predict"))]
     results = predict_batch(texts, model)
@@ -266,7 +273,7 @@ def _cmd_predict(cfg: dict) -> None:
         for label, probs in results
     ]
     if out_path:
-        _write_text(out_path, "\n".join(lines) + ("\n" if lines else ""))
+        write_file(out_path, "\n".join(lines) + ("\n" if lines else ""))
         _emit({"command": "predict", "count": len(lines), "path": out_path})
     else:
         for line in lines:
@@ -275,6 +282,7 @@ def _cmd_predict(cfg: dict) -> None:
 
 def _cmd_rebalance(cfg: dict) -> None:
     data_path, histogram_path = _output(cfg, "rebalanced_data", "rebalance"), _output(cfg, "histogram", "rebalance")
+    _distinct(cfg, "rebalanced_data", "histogram", "train_data")
     dataset = _dataset(cfg, "train_data", "rebalance")
     strategy = cfg["balance"]
     if strategy == "class_weights":
@@ -284,7 +292,7 @@ def _cmd_rebalance(cfg: dict) -> None:
     after = balance_mod.ClassHistogram.from_dataset(rebalanced)
     write_jsonl(rebalanced, data_path)
     payload = {"command": "rebalance", "strategy": strategy, "before": before.to_dict(), "after": after.to_dict()}
-    _write_text(histogram_path, json.dumps(payload, sort_keys=True) + "\n")
+    write_file(histogram_path, json.dumps(payload, sort_keys=True) + "\n")
     _emit(payload)
 
 
@@ -298,20 +306,12 @@ def _cmd_report(cfg: dict) -> None:
         rep = MetricsReport.from_dict(raw)
     except DataError as exc:
         raise DataError(f"{metrics_path}: not a metrics report ({exc})") from exc
-    lines = [
-        f"accuracy  {rep.accuracy:.4f}",
-        f"log loss  {rep.log_loss:.4f}",
-        "",
-        f"{'class':<10} {'precision':>9} {'recall':>9} {'f1':>9}",
-    ]
-    for i, name in enumerate(LABELS):
-        lines.append(
-            f"{name:<10} {rep.precision_per_class[i]:>9.4f} {rep.recall_per_class[i]:>9.4f} {rep.f1_per_class[i]:>9.4f}"
-        )
-    lines.append(f"{'macro':<10} {rep.precision_macro:>9.4f} {rep.recall_macro:>9.4f} {rep.f1_macro:>9.4f}")
-    flags = ", ".join(rep.degenerate_flags) if rep.degenerate_flags else "none"
-    lines.append("")
-    lines.append(f"degenerate metrics: {flags}")
+    rows = [*zip(LABELS, rep.precision_per_class, rep.recall_per_class, rep.f1_per_class)]
+    rows.append(("macro", rep.precision_macro, rep.recall_macro, rep.f1_macro))
+    header = f"{'class':<10} {'precision':>9} {'recall':>9} {'f1':>9}"
+    lines = [f"accuracy  {rep.accuracy:.4f}", f"log loss  {rep.log_loss:.4f}", "", header]
+    lines += [f"{name:<10} {p:>9.4f} {r:>9.4f} {f1:>9.4f}" for name, p, r, f1 in rows]
+    lines += ["", f"degenerate metrics: {', '.join(rep.degenerate_flags) or 'none'}"]
     print("\n".join(lines))
 
 
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
         return 0
     except (UsageError, OSError) as exc:  # every file the CLI opens is one the user named
         return _fail("usage", exc, 1)
-    except (DataError, ConfigError, SamplingError) as exc:
+    except (DataError, ConfigError) as exc:
         return _fail("data", exc, 2)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, never raises
         return _fail("internal", exc, 3)

@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DataError
-from .fileio import atomic_open, parse_json, read_text
+from .fileio import parse_json, read_text, write_file
 
 LABELS = ("negative", "neutral", "positive")
 LABEL_TO_INDEX = {name: i for i, name in enumerate(LABELS)}
@@ -84,10 +84,8 @@ def ingest(path: str, fmt: str) -> list[LabeledExample]:
 
 
 def write_jsonl(examples: list[LabeledExample], path: str) -> None:
-    with atomic_open(path) as fh:
-        for ex in examples:
-            fh.write(json.dumps({"text": ex.text, "label": LABELS[ex.label]}, sort_keys=True))
-            fh.write("\n")
+    lines = (json.dumps({"text": ex.text, "label": LABELS[ex.label]}, sort_keys=True) + "\n" for ex in examples)
+    write_file(path, "".join(lines))
 
 
 def read_corpus(path: str) -> list[list[str]]:
@@ -109,6 +107,4 @@ def read_corpus(path: str) -> list[list[str]]:
 
 
 def write_corpus(documents: list[list[str]], path: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write("\n\n".join("\n".join(doc) for doc in documents))
-        fh.write("\n")
+    write_file(path, "\n\n".join("\n".join(doc) for doc in documents) + "\n")

@@ -1,9 +1,9 @@
 """Exception taxonomy shared by every module, the field type check of the
 config dataclasses, and the finite-loss check of the training loops.
 
-The CLI maps these onto exit codes: content problems (DataError and
-subclasses, ConfigError, SamplingError) exit 2, internal invariant
-violations (ShapeError, ContractError) exit 3.
+The CLI maps these onto exit codes: content problems (DataError,
+ConfigError and their subclasses CheckpointError and SamplingError) exit 2,
+internal invariant violations (ShapeError, ContractError) exit 3.
 """
 
 import dataclasses
@@ -35,8 +35,9 @@ class CheckpointError(DataError):
     """Unreadable, corrupt, or incompatible checkpoint file."""
 
 
-class SamplingError(SentibertError):
-    """A requested random draw is impossible (e.g. no other document to sample from)."""
+class SamplingError(ConfigError):
+    """A corpus that cannot yield the requested draws (a document of one
+    sentence, or no other document to sample a non-successor from)."""
 
 
 _KINDS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}

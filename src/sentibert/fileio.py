@@ -1,6 +1,6 @@
 """Atomic file replacement for every file the package writes, checked UTF-8
 reading of the text inputs (datasets, corpora, vocabularies), and checked
-JSON parsing (config, metrics and JSONL records)."""
+JSON parsing (config, metrics, JSONL records and checkpoint headers)."""
 
 import contextlib
 import io
@@ -11,21 +11,22 @@ import secrets
 from .errors import DataError
 
 
-@contextlib.contextmanager
-def atomic_open(path: str, binary: bool = False):
-    """Write a new file beside path, then os.replace it onto path.
+def write_file(path: str, data: str | bytes) -> None:
+    """Write data to a new file beside path, then os.replace it onto path.
 
-    Text mode is UTF-8 with newlines written as given. If the block raises,
-    the partial file is removed and path keeps its previous bytes, and an
-    OSError on the temp file is raised again naming path. (The data is not
-    fsynced: this guards against a failing or killed process, not against
-    power loss.)
+    A str is written as UTF-8 with newlines as given, bytes as they are. On
+    any failure path keeps its previous bytes and no temp file is left, and
+    an OSError on the temp file is raised again naming path. (The data is
+    not fsynced: this guards against a failing or killed process, not
+    against power loss.)
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     head, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="") as fh:
-            yield fh
+        with open(tmp, "xb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):

@@ -65,10 +65,12 @@ def nsp_pairs(
 ) -> list[tuple[str, str, int]]:
     """For each adjacent sentence pair: emit the true successor with
     probability 0.5 (label 1), else a sentence from a different document (label 0).
+    A document of fewer than two sentences, or a non-successor draw from a
+    one-document corpus, raises SamplingError.
     """
     for doc_index, doc in enumerate(corpus):
         if len(doc) < 2:
-            raise ConfigError(f"document {doc_index} has {len(doc)} sentence(s); need at least 2")
+            raise SamplingError(f"document {doc_index} has {len(doc)} sentence(s); need at least 2")
     pairs: list[tuple[str, str, int]] = []
     for doc_index, doc in enumerate(corpus):
         for first, successor in zip(doc, doc[1:]):
@@ -198,7 +200,7 @@ def run_pretraining(
     mlm_acc are eval-mode figures on a fixed masking of the whole pair set
     (val_loss = mlm_loss + nsp_loss). A corpus with no documents raises
     ConfigError, as does a step loss or val_loss that is not finite, naming
-    the epoch and step.
+    the epoch and step; a corpus nsp_pairs cannot sample raises SamplingError.
     """
     if not corpus:
         raise ConfigError("pretraining corpus has no documents")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError, check_type
-from .fileio import atomic_open, read_text
+from .fileio import read_text, write_file
 
 PAD_ID = 0
 UNK_ID = 1
@@ -89,9 +89,7 @@ class Vocab:
         return hashlib.sha256("\n".join(self._id_to_token).encode("utf-8")).hexdigest()
 
     def save(self, path: str) -> None:
-        with atomic_open(path) as fh:
-            fh.write("\n".join(self._id_to_token))
-            fh.write("\n")
+        write_file(path, "\n".join(self._id_to_token) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "Vocab":

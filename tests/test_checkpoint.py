@@ -175,9 +175,10 @@ def _poison_first_tensor(path):
 
 
 def _replace_header(path, header):
+    """Put header, a JSON value or the raw header bytes, in place of the file's header."""
     blob = path.read_bytes()
     (header_len,) = struct.unpack("<I", blob[:4])
-    raw = json.dumps(header).encode("utf-8")
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
     path.write_bytes(struct.pack("<I", len(raw)) + raw + blob[4 + header_len :])
 
 
@@ -188,6 +189,10 @@ def _set_entry(key, value):
 MALFORMED = {
     "header is a list": (lambda p: _replace_header(p, [1, 2]), "JSON object"),
     "header is a string": (lambda p: _replace_header(p, "model"), "JSON object"),
+    "header nests 100,000 lists": (
+        lambda p: _replace_header(p, b"[" * 100_000),
+        "^checkpoint header: JSON nested too deeply",
+    ),
     "tensor entry is not an object": (lambda p: _rewrite_header(p, lambda h: h["tensors"].__setitem__(0, 7)), "entry 0"),
     "string offset": (lambda p: _rewrite_header(p, _set_entry("offset", "0")), "offset"),
     "negative shape": (lambda p: _rewrite_header(p, lambda h: h["tensors"][0].update(shape=[-2, 3], nbytes=-24)), "shape"),

@@ -1,8 +1,11 @@
 import argparse
 import copy
+import errno
 import json
+import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -765,3 +768,101 @@ def test_output_that_is_a_directory_fails_before_any_work(trained, tmp_path, cap
     root, _ = trained
     message = _paths_failure(trained, tmp_path, capsys, "train", "checkpoint", str(root))
     assert message == f"paths.checkpoint is a directory: {root}"
+
+
+# command -> (a paths key, the key whose file it is set to name); unchecked, each case destroys a file
+SAME_FILE = {
+    "train": ("curve", "checkpoint"),
+    "evaluate": ("confusion", "metrics"),
+    "build-vocab": ("vocab", "train_data"),
+    "predict": ("predictions", "predict_input"),
+    "rebalance": ("rebalanced_data", "train_data"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAME_FILE))
+def test_two_paths_naming_one_file_is_usage_error_before_any_work(trained, tmp_path, capsys, command):
+    root, config = trained
+    key, other = SAME_FILE[command]
+    spelled = config["paths"][other].replace(str(root), f"{root}/.")  # the same file under another name
+    # _paths_failure also checks that no file changed and nothing was printed
+    message = _paths_failure(trained, tmp_path, capsys, command, key, spelled)
+    named = re.fullmatch(r"paths\.(\w+) and paths\.(\w+) name the same file: (.+)", message)
+    assert named and {named[1], named[2]} == {key, other}, message
+    assert os.path.realpath(named[3]) == os.path.realpath(spelled)
+
+
+def test_train_may_write_its_checkpoint_over_its_init_checkpoint(workspace, capsys):
+    tmp, config_path, config = workspace
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    assert run_cli("train", "--config", str(config_path)) == 0
+    before = (tmp / "model.ckpt").read_bytes()
+    config["paths"]["init_checkpoint"] = config["paths"]["checkpoint"]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("train", "--config", str(config_path)) == 0
+    assert (tmp / "model.ckpt").read_bytes() != before
+    assert not list(tmp.glob(".*.tmp"))
+
+
+# case -> (corpus text, seed, the library's message after the paths.pretrain_corpus prefix); the first
+# draw of seed 0, default_rng(0).random() = 0.64, asks for a non-successor
+BAD_CORPORA = {
+    "one-sentence document": (
+        "a lonely sentence\n\nthe room was fine\nthe bed was soft\n",
+        3,
+        "document 0 has 1 sentence(s); need at least 2",
+    ),
+    "single document": (
+        "the room was fine\nthe bed was soft\n",
+        0,
+        "cannot sample a non-successor: corpus has a single document",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CORPORA))
+def test_corpus_shape_error_names_the_corpus_file(workspace, capsys, case):
+    tmp, config_path, _ = workspace
+    text, seed, library_message = BAD_CORPORA[case]
+    (tmp / "corpus.txt").write_text(text, encoding="utf-8")
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    capsys.readouterr()
+    assert run_cli("pretrain", "--config", str(config_path), "--seed", str(seed)) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "data", "message": f"paths.pretrain_corpus {tmp / 'corpus.txt'}: {library_message}"}
+    assert not (tmp / "model.ckpt").exists()
+
+
+def test_deeply_nested_checkpoint_header_is_data_error(workspace, capsys):
+    tmp, config_path, _ = workspace
+    header = DEEP.encode("utf-8")
+    (tmp / "model.ckpt").write_bytes(struct.pack("<I", len(header)) + header)
+    assert run_cli("evaluate", "--config", str(config_path)) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "data", "message": "checkpoint header: JSON nested too deeply to parse"}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train", "evaluate", "rebalance"])
+def test_a_failing_second_output_leaves_the_first_replaced(workspace, capsys, monkeypatch, command):
+    tmp, config_path, config = workspace
+    assert run_cli("build-vocab", "--config", str(config_path)) == 0
+    assert run_cli("train", "--config", str(config_path)) == 0  # evaluate reads the checkpoint
+    first, second = (Path(config["paths"][key]) for key in OUTPUTS[command])
+    first.write_bytes(b"previous")
+    second.write_bytes(b"previous")
+    real_write_file = cli.write_file
+
+    def full_disk(path, data):
+        if path == str(second):
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+        real_write_file(path, data)
+
+    monkeypatch.setattr(cli, "write_file", full_disk)
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(config_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "usage", "message": f"[Errno 28] No space left on device: '{second}'"}
+    assert first.read_bytes() not in (b"", b"previous")
+    assert second.read_bytes() == b"previous"
+    assert not list(tmp.glob(".*.tmp"))
