@@ -4,13 +4,13 @@ batch inference.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .balance import STRATEGIES, ClassHistogram, class_weights, rebalance
 from .data import LABELS, NUM_CLASSES, LabeledExample
-from .errors import ConfigError, check_finite_loss, check_type
+from .errors import ConfigError, check_finite_loss
 from .metrics import MetricsReport, confusion, log_loss, report
 from .model import SentimentModel, eval_chunks
 from .optim import OPTIMIZERS, LoopConfig, descend, run_epochs
@@ -22,7 +22,6 @@ CURVE_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
 
 @dataclass
 class TrainConfig(LoopConfig):
-    class_weights: Optional[Sequence[float]] = None
     val_split: float = 0.2
     keep_best: bool = True  # False returns the final-epoch parameters
     algorithm: str = "adam"
@@ -32,19 +31,8 @@ class TrainConfig(LoopConfig):
         super().__post_init__()
         if not 0.0 < self.val_split < 1.0:
             raise ConfigError(f"val_split must be in (0, 1), got {self.val_split}")
-        if self.class_weights is not None:
-            try:
-                weights = np.asarray(self.class_weights, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                weights = np.zeros(0)
-            if weights.shape != (NUM_CLASSES,) or not np.all(np.isfinite(weights) & (weights > 0)):
-                raise ConfigError(f"class_weights must be {NUM_CLASSES} positive numbers, got {self.class_weights!r}")
-            for i, w in enumerate(self.class_weights):  # numpy would read True as 1.0 and "2" as 2.0
-                check_type(f"class_weights[{i}]", w, float)
         if self.balance not in STRATEGIES:
             raise ConfigError(f"balance must be one of {STRATEGIES}, got {self.balance!r}")
-        if self.balance == "class_weights" and self.class_weights is not None:
-            raise ConfigError("give explicit class_weights or balance='class_weights', not both")
 
 
 def curve_to_csv(rows: Sequence[dict], columns: Sequence[str] = CURVE_COLUMNS) -> str:
@@ -127,7 +115,7 @@ def train(
 
     # rebalancing touches the training partition only; validation stays as-is
     train_examples = rebalance(train_examples, config.balance, rng)
-    weights = class_weights(train_examples) if config.balance == "class_weights" else config.class_weights
+    weights = class_weights(train_examples) if config.balance == "class_weights" else None
 
     # one encoding per distinct text: oversampled copies share it
     encoded = {

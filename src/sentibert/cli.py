@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .classify import TrainConfig, curve_to_csv, evaluate, predict_batch, train
 from .data import FORMATS, LABELS, LabeledExample, ingest, read_corpus, write_jsonl
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, SamplingError, check_type
+from .errors import CheckpointError, ConfigError, DataError, SamplingError
 from .fileio import parse_json, read_text, write_file
 from .metrics import MetricsReport, cm_to_csv
 from .model import SentimentModel
@@ -107,14 +107,10 @@ def _load_config(args) -> dict:
     fmt = cfg["paths"].get("data_format")
     if fmt and fmt not in FORMATS:
         raise UsageError(f"paths.data_format must be one of {list(FORMATS)}, got {fmt!r}")
-    seed = cfg["seed"]
-    _checked("", check_type, "seed", seed, int)
-    if seed < 0:
-        raise UsageError(f"seed must be nonnegative, got {seed}")
     cfg["encoder_keys"] = sorted(cfg["encoder"])  # the keys the file sets; see _cmd_train
     cfg["encoder"] = _checked("bad encoder config: ", EncoderConfig, **cfg["encoder"])
-    cfg["train"] = _checked("bad train config: ", TrainConfig, **cfg["train"], seed=seed, balance=cfg["balance"])
-    cfg["pretrain"] = _checked("bad pretrain config: ", PretrainConfig, **cfg["pretrain"], seed=seed)
+    cfg["train"] = _checked("bad train config: ", TrainConfig, **cfg["train"], seed=cfg["seed"], balance=cfg["balance"])
+    cfg["pretrain"] = _checked("bad pretrain config: ", PretrainConfig, **cfg["pretrain"], seed=cfg["seed"])
     _checked("bad vocab config: ", check_vocab_limits, **cfg["vocab"])
     return cfg
 
@@ -152,13 +148,13 @@ def _input(cfg: dict, key: str, command: str) -> str:
     return path
 
 
-def _vocab(cfg: dict, command: str) -> Vocab:
-    """The vocab at paths.vocab, which command reads; a bad file's error names the key and the path."""
-    path = _input(cfg, "vocab", command)
+def _load(cfg: dict, key: str, command: str, loader):
+    """loader(path) of paths.<key>, which command reads; a bad file's error names the key and the path."""
+    path = _input(cfg, key, command)
     try:
-        return Vocab.load(path)
-    except ConfigError as exc:
-        raise ConfigError(f"paths.vocab {path}: {exc}") from exc
+        return loader(path)
+    except (ConfigError, CheckpointError) as exc:
+        raise type(exc)(f"paths.{key} {path}: {exc}") from exc
 
 
 def _output(cfg: dict, key: str, command: str) -> str:
@@ -215,7 +211,7 @@ def _cmd_build_vocab(cfg: dict) -> None:
 def _cmd_pretrain(cfg: dict) -> None:
     ckpt, curve_path = _output(cfg, "checkpoint", "pretrain"), _output(cfg, "curve", "pretrain")
     _distinct(cfg, "checkpoint", "curve", "vocab", "pretrain_corpus")
-    vocab = _vocab(cfg, "pretrain")
+    vocab = _load(cfg, "vocab", "pretrain", Vocab.load)
     corpus_path = _input(cfg, "pretrain_corpus", "pretrain")
     corpus = read_corpus(corpus_path)
     model = SentimentModel.init(vocab, cfg["encoder"], cfg["seed"])
@@ -235,7 +231,7 @@ def _cmd_train(cfg: dict) -> None:
     dataset = _dataset(cfg, "train_data", "train")
     train_cfg, encoder_cfg = cfg["train"], cfg["encoder"]
     if init_ckpt:
-        model = load_checkpoint(_input(cfg, "init_checkpoint", "train"))
+        model = _load(cfg, "init_checkpoint", "train", load_checkpoint)
         for key in cfg["encoder_keys"]:  # the checkpoint fixes the shape; a section may only repeat it
             if getattr(encoder_cfg, key) != getattr(model.config, key):
                 raise UsageError(
@@ -243,7 +239,7 @@ def _cmd_train(cfg: dict) -> None:
                     f"has {getattr(model.config, key)!r}"
                 )
     else:
-        vocab = _vocab(cfg, "train")
+        vocab = _load(cfg, "vocab", "train", Vocab.load)
         model = SentimentModel.init(vocab, encoder_cfg, train_cfg.seed)
     model, curve = train(dataset, train_cfg, model)
     save_checkpoint(model, ckpt)
@@ -255,7 +251,7 @@ def _cmd_train(cfg: dict) -> None:
 def _cmd_evaluate(cfg: dict) -> None:
     metrics_path, confusion_path = _output(cfg, "metrics", "evaluate"), _output(cfg, "confusion", "evaluate")
     _distinct(cfg, "metrics", "confusion", "checkpoint", "eval_data")
-    model = load_checkpoint(_input(cfg, "checkpoint", "evaluate"))
+    model = _load(cfg, "checkpoint", "evaluate", load_checkpoint)
     rep, cm = evaluate(model, _dataset(cfg, "eval_data", "evaluate"))
     write_file(metrics_path, rep.to_json() + "\n")
     write_file(confusion_path, cm_to_csv(cm))
@@ -265,7 +261,7 @@ def _cmd_evaluate(cfg: dict) -> None:
 def _cmd_predict(cfg: dict) -> None:
     out_path = cfg["paths"].get("predictions") and _output(cfg, "predictions", "predict")  # unset: stdout
     _distinct(cfg, "predictions", "checkpoint", "predict_input")
-    model = load_checkpoint(_input(cfg, "checkpoint", "predict"))
+    model = _load(cfg, "checkpoint", "predict", load_checkpoint)
     texts = [line.rstrip("\n") for line in read_text(_input(cfg, "predict_input", "predict"))]
     results = predict_batch(texts, model)
     lines = [

@@ -252,9 +252,9 @@ class TestTrain:
         trained, curve = train(data, TrainConfig(epochs=1, batch_size=8, seed=5, balance="oversample"), model)
         assert len(curve) == 1  # smoke: the strategy wires through
 
-    def test_explicit_weights_and_strategy_conflict(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(class_weights=[1.0, 1.0, 1.0], balance="class_weights")
+    def test_class_weights_come_only_from_the_balance_strategy(self):
+        with pytest.raises(TypeError, match="class_weights"):
+            TrainConfig(class_weights=[1.0, 1.0, 1.0])
 
 
 class TestConcurrencyAndAlgorithms:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from sentibert.classify import TrainConfig
+from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError
 from sentibert.optim import LoopConfig, run_epochs
 from sentibert.pretrain import PretrainConfig
@@ -75,3 +77,10 @@ def test_run_epochs_silences_numpy_warnings():
 def test_both_task_configs_check_the_loop_fields(config_cls, field, value, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         config_cls(**{field: value})
+
+
+@pytest.mark.parametrize("config_cls", [EncoderConfig, TrainConfig, PretrainConfig])
+def test_every_config_field_is_a_scalar_check_field_types_checks(config_cls):
+    # one rule for every config value: check_field_types covers exactly these kinds
+    for f in dataclasses.fields(config_cls):
+        assert f.type in (int, float, bool, str), f"{config_cls.__name__}.{f.name} is {f.type}"
