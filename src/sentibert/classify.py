@@ -45,6 +45,8 @@ def curve_to_csv(rows: Sequence[dict], columns: Sequence[str] = CURVE_COLUMNS) -
 
 def _probs_for(seqs: list[EncodedSequence], model: SentimentModel) -> np.ndarray:
     """Eval-mode probability rows over (negative, neutral, positive), in input order."""
+    if len(seqs) == 1:  # one sequence is its own chunk: no sort, no scatter
+        return softmax(model.class_logits(seqs).data)
     probs = np.empty((len(seqs), NUM_CLASSES))
     for idx in eval_chunks(seqs):
         probs[idx] = softmax(model.class_logits([seqs[i] for i in idx]).data)

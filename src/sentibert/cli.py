@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -109,7 +109,8 @@ def _load_config(args) -> dict:
         raise UsageError(f"paths.data_format must be one of {list(FORMATS)}, got {fmt!r}")
     cfg["encoder_keys"] = sorted(cfg["encoder"])  # the keys the file sets; see _cmd_train
     cfg["encoder"] = _checked("bad encoder config: ", EncoderConfig, **cfg["encoder"])
-    cfg["train"] = _checked("bad train config: ", TrainConfig, **cfg["train"], seed=cfg["seed"], balance=cfg["balance"])
+    top = _checked("bad config: ", TrainConfig, seed=cfg["seed"], balance=cfg["balance"])  # the top-level keys first
+    cfg["train"] = _checked("bad train config: ", replace, top, **cfg["train"])
     cfg["pretrain"] = _checked("bad pretrain config: ", PretrainConfig, **cfg["pretrain"], seed=cfg["seed"])
     _checked("bad vocab config: ", check_vocab_limits, **cfg["vocab"])
     return cfg

@@ -146,8 +146,8 @@ class SentimentModel:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Sentiment logits [B x 3] from each sequence's [CLS] hidden state."""
-        hidden, p = self.hidden_states(seqs, training, rng, rows=row_starts(seqs)), self.params
-        return add_bias(matmul(hidden, p["classifier.weight"]), p["classifier.bias"])
+        hidden = self.hidden_states(seqs, training, rng, rows=[0] if len(seqs) == 1 else row_starts(seqs))
+        return add_bias(matmul(hidden, self.params["classifier.weight"]), self.params["classifier.bias"])
 
     def nsp_logits(self, hidden: Tensor, starts: list[int]) -> Tensor:
         """Next-sentence logits [B x 2] from the [CLS] hidden states at rows starts."""

@@ -10,6 +10,8 @@ inference cheap and safe for concurrent use.
 
 import ctypes
 import functools
+import math
+import operator
 import threading
 from typing import NamedTuple
 
@@ -41,7 +43,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_on_tape")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=np.float64, order="C")  # row-major; 0-d stays 0-d
+        self.data = np.asarray(data, np.float64, "C")  # row-major; 0-d stays 0-d
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
@@ -66,11 +68,11 @@ def parameter(data, name: str | None = None) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
-_active = threading.local()
+class _Active(threading.local):
+    graph = None  # each thread's recording Graph; the class default spares a missing-attribute lookup
 
 
-def _current_graph():
-    return getattr(_active, "graph", None)
+_active = _Active()
 
 
 class Graph:
@@ -87,7 +89,7 @@ class Graph:
         self._nodes: list[tuple[Tensor, object]] = []
 
     def __enter__(self) -> "Graph":
-        if _current_graph() is not None:
+        if _active.graph is not None:
             raise ContractError("a Graph is already recording on this thread")
         _active.graph = self
         return self
@@ -126,7 +128,7 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
 
 
 def _record(out: Tensor, backward_fn, *inputs: Tensor) -> None:
-    graph = _current_graph()
+    graph = _active.graph
     if graph is None:
         return
     if not any(_wants_grad(t) for t in inputs):
@@ -142,11 +144,11 @@ def _require_2d(t: Tensor, op: str) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """C = A @ B; gradients dA = dC @ B^T, dB = A^T @ dC."""
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.data.shape} and {b.data.shape}")
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} are not 2-D with equal inner sizes")
     out = Tensor(a.data @ b.data)
+    if _active.graph is None:  # not recording: no backward to build
+        return out
 
     def backward(grad):
         if _wants_grad(a):
@@ -197,11 +199,9 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     The backward keeps only the activated hidden rows h and takes the ReLU
     mask from h > 0, so the subgradient at the kink is 0.
     """
-    for t, op in ((x, "ffn x"), (w1, "ffn w1"), (w2, "ffn w2")):
-        _require_2d(t, op)
+    if (x.data.ndim, w1.data.ndim, w2.data.ndim) != (2, 2, 2) or w1.data.shape != (x.data.shape[1], w2.data.shape[0]):
+        raise ShapeError(f"ffn: shapes {x.data.shape}, {w1.data.shape} and {w2.data.shape} are not chaining matrices")
     d_ff = w1.data.shape[1]
-    if x.data.shape[1] != w1.data.shape[0] or w2.data.shape[0] != d_ff:
-        raise ShapeError(f"ffn: shapes {x.data.shape}, {w1.data.shape} and {w2.data.shape} do not chain")
     if b1.data.shape != (d_ff,) or b2.data.shape != (w2.data.shape[1],):
         raise ShapeError(f"ffn: bias shapes {b1.data.shape}/{b2.data.shape} do not fit {w1.data.shape}/{w2.data.shape}")
     h = x.data @ w1.data
@@ -210,6 +210,8 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     out = h @ w2.data
     out += b2.data
     out = Tensor(out)
+    if _active.graph is None:  # not recording: no backward to build
+        return out
 
     def backward(grad):
         if _wants_grad(b2):
@@ -249,9 +251,8 @@ def layer_norm(
     """Post-norm residual: per-row normalization over the feature axis
     (population variance) of z = x + sub * keep, or of x + sub when keep is
     None. keep is a constant array such as a dropout mask."""
-    _require_2d(x, "layer_norm")
-    if sub.data.shape != x.data.shape:
-        raise ShapeError(f"layer_norm: residual shapes {x.data.shape} and {sub.data.shape} differ")
+    if x.data.ndim != 2 or sub.data.shape != x.data.shape:
+        raise ShapeError(f"layer_norm: x and residual shapes {x.data.shape} and {sub.data.shape} differ or are not 2-D")
     d = x.data.shape[1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
@@ -261,12 +262,14 @@ def layer_norm(
         raise ContractError(f"layer_norm: eps must be positive, got {eps}")
     z = x.data + (sub.data if keep is None else sub.data * keep)
     # sum / d is exactly what .mean computes (add.reduce, then true_divide)
-    x_hat = z - z.sum(axis=1, keepdims=True) / d
+    x_hat = np.subtract(z, z.sum(axis=1, keepdims=True) / d, out=z)  # z is a temporary: centred in place
     inv_std = 1.0 / np.sqrt((x_hat**2).sum(axis=1, keepdims=True) / d + eps)
     x_hat *= inv_std
     out = x_hat * gamma.data
     out += beta.data
     out = Tensor(out)
+    if _active.graph is None:  # not recording: no backward to build
+        return out
 
     def backward(grad):
         if _wants_grad(gamma):
@@ -315,15 +318,17 @@ class _Layout(NamedTuple):
     """Plan of a batch: everything that depends only on its lengths. Its
     grids lie end to end in one slot buffer, grid g holding B_g sequences of
     L_g slots each. slots holds each packed row's slot: its grid's offset,
-    plus its sequence within the grid times L_g, plus its position."""
+    plus its sequence within the grid times L_g, plus its position. A
+    one-sequence plan gives its contiguous positions and [CLS] slot as
+    slices, which index without a gather."""
 
     key_bias: tuple[np.ndarray, ...]  # per grid, its [B_g, 1, 1, L_g] additive key mask
     grids: tuple[slice, ...]  # per grid, its B_g * L_g slots
     slots: np.ndarray
     start: np.ndarray  # per sequence, its first packed row
     group: np.ndarray  # per sequence, its grid
-    positions: np.ndarray  # per packed row, its position in its sequence
-    cls: np.ndarray  # per sequence, the slot of its first row
+    positions: np.ndarray | slice  # per packed row, its position in its sequence
+    cls: np.ndarray | slice  # per sequence, the slot of its first row
 
 
 @functools.lru_cache(maxsize=64)
@@ -347,10 +352,11 @@ def _padding_layout(lengths: tuple[int, ...]) -> _Layout:
         offset += b * length
     positions = np.arange(sum(lengths)) - np.repeat(starts, lens)
     slots = positions + np.repeat(first_slot, lens)
-    layout = _Layout(tuple(key_bias), tuple(grids), slots, starts, group_of, positions, first_slot)
-    for array in (*layout.key_bias, *layout[2:]):
+    for array in (*key_bias, slots, starts, group_of, positions, first_slot):
         array.flags.writeable = False
-    return layout
+    if len(lengths) == 1:
+        positions, first_slot = slice(0, lengths[0]), slice(0, 1)
+    return _Layout(tuple(key_bias), tuple(grids), slots, starts, group_of, positions, first_slot)
 
 
 @functools.lru_cache(maxsize=256)
@@ -369,9 +375,7 @@ def batch_layout(lengths: tuple[int, ...]) -> _Layout:
 def _query_plan(layout: _Layout, rows, n: int) -> tuple[list[int], np.ndarray]:
     """Per grid of layout, Q_max: one past the furthest wanted position in it,
     0 for a grid holding no wanted row; and each wanted row's slot. rows, the
-    distinct packed query rows (default: every row), are checked here."""
-    if rows is None:
-        return [bias.shape[-1] for bias in layout.key_bias], layout.slots
+    distinct packed query rows, are checked here."""
     queries = np.asarray(rows, dtype=np.int64)
     if queries.ndim != 1:
         raise ShapeError(f"attention: rows must be a list of row indices, got shape {queries.shape}")
@@ -416,24 +420,35 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     n, width = qkv.data.shape
     if num_heads < 1 or width % (3 * num_heads):
         raise ShapeError(f"attention: width {width} does not split into q/k/v for {num_heads} heads")
-    lengths = np.asarray(lengths, dtype=np.int64)
-    key = lengths.tolist()
-    if lengths.ndim != 1 or not key or min(key) < 1 or sum(key) != n:
-        raise ShapeError(f"attention: lengths {key} do not partition {n} rows")
-    layout = batch_layout(tuple(key))
-    queries = None if rows is None else np.asarray(rows, dtype=np.int64)
-    if queries is not None and queries.shape == layout.start.shape and queries.tobytes() == layout.start.tobytes():
+    try:
+        key = tuple(map(operator.index, lengths))  # Python ints from a list, tuple or 1-D integer array
+    except TypeError:
+        key = ()
+    if not key or min(key) < 1 or sum(key) != n:
+        raise ShapeError(f"attention: lengths {lengths!r} do not partition {n} rows")
+    layout = batch_layout(key)
+    try:  # rows as Python ints, at most one past the sequence count, if a flat list, tuple or 1-D int array
+        prefix = (() if rows is None else rows)[: len(key) + 1]
+        wanted = list(map(operator.index, prefix.tolist() if isinstance(prefix, np.ndarray) else prefix))
+    except TypeError:  # any other rows: _query_plan checks them
+        wanted = None
+    if rows is None:
+        q_lengths, q_slots = [bias.shape[-1] for bias in layout.key_bias], layout.slots
+    elif wanted == layout.start.tolist():
         q_lengths, q_slots = [1] * len(layout.grids), layout.cls  # each sequence's [CLS] row, in order
     else:
-        q_lengths, q_slots = _query_plan(layout, queries, n)
+        q_lengths, q_slots = _query_plan(layout, rows, n)
     dense = len(layout.grids) == 1 and layout.grids[0].stop == n  # no padding slot: slot i holds row i
     d = width // 3
     d_k = d // num_heads
-    factor = 1.0 / np.sqrt(d_k)
+    factor = 1.0 / math.sqrt(d_k)
 
-    def heads(flat: np.ndarray, grid_length: int, parts: int) -> np.ndarray:
-        """The [parts, B, H, grid_length, d_k] view of [B*grid_length x parts*d] slot rows."""
-        return flat.reshape(-1, grid_length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
+    def heads(flat: np.ndarray, grid_length: int, parts: int):
+        """Per part (q, k, v when 3), the [B, H, grid_length, d_k] view of [B*grid_length x parts*d]
+        slot rows; [H, grid_length, d_k] for one sequence, which matmul runs with less overhead."""
+        view = (flat.reshape(grid_length, parts, num_heads, d_k).transpose(1, 2, 0, 3) if flat.shape[0] == grid_length
+                else flat.reshape(-1, grid_length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4))
+        return (view[0], view[1], view[2]) if parts == 3 else view[0]  # indexing beats unpacking an array
 
     if dense:
         flat = qkv.data
@@ -445,13 +460,16 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     for key_bias, kv, q_length in zip(layout.key_bias, layout.grids, q_lengths):
         length = key_bias.shape[-1]
         q, k, v = heads(flat[kv], length, 3)
-        scores = q[:, :, :q_length] @ k.transpose(0, 1, 3, 2)
+        scores = q[..., :q_length, :] @ k.swapaxes(-1, -2)
         scores *= factor
-        scores += key_bias
+        if not dense and scores.ndim == 4:  # one sequence's grid, or a batch with no padded slot, has a zero
+            scores += key_bias  # mask: adding it would only turn -0.0 scores into +0.0, which exp does not tell apart
         probs = softmax(scores, out=scores)
-        np.matmul(probs, v, out=heads(context[kv], length, 1)[0][:, :, :q_length])
+        np.matmul(probs, v, out=heads(context[kv], length, 1)[..., :q_length, :])
         kept.append((kv, probs))
     out = Tensor(context if dense and rows is None else context[q_slots])
+    if _active.graph is None:  # not recording: no backward to build
+        return out
 
     def backward(grad):
         if not _wants_grad(qkv):
@@ -465,17 +483,17 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
         for kv, probs in kept:
             q_length, length = probs.shape[-2:]
             q, k, v = heads(flat[kv], length, 3)
-            q = q[:, :, :q_length]
-            g = heads(flat_g[kv], length, 1)[0][:, :, :q_length]
-            d_scores = g @ v.transpose(0, 1, 3, 2)  # d probs, turned into d scores in place
+            q = q[..., :q_length, :]
+            g = heads(flat_g[kv], length, 1)[..., :q_length, :]
+            d_scores = g @ v.swapaxes(-1, -2)  # d probs, turned into d scores in place
             d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
             d_scores *= probs
             d_scores *= factor
             grad_q, grad_k, grad_v = heads(d_flat[kv], length, 3)
-            np.matmul(d_scores, k, out=grad_q[:, :, :q_length])
-            grad_q[:, :, q_length:] = 0.0
-            np.matmul(d_scores.transpose(0, 1, 3, 2), q, out=grad_k)
-            np.matmul(probs.transpose(0, 1, 3, 2), g, out=grad_v)
+            np.matmul(d_scores, k, out=grad_q[..., :q_length, :])
+            grad_q[..., q_length:, :] = 0.0
+            np.matmul(d_scores.swapaxes(-1, -2), q, out=grad_k)
+            np.matmul(probs.swapaxes(-1, -2), g, out=grad_v)
         _accumulate(qkv, d_flat if dense else d_flat[layout.slots])
 
     _record(out, backward, qkv)
@@ -526,20 +544,36 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
 
 def gather_rows(*pairs, trusted: bool = False) -> Tensor:
     """Sum of the rows table[ids] over one or more (table, ids) pairs, added
-    left to right; the gradient sums back into each table (_segment_sum). Every
-    table has the first one's width and every ids list its length. trusted
-    skips those checks, for ids an op has already checked (attention's rows)."""
-    tables = [table for table, _ in pairs]
-    idxs = [np.asarray(ids, dtype=np.int64) for _, ids in pairs]
-    for table, idx in () if trusted else zip(tables, idxs):
-        _require_2d(table, "gather_rows")
-        if idx.ndim != 1 or idx.size != idxs[0].size or table.data.shape[1] != tables[0].data.shape[1]:
-            raise ShapeError(f"gather_rows: ids of shape {idx.shape} into table {table.data.shape} do not line up")
-        if idx.size and idx.view(np.uint64).max() >= table.data.shape[0]:  # a negative id reads as over 2**63
-            raise IndexError(f"gather_rows: id out of range [0, {table.data.shape[0]})")
-    out = tables[0].data[idxs[0]]
-    for table, idx in zip(tables[1:], idxs[1:]):
-        out += table.data[idx]
+    left to right; the gradient sums back into each table (_segment_sum). ids
+    are row ids, or slice(start, stop) with 0 <= start <= stop for contiguous
+    rows, such as a one-sequence plan's positions. Every table is 2-D, every
+    ids 1-D within its table, and every pair gathers the first one's shape.
+    trusted skips the table and ids checks, for ids an op has already
+    checked (attention's rows)."""
+    tables, idxs, out = [], [], None
+    for table, ids in pairs:
+        idx = ids if isinstance(ids, slice) else np.asarray(ids, dtype=np.int64)
+        if not trusted:
+            _require_2d(table, "gather_rows")
+            if getattr(idx, "ndim", 1) != 1:
+                raise ShapeError(f"gather_rows: ids must be a list of row indices, got shape {idx.shape}")
+            if isinstance(ids, slice):
+                low, high = ids.start, ids.stop - 1
+            elif isinstance(ids, list):  # builtins: a numpy reduction costs more on a short list
+                low, high = (min(ids), max(ids)) if ids else (0, -1)
+            else:
+                low, high = 0, idx.view(np.uint64).max() if idx.size else -1  # a negative id reads as over 2**63
+            if low < 0 or high >= table.data.shape[0]:
+                raise IndexError(f"gather_rows: id out of range [0, {table.data.shape[0]})")
+        rows = table.data[idx] if isinstance(idx, slice) else table.data.take(idx, axis=0)
+        if out is None:
+            out = rows.copy() if isinstance(idx, slice) else rows  # take copies; a slice is a view
+        elif rows.shape == out.shape:
+            out += rows
+        else:
+            raise ShapeError(f"gather_rows: rows of shape {rows.shape} do not line up with the first pair's")
+        tables.append(table)
+        idxs.append(idx)
     out = Tensor(out)
 
     def backward(grad):
@@ -551,12 +585,15 @@ def gather_rows(*pairs, trusted: bool = False) -> Tensor:
     return out
 
 
-def _segment_sum(grad: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+def _segment_sum(grad: np.ndarray, idx, size: int) -> np.ndarray:
     """[size x width] rows holding, at each id, the sum of the grad rows that
     name it: one reduceat over the rows stably sorted by id, in place of a
-    scatter-add; sums agree with the scatter-add within rounding."""
+    scatter-add; sums agree with the scatter-add within rounding. A slice
+    names each row once, so its rows are the grad rows as they are."""
     summed = np.zeros((size, grad.shape[1]))
-    if idx.size:
+    if isinstance(idx, slice):
+        summed[idx] = grad
+    elif idx.size:
         order = np.argsort(idx, kind="stable")
         ids = idx[order]
         starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
@@ -572,4 +609,4 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         raise ContractError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
-    return (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    return (rng.random(x.data.shape) >= rate) * (1.0 / (1.0 - rate))  # equals the division bit for bit

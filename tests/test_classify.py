@@ -63,6 +63,48 @@ class TestForwardClassify:
         probs = forward_classify("", model)
         assert abs(probs.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("config", [EncoderConfig(num_layers=2, d_model=16, d_ff=32, max_len=12), EncoderConfig()])
+    def test_equals_a_plain_numpy_forward_bit_for_bit(self, config):
+        # one text is a batch whose plan is trivial: no padding, no chunks
+        model = _model(TOY, seed=8, config=config)
+        words = " ".join(ex.text for ex in TOY).split()
+        long_text = " ".join(words[i % len(words)] for i in range(config.max_len + 5))
+        texts = ("", "lovely room", "terrible dirty room awful rude staff", long_text)
+        lengths = [encode_pair(text, None, model.vocab, config.max_len).real_length() for text in texts]
+        assert lengths[0] == 2 and lengths[-1] == config.max_len  # [CLS] [SEP] alone; truncated at max_len
+        for text in texts:
+            assert np.array_equal(forward_classify(text, model), _plain_forward(text, model)), text
+
+
+def _plain_softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _plain_norm(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    centred = z - z.sum(axis=1, keepdims=True) / z.shape[1]
+    return centred * (1.0 / np.sqrt((centred**2).sum(axis=1, keepdims=True) / z.shape[1] + 1e-5)) * gamma + beta
+
+
+def _plain_forward(text: str, model: SentimentModel) -> np.ndarray:
+    """forward_classify in plain numpy on the text's own rows: no tape, no
+    padding, no batch plan; the same arithmetic in the same order, the last
+    layer computing the [CLS] row only."""
+    config, p = model.config, {name: t.data for name, t in model.params.items()}
+    seq = encode_pair(text, None, model.vocab, config.max_len)
+    n, heads, d_k = seq.real_length(), config.num_heads, config.d_k
+    x = p["embeddings.token"][seq.token_ids] + p["embeddings.segment"][seq.segment_ids] + p["embeddings.position"][:n]
+    for i in range(config.num_layers):
+        w = {name[len(f"encoder.{i}.") :]: a for name, a in p.items() if name.startswith(f"encoder.{i}.")}
+        q, k, v = (x @ w["wqkv"]).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)  # each [heads, n, d_k]
+        if i == config.num_layers - 1:
+            q, x = q[:, :1], x[:1]
+        context = (_plain_softmax(q @ k.transpose(0, 2, 1) * (1.0 / np.sqrt(d_k))) @ v).transpose(1, 0, 2)
+        y = _plain_norm(x + context.reshape(len(x), -1) @ w["wo"], w["ln1.gamma"], w["ln1.beta"])
+        hidden = np.maximum(y @ w["ffn.w1"] + w["ffn.b1"], 0.0)
+        x = _plain_norm(y + (hidden @ w["ffn.w2"] + w["ffn.b2"]), w["ln2.gamma"], w["ln2.beta"])
+    return _plain_softmax(x @ p["classifier.weight"] + p["classifier.bias"])[0]
+
 
 class TestPredictBatch:
     def test_empty(self):

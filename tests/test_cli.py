@@ -581,6 +581,18 @@ def test_every_command_checks_every_key(trained, tmp_path, capsys, command, key)
     assert out == "" and {path.name: path.read_bytes() for path in work.iterdir()} == before
 
 
+@pytest.mark.parametrize("key, value", [("seed", "x"), ("seed", -1), ("balance", "bogus")])
+@pytest.mark.parametrize("command", ["build-vocab", "pretrain", "rebalance", "train"])
+def test_bad_top_level_value_is_reported_as_a_top_level_key(workspace, capsys, command, key, value):
+    # seed and balance live at the top of the config, not in the train section
+    _, config_path, config = workspace
+    config_path.write_text(json.dumps({**config, key: value}), encoding="utf-8")
+    assert run_cli(command, "--config", str(config_path)) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "usage"
+    assert payload["message"].startswith(f"bad config: {key} "), payload["message"]
+
+
 @pytest.mark.parametrize("command, flag", [("evaluate", "--epochs"), ("build-vocab", "--seed")])
 def test_flag_on_a_command_that_does_not_read_its_key_is_usage_error(workspace, capsys, command, flag):
     _, config_path, _ = workspace

@@ -185,6 +185,9 @@ class TestAttention:
             attention(qkv, [2, 3], 1, [1, 4, 1])  # repeated
         with pytest.raises(ShapeError):
             attention(qkv, [2, 3], 1, [[0, 1]])
+        for rows in ([np.array([0])], [np.array([0, 1])], 0):  # not a flat list of ints, even where it equals the starts
+            with pytest.raises(ShapeError):
+                attention(qkv, [5], 1, rows)
 
 
 class TestPaddingLayout:
@@ -239,6 +242,7 @@ class TestPaddingLayout:
         assert layout is tensor._sequence_layout(7) and _padding_layout.cache_info() == before[0]
         general = _padding_layout.__wrapped__((7,))
         assert layout.grids == general.grids == (slice(0, 7),)
+        assert layout.positions == slice(0, 7) and layout.cls == slice(0, 1)  # contiguous: no gather
         for mine, theirs in zip((*layout.key_bias, *layout[2:]), (*general.key_bias, *general[2:])):
             np.testing.assert_array_equal(mine, theirs)
 
@@ -256,7 +260,8 @@ class TestPaddingLayout:
             starts = [sum(lengths[:i]) for i in range(len(lengths))]
             q_lengths, slots = tensor._query_plan(layout, starts, n)
             assert q_lengths == [1] * len(layout.grids)
-            np.testing.assert_array_equal(layout.cls, slots)
+            # a one-sequence plan gives its [CLS] slot as a slice; index a buffer of slot ids either way
+            np.testing.assert_array_equal(np.arange(layout.grids[-1].stop)[layout.cls], slots)
             np.testing.assert_array_equal(layout.start, starts)
             split += len(layout.grids) > 1
             cases.append((lengths, starts))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -276,6 +277,16 @@ class TestBackward:
         out = add(w, w)
         assert not out._on_tape and w.grad is None
 
+    def test_a_graph_records_only_its_own_threads_ops(self):
+        # a thread that never opened a Graph reads the class default, not another thread's
+        w = parameter([[1.0, 2.0]])
+        with Graph() as g:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                other = pool.submit(lambda: (tensor._active.graph, add(w, w))).result()
+            mine = add(w, w)
+        assert other[0] is None and not other[1]._on_tape
+        assert mine._on_tape and len(g) == 1 and tensor._active.graph is None
+
 
 class TestGradientsAgainstFiniteDifferences:
     def test_primitive_ops(self):
@@ -376,6 +387,49 @@ class TestGradientsAgainstFiniteDifferences:
         np.testing.assert_allclose(table.grad, expected, atol=1e-12, rtol=0)
 
 
+class TestGatherSlices:
+    """A one-sequence plan hands gather_rows its contiguous rows as a slice."""
+
+    @staticmethod
+    def _run(pairs_of, upstream):
+        # pairs_of(tables) -> the (table, ids) pairs; returns the output and each table's gradient
+        rng = np.random.default_rng(35)
+        tables = [parameter(rng.normal(size=(9, 5))), parameter(rng.normal(size=(2, 5)))]
+        with Graph() as g:
+            out = gather_rows(*pairs_of(tables))
+            g.backward(weighted_sum(out, upstream))
+        return out.data, [t.grad for t in tables]
+
+    @pytest.mark.parametrize("start, stop", [(0, 4), (3, 7), (5, 9), (2, 2)])
+    def test_slice_equals_the_index_array_bit_for_bit(self, start, stop):
+        upstream = np.random.default_rng(36).normal(size=(stop - start, 5))
+        segments = [i % 2 for i in range(stop - start)]
+        for pairs_of in (
+            lambda ids: lambda t: [(t[0], ids)],  # alone: the output must not be a view of the table
+            lambda ids: lambda t: [(t[1], segments), (t[0], ids)],  # added to another pair, as embed does
+        ):
+            out, grads = self._run(pairs_of(slice(start, stop)), upstream)
+            ref_out, ref_grads = self._run(pairs_of(np.arange(start, stop)), upstream)
+            assert out.tobytes() == ref_out.tobytes()
+            for grad, ref in zip(grads, ref_grads):
+                assert (grad is None) == (ref is None) and (grad is None or grad.tobytes() == ref.tobytes())
+
+    def test_output_does_not_alias_the_table(self):
+        table = Tensor(np.arange(12.0).reshape(4, 3))
+        out = gather_rows((table, slice(1, 3)))
+        out.data[:] = -1.0
+        np.testing.assert_array_equal(table.data, np.arange(12.0).reshape(4, 3))
+
+    @pytest.mark.parametrize("start, stop", [(6, 10), (0, 10), (9, 10)])
+    def test_slice_past_the_table_raises_as_the_ids_do(self, start, stop):
+        table = Tensor(np.zeros((9, 5)))
+        with pytest.raises(IndexError) as by_slice:
+            gather_rows((table, slice(start, stop)))
+        with pytest.raises(IndexError) as by_ids:
+            gather_rows((table, list(range(start, stop))))
+        assert str(by_slice.value) == str(by_ids.value) == "gather_rows: id out of range [0, 9)"
+
+
 class TestDropout:
     def test_inactive_paths_identity(self):
         # no mask: the residual layer norm keeps the whole branch
@@ -397,6 +451,13 @@ class TestDropout:
         keep = dropout(Tensor(np.zeros((3, 5))), 0.4, np.random.default_rng(8), True)
         expected = (np.random.default_rng(8).random((3, 5)) >= 0.4) / 0.6
         np.testing.assert_array_equal(keep, expected)
+
+    @pytest.mark.parametrize("rate", [0.05, 0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 0.7, 0.9, 0.999])
+    def test_mask_equals_the_division_form_bit_for_bit(self, rate):
+        # the mask multiplies by 1 / (1 - rate) instead of dividing by 1 - rate
+        keep = dropout(Tensor(np.zeros((535, 64))), rate, np.random.default_rng(9), True)
+        expected = (np.random.default_rng(9).random((535, 64)) >= rate) / (1.0 - rate)
+        assert keep.dtype == expected.dtype and keep.tobytes() == expected.tobytes()
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ContractError):
