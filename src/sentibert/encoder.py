@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_field_types
-from .tensor import Tensor, attention, dropout, ffn, gather_rows, layer_norm, matmul
+from .tensor import Tensor, attention, check_dropout_rate, dropout, ffn, gather_rows, layer_norm, linear
 
 LAYER_NORM_EPS = 1e-5
 
@@ -58,7 +58,7 @@ def multi_head(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, row
     per query row, every row by default (see tensor.attention)."""
     if x.data.shape[1] != wo.data.shape[0]:
         raise ShapeError(f"multi_head: input width {x.data.shape[1]} != d_model {wo.data.shape[0]}")
-    return matmul(attention(matmul(x, wqkv), lengths, num_heads, rows), wo)
+    return linear(attention(linear(x, wqkv), lengths, num_heads, rows), wo)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -83,7 +83,9 @@ def encoder_layer(
     those packed rows, in that order: keys and values still come from every
     row, and both dropout masks are drawn at the full [N x d] shape and then
     indexed, so the rng stream does not depend on rows."""
-    if training and dropout_rate > 0.0 and rng is None:
+    check_dropout_rate(dropout_rate)  # in eval mode too, where no mask is drawn
+    masked = training and dropout_rate > 0.0
+    if masked and rng is None:
         raise ConfigError("encoder_layer: training with dropout needs an rng")
 
     def p(suffix: str) -> Tensor:
@@ -93,7 +95,7 @@ def encoder_layer(
             raise ConfigError(f"encoder_layer: no parameter named {prefix}.{suffix}") from None
 
     def keep() -> np.ndarray | None:
-        mask = dropout(x, dropout_rate, rng, training)
+        mask = dropout(x, dropout_rate, rng, True) if masked else None
         return mask if mask is None or rows is None else mask[rows]
 
     attn = multi_head(x, p("wqkv"), p("wo"), lengths, num_heads, rows)

@@ -18,7 +18,7 @@ from .data import NUM_CLASSES
 from .embedding import embed
 from .encoder import EncoderConfig, encode
 from .errors import ConfigError, ContractError
-from .tensor import Tensor, add_bias, gather_rows, length_groups, matmul, parameter, transpose
+from .tensor import Tensor, length_groups, linear, parameter
 from .tokenizer import EncodedSequence, Vocab
 
 INIT_STD = 0.02  # scale of the normal-initialized weights
@@ -147,15 +147,15 @@ class SentimentModel:
     ) -> Tensor:
         """Sentiment logits [B x 3] from each sequence's [CLS] hidden state."""
         hidden = self.hidden_states(seqs, training, rng, rows=[0] if len(seqs) == 1 else row_starts(seqs))
-        return add_bias(matmul(hidden, self.params["classifier.weight"]), self.params["classifier.bias"])
+        return linear(hidden, self.params["classifier.weight"], self.params["classifier.bias"])
 
     def nsp_logits(self, hidden: Tensor, starts: list[int]) -> Tensor:
         """Next-sentence logits [B x 2] from the [CLS] hidden states at rows starts."""
-        return add_bias(matmul(gather_rows((hidden, starts)), self.params["nsp.weight"]), self.params["nsp.bias"])
+        return linear(hidden, self.params["nsp.weight"], self.params["nsp.bias"], rows=starts)
 
     def mlm_logits(self, hidden: Tensor, rows: list[int]) -> Tensor:
         """Masked-token logits [n x V] at packed rows, via the transposed token table (tied weights)."""
-        return matmul(gather_rows((hidden, rows)), transpose(self.params["embeddings.token"]))
+        return linear(hidden, self.params["embeddings.token"], rows=rows, transposed=True)
 
 
 def _check_arrays(shapes: dict[str, tuple[int, ...]], arrays: dict) -> None:

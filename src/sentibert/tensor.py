@@ -128,13 +128,10 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
 
 
 def _record(out: Tensor, backward_fn, *inputs: Tensor) -> None:
-    graph = _active.graph
-    if graph is None:
-        return
     if not any(_wants_grad(t) for t in inputs):
         return  # pure constants: nothing downstream to differentiate
     out._on_tape = True
-    graph._nodes.append((out, backward_fn))
+    _active.graph._nodes.append((out, backward_fn))
 
 
 def _require_2d(t: Tensor, op: str) -> None:
@@ -142,21 +139,33 @@ def _require_2d(t: Tensor, op: str) -> None:
         raise ShapeError(f"{op} expects a 2-D tensor, got shape {t.data.shape}")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """C = A @ B; gradients dA = dC @ B^T, dB = A^T @ dC."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} are not 2-D with equal inner sizes")
-    out = Tensor(a.data @ b.data)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, rows=None, transposed: bool = False) -> Tensor:
+    """Y = x[rows] @ W (+ b) as one tape node, W being w, or w^T when
+    transposed (a tied embedding table); rows are what gather_rows takes as
+    ids, every row by default. dW = x[rows]^T @ dY, db = dY summed over
+    rows, and dx = dY @ W^T summed back into x's rows as gather_rows' does."""
+    xs, idx = (x.data, None) if rows is None else _take(x, rows, "linear")
+    # a C-ordered copy of w^T: BLAS may round a product with the F-ordered view .T differently
+    wt = np.ascontiguousarray(w.data.T) if transposed else w.data
+    if xs.ndim != 2 or wt.ndim != 2 or xs.shape[1] != wt.shape[0]:
+        raise ShapeError(f"linear: shapes {xs.shape} and {wt.shape} are not 2-D with equal inner sizes")
+    if b is not None and b.data.shape != (wt.shape[1],):
+        raise ShapeError(f"linear: bias shape {b.data.shape} does not fit rows of width {wt.shape[1]}")
+    out = Tensor(xs @ wt if b is None else xs @ wt + b.data)
     if _active.graph is None:  # not recording: no backward to build
         return out
 
     def backward(grad):
-        if _wants_grad(a):
-            _accumulate(a, grad @ b.data.T)
-        if _wants_grad(b):
-            _accumulate(b, a.data.T @ grad)
+        if b is not None and _wants_grad(b):
+            _accumulate(b, grad.sum(axis=0))
+        if _wants_grad(x):
+            d_x = grad @ wt.T
+            _accumulate(x, d_x if idx is None else _segment_sum(d_x, idx, x.data.shape[0]))
+        if _wants_grad(w):
+            d_w = xs.T @ grad
+            _accumulate(w, d_w.T if transposed else d_w)
 
-    _record(out, backward, a, b)
+    _record(out, backward, *((x, w) if b is None else (x, w, b)))
     return out
 
 
@@ -165,6 +174,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
     out = Tensor(a.data + b.data)
+    if _active.graph is None:  # not recording: no backward to build
+        return out
 
     def backward(grad):
         if _wants_grad(a):
@@ -173,23 +184,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, grad)
 
     _record(out, backward, a, b)
-    return out
-
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a length-d bias vector to every row of x[m x d]."""
-    _require_2d(x, "add_bias")
-    if bias.data.ndim != 1 or bias.data.shape[0] != x.data.shape[1]:
-        raise ShapeError(f"add_bias: bias shape {bias.data.shape} does not fit rows of {x.data.shape}")
-    out = Tensor(x.data + bias.data[None, :])
-
-    def backward(grad):
-        if _wants_grad(x):
-            _accumulate(x, grad)
-        if _wants_grad(bias):
-            _accumulate(bias, grad.sum(axis=0))
-
-    _record(out, backward, x, bias)
     return out
 
 
@@ -230,18 +224,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             _accumulate(w1, x.data.T @ d_h)
 
     _record(out, backward, x, w1, b1, w2, b2)
-    return out
-
-
-def transpose(x: Tensor) -> Tensor:
-    _require_2d(x, "transpose")
-    out = Tensor(x.data.T)
-
-    def backward(grad):
-        if _wants_grad(x):
-            _accumulate(x, grad.T)
-
-    _record(out, backward, x)
     return out
 
 
@@ -530,6 +512,8 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     log_probs = shifted - log_norm
     rows = np.arange(b)
     out = Tensor((w * -log_probs[rows, idx]).mean())
+    if _active.graph is None:  # not recording: no backward to build
+        return out
 
     def backward(grad):
         if _wants_grad(logits):
@@ -552,20 +536,7 @@ def gather_rows(*pairs, trusted: bool = False) -> Tensor:
     checked (attention's rows)."""
     tables, idxs, out = [], [], None
     for table, ids in pairs:
-        idx = ids if isinstance(ids, slice) else np.asarray(ids, dtype=np.int64)
-        if not trusted:
-            _require_2d(table, "gather_rows")
-            if getattr(idx, "ndim", 1) != 1:
-                raise ShapeError(f"gather_rows: ids must be a list of row indices, got shape {idx.shape}")
-            if isinstance(ids, slice):
-                low, high = ids.start, ids.stop - 1
-            elif isinstance(ids, list):  # builtins: a numpy reduction costs more on a short list
-                low, high = (min(ids), max(ids)) if ids else (0, -1)
-            else:
-                low, high = 0, idx.view(np.uint64).max() if idx.size else -1  # a negative id reads as over 2**63
-            if low < 0 or high >= table.data.shape[0]:
-                raise IndexError(f"gather_rows: id out of range [0, {table.data.shape[0]})")
-        rows = table.data[idx] if isinstance(idx, slice) else table.data.take(idx, axis=0)
+        rows, idx = _take(table, ids, "gather_rows", trusted)
         if out is None:
             out = rows.copy() if isinstance(idx, slice) else rows  # take copies; a slice is a view
         elif rows.shape == out.shape:
@@ -575,6 +546,8 @@ def gather_rows(*pairs, trusted: bool = False) -> Tensor:
         tables.append(table)
         idxs.append(idx)
     out = Tensor(out)
+    if _active.graph is None:  # not recording: no backward to build
+        return out
 
     def backward(grad):
         for table, idx in zip(reversed(tables), reversed(idxs)):  # last pair first, in reverse recording order
@@ -583,6 +556,25 @@ def gather_rows(*pairs, trusted: bool = False) -> Tensor:
 
     _record(out, backward, *tables)
     return out
+
+
+def _take(table: Tensor, ids, op: str, trusted: bool = False) -> tuple[np.ndarray, np.ndarray | slice]:
+    """table[ids] (a view for a slice) and the index _segment_sum scatters its
+    gradient back with; unless trusted, ids are checked for op."""
+    idx = ids if isinstance(ids, slice) else np.asarray(ids, dtype=np.int64)
+    if not trusted:
+        _require_2d(table, op)
+        if getattr(idx, "ndim", 1) != 1:
+            raise ShapeError(f"{op}: ids must be a list of row indices, got shape {idx.shape}")
+        if isinstance(ids, slice):
+            low, high = ids.start, ids.stop - 1
+        elif isinstance(ids, list):  # builtins: a numpy reduction costs more on a short list
+            low, high = (min(ids), max(ids)) if ids else (0, -1)
+        else:
+            low, high = 0, idx.view(np.uint64).max() if idx.size else -1  # a negative id reads as over 2**63
+        if low < 0 or high >= table.data.shape[0]:
+            raise IndexError(f"{op}: id out of range [0, {table.data.shape[0]})")
+    return (table.data[idx] if isinstance(idx, slice) else table.data.take(idx, axis=0)), idx
 
 
 def _segment_sum(grad: np.ndarray, idx, size: int) -> np.ndarray:
@@ -601,12 +593,16 @@ def _segment_sum(grad: np.ndarray, idx, size: int) -> np.ndarray:
     return summed
 
 
+def check_dropout_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout: rate must be in [0, 1), got {rate}")
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> np.ndarray | None:
     """Inverted-dropout keep mask for x, 0 with probability rate and else
     1/(1-rate), as layer_norm's keep. None when not training or rate == 0;
     rng is consumed only when active."""
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout: rate must be in [0, 1), got {rate}")
+    check_dropout_rate(rate)
     if not training or rate == 0.0:
         return None
     return (rng.random(x.data.shape) >= rate) * (1.0 / (1.0 - rate))  # equals the division bit for bit

@@ -1,13 +1,16 @@
-"""Central finite-difference gradient checking shared by the test modules.
+"""Central finite-difference gradient checking, and the tape helpers, shared
+by the test modules.
 
 Tolerance rule: relative error within `rel` when the analytic value is at
 least `small`, otherwise absolute error within `abs_tol` (tiny gradients
 drown in relative noise).
 """
 
+import collections
+
 import numpy as np
 
-from sentibert.tensor import Graph, Tensor, _accumulate, _record, _wants_grad
+from sentibert.tensor import Graph, Tensor, _accumulate, _active, _record, _wants_grad
 
 
 def numerical_grad(loss_fn, param: Tensor, flat_index: int, h: float = 1e-5) -> float:
@@ -71,6 +74,8 @@ def check_gradients(
 def sum_all(x: Tensor) -> Tensor:
     """Sum of every element, as a scalar tensor: the simplest loss to differentiate."""
     out = Tensor(x.data.sum())
+    if _active.graph is None:  # as every op: no backward to build when not recording
+        return out
 
     def backward(grad):
         if _wants_grad(x):
@@ -85,6 +90,8 @@ def weighted_sum(x: Tensor, weights) -> Tensor:
     upstream gradient is weights rather than ones."""
     w = np.asarray(weights, dtype=np.float64)
     out = Tensor((x.data * w).sum())
+    if _active.graph is None:
+        return out
 
     def backward(grad):
         if _wants_grad(x):
@@ -92,3 +99,8 @@ def weighted_sum(x: Tensor, weights) -> Tensor:
 
     _record(out, backward, x)
     return out
+
+
+def tape_ops(graph: Graph) -> dict[str, int]:
+    """Recorded nodes per op, named by the op whose backward each node holds."""
+    return dict(collections.Counter(fn.__qualname__.split(".")[0] for _, fn in graph._nodes))

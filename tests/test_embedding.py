@@ -6,7 +6,7 @@ from sentibert.embedding import embed
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ShapeError
 from sentibert.model import SentimentModel
-from sentibert.tensor import Graph, Tensor, batch_layout, cross_entropy, gather_rows, matmul, parameter
+from sentibert.tensor import Graph, Tensor, batch_layout, cross_entropy, linear, parameter
 from sentibert.tokenizer import NUM_SPECIALS, SPECIAL_TOKENS, EncodedSequence, Vocab
 
 
@@ -136,7 +136,7 @@ class TestEmbed:
         seq = _seq([2, 5, 6, 3])
 
         def build():
-            return cross_entropy(matmul(gather_rows((embed([seq], tables), [0])), head), [1])
+            return cross_entropy(linear(embed([seq], tables), head, rows=[0]), [1])
 
         check_gradients(build, {**tables, "head": head}, rng, probes=40)
 

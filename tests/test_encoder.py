@@ -11,7 +11,7 @@ from sentibert.encoder import (
     feed_forward,
     multi_head,
 )
-from sentibert.errors import ConfigError, ShapeError
+from sentibert.errors import ConfigError, ContractError, ShapeError
 from sentibert.model import initial_array, parameter_shapes
 from sentibert.tensor import (
     NEG_INF_MASK,
@@ -19,8 +19,7 @@ from sentibert.tensor import (
     Tensor,
     _padding_layout,
     cross_entropy,
-    gather_rows,
-    matmul,
+    linear,
     parameter,
     softmax,
 )
@@ -508,6 +507,26 @@ class TestEncoderLayer:
         with pytest.raises(ConfigError):
             encoder_layer(Tensor(np.zeros((2, 8))), params, "encoder.0", [2], 2, 0.5, None, training=True)
 
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, float("nan")])
+    def test_bad_dropout_rate_is_rejected_in_either_mode(self, training, rate):
+        params = init_layer_params(_config(), np.random.default_rng(0))
+        with pytest.raises(ContractError, match=r"^dropout: rate must be in \[0, 1\), got"):
+            encoder_layer(Tensor(np.zeros((2, 8))), params, "encoder.0", [2], 2, rate, np.random.default_rng(0), training)
+
+    @pytest.mark.parametrize("rows", [None, [0, 2]], ids=["all-rows", "query-rows"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    def test_rng_gives_only_the_two_training_masks(self, training, rows):
+        # a training layer draws its two masks at the full [N x d] shape, in
+        # order; an eval-mode layer draws nothing
+        params = init_layer_params(_config(), np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(5, 8)))
+        rng, reference = np.random.default_rng(2), np.random.default_rng(2)
+        encoder_layer(x, params, "encoder.0", [2, 3], 2, 0.3, rng, training, rows)
+        for _ in range(2 if training else 0):
+            reference.random((5, 8))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_output_shape(self):
         config = _config()
         params = init_layer_params(config, np.random.default_rng(0))
@@ -605,7 +624,7 @@ class TestEncoderGradients:
 
         def build():
             hidden = encode(x, config, layers, lengths)
-            return cross_entropy(matmul(gather_rows((hidden, [0])), head), [2])
+            return cross_entropy(linear(hidden, head, rows=[0]), [2])
 
         check_gradients(build, {"x": x, "head": head, **layers}, rng, probes=120)
 

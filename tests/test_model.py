@@ -7,7 +7,7 @@ from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, ContractError, ShapeError
 from sentibert.model import SentimentModel, eval_chunks, parameter_shapes, row_starts
 from sentibert.synthetic import generate_dataset
-from sentibert.tensor import EVAL_SLOTS, Graph, add_bias, cross_entropy, gather_rows, matmul, softmax
+from sentibert.tensor import EVAL_SLOTS, Graph, cross_entropy, linear, softmax
 from sentibert.tokenizer import PAD_ID, SPECIAL_TOKENS, EncodedSequence, Vocab, encode_pair
 
 CONFIG = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.1)
@@ -184,8 +184,8 @@ def _random_batch(vocab, count, seed):
 
 def _full_path_class_logits(net, seqs, training=False, rng=None):
     """Sentiment logits from every row's hidden state, gathered at the [CLS] rows afterwards."""
-    hidden = gather_rows((net.hidden_states(seqs, training, rng), row_starts(seqs)))
-    return add_bias(matmul(hidden, net.params["classifier.weight"]), net.params["classifier.bias"])
+    hidden = net.hidden_states(seqs, training, rng)
+    return linear(hidden, net.params["classifier.weight"], net.params["classifier.bias"], rows=row_starts(seqs))
 
 
 class TestQueryRows:

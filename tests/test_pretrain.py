@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sentibert import classify, pretrain
+from gradcheck import tape_ops
+from sentibert import classify, pretrain, tensor
 from sentibert.classify import TrainConfig
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, SamplingError
@@ -227,6 +228,21 @@ class TestPretrainStep:
         # mlm projection contributes nothing: with p=0 there are no mlm logits at all
         assert model.params["embeddings.token"].grad is not None
 
+    def test_default_pretraining_step_records_19_tape_nodes(self, corpus, vocab, monkeypatch):
+        # the fine-tuning tape (test_classify) with the NSP head's linear at
+        # the [CLS] rows in place of the classifier's, plus the tied MLM
+        # head's linear at the masked rows, its loss and the loss sum
+        model = SentimentModel.init(vocab, EncoderConfig(max_len=SMALL.max_len), seed=0)
+        rng = np.random.default_rng(6)
+        batch = build_masked_batch(nsp_pairs(corpus, rng)[:4], vocab, SMALL.max_len, 0.3, rng)
+        assert any(t != SENTINEL for targets in batch.mlm_targets for t in targets)
+        tapes = []
+        backward = tensor.Graph.backward
+        monkeypatch.setattr(tensor.Graph, "backward", lambda g, loss: (tapes.append(tape_ops(g)), backward(g, loss)))
+        pretrain_step(batch, model, self._optimizer(model), rng=rng)
+        ops = {"gather_rows": 2, "linear": 6, "attention": 2, "layer_norm": 4, "ffn": 2, "cross_entropy": 2, "add": 1}
+        assert tapes == [ops] and sum(ops.values()) == 19
+
     def test_fixed_seed_reproducible_trajectory(self, corpus, vocab):
         def run():
             model = self._model(vocab, seed=9)
@@ -332,3 +348,20 @@ class TestPretrainStep:
         assert set(cut_grads) == set(full_grads) == set(model.named_parameters("nsp"))
         for name in full_grads:
             np.testing.assert_allclose(cut_grads[name], full_grads[name], atol=1e-12, rtol=0, err_msg=name)
+
+
+def test_no_op_reaches_the_tape_without_a_graph(corpus, vocab, monkeypatch):
+    # every op returns before building its backward when no graph records
+    model = SentimentModel.init(vocab, SMALL, seed=0)
+    rng = np.random.default_rng(7)
+    batch = build_masked_batch(nsp_pairs(corpus, rng)[:5], vocab, SMALL.max_len, 0.3, rng)
+    data = generate_dataset((2, 2, 2), seed=1)
+
+    def no_tape(*args):
+        raise AssertionError("an op reached the tape with no graph recording")
+
+    monkeypatch.setattr(tensor, "_record", no_tape)
+    classify.forward_classify(data[0].text, model)
+    classify.predict_batch([ex.text for ex in data], model)
+    classify.evaluate(model, data)
+    assert eval_losses(batch, model)["mlm_accuracy"] >= 0.0

@@ -12,16 +12,14 @@ from sentibert.tensor import (
     Graph,
     Tensor,
     add,
-    add_bias,
     cross_entropy,
     dropout,
     ffn,
     gather_rows,
     layer_norm,
-    matmul,
+    linear,
     parameter,
     softmax,
-    transpose,
 )
 
 
@@ -37,17 +35,19 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class TestMatmul:
+    """linear with no bias and every row: the plain matrix product."""
+
     def test_identity(self):
         b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        out = matmul(Tensor(np.eye(2)), b)
+        out = linear(Tensor(np.eye(2)), b)
         assert np.array_equal(out.data, b.data)
 
     def test_hand_worked(self):
-        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0, 6.0], [7.0, 8.0]]))
+        out = linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0, 6.0], [7.0, 8.0]]))
         assert np.array_equal(out.data, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_zeros(self):
-        out = matmul(Tensor(np.zeros((2, 3))), Tensor(np.arange(6.0).reshape(3, 2)))
+        out = linear(Tensor(np.zeros((2, 3))), Tensor(np.arange(6.0).reshape(3, 2)))
         assert np.array_equal(out.data, np.zeros((2, 2)))
 
     def test_matches_triple_loop_oracle(self):
@@ -56,12 +56,62 @@ class TestMatmul:
             m, k, n = rng.integers(1, 9, size=3)
             a = rng.normal(size=(m, k))
             b = rng.normal(size=(k, n))
-            got = matmul(Tensor(a), Tensor(b)).data
+            got = linear(Tensor(a), Tensor(b)).data
             np.testing.assert_allclose(got, naive_matmul(a, b), atol=1e-12)
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+
+
+class TestLinear:
+    def test_bias_rows_and_transposed_weight(self):
+        rng = np.random.default_rng(8)
+        x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        ids = [4, 0, 4]
+        np.testing.assert_array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+        np.testing.assert_array_equal(linear(Tensor(x), Tensor(w), rows=ids).data, x[ids] @ w)
+        np.testing.assert_array_equal(linear(Tensor(x), Tensor(w), rows=slice(1, 4)).data, x[1:4] @ w)
+        tied = linear(Tensor(x), Tensor(w.T.copy()), Tensor(b), rows=ids, transposed=True).data
+        np.testing.assert_array_equal(tied, x[ids] @ w + b)
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["w", "w-transposed"])
+    @pytest.mark.parametrize("rows", [[6, 1, 1, 3], slice(2, 6)], ids=["ids", "slice"])
+    def test_equals_a_gather_then_a_product_bit_for_bit(self, rows, transposed):
+        # the forward and every gradient of rows and of a transposed weight
+        # equal those of the gather and the plain product they fold in
+        rng = np.random.default_rng(9)
+        x, b = parameter(rng.normal(size=(7, 5))), parameter(rng.normal(size=6))
+        w = parameter(rng.normal(size=(6, 5) if transposed else (5, 6)))
+        w_ref = parameter(w.data.T.copy() if transposed else w.data.copy())
+        x_ref, b_ref = parameter(x.data.copy()), parameter(b.data.copy())
+        upstream = rng.normal(size=(4, 6))
+        with Graph() as fused:
+            out = linear(x, w, b, rows=rows, transposed=transposed)
+            fused.backward(weighted_sum(out, upstream))
+        with Graph() as g:
+            ref = linear(gather_rows((x_ref, rows)), w_ref, b_ref)
+            g.backward(weighted_sum(ref, upstream))
+        assert len(fused) == 2 and out.data.tobytes() == ref.data.tobytes()  # one linear node, then the loss
+        assert x.grad.tobytes() == x_ref.grad.tobytes() and b.grad.tobytes() == b_ref.grad.tobytes()
+        np.testing.assert_array_equal(w.grad, w_ref.grad.T if transposed else w_ref.grad)
+
+    def test_bias_shape_error(self):
+        with pytest.raises(ShapeError, match=r"bias shape \(3,\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+
+    def test_transposed_shape_error_names_the_weight_it_multiplies(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 3\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), transposed=True)
+
+    @pytest.mark.parametrize("rows", [[0, 3], [-1], slice(2, 4), np.array([3])])
+    def test_rows_past_the_input_raise_as_a_gather_does(self, rows):
+        x, w = Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2)))
+        with pytest.raises(IndexError) as raised:
+            linear(x, w, rows=rows)
+        assert str(raised.value) == "linear: id out of range [0, 3)"
+        with pytest.raises(ShapeError, match="linear: ids must be a list"):
+            linear(x, w, rows=[[0]])
 
 
 class TestSoftmaxRows:
@@ -249,7 +299,7 @@ class TestBackward:
     def test_quadratic_gradient(self):
         w = parameter([[1.0, 2.0]])
         with Graph() as g:
-            g.backward(sum_all(matmul(w, transpose(w))))  # w w^T = sum of squares
+            g.backward(sum_all(linear(w, w, transposed=True)))  # w w^T = sum of squares
         assert np.array_equal(w.grad, [[2.0, 4.0]])
 
     def test_nonscalar_loss_rejected(self):
@@ -300,10 +350,12 @@ class TestGradientsAgainstFiniteDifferences:
         beta = parameter(rng.normal(size=4))
         w32, w34, w42 = (rng.normal(size=shape) for shape in ((3, 2), (3, 4), (4, 2)))
         cases = {
-            "matmul": (lambda: weighted_sum(matmul(a, b), w32), {"a": a, "b": b}),
-            "add": (lambda: weighted_sum(add(add(c, c), matmul(a, b)), w32), {"a": a, "c": c}),
-            "add_bias": (lambda: weighted_sum(add_bias(matmul(a, b), bias), w32), {"a": a, "bias": bias}),
-            "transpose": (lambda: weighted_sum(matmul(transpose(b), transpose(a)), w32.T), {"a": a, "b": b}),
+            "linear": (lambda: weighted_sum(linear(a, b), w32), {"a": a, "b": b}),
+            "add": (lambda: weighted_sum(add(add(c, c), linear(a, b)), w32), {"a": a, "c": c}),
+            "linear_bias": (lambda: weighted_sum(linear(a, b, bias), w32), {"a": a, "b": b, "bias": bias}),
+            "linear_ids": (lambda: weighted_sum(linear(a, b, bias, rows=[2, 0, 2]), w32), {"a": a, "b": b, "bias": bias}),
+            "linear_slice": (lambda: weighted_sum(linear(a, b, rows=slice(1, 3)), w32[:2]), {"a": a, "b": b}),
+            "linear_transposed": (lambda: weighted_sum(linear(c, b, rows=[1, 2], transposed=True), w34[:2]), {"b": b, "c": c}),
             "layer_norm": (lambda: weighted_sum(layer_norm(a, e, gamma, beta), w34), {"a": a, "e": e, "gamma": gamma, "beta": beta}),
             "cross_entropy": (lambda: cross_entropy(a, [0, 1, 0], weights=[1.5, 1.0, 0.5, 2.0]), {"a": a}),
             "gather": (lambda: weighted_sum(gather_rows((a, [2, 0, 2])), w34), {"a": a}),
@@ -530,7 +582,7 @@ class TestDeterminismAndFiniteness:
             softmax(x.data),
             norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))).data,
             relu(x).data,
-            matmul(x, x).data,
+            linear(x, x).data,
         ):
             assert np.all(np.isfinite(out))
 
