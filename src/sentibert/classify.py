@@ -134,7 +134,7 @@ def train(
     def step(where: str, idx) -> float:
         def loss():
             logits = model.class_logits([train_seqs[i] for i in idx], training=True, rng=rng)
-            return cross_entropy(logits, [train_labels[i] for i in idx], weights)
+            return (cross_entropy(logits, [train_labels[i] for i in idx], weights),)
 
         return descend(optimizer, where, loss)
 

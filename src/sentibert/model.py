@@ -10,7 +10,6 @@ stay small whatever the lengths.
 """
 
 import copy
-import itertools
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .data import NUM_CLASSES
 from .embedding import embed
 from .encoder import EncoderConfig, encode
 from .errors import ConfigError, ContractError
-from .tensor import Tensor, length_groups, linear, parameter
+from .tensor import Tensor, batch_layout, length_groups, linear, parameter
 from .tokenizer import EncodedSequence, Vocab
 
 INIT_STD = 0.02  # scale of the normal-initialized weights
@@ -40,11 +39,6 @@ def parameter_shapes(vocab_size: int, config: EncoderConfig) -> dict[str, tuple[
     shapes.update({"classifier.weight": (d, NUM_CLASSES), "classifier.bias": (NUM_CLASSES,)})
     shapes.update({"nsp.weight": (d, 2), "nsp.bias": (2,)})
     return shapes
-
-
-def row_starts(seqs: list[EncodedSequence]) -> list[int]:
-    """Packed row of each sequence's [CLS] (its first row) in hidden_states output."""
-    return list(itertools.accumulate((s.real_length() for s in seqs), initial=0))[:-1]
 
 
 def eval_chunks(seqs: list[EncodedSequence]) -> list[np.ndarray]:
@@ -134,8 +128,9 @@ class SentimentModel:
         rows: list[int] | None = None,
     ) -> Tensor:
         """Encoder output [N x d] of a batch: each sequence's rows, back to
-        back in batch order (see row_starts). Given rows, only those packed
-        rows, in that order; the last encoder layer computes nothing else."""
+        back in batch order, from row batch_layout(lengths).start[i] for the
+        i-th. Given rows, only those packed rows, in that order; the last
+        encoder layer computes nothing else."""
         lengths = [s.real_length() for s in seqs]
         return encode(embed(seqs, self.params), self.config, self.params, lengths, training, rng, rows)
 
@@ -146,15 +141,18 @@ class SentimentModel:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Sentiment logits [B x 3] from each sequence's [CLS] hidden state."""
-        hidden = self.hidden_states(seqs, training, rng, rows=[0] if len(seqs) == 1 else row_starts(seqs))
+        starts = batch_layout(tuple(s.real_length() for s in seqs)).start  # attention takes its [CLS] plan
+        hidden = self.hidden_states(seqs, training, rng, rows=starts)
         return linear(hidden, self.params["classifier.weight"], self.params["classifier.bias"])
 
-    def nsp_logits(self, hidden: Tensor, starts: list[int]) -> Tensor:
-        """Next-sentence logits [B x 2] from the [CLS] hidden states at rows starts."""
-        return linear(hidden, self.params["nsp.weight"], self.params["nsp.bias"], rows=starts)
+    def nsp_logits(self, hidden: Tensor, rows) -> Tensor:
+        """Next-sentence logits [B x 2] from the [CLS] hidden states at rows of
+        hidden, ids or a slice: pretraining's slice(0, B) reads a view."""
+        return linear(hidden, self.params["nsp.weight"], self.params["nsp.bias"], rows=rows)
 
-    def mlm_logits(self, hidden: Tensor, rows: list[int]) -> Tensor:
-        """Masked-token logits [n x V] at packed rows, via the transposed token table (tied weights)."""
+    def mlm_logits(self, hidden: Tensor, rows) -> Tensor:
+        """Masked-token logits [n x V] at rows of hidden, ids or a slice (pretraining's
+        slice(B, B + n) reads a view), via the transposed token table (tied weights)."""
         return linear(hidden, self.params["embeddings.token"], rows=rows, transposed=True)
 
 

@@ -104,16 +104,17 @@ class LoopConfig:
 
 
 def descend(optimizer, where: str, loss_fn) -> float:
-    """One optimization step on the scalar loss loss_fn() records; returns its value.
+    """One optimization step on the sum of the scalar losses that loss_fn()
+    records and returns as a tuple; returns the sum's value.
 
-    A loss that is not finite raises ConfigError naming where before
+    A sum that is not finite raises ConfigError naming where before
     backward, so the weights do not take the step.
     """
     with Graph() as graph:
-        loss = loss_fn()
-        value = loss.item()
+        losses = loss_fn()
+        value = sum(loss.item() for loss in losses)
         check_finite_loss(where, value)
-        graph.backward(loss)
+        graph.backward(*losses)
     optimizer.step()
     return value
 

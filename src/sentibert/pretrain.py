@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, SamplingError, check_finite_loss
-from .model import SentimentModel, eval_chunks, row_starts
+from .model import SentimentModel, eval_chunks
 from .optim import OPTIMIZERS, LoopConfig, descend, run_epochs
-from .tensor import Tensor, add, cross_entropy
+from .tensor import Tensor, batch_layout, cross_entropy
 from .tokenizer import (
     CLS_ID,
     MASK_ID,
@@ -114,16 +114,16 @@ def _batch_losses(
 
     The encoder computes its last layer only at the rows the heads read: each
     sequence's [CLS], then every masked position."""
-    starts = row_starts(batch.sequences)
+    starts = batch_layout(tuple(s.real_length() for s in batch.sequences)).start
     packed = np.concatenate(batch.mlm_targets)  # one target per packed row
     rows = np.flatnonzero(packed != SENTINEL)
     targets = packed[rows]
     hidden = model.hidden_states(batch.sequences, training, rng, rows=np.concatenate((starts, rows)))
     b = len(starts)
-    nsp_loss = cross_entropy(model.nsp_logits(hidden, range(b)), batch.nsp_labels)
+    nsp_loss = cross_entropy(model.nsp_logits(hidden, slice(0, b)), batch.nsp_labels)
     if not rows.size:
         return None, nsp_loss, None, targets
-    mlm_logits = model.mlm_logits(hidden, range(b, b + rows.size))
+    mlm_logits = model.mlm_logits(hidden, slice(b, b + rows.size))
     return cross_entropy(mlm_logits, targets), nsp_loss, mlm_logits.data, targets
 
 
@@ -144,12 +144,12 @@ def pretrain_step(
         raise ContractError("pretrain_step: empty batch")
     losses = {}
 
-    def total():
+    def both():
         mlm_loss, nsp_loss, _, _ = _batch_losses(batch, model, training=True, rng=rng)
         losses.update(mlm_loss=0.0 if mlm_loss is None else mlm_loss.item(), nsp_loss=nsp_loss.item())
-        return nsp_loss if mlm_loss is None else add(mlm_loss, nsp_loss)
+        return (nsp_loss,) if mlm_loss is None else (mlm_loss, nsp_loss)
 
-    descend(optimizer, where, total)
+    descend(optimizer, where, both)
     return losses
 
 

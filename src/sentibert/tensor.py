@@ -82,7 +82,7 @@ class Graph:
 
         with Graph() as g:
             loss = ...
-        g.backward(loss)
+        g.backward(loss)  # or g.backward(loss_a, loss_b): the gradient of their sum
     """
 
     def __init__(self):
@@ -101,11 +101,14 @@ class Graph:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def backward(self, loss: Tensor) -> None:
-        """Populate .grad on every tensor the scalar loss depends on."""
-        if loss.data.size != 1:
-            raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        _accumulate(loss, np.ones_like(loss.data))
+    def backward(self, *losses: Tensor) -> None:
+        """Populate .grad on every tensor the scalar losses depend on with the
+        gradient of their sum: each loss is seeded with ones, then the tape is walked once."""
+        for loss in losses:
+            if loss.data.size != 1:
+                raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        for loss in losses:
+            _accumulate(loss, np.ones_like(loss.data))
         for out, backward_fn in reversed(self._nodes):
             if out.grad is None:
                 continue
@@ -119,8 +122,8 @@ def _wants_grad(t: Tensor) -> bool:
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    # No copy and no +=: add's backward hands one array to both inputs, so a
-    # stored gradient may be shared and is never written in place.
+    # No copy and no +=: layer_norm's backward hands one d_z to both x and sub
+    # when keep is None, so a stored gradient may be shared and is never written in place.
     if t.grad is None:
         t.grad = grad
     else:
@@ -166,24 +169,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, rows=None, transposed:
             _accumulate(w, d_w.T if transposed else d_w)
 
     _record(out, backward, *((x, w) if b is None else (x, w, b)))
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    out = Tensor(a.data + b.data)
-    if _active.graph is None:  # not recording: no backward to build
-        return out
-
-    def backward(grad):
-        if _wants_grad(a):
-            _accumulate(a, grad)
-        if _wants_grad(b):
-            _accumulate(b, grad)
-
-    _record(out, backward, a, b)
     return out
 
 
@@ -394,9 +379,9 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     in that grid, so the [CLS] rows alone cost a 1 x L score grid, and a grid
     holding no wanted row runs no query. The context lands in a buffer of the
     same slots, which the outputs leave with one gather. The plan is computed
-    once per distinct lengths (batch_layout), and rows equal to the sequence
-    starts take its [CLS] slots unchecked; the backward reuses the forward's
-    q/k/v and probability grids.
+    once per distinct lengths (batch_layout), and rows that are its own start
+    array (batch_layout(lengths).start) take its [CLS] slots unchecked; the
+    backward reuses the forward's q/k/v and probability grids.
     """
     _require_2d(qkv, "attention")
     n, width = qkv.data.shape
@@ -409,14 +394,9 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     if not key or min(key) < 1 or sum(key) != n:
         raise ShapeError(f"attention: lengths {lengths!r} do not partition {n} rows")
     layout = batch_layout(key)
-    try:  # rows as Python ints, at most one past the sequence count, if a flat list, tuple or 1-D int array
-        prefix = (() if rows is None else rows)[: len(key) + 1]
-        wanted = list(map(operator.index, prefix.tolist() if isinstance(prefix, np.ndarray) else prefix))
-    except TypeError:  # any other rows: _query_plan checks them
-        wanted = None
     if rows is None:
         q_lengths, q_slots = [bias.shape[-1] for bias in layout.key_bias], layout.slots
-    elif wanted == layout.start.tolist():
+    elif rows is layout.start:
         q_lengths, q_slots = [1] * len(layout.grids), layout.cls  # each sequence's [CLS] row, in order
     else:
         q_lengths, q_slots = _query_plan(layout, rows, n)

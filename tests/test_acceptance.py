@@ -26,7 +26,7 @@ from sentibert.metrics import (
     precision_class,
     recall_class,
 )
-from sentibert.model import SentimentModel, row_starts
+from sentibert.model import SentimentModel
 from sentibert.pretrain import (
     build_masked_batch,
     eval_losses,
@@ -35,6 +35,7 @@ from sentibert.pretrain import (
 )
 from sentibert.optim import Adam
 from sentibert.synthetic import generate_documents, generate_imbalanced, generate_split
+from sentibert.tensor import batch_layout
 from sentibert.tokenizer import SPECIAL_TOKENS, Vocab, build_vocab, encode_pair
 
 
@@ -295,7 +296,7 @@ def test_criterion_8_mask_isolation():
 
     def drift_between(probe, h_alone, pair) -> float:
         batch = [pair[0], probe, pair[1]]
-        start = row_starts(batch)[1]
+        start = int(batch_layout(tuple(seq.real_length() for seq in batch)).start[1])
         h_batched = model.hidden_states(batch).data[start : start + probe.real_length()]
         return float(np.max(np.abs(h_alone - h_batched)))
 

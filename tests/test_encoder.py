@@ -248,7 +248,7 @@ class TestPaddingLayout:
     @pytest.mark.parametrize("budget", [None, 8])
     def test_cls_plan_is_the_general_plan_of_the_starts(self, slot_budget, monkeypatch, budget):
         # attention takes the [CLS] plan from the layout when rows are the
-        # sequence starts; it must be exactly what _query_plan works out
+        # plan's own start array; it must be exactly what _query_plan works out
         if budget is not None:
             slot_budget(budget)  # lengths over 8 stand alone: many grids
         rng = np.random.default_rng(23)
@@ -269,13 +269,15 @@ class TestPaddingLayout:
         general = tensor._query_plan
         monkeypatch.setattr(tensor, "_query_plan", lambda *args: asked.append(args) or general(*args))
         for lengths, starts in cases[:10]:
-            qkv = Tensor(rng.normal(size=(sum(lengths), 12)))
-            for rows in (starts, np.array(starts, dtype=np.int32), tuple(starts)):
-                attention(qkv, lengths, 2, rows)
-            assert not asked
-            attention(qkv, lengths, 2, starts[:-1])  # not every start: the general plan
-            assert len(asked) == 1
-            asked.clear()
+            qkv = rng.normal(size=(sum(lengths), 12))
+            upstream = rng.normal(size=(len(lengths), 4))
+            cls_out, cls_grad = _attention_and_grad(qkv, lengths, tensor.batch_layout(lengths).start, upstream)
+            assert not asked  # the plan's own start: its [CLS] slots, no general plan
+            for rows in (starts, tuple(starts), np.array(starts, dtype=np.int32)):  # equal, but not the plan's
+                out, grad = _attention_and_grad(qkv, lengths, rows, upstream)
+                assert len(asked) == 1
+                asked.clear()
+                assert np.array_equal(out, cls_out) and np.array_equal(grad, cls_grad)
 
 
 def _attention_and_grad(qkv, lengths, rows, upstream, num_heads=2):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, ContractError, ShapeError
-from sentibert.model import SentimentModel, eval_chunks, parameter_shapes, row_starts
+from sentibert.model import SentimentModel, eval_chunks, parameter_shapes
 from sentibert.synthetic import generate_dataset
-from sentibert.tensor import EVAL_SLOTS, Graph, cross_entropy, linear, softmax
+from sentibert.tensor import EVAL_SLOTS, Graph, batch_layout, cross_entropy, linear, softmax
 from sentibert.tokenizer import PAD_ID, SPECIAL_TOKENS, EncodedSequence, Vocab, encode_pair
 
 CONFIG = EncoderConfig(num_layers=2, num_heads=2, d_model=16, d_ff=32, max_len=12, dropout_rate=0.1)
@@ -169,7 +169,7 @@ class TestHeads:
     def test_class_logits_shape(self, model):
         seqs = [encode_pair(text, None, model.vocab, CONFIG.max_len) for text in ("w1", "w2 w3 w4")]
         assert model.class_logits(seqs).data.shape == (2, 3)
-        assert row_starts(seqs) == [0, 3]
+        assert _starts(seqs).tolist() == [0, 3]
 
     def test_nsp_logits_shape(self, model):
         seq = encode_pair("w1", "w2", model.vocab, CONFIG.max_len)
@@ -182,10 +182,15 @@ def _random_batch(vocab, count, seed):
     return [encode_pair(text, None, vocab, CONFIG.max_len) for text in texts]
 
 
+def _starts(seqs):
+    """Each sequence's first packed row, from the batch plan."""
+    return batch_layout(tuple(s.real_length() for s in seqs)).start
+
+
 def _full_path_class_logits(net, seqs, training=False, rng=None):
     """Sentiment logits from every row's hidden state, gathered at the [CLS] rows afterwards."""
     hidden = net.hidden_states(seqs, training, rng)
-    return linear(hidden, net.params["classifier.weight"], net.params["classifier.bias"], rows=row_starts(seqs))
+    return linear(hidden, net.params["classifier.weight"], net.params["classifier.bias"], rows=_starts(seqs))
 
 
 class TestQueryRows:

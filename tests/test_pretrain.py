@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from sentibert import classify, pretrain, tensor
 from sentibert.classify import TrainConfig
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError, SamplingError
-from sentibert.model import SentimentModel, row_starts
+from sentibert.model import SentimentModel
 from sentibert.optim import Adam
 from sentibert.pretrain import (
     HISTORY_COLUMNS,
@@ -23,7 +25,7 @@ from sentibert.pretrain import (
     run_pretraining,
 )
 from sentibert.synthetic import generate_dataset, generate_documents
-from sentibert.tensor import Graph, add, cross_entropy
+from sentibert.tensor import Graph, batch_layout, cross_entropy
 from sentibert.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, build_vocab, encode_pair
 
 SMALL = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32, max_len=24, dropout_rate=0.0)
@@ -228,20 +230,21 @@ class TestPretrainStep:
         # mlm projection contributes nothing: with p=0 there are no mlm logits at all
         assert model.params["embeddings.token"].grad is not None
 
-    def test_default_pretraining_step_records_19_tape_nodes(self, corpus, vocab, monkeypatch):
+    def test_default_pretraining_step_records_18_tape_nodes(self, corpus, vocab, monkeypatch):
         # the fine-tuning tape (test_classify) with the NSP head's linear at
         # the [CLS] rows in place of the classifier's, plus the tied MLM
-        # head's linear at the masked rows, its loss and the loss sum
+        # head's linear at the masked rows and its loss; backward takes both
+        # losses, so no node sums them
         model = SentimentModel.init(vocab, EncoderConfig(max_len=SMALL.max_len), seed=0)
         rng = np.random.default_rng(6)
         batch = build_masked_batch(nsp_pairs(corpus, rng)[:4], vocab, SMALL.max_len, 0.3, rng)
         assert any(t != SENTINEL for targets in batch.mlm_targets for t in targets)
         tapes = []
         backward = tensor.Graph.backward
-        monkeypatch.setattr(tensor.Graph, "backward", lambda g, loss: (tapes.append(tape_ops(g)), backward(g, loss)))
+        monkeypatch.setattr(tensor.Graph, "backward", lambda g, *losses: (tapes.append(tape_ops(g)), backward(g, *losses)))
         pretrain_step(batch, model, self._optimizer(model), rng=rng)
-        ops = {"gather_rows": 2, "linear": 6, "attention": 2, "layer_norm": 4, "ffn": 2, "cross_entropy": 2, "add": 1}
-        assert tapes == [ops] and sum(ops.values()) == 19
+        ops = {"gather_rows": 2, "linear": 6, "attention": 2, "layer_norm": 4, "ffn": 2, "cross_entropy": 2}
+        assert tapes == [ops] and sum(ops.values()) == 18
 
     def test_fixed_seed_reproducible_trajectory(self, corpus, vocab):
         def run():
@@ -315,7 +318,7 @@ class TestPretrainStep:
         model = SentimentModel.init(vocab, config, seed=2)
         rng = np.random.default_rng(6)
         batch = build_masked_batch(nsp_pairs(corpus, rng)[:5], vocab, config.max_len, 0.3, rng)
-        starts = row_starts(batch.sequences)
+        starts = batch_layout(tuple(seq.real_length() for seq in batch.sequences)).start.tolist()
         picked = [(s + i, t) for s, seq_targets in zip(starts, batch.mlm_targets) for i, t in enumerate(seq_targets)]
         rows, targets = zip(*[(r, t) for r, t in picked if t != SENTINEL])
 
@@ -337,7 +340,7 @@ class TestPretrainStep:
                     nsp = cross_entropy(net.nsp_logits(hidden, starts), batch.nsp_labels)
                 else:
                     mlm, nsp, mlm_logits, _ = _batch_losses(batch, net, True, np.random.default_rng(8))
-                graph.backward(add(mlm, nsp))
+                graph.backward(mlm, nsp)
             grads = {name: t.grad for name, t in net.params.items() if t.grad is not None}
             return seen[0].data, mlm_logits, grads
 
@@ -365,3 +368,24 @@ def test_no_op_reaches_the_tape_without_a_graph(corpus, vocab, monkeypatch):
     classify.predict_batch([ex.text for ex in data], model)
     classify.evaluate(model, data)
     assert eval_losses(batch, model)["mlm_accuracy"] >= 0.0
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_the_documented_tape_breakdowns_match_real_steps(doc, corpus, vocab, monkeypatch):
+    # the docs' two "By op that is ..." lists: a fine-tuning step's tape, then a pretraining step's
+    text = " ".join((Path(__file__).resolve().parents[1] / doc).read_text(encoding="utf-8").split())
+    documented = [
+        {op: int(count) for op, count in re.findall(r"`(\w+)` (\d+)", breakdown)}
+        for breakdown in re.findall(r"By op that is (.*?)\.", text)
+    ]
+    tapes = []
+    backward = tensor.Graph.backward
+    monkeypatch.setattr(tensor.Graph, "backward", lambda g, *losses: (tapes.append(tape_ops(g)), backward(g, *losses)))
+    data = generate_dataset((4, 4, 4), seed=1)
+    reviews = SentimentModel.init(build_vocab([ex.text for ex in data], max_size=200), EncoderConfig(), seed=0)
+    classify.train(data, TrainConfig(epochs=1, batch_size=16, seed=0), reviews)
+    rng = np.random.default_rng(6)
+    batch = build_masked_batch(nsp_pairs(corpus, rng)[:4], vocab, SMALL.max_len, 0.3, rng)
+    pairs = SentimentModel.init(vocab, EncoderConfig(max_len=SMALL.max_len), seed=0)
+    pretrain_step(batch, pairs, Adam(pairs.named_parameters("nsp")), rng=rng)
+    assert documented == tapes and len(tapes) == 2

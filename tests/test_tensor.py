@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients, sum_all, weighted_sum
+from gradcheck import check_gradients, numerical_grad, sum_all, weighted_sum
 from sentibert import tensor
 from sentibert.errors import ContractError, ShapeError
 from sentibert.optim import OPTIMIZERS, SGD, Adam
 from sentibert.tensor import (
     Graph,
     Tensor,
-    add,
     cross_entropy,
     dropout,
     ffn,
@@ -303,28 +302,62 @@ class TestBackward:
         assert np.array_equal(w.grad, [[2.0, 4.0]])
 
     def test_nonscalar_loss_rejected(self):
+        # alone or among several, before any loss is seeded
         w = parameter([[1.0, 2.0]])
         with Graph() as g:
-            out = add(w, w)
-            with pytest.raises(ContractError):
-                g.backward(out)
+            scalar, out = sum_all(w), linear(w, Tensor(np.eye(2)))
+            for losses in ((out,), (scalar, out), (out, scalar)):
+                with pytest.raises(ContractError, match="scalar loss"):
+                    g.backward(*losses)
+        assert scalar.grad is None and w.grad is None
+
+    def test_several_losses_backpropagate_their_sum(self):
+        # one walk seeded at both losses against float64 central differences of l1 + l2
+        rng = np.random.default_rng(17)
+        a, b = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=(4, 2)))
+        upstream = rng.normal(size=(3, 2))
+
+        def losses():  # a feeds both losses, b only the first
+            return weighted_sum(linear(a, b), upstream), cross_entropy(a, [0, 1, 3])
+
+        with Graph() as g:
+            g.backward(*losses())
+        for p in (a, b):
+            for idx in range(p.data.size):
+                analytic = float(p.grad.flat[idx])
+                numeric = numerical_grad(lambda: sum(loss.item() for loss in losses()), p, idx)
+                bound = 1e-4 * max(abs(analytic), abs(numeric)) if abs(analytic) >= 1e-4 else 1e-7
+                assert abs(analytic - numeric) <= bound, (idx, analytic, numeric)
 
     def test_gradients_accumulate_across_uses(self):
         w = parameter([[3.0]])
         with Graph() as g:
-            g.backward(sum_all(add(w, w)))
-        assert np.array_equal(w.grad, [[2.0]])
+            g.backward(sum_all(linear(w, w)))  # w is both the input and the weight
+        assert np.array_equal(w.grad, [[6.0]])
 
     def test_gradient_arrays_are_not_shared(self):
-        # add's backward hands one array to both inputs; each must keep its own
-        a, b = parameter([[1.0]]), parameter([[2.0]])
-        with Graph() as g:
-            g.backward(sum_all(add(add(a, b), a)))
-        assert np.array_equal(a.grad, [[2.0]]) and np.array_equal(b.grad, [[1.0]])
+        # layer_norm's backward hands one d_z to x and sub when keep is None;
+        # what sub takes in afterwards must not reach x's gradient
+        rng = np.random.default_rng(3)
+        a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
+        gamma, beta, w = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)), Tensor(rng.normal(size=(3, 3)))
+        upstream = rng.normal(size=(2, 3))
+
+        def grads(*extra):
+            a.grad = b.grad = None
+            with Graph() as g:
+                again = linear(b, w)  # recorded first: its backward adds to b's gradient after layer_norm's
+                g.backward(weighted_sum(layer_norm(a, b, gamma, beta), upstream), *(sum_all(again) for _ in extra))
+            return a.grad, b.grad
+
+        a_alone, b_alone = grads()
+        a_both, b_both = grads("again")
+        assert np.array_equal(a_alone, b_alone) and np.array_equal(a_both, a_alone)
+        assert not np.array_equal(b_both, b_alone)
 
     def test_no_recording_without_graph(self):
         w = parameter([[1.0, 2.0]])
-        out = add(w, w)
+        out = linear(w, w, transposed=True)
         assert not out._on_tape and w.grad is None
 
     def test_a_graph_records_only_its_own_threads_ops(self):
@@ -332,8 +365,8 @@ class TestBackward:
         w = parameter([[1.0, 2.0]])
         with Graph() as g:
             with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-                other = pool.submit(lambda: (tensor._active.graph, add(w, w))).result()
-            mine = add(w, w)
+                other = pool.submit(lambda: (tensor._active.graph, linear(w, w, transposed=True))).result()
+            mine = linear(w, w, transposed=True)
         assert other[0] is None and not other[1]._on_tape
         assert mine._on_tape and len(g) == 1 and tensor._active.graph is None
 
@@ -349,9 +382,13 @@ class TestGradientsAgainstFiniteDifferences:
         gamma = parameter(rng.normal(size=4) + 1.5)
         beta = parameter(rng.normal(size=4))
         w32, w34, w42 = (rng.normal(size=shape) for shape in ((3, 2), (3, 4), (4, 2)))
+        gamma2, beta2 = parameter(rng.normal(size=2) + 1.5), parameter(rng.normal(size=2))
         cases = {
             "linear": (lambda: weighted_sum(linear(a, b), w32), {"a": a, "b": b}),
-            "add": (lambda: weighted_sum(add(add(c, c), linear(a, b)), w32), {"a": a, "c": c}),
+            "residual": (
+                lambda: weighted_sum(layer_norm(c, linear(a, b), gamma2, beta2), w32),
+                {"a": a, "b": b, "c": c, "gamma2": gamma2, "beta2": beta2},
+            ),
             "linear_bias": (lambda: weighted_sum(linear(a, b, bias), w32), {"a": a, "b": b, "bias": bias}),
             "linear_ids": (lambda: weighted_sum(linear(a, b, bias, rows=[2, 0, 2]), w32), {"a": a, "b": b, "bias": bias}),
             "linear_slice": (lambda: weighted_sum(linear(a, b, rows=slice(1, 3)), w32[:2]), {"a": a, "b": b}),
