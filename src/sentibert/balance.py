@@ -20,13 +20,22 @@ class ClassHistogram:
 
     @classmethod
     def from_dataset(cls, dataset: list[LabeledExample]) -> "ClassHistogram":
-        counts = [0] * NUM_CLASSES
-        for ex in dataset:
-            counts[ex.label] += 1
-        return cls(counts=counts, total=len(dataset))
+        return cls(counts=[len(group) for group in by_class(dataset)], total=len(dataset))
+
+    def missing(self) -> list[str]:
+        """Names of the labels with no example, in label order."""
+        return [LABELS[c] for c, n in enumerate(self.counts) if n == 0]
 
     def to_dict(self) -> dict:
         return {"counts": dict(zip(LABELS, self.counts)), "total": self.total}
+
+
+def by_class(dataset: list[LabeledExample]) -> list[list[int]]:
+    """Per label index, the positions of its examples in dataset order (empty for an absent label)."""
+    groups: list[list[int]] = [[] for _ in range(NUM_CLASSES)]
+    for i, ex in enumerate(dataset):
+        groups[ex.label].append(i)
+    return groups
 
 
 def imbalance_ratio(dataset: list[LabeledExample]) -> float:
@@ -41,27 +50,18 @@ def imbalance_ratio(dataset: list[LabeledExample]) -> float:
     return min(present) / max(present)
 
 
-def _by_class(dataset: list[LabeledExample]) -> dict[int, list[LabeledExample]]:
-    groups: dict[int, list[LabeledExample]] = {}
-    for ex in dataset:
-        groups.setdefault(ex.label, []).append(ex)
-    return groups
-
-
 def oversample(dataset: list[LabeledExample], rng: np.random.Generator) -> list[LabeledExample]:
     """Duplicate minority examples (uniform, with replacement) until every
     present class matches the majority count; originals are all retained.
     """
     if not dataset:
         raise ConfigError("oversample: empty dataset")
-    groups = _by_class(dataset)
-    target = max(len(g) for g in groups.values())
+    groups = [group for group in by_class(dataset) if group]  # an absent class draws nothing
+    target = max(map(len, groups))
     result = list(dataset)
-    for label in sorted(groups):
-        group = groups[label]
-        deficit = target - len(group)
-        for _ in range(deficit):
-            result.append(group[int(rng.integers(len(group)))])
+    for group in groups:
+        for _ in range(target - len(group)):
+            result.append(dataset[group[int(rng.integers(len(group)))]])
     rng.shuffle(result)
     return result
 
@@ -70,27 +70,28 @@ def undersample(dataset: list[LabeledExample], rng: np.random.Generator) -> list
     """Uniformly drop examples (without replacement) until every class
     matches the minority count; requires every class to be present.
     """
-    groups = _by_class(dataset)
-    missing = [LABELS[c] for c in range(NUM_CLASSES) if c not in groups]
+    missing = ClassHistogram.from_dataset(dataset).missing()
     if missing:
         raise ConfigError(f"undersample: dataset has no examples of: {', '.join(missing)}")
-    target = min(len(g) for g in groups.values())
+    groups = by_class(dataset)
+    target = min(map(len, groups))
     result: list[LabeledExample] = []
-    for label in sorted(groups):
-        group = groups[label]
+    for group in groups:
         keep = rng.choice(len(group), size=target, replace=False)
-        result.extend(group[i] for i in sorted(keep))
+        result.extend(dataset[group[i]] for i in sorted(keep))
     rng.shuffle(result)
     return result
 
 
 def rebalance(dataset: list[LabeledExample], strategy: str, rng: np.random.Generator) -> list[LabeledExample]:
-    """The examples as a STRATEGIES entry resamples them: oversampled,
-    undersampled, or ("none", "class_weights") the input list itself."""
+    """The examples as a STRATEGIES entry resamples them: oversampled, undersampled,
+    or ("none", "class_weights") the input list itself; any other strategy is a ConfigError."""
     if strategy == "oversample":
         return oversample(dataset, rng)
     if strategy == "undersample":
         return undersample(dataset, rng)
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"rebalance: strategy must be one of {STRATEGIES}, got {strategy!r}")
     return dataset
 
 
@@ -99,7 +100,7 @@ def class_weights(dataset: list[LabeledExample]) -> list[float]:
     prevalence-weighted mean of the weights is exactly 1.
     """
     hist = ClassHistogram.from_dataset(dataset)
-    missing = [LABELS[c] for c, n in enumerate(hist.counts) if n == 0]
+    missing = hist.missing()
     if missing:
         raise ConfigError(f"class_weights: dataset has no examples of: {', '.join(missing)}")
     return [hist.total / (NUM_CLASSES * n) for n in hist.counts]

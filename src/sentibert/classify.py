@@ -8,8 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .balance import STRATEGIES, ClassHistogram, class_weights, rebalance
-from .data import LABELS, NUM_CLASSES, LabeledExample
+from .balance import STRATEGIES, ClassHistogram, by_class, class_weights, rebalance
+from .data import NUM_CLASSES, LabeledExample
 from .errors import ConfigError, check_finite_loss
 from .metrics import MetricsReport, confusion, log_loss, report
 from .model import SentimentModel, eval_chunks
@@ -74,16 +74,11 @@ def _stratified_split(
     dataset: list[LabeledExample], fraction: float, rng: np.random.Generator
 ) -> tuple[list[int], list[int]]:
     """Per-class split preserving prevalence; both partitions end up nonempty."""
-    by_class: dict[int, list[int]] = {}
-    for i, ex in enumerate(dataset):
-        by_class.setdefault(ex.label, []).append(i)
     train_idx: list[int] = []
     val_idx: list[int] = []
-    for label in sorted(by_class):
-        members = np.array(by_class[label])
-        rng.shuffle(members)
+    for group in by_class(dataset):
+        members = rng.permutation(group)  # an absent class is a shuffle of nothing: no draw
         n_val = int(round(fraction * len(members)))
-        n_val = min(n_val, len(members))
         val_idx.extend(int(i) for i in members[:n_val])
         train_idx.extend(int(i) for i in members[n_val:])
     if not val_idx:
@@ -104,10 +99,8 @@ def train(
     comes back. A step loss or re-scored loss that is not finite raises
     ConfigError naming the epoch and step.
     """
-    hist = ClassHistogram.from_dataset(dataset)
-    present = [c for c, n in enumerate(hist.counts) if n > 0]
-    if len(present) < 2:
-        missing = [LABELS[c] for c, n in enumerate(hist.counts) if n == 0]
+    missing = ClassHistogram.from_dataset(dataset).missing()
+    if len(missing) > NUM_CLASSES - 2:
         raise ConfigError(f"training needs at least 2 classes; missing: {', '.join(missing)}")
 
     rng = np.random.default_rng(config.seed)

@@ -28,12 +28,11 @@ def confusion(predictions, labels) -> np.ndarray:
         raise ContractError(
             f"confusion: predictions and labels must be equal-length 1-D, got {preds.shape} and {actual.shape}"
         )
-    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for a, p in zip(actual, preds):
-        if not (0 <= a < NUM_CLASSES and 0 <= p < NUM_CLASSES):
-            raise ContractError(f"confusion: class index outside 0..{NUM_CLASSES - 1}: actual={a}, predicted={p}")
-        cm[a, p] += 1
-    return cm
+    bad = np.flatnonzero((np.minimum(actual, preds) < 0) | (np.maximum(actual, preds) >= NUM_CLASSES))
+    if bad.size:
+        a, p = actual[bad[0]], preds[bad[0]]
+        raise ContractError(f"confusion: class index outside 0..{NUM_CLASSES - 1}: actual={a}, predicted={p}")
+    return np.bincount(actual * NUM_CLASSES + preds, minlength=NUM_CLASSES**2).reshape(NUM_CLASSES, NUM_CLASSES)
 
 
 def _check_cm(cm) -> np.ndarray:
@@ -43,34 +42,39 @@ def _check_cm(cm) -> np.ndarray:
     return arr
 
 
-# (numerator, denominator) of each per-class ratio in the one-vs-rest view
-_RATIOS = {
-    "precision": lambda arr, c: (arr[c, c], arr[:, c].sum()),  # TP / (TP + FP)
-    "recall": lambda arr, c: (arr[c, c], arr[c, :].sum()),  # TP / (TP + FN)
-    "f1": lambda arr, c: (2 * arr[c, c], arr[:, c].sum() + arr[c, :].sum()),  # 2TP / (2TP + FP + FN)
-}
+def _ratios(cm) -> dict[str, list[tuple[float, bool]]]:
+    """Per metric, per class: the one-vs-rest ratio and whether it is
+    degenerate, a 0 denominator, for which the value is 0."""
+    arr = _check_cm(cm)
+    tp, predicted, actual = np.diagonal(arr), arr.sum(axis=0), arr.sum(axis=1)
+    # TP / (TP + FP), TP / (TP + FN) and 2TP / (2TP + FP + FN)
+    fractions = {"precision": (tp, predicted), "recall": (tp, actual), "f1": (2 * tp, predicted + actual)}
+    return {
+        metric: [(float(n / d), False) if d > 0 else (0.0, True) for n, d in zip(num, den)]
+        for metric, (num, den) in fractions.items()
+    }
 
 
-def _ratio(metric: str, arr: np.ndarray, c: int) -> tuple[float, bool]:
-    """Value of metric for class c, and whether it is degenerate: a 0
-    denominator, for which the value is 0."""
-    numerator, denominator = _RATIOS[metric](arr, c)
-    return (float(numerator / denominator), False) if denominator > 0 else (0.0, True)
+def _class_ratio(metric: str, cm, c: int) -> float:
+    row = _ratios(cm)[metric]
+    if not 0 <= c < NUM_CLASSES:
+        raise IndexError(f"{metric}: class index {c} outside 0..{NUM_CLASSES - 1}")
+    return row[c][0]
 
 
 def precision_class(cm, c: int) -> float:
     """TP / (TP + FP) for class c; 0 when column c is empty."""
-    return _ratio("precision", _check_cm(cm), c)[0]
+    return _class_ratio("precision", cm, c)
 
 
 def recall_class(cm, c: int) -> float:
     """TP / (TP + FN) for class c; 0 when row c is empty."""
-    return _ratio("recall", _check_cm(cm), c)[0]
+    return _class_ratio("recall", cm, c)
 
 
 def f1_class(cm, c: int) -> float:
     """2TP / (2TP + FP + FN) for class c; 0 when that denominator is 0."""
-    return _ratio("f1", _check_cm(cm), c)[0]
+    return _class_ratio("f1", cm, c)
 
 
 def accuracy(cm) -> float:
@@ -175,15 +179,9 @@ class MetricsReport:
 
 def report(cm, probabilities=None, labels=None) -> MetricsReport:
     """Assemble the full report; log_loss is 0 when probabilities are absent."""
-    arr = _check_cm(cm)
-    flags, per_class = [], {}
-    for metric in _RATIOS:
-        per_class[metric] = []
-        for c in range(NUM_CLASSES):
-            value, degenerate = _ratio(metric, arr, c)
-            per_class[metric].append(value)
-            if degenerate:
-                flags.append(f"{metric}.{LABELS[c]}")
+    ratios = _ratios(cm)
+    per_class = {metric: [value for value, _ in row] for metric, row in ratios.items()}
+    flags = [f"{m}.{LABELS[c]}" for m, row in ratios.items() for c, (_, degenerate) in enumerate(row) if degenerate]
     ll = log_loss(probabilities, labels) if probabilities is not None else 0.0
     return MetricsReport(
         precision_per_class=per_class["precision"],
@@ -192,7 +190,7 @@ def report(cm, probabilities=None, labels=None) -> MetricsReport:
         recall_macro=macro(per_class["recall"]),
         f1_per_class=per_class["f1"],
         f1_macro=macro(per_class["f1"]),
-        accuracy=accuracy(arr),
+        accuracy=accuracy(cm),
         log_loss=ll,
         degenerate_flags=sorted(flags),
     )

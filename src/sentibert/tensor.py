@@ -40,14 +40,13 @@ _pad_heap_top()
 class Tensor:
     """Shaped float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_on_tape")
+    __slots__ = ("data", "grad", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, np.float64, "C")  # row-major; 0-d stays 0-d
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
+        self.requires_grad = requires_grad  # a parameter, or the output of a recorded op
         self.name = name
-        self._on_tape = False  # set when produced by a recorded op
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,12 +112,7 @@ class Graph:
             if out.grad is None:
                 continue
             backward_fn(out.grad)
-            if not out.requires_grad:  # intermediates are not kept
-                out.grad = None
-
-
-def _wants_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._on_tape
+            out.grad = None  # a recorded output is an intermediate, never a parameter: its gradient is not kept
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
@@ -131,9 +125,9 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
 
 
 def _record(out: Tensor, backward_fn, *inputs: Tensor) -> None:
-    if not any(_wants_grad(t) for t in inputs):
+    if not any(t.requires_grad for t in inputs):
         return  # pure constants: nothing downstream to differentiate
-    out._on_tape = True
+    out.requires_grad = True
     _active.graph._nodes.append((out, backward_fn))
 
 
@@ -159,12 +153,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, rows=None, transposed:
         return out
 
     def backward(grad):
-        if b is not None and _wants_grad(b):
+        if b is not None and b.requires_grad:
             _accumulate(b, grad.sum(axis=0))
-        if _wants_grad(x):
+        if x.requires_grad:
             d_x = grad @ wt.T
             _accumulate(x, d_x if idx is None else _segment_sum(d_x, idx, x.data.shape[0]))
-        if _wants_grad(w):
+        if w.requires_grad:
             d_w = xs.T @ grad
             _accumulate(w, d_w.T if transposed else d_w)
 
@@ -193,19 +187,19 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         return out
 
     def backward(grad):
-        if _wants_grad(b2):
+        if b2.requires_grad:
             _accumulate(b2, grad.sum(axis=0))
-        if _wants_grad(w2):
+        if w2.requires_grad:
             _accumulate(w2, h.T @ grad)
-        if not (_wants_grad(x) or _wants_grad(w1) or _wants_grad(b1)):
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
             return
         d_h = grad @ w2.data.T
         d_h *= h > 0.0
-        if _wants_grad(b1):
+        if b1.requires_grad:
             _accumulate(b1, d_h.sum(axis=0))
-        if _wants_grad(x):
+        if x.requires_grad:
             _accumulate(x, d_h @ w1.data.T)
-        if _wants_grad(w1):
+        if w1.requires_grad:
             _accumulate(w1, x.data.T @ d_h)
 
     _record(out, backward, x, w1, b1, w2, b2)
@@ -239,20 +233,20 @@ def layer_norm(
         return out
 
     def backward(grad):
-        if _wants_grad(gamma):
+        if gamma.requires_grad:
             _accumulate(gamma, (grad * x_hat).sum(axis=0))
-        if _wants_grad(beta):
+        if beta.requires_grad:
             _accumulate(beta, grad.sum(axis=0))
-        if _wants_grad(x) or _wants_grad(sub):
+        if x.requires_grad or sub.requires_grad:
             d_z = grad * gamma.data
             term_mean = d_z.sum(axis=1, keepdims=True) / d
             term_proj = (d_z * x_hat).sum(axis=1, keepdims=True) / d
             d_z -= term_mean
             d_z -= x_hat * term_proj
             d_z *= inv_std
-            if _wants_grad(x):
+            if x.requires_grad:
                 _accumulate(x, d_z)
-            if _wants_grad(sub):
+            if sub.requires_grad:
                 _accumulate(sub, d_z if keep is None else d_z * keep)
 
     _record(out, backward, x, sub, gamma, beta)
@@ -434,7 +428,7 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
         return out
 
     def backward(grad):
-        if not _wants_grad(qkv):
+        if not qkv.requires_grad:
             return
         if dense and rows is None:
             flat_g = np.ascontiguousarray(grad)
@@ -496,7 +490,7 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
         return out
 
     def backward(grad):
-        if _wants_grad(logits):
+        if logits.requires_grad:
             probs = np.exp(log_probs)
             d_logits = probs * w[:, None]
             d_logits[rows, idx] -= w
@@ -531,7 +525,7 @@ def gather_rows(*pairs, trusted: bool = False) -> Tensor:
 
     def backward(grad):
         for table, idx in zip(reversed(tables), reversed(idxs)):  # last pair first, in reverse recording order
-            if _wants_grad(table):
+            if table.requires_grad:
                 _accumulate(table, _segment_sum(grad, idx, table.data.shape[0]))
 
     _record(out, backward, *tables)

@@ -10,7 +10,7 @@ import collections
 
 import numpy as np
 
-from sentibert.tensor import Graph, Tensor, _accumulate, _active, _record, _wants_grad
+from sentibert.tensor import Graph, Tensor, _accumulate, _active, _record
 
 
 def numerical_grad(loss_fn, param: Tensor, flat_index: int, h: float = 1e-5) -> float:
@@ -78,7 +78,7 @@ def sum_all(x: Tensor) -> Tensor:
         return out
 
     def backward(grad):
-        if _wants_grad(x):
+        if x.requires_grad:
             _accumulate(x, np.full_like(x.data, float(grad)))
 
     _record(out, backward, x)
@@ -94,7 +94,7 @@ def weighted_sum(x: Tensor, weights) -> Tensor:
         return out
 
     def backward(grad):
-        if _wants_grad(x):
+        if x.requires_grad:
             _accumulate(x, w * float(grad))
 
     _record(out, backward, x)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sentibert.balance import (
     STRATEGIES,
     ClassHistogram,
+    by_class,
     class_weights,
     imbalance_ratio,
     oversample,
@@ -134,6 +135,14 @@ def test_rebalance_matches_the_direct_call(strategy):
     assert rng.random() == direct_rng.random()  # the same draws were taken
 
 
+def test_rebalance_rejects_an_unknown_strategy():
+    rng = np.random.default_rng(8)
+    with pytest.raises(ConfigError, match="'oversampel'") as err:
+        rebalance(make_dataset([3, 7, 5]), "oversampel", rng)
+    assert str(STRATEGIES) in str(err.value)
+    assert rng.random() == np.random.default_rng(8).random()  # rejected before any draw
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     counts=st.tuples(st.integers(0, 25), st.integers(0, 25), st.integers(0, 25)).filter(
@@ -161,3 +170,44 @@ def test_histogram_counts_sum_to_total():
     hist = ClassHistogram.from_dataset(data)
     assert sum(hist.counts) == hist.total == 7
     assert hist.to_dict() == {"counts": {"negative": 2, "neutral": 0, "positive": 5}, "total": 7}
+
+
+def test_by_class_keeps_dataset_order_and_lists_absent_labels_empty():
+    labels = [2, 0, 2, 2, 0]
+    data = [LabeledExample(f"text {i}", label) for i, label in enumerate(labels)]
+    assert by_class(data) == [[1, 4], [], [0, 2, 3]]
+    assert by_class([]) == [[], [], []]
+    assert ClassHistogram.from_dataset(data).missing() == ["neutral"]
+    assert ClassHistogram.from_dataset([]).missing() == ["negative", "neutral", "positive"]
+    assert ClassHistogram.from_dataset(make_dataset([1, 1, 1])).missing() == []
+
+
+def test_resampling_draw_order_is_pinned():
+    # present classes in ascending label order, and nothing drawn for an absent class
+    from sentibert.classify import _stratified_split
+
+    data = make_dataset([5, 0, 3])  # negatives at 0..4, positives at 5..7, no neutral
+    rng, hand = np.random.default_rng(21), np.random.default_rng(21)
+    train_idx, _ = _stratified_split(data, 0.4, rng)
+    negative, positive = hand.permutation(5), 5 + hand.permutation(3)  # each class's positions, shuffled
+    assert train_idx == sorted([*negative[2:], *positive[1:]])  # 2 of 5 and 1 of 3 go to validation
+    train = [data[i] for i in train_idx]
+    over = oversample(train, rng)
+    expected = train + [train[3 + int(hand.integers(2))]]  # positive's one missing copy, drawn among its two
+    hand.shuffle(expected)
+    assert over == expected
+    with pytest.raises(ConfigError, match="neutral"):
+        undersample(over, rng)
+    assert rng.bit_generator.state == hand.bit_generator.state  # undersample drew nothing
+
+    full = make_dataset([2, 4, 3])  # negatives at 0..1, neutrals at 2..5, positives at 6..8
+    rng, hand = np.random.default_rng(5), np.random.default_rng(5)
+    expected = full + [full[int(hand.integers(2))] for _ in range(2)] + [full[6 + int(hand.integers(3))]]
+    hand.shuffle(expected)
+    assert oversample(full, rng) == expected
+    expected = []
+    for start, n in ((0, 2), (2, 4), (6, 3)):  # each class keeps 2, drawn without replacement
+        expected += [full[start + i] for i in sorted(hand.choice(n, size=2, replace=False))]
+    hand.shuffle(expected)
+    assert undersample(full, rng) == expected
+    assert rng.bit_generator.state == hand.bit_generator.state

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import re
@@ -61,6 +62,25 @@ class TestConfusion:
         with pytest.raises(ContractError):
             confusion([3], [0])
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("side", ["predicted", "actual"])
+    def test_bad_class_value_names_the_first_offending_pair(self, bad, side):
+        # a negative index must not reach np.bincount, which would raise a bare ValueError
+        preds, labels = [0, 1, 2, 1, 0], [0, 1, 2, 1, 0]
+        (preds if side == "predicted" else labels)[1] = bad
+        (preds if side == "predicted" else labels)[3] = 5
+        actual, predicted = (1, bad) if side == "predicted" else (bad, 1)
+        with pytest.raises(ContractError, match=re.escape(f"actual={actual}, predicted={predicted}")):
+            confusion(preds, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=60))
+    def test_counts_equal_a_counter_of_the_pairs(self, pairs):
+        cm = confusion([p for p, _ in pairs], [a for _, a in pairs])
+        counts = collections.Counter((a, p) for p, a in pairs)
+        assert cm.dtype == np.int64
+        assert cm.tolist() == [[counts[a, p] for p in range(3)] for a in range(3)]
+
 
 class TestPerClassMetrics:
     # actual 0: 8 predicted 0, 2 predicted 1; two class-1 rows predicted 0
@@ -93,6 +113,13 @@ class TestPerClassMetrics:
         zero_tp = np.array([[0, 2, 0], [2, 3, 0], [0, 1, 5]])  # tp 0 but fp+fn > 0: plain 0, no flag
         assert f1_class(zero_tp, 0) == 0.0
         assert "f1.negative" not in report(zero_tp).degenerate_flags
+
+    @pytest.mark.parametrize("metric", [precision_class, recall_class, f1_class])
+    @pytest.mark.parametrize("c", [-1, 3])
+    def test_class_index_outside_the_range_rejected(self, metric, c):
+        # -1 would otherwise read class 2's value
+        with pytest.raises(IndexError, match=re.escape(f"class index {c} outside 0..2")):
+            metric(self.CM, c)
 
     def test_f1_is_harmonic_mean_when_defined(self):
         rng = np.random.default_rng(0)

@@ -301,6 +301,17 @@ class TestBackward:
             g.backward(sum_all(linear(w, w, transposed=True)))  # w w^T = sum of squares
         assert np.array_equal(w.grad, [[2.0, 4.0]])
 
+    def test_recorded_outputs_need_a_gradient_and_give_it_back(self):
+        # requires_grad is the one flag: set on every recorded output, freed there by the walk
+        w = parameter([[1.0, 2.0]])
+        with Graph() as g:
+            hidden = linear(w, w, transposed=True)
+            loss = sum_all(hidden)
+        assert hidden.requires_grad and loss.requires_grad
+        g.backward(loss)
+        assert hidden.grad is None and loss.grad is None
+        assert np.array_equal(w.grad, [[2.0, 4.0]])
+
     def test_nonscalar_loss_rejected(self):
         # alone or among several, before any loss is seeded
         w = parameter([[1.0, 2.0]])
@@ -358,7 +369,7 @@ class TestBackward:
     def test_no_recording_without_graph(self):
         w = parameter([[1.0, 2.0]])
         out = linear(w, w, transposed=True)
-        assert not out._on_tape and w.grad is None
+        assert not out.requires_grad and w.grad is None
 
     def test_a_graph_records_only_its_own_threads_ops(self):
         # a thread that never opened a Graph reads the class default, not another thread's
@@ -367,8 +378,8 @@ class TestBackward:
             with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
                 other = pool.submit(lambda: (tensor._active.graph, linear(w, w, transposed=True))).result()
             mine = linear(w, w, transposed=True)
-        assert other[0] is None and not other[1]._on_tape
-        assert mine._on_tape and len(g) == 1 and tensor._active.graph is None
+        assert other[0] is None and not other[1].requires_grad
+        assert mine.requires_grad and len(g) == 1 and tensor._active.graph is None
 
 
 class TestGradientsAgainstFiniteDifferences:
