@@ -4,7 +4,7 @@ import csv
 import json
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, is_int
 from .fileio import parse_json, read_text, write_file
 
 LABELS = ("negative", "neutral", "positive")
@@ -18,8 +18,8 @@ class LabeledExample:
     label: int  # index into LABELS
 
     def __post_init__(self):
-        if not 0 <= self.label < NUM_CLASSES:
-            raise DataError(f"label index {self.label} outside 0..{NUM_CLASSES - 1}")
+        if not is_int(self.label) or not 0 <= self.label < NUM_CLASSES:
+            raise DataError(f"label index {self.label!r} outside 0..{NUM_CLASSES - 1}")
 
 
 def _parse_label(raw, line_no: int) -> int:

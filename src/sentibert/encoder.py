@@ -99,8 +99,7 @@ def encoder_layer(
         return mask if mask is None or rows is None else mask[rows]
 
     attn = multi_head(x, p("wqkv"), p("wo"), lengths, num_heads, rows)
-    residual = x if rows is None else gather_rows((x, rows), trusted=True)  # attention has checked rows
-    y = layer_norm(residual, attn, p("ln1.gamma"), p("ln1.beta"), keep(), LAYER_NORM_EPS)
+    y = layer_norm(x, attn, p("ln1.gamma"), p("ln1.beta"), keep(), LAYER_NORM_EPS, rows)
     sub = feed_forward(y, p("ffn.w1"), p("ffn.b1"), p("ffn.w2"), p("ffn.b2"))
     return layer_norm(y, sub, p("ln2.gamma"), p("ln2.beta"), keep(), LAYER_NORM_EPS)
 

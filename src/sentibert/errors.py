@@ -1,5 +1,6 @@
 """Exception taxonomy shared by every module, the field type check of the
-config dataclasses, and the finite-loss check of the training loops.
+config dataclasses, the integer test of class values, and the finite-loss
+check of the training loops.
 
 The CLI maps these onto exit codes: content problems (DataError,
 ConfigError and their subclasses CheckpointError and SamplingError) exit 2,
@@ -48,6 +49,11 @@ def check_type(name: str, value, kind: type) -> None:
     str. A bool passes only as bool; an int passes as float."""
     if not isinstance(value, _KINDS[kind]) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+def is_int(value) -> bool:
+    """An int or numpy integer, and not a bool: a class index or label."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_field_types(config) -> None:

@@ -15,15 +15,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LABELS, NUM_CLASSES
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, is_int
 
 PROB_CLAMP = 1e-15  # log-loss probabilities are clamped to [1e-15, 1 - 1e-15]
 
 
+def _class_values(values, op: str) -> np.ndarray:
+    """values as an int64 array; ContractError naming the first that is not an
+    integer, such as a float, NaN, bool or string. A list or tuple is scanned
+    as given (numpy makes [1, True] an integer array), an integer array not at all."""
+    listed = isinstance(values, (list, tuple))
+    arr = np.asarray(values)
+    if listed or arr.dtype.kind not in "iu":
+        bad = [v for v in (values if listed else arr.reshape(-1).tolist()) if not is_int(v)]
+        if bad:
+            raise ContractError(f"{op}: class value {bad[0]!r} is not an integer")
+    return arr.astype(np.int64, copy=False)
+
+
 def confusion(predictions, labels) -> np.ndarray:
     """3x3 integer counts, rows = actual class, columns = predicted class."""
-    preds = np.asarray(predictions, dtype=np.int64)
-    actual = np.asarray(labels, dtype=np.int64)
+    preds = _class_values(predictions, "confusion")
+    actual = _class_values(labels, "confusion")
     if preds.shape != actual.shape or preds.ndim != 1:
         raise ContractError(
             f"confusion: predictions and labels must be equal-length 1-D, got {preds.shape} and {actual.shape}"
@@ -57,8 +70,8 @@ def _ratios(cm) -> dict[str, list[tuple[float, bool]]]:
 
 def _class_ratio(metric: str, cm, c: int) -> float:
     row = _ratios(cm)[metric]
-    if not 0 <= c < NUM_CLASSES:
-        raise IndexError(f"{metric}: class index {c} outside 0..{NUM_CLASSES - 1}")
+    if not is_int(c) or not 0 <= c < NUM_CLASSES:
+        raise IndexError(f"{metric}: class index {c!r} outside 0..{NUM_CLASSES - 1}")
     return row[c][0]
 
 
@@ -97,8 +110,8 @@ def macro(per_class) -> float:
 def log_loss(probabilities, labels) -> float:
     """Mean -log p_label with clamping; every vector must sum to 1 within 1e-6."""
     probs = np.asarray(probabilities, dtype=np.float64)
-    actual = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or probs.shape[0] != actual.shape[0]:
+    actual = _class_values(labels, "log_loss")
+    if probs.ndim != 2 or actual.ndim != 1 or probs.shape[0] != actual.shape[0]:
         raise ContractError(f"log_loss: got {probs.shape} probabilities for {actual.shape} labels")
     if probs.shape[0] == 0:
         raise ContractError("log_loss: empty input")

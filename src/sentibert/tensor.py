@@ -102,7 +102,8 @@ class Graph:
 
     def backward(self, *losses: Tensor) -> None:
         """Populate .grad on every tensor the scalar losses depend on with the
-        gradient of their sum: each loss is seeded with ones, then the tape is walked once."""
+        gradient of their sum: each loss is seeded with ones, then the tape is
+        walked once. A loss that no recorded op produced is a constant and gets no .grad."""
         for loss in losses:
             if loss.data.size != 1:
                 raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -116,12 +117,11 @@ class Graph:
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+    # The one gradient gate: a tensor without requires_grad drops its gradient, so no backward branches on it.
     # No copy and no +=: layer_norm's backward hands one d_z to both x and sub
-    # when keep is None, so a stored gradient may be shared and is never written in place.
-    if t.grad is None:
-        t.grad = grad
-    else:
-        t.grad = t.grad + grad
+    # when keep and rows are None, so a stored gradient may be shared and is never written in place.
+    if t.requires_grad:
+        t.grad = grad if t.grad is None else t.grad + grad
 
 
 def _record(out: Tensor, backward_fn, *inputs: Tensor) -> None:
@@ -153,14 +153,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, rows=None, transposed:
         return out
 
     def backward(grad):
-        if b is not None and b.requires_grad:
+        if b is not None:
             _accumulate(b, grad.sum(axis=0))
-        if x.requires_grad:
-            d_x = grad @ wt.T
-            _accumulate(x, d_x if idx is None else _segment_sum(d_x, idx, x.data.shape[0]))
-        if w.requires_grad:
-            d_w = xs.T @ grad
-            _accumulate(w, d_w.T if transposed else d_w)
+        d_x = grad @ wt.T
+        _accumulate(x, d_x if idx is None else _segment_sum(d_x, idx, x.data.shape[0]))
+        d_w = xs.T @ grad
+        _accumulate(w, d_w.T if transposed else d_w)
 
     _record(out, backward, *((x, w) if b is None else (x, w, b)))
     return out
@@ -187,41 +185,36 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         return out
 
     def backward(grad):
-        if b2.requires_grad:
-            _accumulate(b2, grad.sum(axis=0))
-        if w2.requires_grad:
-            _accumulate(w2, h.T @ grad)
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
-            return
+        _accumulate(b2, grad.sum(axis=0))
+        _accumulate(w2, h.T @ grad)
         d_h = grad @ w2.data.T
         d_h *= h > 0.0
-        if b1.requires_grad:
-            _accumulate(b1, d_h.sum(axis=0))
-        if x.requires_grad:
-            _accumulate(x, d_h @ w1.data.T)
-        if w1.requires_grad:
-            _accumulate(w1, x.data.T @ d_h)
+        _accumulate(b1, d_h.sum(axis=0))
+        _accumulate(x, d_h @ w1.data.T)
+        _accumulate(w1, x.data.T @ d_h)
 
     _record(out, backward, x, w1, b1, w2, b2)
     return out
 
 
 def layer_norm(
-    x: Tensor, sub: Tensor, gamma: Tensor, beta: Tensor, keep: np.ndarray | None = None, eps: float = 1e-5
+    x: Tensor, sub: Tensor, gamma: Tensor, beta: Tensor, keep: np.ndarray | None = None, eps: float = 1e-5, rows=None
 ) -> Tensor:
     """Post-norm residual: per-row normalization over the feature axis
-    (population variance) of z = x + sub * keep, or of x + sub when keep is
-    None. keep is a constant array such as a dropout mask."""
-    if x.data.ndim != 2 or sub.data.shape != x.data.shape:
-        raise ShapeError(f"layer_norm: x and residual shapes {x.data.shape} and {sub.data.shape} differ or are not 2-D")
-    d = x.data.shape[1]
+    (population variance) of z = x[rows] + sub * keep, or of x[rows] + sub
+    when keep is None. keep is a constant array such as a dropout mask; rows
+    are what linear takes, every row by default, and x's gradient sums back as linear's does."""
+    xs, idx = (x.data, None) if rows is None else _take(x, rows, "layer_norm")
+    if xs.ndim != 2 or sub.data.shape != xs.shape:
+        raise ShapeError(f"layer_norm: x and residual shapes {xs.shape} and {sub.data.shape} differ or are not 2-D")
+    d = xs.shape[1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
             f"layer_norm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} do not fit width {d}"
         )
     if eps <= 0.0:
         raise ContractError(f"layer_norm: eps must be positive, got {eps}")
-    z = x.data + (sub.data if keep is None else sub.data * keep)
+    z = xs + (sub.data if keep is None else sub.data * keep)
     # sum / d is exactly what .mean computes (add.reduce, then true_divide)
     x_hat = np.subtract(z, z.sum(axis=1, keepdims=True) / d, out=z)  # z is a temporary: centred in place
     inv_std = 1.0 / np.sqrt((x_hat**2).sum(axis=1, keepdims=True) / d + eps)
@@ -233,21 +226,16 @@ def layer_norm(
         return out
 
     def backward(grad):
-        if gamma.requires_grad:
-            _accumulate(gamma, (grad * x_hat).sum(axis=0))
-        if beta.requires_grad:
-            _accumulate(beta, grad.sum(axis=0))
-        if x.requires_grad or sub.requires_grad:
-            d_z = grad * gamma.data
-            term_mean = d_z.sum(axis=1, keepdims=True) / d
-            term_proj = (d_z * x_hat).sum(axis=1, keepdims=True) / d
-            d_z -= term_mean
-            d_z -= x_hat * term_proj
-            d_z *= inv_std
-            if x.requires_grad:
-                _accumulate(x, d_z)
-            if sub.requires_grad:
-                _accumulate(sub, d_z if keep is None else d_z * keep)
+        _accumulate(gamma, (grad * x_hat).sum(axis=0))
+        _accumulate(beta, grad.sum(axis=0))
+        d_z = grad * gamma.data
+        term_mean = d_z.sum(axis=1, keepdims=True) / d
+        term_proj = (d_z * x_hat).sum(axis=1, keepdims=True) / d
+        d_z -= term_mean
+        d_z -= x_hat * term_proj
+        d_z *= inv_std
+        _accumulate(x, d_z if idx is None else _segment_sum(d_z, idx, x.data.shape[0]))
+        _accumulate(sub, d_z if keep is None else d_z * keep)
 
     _record(out, backward, x, sub, gamma, beta)
     return out
@@ -428,8 +416,6 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
         return out
 
     def backward(grad):
-        if not qkv.requires_grad:
-            return
         if dense and rows is None:
             flat_g = np.ascontiguousarray(grad)
         else:
@@ -490,27 +476,24 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
         return out
 
     def backward(grad):
-        if logits.requires_grad:
-            probs = np.exp(log_probs)
-            d_logits = probs * w[:, None]
-            d_logits[rows, idx] -= w
-            _accumulate(logits, d_logits * (float(grad) / b))
+        d_logits = np.exp(log_probs)
+        d_logits *= w[:, None]
+        d_logits[rows, idx] -= w
+        _accumulate(logits, d_logits * (float(grad) / b))
 
     _record(out, backward, logits)
     return out
 
 
-def gather_rows(*pairs, trusted: bool = False) -> Tensor:
+def gather_rows(*pairs) -> Tensor:
     """Sum of the rows table[ids] over one or more (table, ids) pairs, added
     left to right; the gradient sums back into each table (_segment_sum). ids
     are row ids, or slice(start, stop) with 0 <= start <= stop for contiguous
     rows, such as a one-sequence plan's positions. Every table is 2-D, every
-    ids 1-D within its table, and every pair gathers the first one's shape.
-    trusted skips the table and ids checks, for ids an op has already
-    checked (attention's rows)."""
+    ids 1-D within its table, and every pair gathers the first one's shape."""
     tables, idxs, out = [], [], None
     for table, ids in pairs:
-        rows, idx = _take(table, ids, "gather_rows", trusted)
+        rows, idx = _take(table, ids, "gather_rows")
         if out is None:
             out = rows.copy() if isinstance(idx, slice) else rows  # take copies; a slice is a view
         elif rows.shape == out.shape:
@@ -525,29 +508,27 @@ def gather_rows(*pairs, trusted: bool = False) -> Tensor:
 
     def backward(grad):
         for table, idx in zip(reversed(tables), reversed(idxs)):  # last pair first, in reverse recording order
-            if table.requires_grad:
-                _accumulate(table, _segment_sum(grad, idx, table.data.shape[0]))
+            _accumulate(table, _segment_sum(grad, idx, table.data.shape[0]))
 
     _record(out, backward, *tables)
     return out
 
 
-def _take(table: Tensor, ids, op: str, trusted: bool = False) -> tuple[np.ndarray, np.ndarray | slice]:
+def _take(table: Tensor, ids, op: str) -> tuple[np.ndarray, np.ndarray | slice]:
     """table[ids] (a view for a slice) and the index _segment_sum scatters its
-    gradient back with; unless trusted, ids are checked for op."""
+    gradient back with; ids are checked for op."""
     idx = ids if isinstance(ids, slice) else np.asarray(ids, dtype=np.int64)
-    if not trusted:
-        _require_2d(table, op)
-        if getattr(idx, "ndim", 1) != 1:
-            raise ShapeError(f"{op}: ids must be a list of row indices, got shape {idx.shape}")
-        if isinstance(ids, slice):
-            low, high = ids.start, ids.stop - 1
-        elif isinstance(ids, list):  # builtins: a numpy reduction costs more on a short list
-            low, high = (min(ids), max(ids)) if ids else (0, -1)
-        else:
-            low, high = 0, idx.view(np.uint64).max() if idx.size else -1  # a negative id reads as over 2**63
-        if low < 0 or high >= table.data.shape[0]:
-            raise IndexError(f"{op}: id out of range [0, {table.data.shape[0]})")
+    _require_2d(table, op)
+    if getattr(idx, "ndim", 1) != 1:
+        raise ShapeError(f"{op}: ids must be a list of row indices, got shape {idx.shape}")
+    if isinstance(ids, slice):
+        low, high = ids.start, ids.stop - 1
+    elif isinstance(ids, list):  # builtins: a numpy reduction costs more on a short list
+        low, high = (min(ids), max(ids)) if ids else (0, -1)
+    else:
+        low, high = 0, idx.view(np.uint64).max() if idx.size else -1  # a negative id reads as over 2**63
+    if low < 0 or high >= table.data.shape[0]:
+        raise IndexError(f"{op}: id out of range [0, {table.data.shape[0]})")
     return (table.data[idx] if isinstance(idx, slice) else table.data.take(idx, axis=0)), idx
 
 

@@ -221,17 +221,17 @@ class TestBatchEquivalence:
             np.testing.assert_allclose(grad, mean, atol=1e-12, rtol=0.0, err_msg=name)
 
 
-    def test_default_fine_tuning_step_records_16_tape_nodes(self):
+    def test_default_fine_tuning_step_records_15_tape_nodes(self):
         # embedding 1 (one three-table gather); per layer 6 (Q/K/V linear,
         # attention, W^O linear, two residual layer norms that apply their
-        # dropout masks, one fused feed-forward); the last layer's residual
-        # gather at the [CLS] rows 1; the head's linear and the loss 2
+        # dropout masks, one fused feed-forward; the last layer's first norm
+        # reads its residual at the [CLS] rows); the head's linear and the loss 2
         model = _model(TOY, seed=2, config=EncoderConfig())
         seqs = [encode_pair(ex.text, None, model.vocab, model.config.max_len) for ex in TOY]
         with Graph() as g:
             cross_entropy(model.class_logits(seqs, training=True, rng=np.random.default_rng(0)), [ex.label for ex in TOY])
-        assert len(g) == 16
-        assert tape_ops(g) == {"gather_rows": 2, "linear": 5, "attention": 2, "layer_norm": 4, "ffn": 2, "cross_entropy": 1}
+        assert len(g) == 15
+        assert tape_ops(g) == {"gather_rows": 1, "linear": 5, "attention": 2, "layer_norm": 4, "ffn": 2, "cross_entropy": 1}
 
 
 class TestTrain:

@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from sentibert.data import (
@@ -121,3 +123,10 @@ def test_label_universe():
     assert LABELS == ("negative", "neutral", "positive")
     with pytest.raises(DataError):
         LabeledExample("x", 3)
+
+
+@pytest.mark.parametrize("label", [1.5, 1.0, "1", True])
+def test_label_that_is_not_an_integer_rejected_naming_it(label):
+    with pytest.raises(DataError, match=re.escape(f"label index {label!r} outside 0..2")):
+        LabeledExample("x", label)
+    assert LabeledExample("x", np.int64(1)).label == 1

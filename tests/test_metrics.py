@@ -73,6 +73,35 @@ class TestConfusion:
         with pytest.raises(ContractError, match=re.escape(f"actual={actual}, predicted={predicted}")):
             confusion(preds, labels)
 
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            ([0, 0.9, 2.5], "0.9"),  # a cast would count 0.9 as class 0 and 2.5 as class 2
+            (np.array([0.0, 1.0, 2.0]), "0.0"),
+            ([0, 1, float("nan")], "nan"),
+            ([1, True, 2], "True"),  # numpy makes an int array of this list
+            (np.array([True, False, True]), "True"),
+            (["1", "0", "2"], "'1'"),
+        ],
+        ids=["floats", "float-array", "nan", "bool-among-ints", "bool-array", "strings"],
+    )
+    @pytest.mark.parametrize("side", ["predicted", "actual"])
+    def test_non_integer_class_value_names_the_first(self, values, named, side):
+        ints = [0, 1, 2]
+        preds, labels = (values, ints) if side == "predicted" else (ints, values)
+        with pytest.raises(ContractError, match=re.escape(f"confusion: class value {named} is not an integer")):
+            confusion(preds, labels)
+        with pytest.raises(ContractError, match=re.escape(f"log_loss: class value {named} is not an integer")):
+            log_loss(np.full((3, 3), 1 / 3), values)
+
+    def test_integer_arrays_and_lists_count_alike(self):
+        preds, labels = [0, 2, 2, 1], [0, 1, 2, 1]
+        expected = confusion(preds, labels)
+        assert expected.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+        for dtype in (np.int64, np.int32, np.uint8):
+            assert np.array_equal(confusion(np.array(preds, dtype=dtype), np.array(labels, dtype=dtype)), expected)
+        assert np.array_equal(confusion(np.array([], dtype=np.int64), []), np.zeros((3, 3)))
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=60))
     def test_counts_equal_a_counter_of_the_pairs(self, pairs):
@@ -120,6 +149,13 @@ class TestPerClassMetrics:
         # -1 would otherwise read class 2's value
         with pytest.raises(IndexError, match=re.escape(f"class index {c} outside 0..2")):
             metric(self.CM, c)
+
+    @pytest.mark.parametrize("metric", [precision_class, recall_class, f1_class])
+    @pytest.mark.parametrize("c", [1.5, 1.0, "1", True])
+    def test_non_integer_class_index_rejected(self, metric, c):
+        with pytest.raises(IndexError, match=re.escape(f"class index {c!r} outside 0..2")):
+            metric(self.CM, c)
+        assert metric(self.CM, np.int64(1)) == metric(self.CM, 1)
 
     def test_f1_is_harmonic_mean_when_defined(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,7 @@
+import ast
 import concurrent.futures
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sentibert.optim import OPTIMIZERS, SGD, Adam
 from sentibert.tensor import (
     Graph,
     Tensor,
+    attention,
     cross_entropy,
     dropout,
     ffn,
@@ -181,6 +184,33 @@ class TestLayerNorm:
     def test_residual_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="residual"):
             layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("rows", [[4, 0, 4], np.array([1, 3, 2]), slice(2, 5)], ids=["list", "array", "slice"])
+    def test_rows_equal_a_gather_then_the_norm_bit_for_bit(self, rows):
+        # the forward and the gradients of x and sub equal those of the gather it folds in
+        rng = np.random.default_rng(13)
+        x, sub = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
+        gamma, beta = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+        upstream = rng.normal(size=(3, 4))
+
+        def run(fused):
+            inputs = parameter(x.copy()), parameter(sub.copy())
+            with Graph() as g:
+                if fused:
+                    out = layer_norm(*inputs, gamma, beta, rows=rows)
+                else:
+                    out = layer_norm(gather_rows((inputs[0], rows)), inputs[1], gamma, beta)
+                g.backward(weighted_sum(out, upstream))
+            return out.data, *(t.grad for t in inputs)
+
+        for got, expected in zip(run(True), run(False)):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("rows", [[0, 3], [-1], slice(2, 4), np.array([3])])
+    def test_rows_past_the_input_raise_as_a_gather_does(self, rows):
+        with pytest.raises(IndexError) as raised:
+            layer_norm(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), rows=rows)
+        assert str(raised.value) == "layer_norm: id out of range [0, 3)"
 
 
 def relu(x: Tensor) -> Tensor:
@@ -382,6 +412,65 @@ class TestBackward:
         assert mine.requires_grad and len(g) == 1 and tensor._active.graph is None
 
 
+# per op: a function of its tensor inputs, and their arrays; each input in turn is made the constant
+_OP_INPUTS = {
+    "linear": (lambda x, w, b: linear(x, w, b, rows=[2, 0, 2]), ((3, 4), (4, 5), (5,))),
+    "ffn": (ffn, ((3, 4), (4, 6), (6,), (6, 3), (3,))),
+    "layer_norm": (
+        lambda x, sub, gamma, beta: layer_norm(x, sub, gamma, beta, np.array([[2.0], [0.0], [2.0]]), rows=[1, 2, 1]),
+        ((3, 4), (3, 4), (4,), (4,)),
+    ),
+    "attention": (lambda qkv: attention(qkv, [2, 1], 2), ((3, 12),)),
+    "cross_entropy": (lambda logits: cross_entropy(logits, [0, 2, 1]), ((3, 3),)),
+    "gather_rows": (lambda a, e: gather_rows((a, [2, 0, 2]), (e, [1, 1, 0])), ((3, 4), (2, 4))),
+}
+
+
+@pytest.mark.parametrize(
+    "op, constant", [(op, i) for op, (_, shapes) in _OP_INPUTS.items() for i in range(len(shapes))]
+)
+def test_a_constant_input_gets_no_gradient_and_changes_no_other(op, constant):
+    # the gate in _accumulate: every backward computes all its inputs' gradients
+    fn, shapes = _OP_INPUTS[op]
+    rng = np.random.default_rng(37)
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    upstream = rng.normal(size=fn(*map(Tensor, arrays)).data.shape)
+
+    def grads(constant):
+        inputs = [Tensor(a.copy()) if i == constant else parameter(a.copy()) for i, a in enumerate(arrays)]
+        with Graph() as g:
+            g.backward(weighted_sum(fn(*inputs), upstream))
+        return [t.grad for t in inputs]
+
+    reference, got = grads(None), grads(constant)
+    assert got[constant] is None
+    for i, (grad, expected) in enumerate(zip(got, reference)):
+        assert i == constant or np.array_equal(grad, expected), i
+
+
+def test_a_loss_no_recorded_op_produced_gets_no_gradient():
+    # backward seeds each loss through the gate: a constant loss is left as it is
+    loss = Tensor(3.0)
+    with Graph() as g:
+        g.backward(loss)
+    assert loss.grad is None and len(g) == 0
+
+
+def test_only_the_tensor_core_reads_requires_grad():
+    """The gradient flag is read where it is set (Tensor, parameter, _record)
+    and at the one gate (_accumulate): no backward closure tests it."""
+    allowed = {"Tensor", "parameter", "_record", "_accumulate"}
+    package = Path(__file__).resolve().parents[1] / "src" / "sentibert"
+    found = []
+    for source in sorted(package.glob("*.py")):
+        for top in ast.parse(source.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "requires_grad" and owner not in allowed:
+                    found.append(f"{source.name}:{node.lineno}: in {owner}")
+    assert not found, "\n".join(found)
+
+
 class TestGradientsAgainstFiniteDifferences:
     def test_primitive_ops(self):
         rng = np.random.default_rng(42)
@@ -405,6 +494,10 @@ class TestGradientsAgainstFiniteDifferences:
             "linear_slice": (lambda: weighted_sum(linear(a, b, rows=slice(1, 3)), w32[:2]), {"a": a, "b": b}),
             "linear_transposed": (lambda: weighted_sum(linear(c, b, rows=[1, 2], transposed=True), w34[:2]), {"b": b, "c": c}),
             "layer_norm": (lambda: weighted_sum(layer_norm(a, e, gamma, beta), w34), {"a": a, "e": e, "gamma": gamma, "beta": beta}),
+            "layer_norm_rows": (
+                lambda: weighted_sum(layer_norm(a, e, gamma, beta, rows=[2, 0, 2]), w34),
+                {"a": a, "e": e, "gamma": gamma, "beta": beta},
+            ),
             "cross_entropy": (lambda: cross_entropy(a, [0, 1, 0], weights=[1.5, 1.0, 0.5, 2.0]), {"a": a}),
             "gather": (lambda: weighted_sum(gather_rows((a, [2, 0, 2])), w34), {"a": a}),
         }
