@@ -93,11 +93,12 @@ def train(
 ) -> tuple[SentimentModel, list[dict]]:
     """Shuffled mini-batch cross-entropy fine-tuning.
 
-    Records eval-mode loss (unweighted log loss) and accuracy on both
-    partitions after every epoch, one dict keyed by CURVE_COLUMNS; with
-    keep_best the parameters from the best-validation-loss epoch are what
-    comes back. A step loss or re-scored loss that is not finite raises
-    ConfigError naming the epoch and step.
+    One dict per epoch keyed by CURVE_COLUMNS: train_loss and train_acc are
+    the epoch's step figures (mean loss; share of examples whose logits put
+    their label first), val_loss (log loss) and val_acc an eval-mode
+    re-score of the validation partition. keep_best returns the parameters
+    of the best-validation-loss epoch. A step or validation loss that is
+    not finite raises ConfigError naming the epoch and step.
     """
     missing = ClassHistogram.from_dataset(dataset).missing()
     if len(missing) > NUM_CLASSES - 2:
@@ -124,23 +125,27 @@ def train(
 
     optimizer = OPTIMIZERS[config.algorithm](model.named_parameters("classifier"), config.lr)
 
+    # hits: this epoch's training examples whose step logits put their label first
+    hits, best_loss, best_params = 0, np.inf, None
+
     def step(where: str, idx) -> float:
         def loss():
+            nonlocal hits
+            labels = [train_labels[i] for i in idx]
             logits = model.class_logits([train_seqs[i] for i in idx], training=True, rng=rng)
-            return (cross_entropy(logits, [train_labels[i] for i in idx], weights),)
+            hits += int((logits.data.argmax(axis=1) == labels).sum())
+            return (cross_entropy(logits, labels, weights),)
 
         return descend(optimizer, where, loss)
 
-    best_loss, best_params = np.inf, None
-
-    def end_epoch(where: str, _) -> dict:
-        nonlocal best_loss, best_params
-        train_loss, train_acc = _partition_scores(train_seqs, train_labels, model)
+    def end_epoch(where: str, step_losses: list[float]) -> dict:
+        nonlocal hits, best_loss, best_params
+        train_acc, hits = hits / len(train_seqs), 0
         val_loss, val_acc = _partition_scores(val_seqs, val_labels, model)
-        check_finite_loss(f"{where}, re-scored training partition", train_loss)
         check_finite_loss(f"{where}, re-scored validation partition", val_loss)
         if config.keep_best and val_loss < best_loss:
             best_loss, best_params = val_loss, model.snapshot()
+        train_loss = float(np.mean(step_losses))
         return {"train_loss": train_loss, "train_acc": train_acc, "val_loss": val_loss, "val_acc": val_acc}
 
     curve = run_epochs(config, len(train_seqs), rng, step, end_epoch)

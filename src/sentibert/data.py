@@ -18,6 +18,8 @@ class LabeledExample:
     label: int  # index into LABELS
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise DataError(f'"text" must be a string, got {type(self.text).__name__}')
         if not is_int(self.label) or not 0 <= self.label < NUM_CLASSES:
             raise DataError(f"label index {self.label!r} outside 0..{NUM_CLASSES - 1}")
 
@@ -49,14 +51,16 @@ def _ingest_jsonl(fh) -> list[LabeledExample]:
 
 def _ingest_csv(fh) -> list[LabeledExample]:
     reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
+    try:  # each row with the number of the line it ends on
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+        raise DataError(f"line {reader.line_num}: {exc}") from exc
+    if not rows:
         return []
-    if header != ["text", "label"]:
-        raise DataError(f"line 1: expected CSV header 'text,label', got {','.join(header)!r}")
+    if rows[0][1] != ["text", "label"]:
+        raise DataError(f"line 1: expected CSV header 'text,label', got {','.join(rows[0][1])!r}")
     examples = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in rows[1:]:
         if not row:
             continue
         if len(row) != 2:

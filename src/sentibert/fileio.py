@@ -50,11 +50,12 @@ def read_text(path: str, newline: str | None = None) -> io.StringIO:
 
 
 def parse_json(text: str, where: str):
-    """json.loads(text); DataError prefixed by where if text is not JSON or
-    nests deeper than the parser can recurse."""
+    """json.loads(text); DataError prefixed by where if text is not JSON, holds
+    an integer longer than int() converts, or nests deeper than the parser
+    can recurse."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or int()'s digit limit
         raise DataError(f"{where}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise DataError(f"{where}: JSON nested too deeply to parse") from exc

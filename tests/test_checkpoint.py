@@ -193,6 +193,10 @@ MALFORMED = {
         lambda p: _replace_header(p, b"[" * 100_000),
         "^checkpoint header: JSON nested too deeply",
     ),
+    "header holds an integer past int()'s digit limit": (
+        lambda p: _replace_header(p, b'{"seed": ' + b"1" * 5000 + b"}"),
+        "^checkpoint header: invalid JSON",
+    ),
     "tensor entry is not an object": (lambda p: _rewrite_header(p, lambda h: h["tensors"].__setitem__(0, 7)), "entry 0"),
     "string offset": (lambda p: _rewrite_header(p, _set_entry("offset", "0")), "offset"),
     "negative shape": (lambda p: _rewrite_header(p, lambda h: h["tensors"][0].update(shape=[-2, 3], nbytes=-24)), "shape"),

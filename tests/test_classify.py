@@ -302,6 +302,71 @@ class TestTrain:
             TrainConfig(class_weights=[1.0, 1.0, 1.0])
 
 
+class TestCurveFromSteps:
+    """The curve's train columns come from the steps; only validation is re-scored."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """train() on an imbalanced set, recording every step loss, every step's
+        argmax hits and every re-scored partition, each under its epoch."""
+        from sentibert import classify
+
+        steps, scored = [], []
+        real_descend, real_cross_entropy = classify.descend, classify.cross_entropy
+        real_scores = classify._partition_scores
+
+        def descend(optimizer, where, loss_fn):
+            value = real_descend(optimizer, where, loss_fn)
+            steps[-1]["epoch"], steps[-1]["loss"] = int(where.split()[1].rstrip(",")), value
+            return value
+
+        def cross_entropy(logits, labels, weights=None):
+            steps.append({"hits": int((logits.data.argmax(axis=1) == np.asarray(labels)).sum()), "n": len(labels)})
+            return real_cross_entropy(logits, labels, weights)
+
+        def partition_scores(seqs, labels, model):
+            scored.append([s.token_ids for s in seqs])
+            return real_scores(seqs, labels, model)
+
+        monkeypatch.setattr(classify, "descend", descend)
+        monkeypatch.setattr(classify, "cross_entropy", cross_entropy)
+        monkeypatch.setattr(classify, "_partition_scores", partition_scores)
+
+        def run(balance):
+            data = generate_dataset((6, 12, 12), seed=31)
+            config = TrainConfig(epochs=3, batch_size=4, lr=3e-3, seed=8, balance=balance)
+            _, curve = train(data, config, _model(data, seed=8))
+            return data, config, curve, steps, scored
+
+        return run
+
+    @pytest.mark.parametrize("balance", ["none", "oversample", "class_weights"])
+    def test_train_loss_is_the_mean_of_the_epochs_step_losses(self, recorded, balance):
+        _, config, curve, steps, _ = recorded(balance)
+        assert len(curve) == config.epochs
+        for record in curve:
+            losses = [s["loss"] for s in steps if s["epoch"] == record["epoch"]]
+            assert record["train_loss"] == pytest.approx(np.mean(losses), rel=1e-12)
+
+    @pytest.mark.parametrize("balance", ["none", "oversample", "class_weights"])
+    def test_train_acc_is_step_argmax_hits_over_training_examples(self, recorded, balance):
+        _, _, curve, steps, _ = recorded(balance)
+        examples = sum(s["n"] for s in steps if s["epoch"] == 1)  # the training partition, rebalanced
+        for record in curve:
+            epoch = [s for s in steps if s["epoch"] == record["epoch"]]
+            assert sum(s["n"] for s in epoch) == examples
+            assert record["train_acc"] == sum(s["hits"] for s in epoch) / examples
+
+    def test_only_the_validation_partition_is_rescored_once_per_epoch(self, recorded):
+        from sentibert.classify import _stratified_split
+
+        data, config, curve, _, scored = recorded("none")
+        _, val_idx = _stratified_split(data, config.val_split, np.random.default_rng(config.seed))
+        vocab = _model(data).vocab
+        val_ids = [encode_pair(data[i].text, None, vocab, TINY.max_len).token_ids for i in val_idx]
+        assert scored == [val_ids] * len(curve)
+
+
 class TestConcurrencyAndAlgorithms:
     def test_concurrent_eval_matches_serial(self):
         import concurrent.futures

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import csv
 import errno
 import json
 import os
@@ -17,9 +18,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sentibert import cli
+from sentibert.checkpoint import save_checkpoint
+from sentibert.classify import evaluate
 from sentibert.cli import DEFAULT_CONFIG, FLAGS, SECTION_KEYS, main
 from sentibert.data import LABELS, write_corpus, write_jsonl
+from sentibert.encoder import EncoderConfig
+from sentibert.fileio import write_file
+from sentibert.model import SentimentModel
 from sentibert.synthetic import generate_dataset, generate_documents
+from sentibert.tokenizer import build_vocab
 
 TINY_ENCODER = {"num_layers": 1, "num_heads": 2, "d_model": 16, "d_ff": 32, "max_len": 12, "dropout_rate": 0.1}
 
@@ -118,6 +125,27 @@ class TestPipeline:
         assert (tmp / "curve.csv").read_bytes() == first_curve
         assert (tmp / "model.ckpt").read_bytes() == first_ckpt
 
+    def test_final_train_loss_is_the_curves_last_step_mean(self, workspace, capsys, monkeypatch):
+        from sentibert import classify
+
+        tmp, config_path, config = workspace
+        assert run_cli("build-vocab", "--config", str(config_path)) == 0
+        last_epoch = []
+        real_descend = classify.descend
+
+        def descend(optimizer, where, loss_fn):
+            value = real_descend(optimizer, where, loss_fn)
+            if where.startswith(f"epoch {config['train']['epochs']},"):
+                last_epoch.append(value)
+            return value
+
+        monkeypatch.setattr(classify, "descend", descend)
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(config_path)) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        curve_last = (tmp / "curve.csv").read_text().strip().split("\n")[-1].split(",")
+        assert emitted["final_train_loss"] == float(curve_last[1]) == float(np.mean(last_epoch))
+
     def test_evaluate_perfect_fixture(self, workspace, capsys):
         tmp, config_path, config = workspace
         assert run_cli("build-vocab", "--config", str(config_path)) == 0
@@ -198,6 +226,33 @@ class TestErrorPaths:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "data"
         assert f"{tmp / 'train.jsonl'}: line 1: unknown label" in payload["message"]
+
+    def test_csv_field_past_the_csv_modules_limit_is_data_error(self, workspace, capsys):
+        tmp, config_path, config = workspace
+        long_text = "lovely " * 20_000  # 140,000 characters: past csv's 131,072-character field limit
+        (tmp / "train.csv").write_text(f"text,label\nfine room,neutral\n{long_text},positive\n", encoding="utf-8")
+        config["paths"]["train_data"] = str(tmp / "train.csv")
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("build-vocab", "--config", str(config_path)) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "data"
+        assert f"{tmp / 'train.csv'}: line 3: field larger than field limit" in payload["message"]
+
+        # the same text is no problem to the JSONL reader
+        (tmp / "train.jsonl").write_text(json.dumps({"text": long_text, "label": "positive"}) + "\n", encoding="utf-8")
+        config["paths"]["train_data"] = str(tmp / "train.jsonl")
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("build-vocab", "--config", str(config_path)) == 0
+
+    def test_json_integer_past_the_digit_limit_is_a_data_or_usage_error(self, workspace, capsys):
+        tmp, config_path, config = workspace
+        long_int = "1" * 5000  # past sys.get_int_max_str_digits(): int() refuses it
+        (tmp / "train.jsonl").write_text('{"text": "x", "label": "positive", "n": %s}\n' % long_int, encoding="utf-8")
+        assert run_cli("build-vocab", "--config", str(config_path)) == 2
+        assert f"{tmp / 'train.jsonl'}: line 1: invalid JSON" in json.loads(capsys.readouterr().err)["message"]
+        config_path.write_text(json.dumps(config)[:-1] + ', "seed": %s}' % long_int, encoding="utf-8")
+        assert run_cli("build-vocab", "--config", str(config_path)) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
     def test_corrupt_checkpoint_is_data_error(self, workspace, capsys):
         tmp, config_path, _ = workspace
@@ -534,6 +589,77 @@ def test_fuzzed_config_never_exits_internal(tmp_path, monkeypatch, capsys, key, 
         for command in ("build-vocab", "pretrain" if key[0] == "pretrain" and len(key) == 2 else "train"):
             code = run_cli(command, "--config", "config.json")
             assert code in (0, 1, 2), (command, key, value, capsys.readouterr().err)
+
+
+# input file -> the commands that read it, in order
+FUZZ_INPUTS = {
+    "train.jsonl": ("build-vocab", "train"),
+    "train.csv": ("build-vocab", "train"),
+    "vocab.txt": ("train", "pretrain"),
+    "corpus.txt": ("build-vocab", "pretrain"),
+    "texts.txt": ("predict",),
+    "metrics.json": ("report",),
+}
+CSV_FIELD_LIMIT = 131_072  # the csv module's default csv.field_size_limit()
+
+
+def _write_valid_inputs() -> None:
+    """Every FUZZ_INPUTS file, valid, in the current directory."""
+    data = generate_dataset((4, 4, 4), seed=21)
+    write_jsonl(data, "train.jsonl")
+    with open("train.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([("text", "label")] + [(ex.text, LABELS[ex.label]) for ex in data])
+    write_corpus(generate_documents(4, 3, seed=23), "corpus.txt")
+    vocab = build_vocab([ex.text for ex in data], 100)
+    vocab.save("vocab.txt")
+    model = SentimentModel.init(vocab, EncoderConfig(**FUZZ_CONFIG["encoder"]), seed=3)
+    save_checkpoint(model, "model.ckpt")
+    write_file("texts.txt", "".join(ex.text + "\n" for ex in data[:4]))
+    write_file("metrics.json", evaluate(model, data)[0].to_json() + "\n")
+
+
+@st.composite
+def damaged_input(draw, valid: bytes) -> bytes:
+    kind = draw(st.sampled_from(["text", "truncate", "flip", "line", "long field"]))
+    if kind == "text":
+        return draw(st.text(max_size=200)).encode("utf-8")
+    if kind == "truncate":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    if kind == "flip":
+        out = bytearray(valid)
+        for i in draw(st.lists(st.integers(0, len(valid) - 1), min_size=1, max_size=4)):
+            out[i] = draw(st.integers(0, 255))
+        return bytes(out)
+    lines = valid.decode("utf-8").split("\n")
+    if kind == "line":
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.text(max_size=60))
+    else:  # one word, and so the field holding it, repeated past the csv module's limit
+        i = draw(st.sampled_from([j for j, line in enumerate(lines) if re.search(r"\w", line)]))
+        word = draw(st.sampled_from(re.findall(r"\w+", lines[i])))
+        lines[i] = lines[i].replace(word, word * (CSV_FIELD_LIMIT // len(word) + 1), 1)
+    return "\n".join(lines).encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(FUZZ_INPUTS)), data=st.data())
+def test_damaged_input_files_never_exit_internal(tmp_path, monkeypatch, capsys, name, data):
+    config = copy.deepcopy(FUZZ_CONFIG)
+    config["paths"].update(predict_input="texts.txt", metrics="metrics.json")
+    if name == "train.csv":
+        config["paths"]["train_data"] = name
+    with tempfile.TemporaryDirectory(dir=tmp_path) as workdir:
+        monkeypatch.chdir(workdir)
+        _write_valid_inputs()
+        with open(name, "rb") as fh:
+            damaged = data.draw(damaged_input(fh.read()), label=name)
+        with open(name, "wb") as fh:
+            fh.write(damaged)
+        with open("config.json", "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        capsys.readouterr()
+        for command in FUZZ_INPUTS[name]:
+            code = run_cli(command, "--config", "config.json")
+            assert code in (0, 1, 2), (command, name, capsys.readouterr().err)
 
 
 COMMANDS = ("build-vocab", "pretrain", "train", "evaluate", "predict", "rebalance", "report")

@@ -93,6 +93,12 @@ class TestCsvIngest:
         path.write_text('text,label\n"tricky, ""quoted""",negative\nplain,positive\n', encoding="utf-8")
         assert ingest(str(path), "csv") == examples
 
+    def test_line_numbers_count_the_lines_of_quoted_newlines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('text,label\n"two\nlines",positive\nx,meh\n', encoding="utf-8")
+        with pytest.raises(DataError, match="line 4: unknown label"):
+            ingest(str(path), "csv")
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "data.xml"
         path.write_text("x", encoding="utf-8")
@@ -123,6 +129,12 @@ def test_label_universe():
     assert LABELS == ("negative", "neutral", "positive")
     with pytest.raises(DataError):
         LabeledExample("x", 3)
+
+
+@pytest.mark.parametrize("text", [5, None, b"bytes", ["a list"]])
+def test_text_that_is_not_a_string_rejected_naming_the_field(text):
+    with pytest.raises(DataError, match=f'"text" must be a string, got {type(text).__name__}'):
+        LabeledExample(text, 1)
 
 
 @pytest.mark.parametrize("label", [1.5, 1.0, "1", True])

@@ -64,6 +64,8 @@ def test_parse_json_names_where_and_catches_deep_nesting():
     assert parse_json('{"a": [1]}', "f") == {"a": [1]}
     with pytest.raises(DataError, match=r"^f: line 3: invalid JSON \(Expecting value"):
         parse_json("[1, ", "f: line 3")
+    with pytest.raises(DataError, match=r"^f: invalid JSON \(Exceeds the limit"):
+        parse_json("1" * 5000, "f")  # past int()'s digit limit: a ValueError that is no JSONDecodeError
     with pytest.raises(DataError, match=r"^f: JSON nested too deeply to parse$"):
         parse_json("[" * 100_000, "f")
 
@@ -71,7 +73,9 @@ def test_parse_json_names_where_and_catches_deep_nesting():
 def test_write_jsonl_failing_mid_way_keeps_previous_file(tmp_path):
     path = tmp_path / "out"
     path.write_bytes(b"previous")
-    records = [LabeledExample("fine", 1), LabeledExample(object(), 0)]  # the second is not JSON
+    bad = LabeledExample("not JSON", 0)
+    object.__setattr__(bad, "text", object())  # past the constructor's str check: the second record is not JSON
+    records = [LabeledExample("fine", 1), bad]
     with pytest.raises(TypeError):
         write_jsonl(records, str(path))
     assert path.read_bytes() == b"previous"
