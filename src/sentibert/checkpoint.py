@@ -7,7 +7,9 @@ a round trip perturbs parameters by at most the float32 quantization step
 (< 1e-6 absolute for desk-scale weight magnitudes).
 
 Version 2, the only one read or written, stores one fused
-`encoder.{i}.wqkv` per layer.
+`encoder.{i}.wqkv` per layer. The labels, vocab_hash and tensor index are
+derived from the vocab and config, and the reader requires the stored ones
+to equal them: a swapped, shared or repeated offset never loads.
 """
 
 import json
@@ -19,34 +21,38 @@ import numpy as np
 
 from .data import LABELS
 from .encoder import EncoderConfig
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError, is_int
 from .fileio import parse_json, write_file
-from .model import SentimentModel
+from .model import SentimentModel, parameter_shapes
 from .tokenizer import Vocab
 
 FORMAT_VERSION = 2
 
 
-def save_checkpoint(model: SentimentModel, path: str) -> None:
-    params = model.named_parameters()
-    index = []
-    offset = 0
-    for name in sorted(params):
-        shape = list(params[name].data.shape)
-        nbytes = int(np.prod(shape)) * 4
-        index.append({"name": name, "shape": shape, "offset": offset, "nbytes": nbytes})
+def _derived_fields(vocab: Vocab, config: EncoderConfig) -> dict:
+    """The header fields that follow from the vocab and config: the class
+    names, the vocab's hash, and the tensor index, one entry per
+    parameter_shapes name sorted by name, float32 payloads back to back."""
+    shapes = parameter_shapes(len(vocab), config)
+    index, offset = [], 0
+    for name in sorted(shapes):
+        nbytes = 4 * math.prod(shapes[name])
+        index.append({"name": name, "shape": list(shapes[name]), "offset": offset, "nbytes": nbytes})
         offset += nbytes
+    return {"labels": list(LABELS), "vocab_hash": vocab.content_hash(), "tensors": index}
+
+
+def save_checkpoint(model: SentimentModel, path: str) -> None:
+    derived = _derived_fields(model.vocab, model.config)
     header = {
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
-        "labels": list(LABELS),
         "seed": model.seed,
         "vocab_tokens": model.vocab.tokens(),
-        "vocab_hash": model.vocab.content_hash(),
-        "tensors": index,
+        **derived,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tensors = [np.ascontiguousarray(params[entry["name"]].data, dtype="<f4") for entry in index]
+    tensors = [np.ascontiguousarray(model.params[entry["name"]].data, dtype="<f4") for entry in derived["tensors"]]
     write_file(path, b"".join([struct.pack("<I", len(header_bytes)), header_bytes, *tensors]))
 
 
@@ -77,55 +83,37 @@ def _header_field(header: dict, key: str, parse):
         raise CheckpointError(f"checkpoint header field {key!r} is invalid: {exc}") from exc
 
 
-def _check_labels(raw) -> None:
-    """The class names must be data.LABELS in order: classify and the CLI
-    name prediction indices by LABELS, whatever a file says."""
-    if raw != list(LABELS):
-        raise ValueError(f"expected {list(LABELS)}, got {raw!r}")
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _check_seed(raw) -> int:
     """The seed as stored, so a re-save writes the same header."""
-    if not _is_count(raw):
+    if not is_int(raw) or raw < 0:
         raise ValueError(f"expected a nonnegative integer, got {raw!r}")
     return raw
 
 
-def _read_tensor(entry, position: int, payload: memoryview) -> tuple[str, np.ndarray]:
-    """Name and read-only float32 view into payload of one tensor index entry,
-    after checking its fields, its payload bounds and that every value is
-    finite."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-        raise CheckpointError(f"checkpoint tensor entry {position} is not an object with a string name")
-    name, shape = entry["name"], entry.get("shape")
-    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
-        raise CheckpointError(f"checkpoint tensor {name!r} has shape {shape!r}, not a list of nonnegative integers")
-    for key in ("offset", "nbytes"):
-        if not _is_count(entry.get(key)):
-            raise CheckpointError(f"checkpoint tensor {name!r} has {key} {entry.get(key)!r}, not a nonnegative integer")
-    nbytes = math.prod(shape) * 4
-    if entry["nbytes"] != nbytes:
-        raise CheckpointError(f"checkpoint tensor {name!r} declares {entry['nbytes']} bytes, expected {nbytes}")
-    start = entry["offset"]
-    if start + nbytes > len(payload):
-        raise CheckpointError(f"checkpoint payload is truncated at tensor {name!r}")
-    try:
-        array = np.frombuffer(payload[start : start + nbytes], dtype="<f4").reshape(shape)
-    except ValueError as exc:  # e.g. an empty shape with a dimension numpy cannot hold
-        raise CheckpointError(f"checkpoint tensor {name!r} has shape {shape}: {exc}") from exc
-    if not np.isfinite(array).all():
-        raise CheckpointError(f"checkpoint tensor {name!r} holds non-finite values")
-    return name, array
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _check_derived(header: dict, key: str, want) -> None:
+    """CheckpointError unless header[key] is want, the value derived from the
+    vocab and config, as the JSON text the writer produces (false is not 0,
+    16.0 is not 16). A list names its first bad entry, showing both sides."""
+    got = _header_field(header, key, lambda raw: raw)
+    if _json(got) == _json(want):
+        return
+    if isinstance(got, list) and isinstance(want, list):
+        for i in range(max(len(got), len(want))):
+            found, expected = (_json(v[i]) if i < len(v) else "missing" for v in (got, want))
+            if found != expected:
+                raise CheckpointError(f"checkpoint header field {key!r} entry {i} is {found}, expected {expected}")
+    raise CheckpointError(f"checkpoint header field {key!r} is {_json(got)}, expected {_json(want)}")
 
 
 def load_checkpoint(path: str) -> SentimentModel:
-    """Rebuild a model straight from the stored arrays, verifying version,
-    header fields, payload bounds, finite values, and every tensor name and
-    shape. Any fault in the file raises CheckpointError."""
+    """Rebuild a model straight from the stored arrays: after the version,
+    the vocab, config and seed are read, every derived field must equal its
+    stored value, and each tensor, read at its derived offset, must be
+    finite. Any fault in the file raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header, payload = _read_header(blob)
@@ -136,17 +124,21 @@ def load_checkpoint(path: str) -> SentimentModel:
     vocab = _header_field(header, "vocab_tokens", Vocab)
     config = _header_field(header, "config", EncoderConfig.from_dict)
     seed = _header_field(header, "seed", _check_seed)
-    _header_field(header, "labels", _check_labels)
-    index = _header_field(header, "tensors", list)
-    if vocab.content_hash() != header.get("vocab_hash"):
-        raise CheckpointError("vocab hash in header does not match the embedded vocabulary")
-    if config.num_layers > len(index):  # one wqkv per layer at least; checked before any per-layer work
+    stored = _header_field(header, "tensors", len)
+    if config.num_layers > stored:  # one wqkv per layer at least; checked before any per-layer work
         raise CheckpointError(
-            f"checkpoint config implies at least {config.num_layers} tensors, the file holds {len(index)}"
+            f"checkpoint config implies at least {config.num_layers} tensors, the file holds {stored}"
         )
+    derived = _derived_fields(vocab, config)
+    for key, want in derived.items():
+        _check_derived(header, key, want)
 
-    arrays = dict(_read_tensor(entry, i, payload) for i, entry in enumerate(index))
-    try:
-        return SentimentModel.from_arrays(vocab, config, arrays, seed)
-    except ConfigError as exc:
-        raise CheckpointError(f"checkpoint tensors do not fit its config: {exc}") from exc
+    arrays = {}
+    for entry in derived["tensors"]:
+        name, start, end = entry["name"], entry["offset"], entry["offset"] + entry["nbytes"]
+        if end > len(payload):
+            raise CheckpointError(f"checkpoint payload is truncated at tensor {name!r}")
+        arrays[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(entry["shape"])
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"checkpoint tensor {name!r} holds non-finite values")
+    return SentimentModel.from_arrays(vocab, config, arrays, seed)

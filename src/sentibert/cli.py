@@ -117,11 +117,13 @@ def _load_config(args) -> dict:
 
 
 def _checked(prefix: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), its ConfigError turned into a usage error."""
+    """fn(*args, **kwargs), its ConfigError or MemoryError turned into a usage error."""
     try:
         return fn(*args, **kwargs)
     except ConfigError as exc:
         raise UsageError(f"{prefix}{exc}") from exc
+    except MemoryError as exc:  # sizes the machine cannot hold
+        raise UsageError(f"{prefix}too large to allocate ({str(exc) or 'out of memory'})") from exc
 
 
 def _is_path(value) -> bool:
@@ -215,7 +217,7 @@ def _cmd_pretrain(cfg: dict) -> None:
     vocab = _load(cfg, "vocab", "pretrain", Vocab.load)
     corpus_path = _input(cfg, "pretrain_corpus", "pretrain")
     corpus = read_corpus(corpus_path)
-    model = SentimentModel.init(vocab, cfg["encoder"], cfg["seed"])
+    model = _checked("bad encoder config: ", SentimentModel.init, vocab, cfg["encoder"], cfg["seed"])
     try:
         history = run_pretraining(corpus, model, cfg["pretrain"])
     except SamplingError as exc:  # the corpus's shape; a diverging loss is not the file's fault
@@ -241,7 +243,7 @@ def _cmd_train(cfg: dict) -> None:
                 )
     else:
         vocab = _load(cfg, "vocab", "train", Vocab.load)
-        model = SentimentModel.init(vocab, encoder_cfg, train_cfg.seed)
+        model = _checked("bad encoder config: ", SentimentModel.init, vocab, encoder_cfg, train_cfg.seed)
     model, curve = train(dataset, train_cfg, model)
     save_checkpoint(model, ckpt)
     write_file(curve_path, curve_to_csv(curve))

@@ -161,6 +161,6 @@ def _check_arrays(shapes: dict[str, tuple[int, ...]], arrays: dict) -> None:
     missing, unexpected = sorted(set(shapes) - set(arrays)), sorted(set(arrays) - set(shapes))
     if missing or unexpected:
         raise ConfigError(f"tensors missing: {missing}; not model parameters: {unexpected}")
-    for name in sorted(shapes):  # sorted: the first mismatch in checkpoint index order
+    for name in sorted(shapes):  # sorted: the mismatch named is the first by name
         if arrays[name].shape != shapes[name]:
             raise ConfigError(f"tensor {name!r} has shape {arrays[name].shape}, expected {shapes[name]}")

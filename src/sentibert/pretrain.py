@@ -41,6 +41,8 @@ def mask_tokens(
     """
     if not 0.0 <= p < 1.0:
         raise ContractError(f"mask probability must be in [0, 1), got {p}")
+    if p > 0 and vocab_size <= NUM_SPECIALS:  # whatever the draws: a run must not pass or fail by seed
+        raise ConfigError("random-token replacement needs a non-special vocab entry")
     new_ids = list(seq.token_ids)
     targets = [SENTINEL] * len(new_ids)
     for i, token_id in enumerate(seq.token_ids):
@@ -53,8 +55,6 @@ def mask_tokens(
         if roll < 0.8:
             new_ids[i] = MASK_ID
         elif roll < 0.9:
-            if vocab_size <= NUM_SPECIALS:
-                raise ConfigError("random-token replacement needs a non-special vocab entry")
             new_ids[i] = int(rng.integers(NUM_SPECIALS, vocab_size))
         # else: keep the original token
     return EncodedSequence(token_ids=new_ids, segment_ids=list(seq.segment_ids)), targets

@@ -186,6 +186,23 @@ def _set_entry(key, value):
     return lambda h: h["tensors"][0].update({key: value})
 
 
+def _same_shaped(header):
+    """Positions of two index entries of one shape, the first such pair."""
+    shapes = [entry["shape"] for entry in header["tensors"]]
+    return next((i, j) for i in range(len(shapes)) for j in range(i + 1, len(shapes)) if shapes[i] == shapes[j])
+
+
+def _swap_offsets(header):
+    i, j = _same_shaped(header)
+    entries = header["tensors"]
+    entries[i]["offset"], entries[j]["offset"] = entries[j]["offset"], entries[i]["offset"]
+
+
+def _share_offset(header):
+    i, j = _same_shaped(header)
+    header["tensors"][j]["offset"] = header["tensors"][i]["offset"]
+
+
 MALFORMED = {
     "header is a list": (lambda p: _replace_header(p, [1, 2]), "JSON object"),
     "header is a string": (lambda p: _replace_header(p, "model"), "JSON object"),
@@ -206,6 +223,19 @@ MALFORMED = {
         "shape",
     ),
     "NaN payload": (_poison_first_tensor, "non-finite"),
+    # offsets must be the ones the writer derives, so no index can map a payload onto another tensor
+    "two same-shaped tensors' offsets swapped": (
+        lambda p: _rewrite_header(p, _swap_offsets),
+        r"entry \d+ is \{.*\}, expected \{",
+    ),
+    "two entries share one offset": (lambda p: _rewrite_header(p, _share_offset), r"entry \d+ is \{.*\}, expected \{"),
+    "entry 0 repeated": (
+        lambda p: _rewrite_header(p, lambda h: h["tensors"].insert(1, dict(h["tensors"][0]))),
+        "entry 1",
+    ),
+    "offset is false": (lambda p: _rewrite_header(p, _set_entry("offset", False)), r'offset"?:? [Ff]alse'),
+    "shape of floats": (lambda p: _rewrite_header(p, _set_entry("shape", [3.0])), r'shape"?:? \[3\.0\]'),
+    "header has no seed field": (lambda p: _rewrite_header(p, lambda h: h.pop("seed")), "no 'seed' field"),
     "seed is not a number": (lambda p: _rewrite_header(p, lambda h: h.update(seed="x")), "'seed'"),
     "seed is a numeric string": (lambda p: _rewrite_header(p, lambda h: h.update(seed="12")), "'seed'"),
     "seed is a fraction": (lambda p: _rewrite_header(p, lambda h: h.update(seed=3.7)), "'seed'"),
@@ -235,10 +265,11 @@ TINY = EncoderConfig(num_layers=1, num_heads=1, d_model=4, d_ff=4, max_len=6, dr
 
 
 @pytest.fixture(scope="module")
-def tiny_blob(tmp_path_factory):
+def tiny(tmp_path_factory):
+    """The bytes of a tiny checkpoint and the arrays it loads as."""
     path = tmp_path_factory.mktemp("tiny") / "tiny.ckpt"
     save_checkpoint(SentimentModel.init(build_vocab(["a b c"], 10), TINY, seed=1), str(path))
-    return path.read_bytes()
+    return path.read_bytes(), load_checkpoint(str(path)).snapshot()
 
 
 json_values = st.recursive(
@@ -248,33 +279,47 @@ json_values = st.recursive(
 )
 
 
+HEADER_DAMAGE = ("header value", "entry value", "shared offset")  # the payload bytes stay as written
+
+
 @st.composite
 def damaged(draw, blob):
-    kind = draw(st.sampled_from(["bytes", "flip", "truncate", "header value", "entry value"]))
+    """(kind, damaged copy of blob)."""
+    kind = draw(st.sampled_from(["bytes", "flip", "truncate", *HEADER_DAMAGE]))
     if kind == "bytes":
-        return draw(st.binary(max_size=200))
+        return kind, draw(st.binary(max_size=200))
     if kind == "flip":
         out = bytearray(blob)
         for i in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
             out[i] = draw(st.integers(0, 255))
-        return bytes(out)
+        return kind, bytes(out)
     if kind == "truncate":
-        return blob[: draw(st.integers(0, len(blob) - 1))]
+        return kind, blob[: draw(st.integers(0, len(blob) - 1))]
     (header_len,) = struct.unpack("<I", blob[:4])
     header = json.loads(blob[4 : 4 + header_len])
-    target = header if kind == "header value" else header["tensors"][draw(st.integers(0, len(header["tensors"]) - 1))]
-    target[draw(st.sampled_from(sorted(target)))] = draw(json_values)
+    entries = header["tensors"]
+    if kind == "shared offset":
+        source, target = draw(st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=2, unique=True))
+        entries[target]["offset"] = entries[source]["offset"]
+    else:
+        target = header if kind == "header value" else entries[draw(st.integers(0, len(entries) - 1))]
+        target[draw(st.sampled_from(sorted(target)))] = draw(json_values)
     raw = json.dumps(header).encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw + blob[4 + header_len :]
+    return kind, struct.pack("<I", len(raw)) + raw + blob[4 + header_len :]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_damaged_checkpoints_load_or_raise_checkpoint_error(tiny_blob, tmp_path, data):
+def test_damaged_checkpoints_load_or_raise_checkpoint_error(tiny, tmp_path, data):
+    tiny_blob, tiny_arrays = tiny
+    kind, blob = data.draw(damaged(tiny_blob))
     path = tmp_path / "damaged.ckpt"
-    path.write_bytes(data.draw(damaged(tiny_blob)))
+    path.write_bytes(blob)
     try:
         model = load_checkpoint(str(path))
     except CheckpointError:
         return
     assert all(np.isfinite(t.data).all() for t in model.named_parameters().values())
+    if kind in HEADER_DAMAGE:  # a header that still loads reads every payload where it was written
+        for name, array in model.snapshot().items():
+            np.testing.assert_array_equal(array, tiny_arrays[name], err_msg=name)

@@ -26,7 +26,7 @@ from sentibert.encoder import EncoderConfig
 from sentibert.fileio import write_file
 from sentibert.model import SentimentModel
 from sentibert.synthetic import generate_dataset, generate_documents
-from sentibert.tokenizer import build_vocab
+from sentibert.tokenizer import SPECIAL_TOKENS, build_vocab
 
 TINY_ENCODER = {"num_layers": 1, "num_heads": 2, "d_model": 16, "d_ff": 32, "max_len": 12, "dropout_rate": 0.1}
 
@@ -203,6 +203,30 @@ class TestErrorPaths:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
+
+    def test_no_command_is_usage_error(self, capsys):
+        assert run_cli() == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "usage",
+            "message": "no command given (expected one of: " + ", ".join(COMMANDS) + ")",
+        }
+
+    def test_config_that_is_not_an_object_is_usage_error(self, workspace, capsys):
+        tmp, config_path, _ = workspace
+        config_path.write_text("[1, 2]", encoding="utf-8")
+        assert run_cli("build-vocab", "--config", str(config_path)) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "usage", "message": f"config {config_path} must hold a JSON object"}
+
+    def test_build_vocab_with_no_input_is_usage_error(self, workspace, capsys):
+        tmp, config_path, config = workspace
+        del config["paths"]["train_data"], config["paths"]["pretrain_corpus"]
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("build-vocab", "--config", str(config_path)) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        message = "build-vocab needs paths.train_data and/or paths.pretrain_corpus"
+        assert payload == {"error": "usage", "message": message}
+        assert not (tmp / "vocab.txt").exists()
 
     def test_missing_input_path_is_usage_error(self, workspace, capsys):
         tmp, config_path, config = workspace
@@ -422,6 +446,13 @@ BAD_CONFIGS = [
     ("train", _set("paths.data_format", "xml"), "paths.data_format"),
     ("train", _set("train.seed", 4), "train.seed"),  # seed and balance are top-level only
     ("train", _set("train.balance", "oversample"), "train.balance"),
+    ("pretrain", _set("encoder.num_layers", -1), "num_layers"),
+    ("train", _set("encoder.num_heads", 3), "divisible"),
+    ("train", _set("encoder.dropout_rate", 1.0), "dropout_rate"),
+    # sizes past the 128 TiB address space, so numpy refuses the allocation at once
+    ("train", _set("encoder.d_model", 2**42), "bad encoder config: too large to allocate"),
+    ("pretrain", _set("encoder.max_len", 2**42), "bad encoder config: too large to allocate"),
+    ("train", _set("encoder.d_ff", 2**42), "bad encoder config: too large to allocate"),
 ]
 
 
@@ -453,6 +484,7 @@ def _assert_usage_error_naming(workspace, capsys, command, mutate, named):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "usage"
     assert named in payload["message"]
+    assert not (tmp / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize(
@@ -991,6 +1023,19 @@ def test_corpus_shape_error_names_the_corpus_file(workspace, capsys, case):
     assert run_cli("pretrain", "--config", str(config_path), "--seed", str(seed)) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload == {"error": "data", "message": f"paths.pretrain_corpus {tmp / 'corpus.txt'}: {library_message}"}
+    assert not (tmp / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vocab_of_only_special_tokens_fails_pretraining_on_every_seed(workspace, capsys, seed):
+    # the held-out masking trips the check before any step, whatever the draws
+    tmp, config_path, _ = workspace
+    (tmp / "vocab.txt").write_text("".join(token + "\n" for token in SPECIAL_TOKENS), encoding="utf-8")
+    docs = ("the room was fine\nthe bed was soft", "staff were kind\nbreakfast was cold", "noisy street\nthin walls")
+    (tmp / "corpus.txt").write_text("\n\n".join(docs) + "\n", encoding="utf-8")
+    assert run_cli("pretrain", "--config", str(config_path), "--seed", str(seed)) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "data", "message": "random-token replacement needs a non-special vocab entry"}
     assert not (tmp / "model.ckpt").exists()
 
 

@@ -61,6 +61,18 @@ class TestJsonlIngest:
         with pytest.raises(DataError, match=f"{path}: line 2: unknown label"):
             ingest(str(path), "jsonl")
 
+    def test_text_that_is_a_number_names_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"text": "ok", "label": "neutral"}\n{"text": 5, "label": "neutral"}\n', encoding="utf-8")
+        with pytest.raises(DataError, match='line 2: "text" must be a string'):
+            ingest(str(path), "jsonl")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        lines = ["", '{"text": "fine", "label": "positive"}', "  ", "", '{"text": "meh", "label": "neutral"}']
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert ingest(str(path), "jsonl") == [LabeledExample("fine", 2), LabeledExample("meh", 1)]
+
     def test_round_trip(self, tmp_path):
         examples = [LabeledExample("a, quoted \"text\"", 0), LabeledExample("", 1)]
         path = tmp_path / "out.jsonl"
@@ -74,6 +86,11 @@ class TestCsvIngest:
         path.write_text('text,label\n"room, with comma",neutral\nfine,positive\n', encoding="utf-8")
         got = ingest(str(path), "csv")
         assert got == [LabeledExample("room, with comma", 1), LabeledExample("fine", 2)]
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("text,label\n\nfine,positive\n\n\nmeh,neutral\n", encoding="utf-8")
+        assert ingest(str(path), "csv") == [LabeledExample("fine", 2), LabeledExample("meh", 1)]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "data.csv"

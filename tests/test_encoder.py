@@ -226,7 +226,8 @@ class TestPaddingLayout:
     def test_bad_lengths_raise_before_the_cache(self):
         before = _padding_layout.cache_info()  # no lookup: hits, misses and size all stay
         t = lambda *s: Tensor(np.zeros(s))
-        for n, lengths in ((0, []), (2, [2, 0]), (3, [0, 3]), (3, [1, 1]), (3, (1, 3)), (3, np.array([4]))):
+        bad = ((0, []), (2, [2, 0]), (3, [0, 3]), (3, [1, 1]), (3, (1, 3)), (3, np.array([4])), (3, [1.5, 1.5]))
+        for n, lengths in bad:
             with pytest.raises(ShapeError, match="do not partition"):
                 attention(t(n, 12), lengths, 1)
         assert _padding_layout.cache_info() == before

@@ -204,6 +204,10 @@ class TestMacro:
         per = [f1_class(cm, c) for c in range(3)]
         assert macro(per) == pytest.approx(per[0], abs=1e-12)
 
+    def test_rejects_two_values(self):
+        with pytest.raises(ContractError, match="expected 3 per-class values, got 2"):
+            macro([0.5, 1.0])
+
 
 class TestLogLoss:
     def test_near_one_probability(self):
@@ -226,6 +230,20 @@ class TestLogLoss:
     def test_rejects_unnormalized(self):
         with pytest.raises(ContractError):
             log_loss([[0.5, 0.5, 0.5]], [0])
+
+    @pytest.mark.parametrize(
+        "probs, labels, error, message",
+        [
+            ([[1 / 3, 1 / 3, 1 / 3]], [0, 1], ContractError, "probabilities for"),
+            (np.zeros((0, 3)), [], ContractError, "empty input"),
+            ([[1 / 3, 1 / 3, 1 / 3]], [3], IndexError, "label out of range"),
+            ([[1 / 3, 1 / 3, 1 / 3]], [-1], IndexError, "label out of range"),
+        ],
+        ids=["mismatched", "empty", "past-the-classes", "negative"],
+    )
+    def test_rejects_labels_that_do_not_fit(self, probs, labels, error, message):
+        with pytest.raises(error, match=message):
+            log_loss(probs, labels)
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,7 +26,7 @@ from sentibert.pretrain import (
 )
 from sentibert.synthetic import generate_dataset, generate_documents
 from sentibert.tensor import Graph, batch_layout, cross_entropy
-from sentibert.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, build_vocab, encode_pair
+from sentibert.tokenizer import CLS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID, build_vocab, encode_pair
 
 SMALL = EncoderConfig(num_layers=1, num_heads=2, d_model=16, d_ff=32, max_len=24, dropout_rate=0.0)
 
@@ -99,6 +99,14 @@ class TestMaskTokens:
         assert kinds["mask"] / total == pytest.approx(0.8, abs=0.03)
         assert kinds["random"] / total == pytest.approx(0.1, abs=0.05)
         assert kinds["kept"] / total == pytest.approx(0.1, abs=0.03)
+
+    def test_vocab_of_only_special_tokens_rejected_before_any_draw(self, vocab):
+        seq = encode_pair("room", None, vocab, 12)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="non-special vocab entry"):
+            mask_tokens(seq, 0.15, rng, NUM_SPECIALS)
+        assert rng.random() == np.random.default_rng(0).random()  # the generator was not advanced
+        assert mask_tokens(seq, 0.0, rng, NUM_SPECIALS)[0].token_ids == seq.token_ids
 
     def test_targets_hold_original_ids(self, vocab):
         seq = encode_pair("good room bad pool", None, vocab, 12)

@@ -291,6 +291,22 @@ class TestCrossEntropy:
         with pytest.raises(IndexError):
             cross_entropy(Tensor([[0.0, 0.0, 0.0]]), [3])
 
+    @pytest.mark.parametrize(
+        "batch, targets, weights, message",
+        [
+            (0, [], None, "empty batch"),
+            (2, [0], None, "expected 2 targets"),
+            (2, [[0, 1]], None, "expected 2 targets"),
+            (2, [0, 1], [1.0, 1.0], "need 3 class weights"),
+            (2, [0, 1], [1.0, 0.0, 1.0], "must be positive"),
+            (2, [0, 1], [1.0, -2.0, 1.0], "must be positive"),
+        ],
+        ids=["empty-batch", "too-few-targets", "targets-not-1d", "two-weights", "zero-weight", "negative-weight"],
+    )
+    def test_rejects_a_batch_targets_or_weights_that_do_not_fit(self, batch, targets, weights, message):
+        with pytest.raises(ContractError, match=message):
+            cross_entropy(Tensor(np.zeros((batch, 3))), targets, weights)
+
     def test_mean_over_batch(self):
         logits = Tensor([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         loss = cross_entropy(logits, [1, 0])
