@@ -10,14 +10,12 @@ import numpy as np
 
 from .balance import STRATEGIES, ClassHistogram, by_class, class_weights, rebalance
 from .data import NUM_CLASSES, LabeledExample
-from .errors import ConfigError, check_finite_loss
+from .errors import ConfigError, ContractError, check_finite_loss
 from .metrics import MetricsReport, confusion, log_loss, report
 from .model import SentimentModel, eval_chunks
 from .optim import OPTIMIZERS, LoopConfig, descend, run_epochs
 from .tensor import cross_entropy, softmax
 from .tokenizer import EncodedSequence, encode_pair
-
-CURVE_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
 
 
 @dataclass
@@ -35,12 +33,19 @@ class TrainConfig(LoopConfig):
             raise ConfigError(f"balance must be one of {STRATEGIES}, got {self.balance!r}")
 
 
-def curve_to_csv(rows: Sequence[dict], columns: Sequence[str] = CURVE_COLUMNS) -> str:
-    """A header of columns, then one line per epoch record holding each value's repr."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(row[c]) for c in columns))
+def curve_to_csv(rows: Sequence[dict]) -> str:
+    """A header of the records' keys, then one line of value reprs per record;
+    ContractError unless there are records, all with the same keys in order."""
+    if not rows or any(list(row) != list(rows[0]) for row in rows):
+        raise ContractError("curve_to_csv: needs one or more records, all with the same keys in the same order")
+    lines = [",".join(rows[0])] + [",".join(map(repr, row.values())) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def kept_record(curve: Sequence[dict], keep_best: bool) -> dict:
+    """The epoch record whose parameters train returns: with keep_best the
+    first of least val_loss, else the last."""
+    return min(curve, key=lambda row: row["val_loss"]) if keep_best else curve[-1]
 
 
 def _probs_for(seqs: list[EncodedSequence], model: SentimentModel) -> np.ndarray:
@@ -93,12 +98,13 @@ def train(
 ) -> tuple[SentimentModel, list[dict]]:
     """Shuffled mini-batch cross-entropy fine-tuning.
 
-    One dict per epoch keyed by CURVE_COLUMNS: train_loss and train_acc are
-    the epoch's step figures (mean loss; share of examples whose logits put
-    their label first), val_loss (log loss) and val_acc an eval-mode
-    re-score of the validation partition. keep_best returns the parameters
-    of the best-validation-loss epoch. A step or validation loss that is
-    not finite raises ConfigError naming the epoch and step.
+    One record per epoch, keyed epoch, train_loss, train_acc, val_loss,
+    val_acc: train_loss and train_acc are the epoch's step figures (mean
+    loss; share of examples whose logits put their label first), val_loss
+    (log loss) and val_acc an eval-mode re-score of the validation
+    partition. The model returned holds the parameters of the epoch
+    kept_record names. A step or validation loss that is not finite raises
+    ConfigError naming the epoch and step.
     """
     missing = ClassHistogram.from_dataset(dataset).missing()
     if len(missing) > NUM_CLASSES - 2:
@@ -126,7 +132,7 @@ def train(
     optimizer = OPTIMIZERS[config.algorithm](model.named_parameters("classifier"), config.lr)
 
     # hits: this epoch's training examples whose step logits put their label first
-    hits, best_loss, best_params = 0, np.inf, None
+    hits, records, kept = 0, [], None
 
     def step(where: str, idx) -> float:
         def loss():
@@ -139,18 +145,19 @@ def train(
         return descend(optimizer, where, loss)
 
     def end_epoch(where: str, step_losses: list[float]) -> dict:
-        nonlocal hits, best_loss, best_params
+        nonlocal hits, kept
         train_acc, hits = hits / len(train_seqs), 0
         val_loss, val_acc = _partition_scores(val_seqs, val_labels, model)
         check_finite_loss(f"{where}, re-scored validation partition", val_loss)
-        if config.keep_best and val_loss < best_loss:
-            best_loss, best_params = val_loss, model.snapshot()
         train_loss = float(np.mean(step_losses))
-        return {"train_loss": train_loss, "train_acc": train_acc, "val_loss": val_loss, "val_acc": val_acc}
+        records.append({"train_loss": train_loss, "train_acc": train_acc, "val_loss": val_loss, "val_acc": val_acc})
+        if config.keep_best and kept_record(records, True) is records[-1]:
+            kept = model.snapshot()
+        return records[-1]
 
     curve = run_epochs(config, len(train_seqs), rng, step, end_epoch)
-    if best_params is not None:
-        model.load_snapshot(best_params)
+    if kept_record(curve, config.keep_best) is not curve[-1]:  # the last epoch's parameters are in place
+        model.load_snapshot(kept)
     return model, curve
 
 

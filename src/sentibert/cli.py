@@ -18,14 +18,14 @@ import numpy as np
 
 from . import balance as balance_mod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .classify import TrainConfig, curve_to_csv, evaluate, predict_batch, train
+from .classify import TrainConfig, curve_to_csv, evaluate, kept_record, predict_batch, train
 from .data import FORMATS, LABELS, LabeledExample, ingest, read_corpus, write_jsonl
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigError, DataError, SamplingError
 from .fileio import parse_json, read_text, write_file
 from .metrics import MetricsReport, cm_to_csv
 from .model import SentimentModel
-from .pretrain import HISTORY_COLUMNS, PretrainConfig, run_pretraining
+from .pretrain import PretrainConfig, run_pretraining
 from .tokenizer import Vocab, build_vocab, check_vocab_limits
 
 
@@ -223,7 +223,7 @@ def _cmd_pretrain(cfg: dict) -> None:
     except SamplingError as exc:  # the corpus's shape; a diverging loss is not the file's fault
         raise SamplingError(f"paths.pretrain_corpus {corpus_path}: {exc}") from exc
     save_checkpoint(model, ckpt)
-    write_file(curve_path, curve_to_csv(history, HISTORY_COLUMNS))
+    write_file(curve_path, curve_to_csv(history))
     _emit({"command": "pretrain", "checkpoint": ckpt, "epochs": len(history), "final_loss": history[-1]["val_loss"]})
 
 
@@ -247,8 +247,9 @@ def _cmd_train(cfg: dict) -> None:
     model, curve = train(dataset, train_cfg, model)
     save_checkpoint(model, ckpt)
     write_file(curve_path, curve_to_csv(curve))
-    final = {"final_val_acc": curve[-1]["val_acc"], "final_train_loss": curve[-1]["train_loss"]}
-    _emit({"command": "train", "checkpoint": ckpt, "epochs": len(curve), **final})
+    final, kept = curve[-1], kept_record(curve, train_cfg.keep_best)  # kept: the epoch the checkpoint holds
+    line = {"command": "train", "checkpoint": ckpt, "epochs": len(curve), "final_train_loss": final["train_loss"]}
+    _emit({**line, "final_val_acc": final["val_acc"], "kept_epoch": kept["epoch"], "kept_val_acc": kept["val_acc"]})
 
 
 def _cmd_evaluate(cfg: dict) -> None:
@@ -305,8 +306,8 @@ def _cmd_report(cfg: dict) -> None:
         rep = MetricsReport.from_dict(raw)
     except DataError as exc:
         raise DataError(f"{metrics_path}: not a metrics report ({exc})") from exc
-    rows = [*zip(LABELS, rep.precision_per_class, rep.recall_per_class, rep.f1_per_class)]
-    rows.append(("macro", rep.precision_macro, rep.recall_macro, rep.f1_macro))
+    rows = [*zip(LABELS, rep.precision.per_class, rep.recall.per_class, rep.f1.per_class)]
+    rows.append(("macro", rep.precision.macro, rep.recall.macro, rep.f1.macro))
     header = f"{'class':<10} {'precision':>9} {'recall':>9} {'f1':>9}"
     lines = [f"accuracy  {rep.accuracy:.4f}", f"log loss  {rep.log_loss:.4f}", "", header]
     lines += [f"{name:<10} {p:>9.4f} {r:>9.4f} {f1:>9.4f}" for name, p, r, f1 in rows]

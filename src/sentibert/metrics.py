@@ -10,7 +10,7 @@ import io
 import json
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,26 +127,25 @@ def log_loss(probabilities, labels) -> float:
 
 
 @dataclass
+class ClassMetric:
+    per_class: list[float]  # one value per label, in LABELS order
+    macro: float  # their unweighted mean
+
+
+@dataclass
 class MetricsReport:
-    precision_per_class: list[float]
-    precision_macro: float
-    recall_per_class: list[float]
-    recall_macro: float
-    f1_per_class: list[float]
-    f1_macro: float
+    """The metrics file's layout, field for field: to_dict is dataclasses.asdict.
+    degenerate_flags names each "metric.label" entry whose denominator was 0, sorted."""
+
+    precision: ClassMetric
+    recall: ClassMetric
+    f1: ClassMetric
     accuracy: float
     log_loss: float
     degenerate_flags: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "precision": {"per_class": self.precision_per_class, "macro": self.precision_macro},
-            "recall": {"per_class": self.recall_per_class, "macro": self.recall_macro},
-            "f1": {"per_class": self.f1_per_class, "macro": self.f1_macro},
-            "accuracy": self.accuracy,
-            "log_loss": self.log_loss,
-            "degenerate_flags": self.degenerate_flags,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -172,41 +171,24 @@ class MetricsReport:
         def real(path: str) -> float:
             return float(field(path, finite, "a finite number"))
 
-        def per_class(path: str) -> list[float]:
+        def metric(name: str) -> ClassMetric:
             valid = lambda v: isinstance(v, list) and len(v) == NUM_CLASSES and all(map(finite, v))
-            return [float(v) for v in field(path, valid, f"a list of {NUM_CLASSES} finite numbers")]
+            per_class = field(f"{name}.per_class", valid, f"a list of {NUM_CLASSES} finite numbers")
+            return ClassMetric([float(v) for v in per_class], real(f"{name}.macro"))
 
+        metrics = [metric(name) for name in ("precision", "recall", "f1")]  # checked in file order
+        scalars = [real("accuracy"), real("log_loss")]
         flags = lambda v: isinstance(v, list) and all(isinstance(flag, str) for flag in v)
-        return cls(
-            precision_per_class=per_class("precision.per_class"),
-            precision_macro=real("precision.macro"),
-            recall_per_class=per_class("recall.per_class"),
-            recall_macro=real("recall.macro"),
-            f1_per_class=per_class("f1.per_class"),
-            f1_macro=real("f1.macro"),
-            accuracy=real("accuracy"),
-            log_loss=real("log_loss"),
-            degenerate_flags=list(field("degenerate_flags", flags, "a list of strings")),
-        )
+        return cls(*metrics, *scalars, list(field("degenerate_flags", flags, "a list of strings")))
 
 
 def report(cm, probabilities=None, labels=None) -> MetricsReport:
     """Assemble the full report; log_loss is 0 when probabilities are absent."""
     ratios = _ratios(cm)
-    per_class = {metric: [value for value, _ in row] for metric, row in ratios.items()}
+    metrics = {name: ClassMetric(values := [v for v, _ in row], macro(values)) for name, row in ratios.items()}
     flags = [f"{m}.{LABELS[c]}" for m, row in ratios.items() for c, (_, degenerate) in enumerate(row) if degenerate]
     ll = log_loss(probabilities, labels) if probabilities is not None else 0.0
-    return MetricsReport(
-        precision_per_class=per_class["precision"],
-        precision_macro=macro(per_class["precision"]),
-        recall_per_class=per_class["recall"],
-        recall_macro=macro(per_class["recall"]),
-        f1_per_class=per_class["f1"],
-        f1_macro=macro(per_class["f1"]),
-        accuracy=accuracy(cm),
-        log_loss=ll,
-        degenerate_flags=sorted(flags),
-    )
+    return MetricsReport(**metrics, accuracy=accuracy(cm), log_loss=ll, degenerate_flags=sorted(flags))
 
 
 def cm_to_csv(cm) -> str:

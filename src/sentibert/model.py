@@ -10,6 +10,9 @@ stay small whatever the lengths.
 """
 
 import copy
+import math
+import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,6 +42,19 @@ def parameter_shapes(vocab_size: int, config: EncoderConfig) -> dict[str, tuple[
     shapes.update({"classifier.weight": (d, NUM_CLASSES), "classifier.bias": (NUM_CLASSES,)})
     shapes.update({"nsp.weight": (d, 2), "nsp.bias": (2,)})
     return shapes
+
+
+def check_fits_memory(vocab_size: int, config: EncoderConfig) -> None:
+    """ConfigError if the float64 weights alone exceed physical memory, counted from the
+    tables of 0 and 1 layers; unchecked where the platform does not report its memory."""
+    size = lambda layers: sum(map(math.prod, parameter_shapes(vocab_size, replace(config, num_layers=layers)).values()))
+    count = size(0) + config.num_layers * (size(1) - size(0))
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        return
+    if 8 * count > memory > 0:
+        raise ConfigError(f"too large to allocate ({count} parameters need {8 * count} bytes; memory has {memory})")
 
 
 def eval_chunks(seqs: list[EncodedSequence]) -> list[np.ndarray]:
@@ -84,6 +100,7 @@ class SentimentModel:
     def init(cls, vocab: Vocab, config: EncoderConfig, seed: int) -> "SentimentModel":
         """Random initialization, deterministic per seed: initial_array for
         each parameter in parameter_shapes order, from one generator."""
+        check_fits_memory(len(vocab), config)
         rng = np.random.default_rng(seed)
         shapes = parameter_shapes(len(vocab), config)
         params = {n: parameter(initial_array(n, s, config, rng), name=n) for n, s in shapes.items()}

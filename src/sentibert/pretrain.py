@@ -21,7 +21,6 @@ from .tokenizer import (
 )
 
 SENTINEL = -1  # mlm target at positions not selected for prediction
-HISTORY_COLUMNS = ("epoch", "train_loss", "val_loss", "mlm_loss", "nsp_loss", "mlm_acc")
 
 
 @dataclass
@@ -154,7 +153,8 @@ def pretrain_step(
 
 
 def eval_losses(batch: MaskedBatch, model: SentimentModel) -> dict[str, float]:
-    """Eval-mode MLM/NSP losses and masked-token top-1 accuracy on a fixed batch."""
+    """Eval-mode figures on a fixed batch, keyed and ordered as the history's held-out
+    columns: val_loss = mlm_loss + nsp_loss, mlm_loss, nsp_loss, masked-token top-1 mlm_acc."""
     if not batch.sequences:
         raise ContractError("eval_losses: empty batch")
     mlm_sum = nsp_sum = 0.0
@@ -171,11 +171,9 @@ def eval_losses(batch: MaskedBatch, model: SentimentModel) -> dict[str, float]:
             mlm_sum += mlm_loss.item() * len(targets)
             hits += int((logits.argmax(axis=1) == np.asarray(targets)).sum())
             total += len(targets)
-    return {
-        "mlm_loss": mlm_sum / total if total else 0.0,
-        "nsp_loss": nsp_sum / len(batch.sequences),
-        "mlm_accuracy": hits / total if total else 0.0,
-    }
+    mlm_loss, nsp_loss = mlm_sum / total if total else 0.0, nsp_sum / len(batch.sequences)
+    mlm_acc = hits / total if total else 0.0
+    return {"val_loss": mlm_loss + nsp_loss, "mlm_loss": mlm_loss, "nsp_loss": nsp_loss, "mlm_acc": mlm_acc}
 
 
 @dataclass
@@ -195,12 +193,12 @@ def run_pretraining(
 ) -> list[dict[str, float]]:
     """Epochs of MLM+NSP training over the corpus's sentence pairs.
 
-    One record per epoch, keyed by HISTORY_COLUMNS: train_loss is the mean
-    MLM+NSP loss of the epoch's steps; val_loss, mlm_loss, nsp_loss and
-    mlm_acc are eval-mode figures on a fixed masking of the whole pair set
-    (val_loss = mlm_loss + nsp_loss). A corpus with no documents raises
-    ConfigError, as does a step loss or val_loss that is not finite, naming
-    the epoch and step; a corpus nsp_pairs cannot sample raises SamplingError.
+    One record per epoch, keyed epoch, train_loss, val_loss, mlm_loss,
+    nsp_loss, mlm_acc: train_loss is the mean MLM+NSP loss of the epoch's
+    steps, the rest are eval_losses on a fixed masking of the whole pair set.
+    A corpus with no documents raises ConfigError, as does a step loss or
+    val_loss that is not finite, naming the epoch and step; a corpus
+    nsp_pairs cannot sample raises SamplingError.
     """
     if not corpus:
         raise ConfigError("pretraining corpus has no documents")
@@ -220,13 +218,7 @@ def run_pretraining(
 
     def end_epoch(where: str, step_losses: list[float]) -> dict[str, float]:
         held = eval_losses(eval_batch, model)
-        check_finite_loss(f"{where}, held-out pairs", held["mlm_loss"] + held["nsp_loss"])
-        return {
-            "train_loss": float(np.mean(step_losses)),
-            "val_loss": held["mlm_loss"] + held["nsp_loss"],
-            "mlm_loss": held["mlm_loss"],
-            "nsp_loss": held["nsp_loss"],
-            "mlm_acc": held["mlm_accuracy"],
-        }
+        check_finite_loss(f"{where}, held-out pairs", held["val_loss"])
+        return {"train_loss": float(np.mean(step_losses)), **held}
 
     return run_epochs(config, len(pairs), rng, step, end_epoch)

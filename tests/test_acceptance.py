@@ -176,7 +176,7 @@ def test_criterion_5_imbalance_sweep():
             tc = TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=7, keep_best=False, balance=strategy)
             model, _ = train(data, tc, model)
             rep, cm = evaluate(model, test_set)
-            macro_f1[(ratio, strategy)] = rep.f1_macro
+            macro_f1[(ratio, strategy)] = rep.f1.macro
             minority_recall[(ratio, strategy)] = recall_class(cm, minority)
 
     header = "ratio   " + "".join(f"{s:>15}" for s in STRATEGIES)

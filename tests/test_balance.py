@@ -55,6 +55,10 @@ class TestOversample:
         # originals all present
         assert multiset(data) <= multiset(out)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ConfigError, match="^oversample: empty dataset$"):
+            oversample([], np.random.default_rng(0))
+
     def test_already_balanced_unchanged_as_multiset(self):
         data = make_dataset([5, 5, 5])
         out = oversample(data, np.random.default_rng(1))

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from gradcheck import tape_ops
 from sentibert import tensor
 from sentibert.classify import (
-    CURVE_COLUMNS,
     TrainConfig,
     curve_to_csv,
     evaluate,
     forward_classify,
+    kept_record,
     predict_batch,
     train,
 )
 from sentibert.data import LabeledExample
 from sentibert.encoder import EncoderConfig
-from sentibert.errors import ConfigError
+from sentibert.errors import ConfigError, ContractError
 from sentibert.model import SentimentModel, eval_chunks
 from sentibert.synthetic import generate_dataset, make_sentence
 from sentibert.tensor import Graph, cross_entropy
@@ -290,12 +290,51 @@ class TestTrain:
         val_loss, _ = _partition_scores(val_seqs, [data[i].label for i in val_idx], model)
         assert val_loss == pytest.approx(min(r["val_loss"] for r in curve), abs=1e-9)
 
+    def test_kept_epoch_is_the_epoch_whose_parameters_train_returns(self):
+        # at seed 4 the best validation loss of 12 epochs falls before the last;
+        # the same run stopped at that epoch without keep_best ends where it did
+        data = generate_dataset((20, 20, 20), seed=0)
+        config = EncoderConfig(num_layers=1, num_heads=2, d_model=32, d_ff=64, max_len=16)
+
+        def run(epochs, keep_best):
+            tc = TrainConfig(epochs=epochs, batch_size=8, lr=3e-3, seed=4, keep_best=keep_best)
+            return train(data, tc, _model(data, seed=4, config=config))
+
+        model, curve = run(12, True)
+        kept = kept_record(curve, True)
+        assert kept["epoch"] < len(curve)
+        assert kept["val_loss"] == min(r["val_loss"] for r in curve)
+        stopped, prefix = run(kept["epoch"], False)
+        assert prefix == curve[: kept["epoch"]] and kept_record(prefix, False) is prefix[-1]
+        kept_params = model.snapshot()
+        for name, value in stopped.snapshot().items():
+            np.testing.assert_array_equal(kept_params[name], value, err_msg=name)
+
+    def test_kept_record_takes_the_first_of_equal_losses(self):
+        curve = [{"epoch": e, "val_loss": v} for e, v in enumerate((0.5, 0.25, 0.25, 0.75), start=1)]
+        assert kept_record(curve, True)["epoch"] == 2
+        assert kept_record(curve, False)["epoch"] == 4
+
     def test_oversample_balance_strategy_trains_balanced(self):
         data = generate_dataset((6, 30, 30), seed=6)
         config = EncoderConfig(num_layers=1, num_heads=1, d_model=8, d_ff=16, max_len=12, dropout_rate=0.0)
         model = _model(data, seed=5, config=config)
         trained, curve = train(data, TrainConfig(epochs=1, batch_size=8, seed=5, balance="oversample"), model)
         assert len(curve) == 1  # smoke: the strategy wires through
+
+    @pytest.mark.parametrize("val_split", [0.0, 1.0])
+    def test_val_split_outside_the_open_interval_rejected(self, val_split):
+        with pytest.raises(ConfigError, match=rf"^val_split must be in \(0, 1\), got {val_split}"):
+            TrainConfig(val_split=val_split)
+
+    def test_split_of_one_example_per_class_hands_one_back_to_training(self):
+        # 0.6 of one example rounds to one: every example lands in validation first
+        from sentibert.classify import _stratified_split
+
+        singles = [LabeledExample(f"text {c}", c) for c in range(3)]
+        train_idx, val_idx = _stratified_split(singles, 0.6, np.random.default_rng(0))
+        assert len(train_idx) == 1 and len(val_idx) == 2
+        assert sorted(train_idx + val_idx) == [0, 1, 2]
 
     def test_class_weights_come_only_from_the_balance_strategy(self):
         with pytest.raises(TypeError, match="class_weights"):
@@ -380,7 +419,6 @@ class TestConcurrencyAndAlgorithms:
             np.testing.assert_array_equal(a, b)
 
     def test_nested_graphs_rejected(self):
-        from sentibert.errors import ContractError
         from sentibert.tensor import Graph
 
         with Graph():
@@ -411,6 +449,10 @@ class TestEvaluate:
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ConfigError, match="^evaluate: empty dataset$"):
+            evaluate(_model(TOY), [])
+
     def test_random_head_on_balanced_set_is_near_chance(self):
         data = generate_dataset((60, 60, 60), seed=8)
         model = _model(data, seed=12)  # untrained: logits are tiny, probs near-uniform
@@ -419,18 +461,32 @@ class TestEvaluate:
         assert abs(rep.accuracy - 1 / 3) < 5 * sigma
 
 
+COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
+
+
 class TestCurveCsv:
     def test_header_and_layout(self):
-        curve = [dict(zip(CURVE_COLUMNS, (1, 1.0, 0.5, 1.1, 0.4))), dict(zip(CURVE_COLUMNS, (2, 0.5, 0.9, 0.6, 0.8)))]
+        curve = [dict(zip(COLUMNS, (1, 1.0, 0.5, 1.1, 0.4))), dict(zip(COLUMNS, (2, 0.5, 0.9, 0.6, 0.8)))]
         text = curve_to_csv(curve)
         lines = text.strip().split("\n")
-        assert lines[0] == ",".join(CURVE_COLUMNS) == "epoch,train_loss,train_acc,val_loss,val_acc"
+        assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
         assert lines[1] == "1,1.0,0.5,1.1,0.4"
         assert len(lines) == 3
 
-    def test_dict_rows_with_their_own_columns(self):
-        rows = [{"epoch": 1, "loss": 0.25, "acc": 0.5, "unused": 9}]
-        assert curve_to_csv(rows, ("epoch", "loss", "acc")) == "epoch,loss,acc\n1,0.25,0.5\n"
+    def test_header_is_the_records_keys(self):
+        # a field added to the epoch record reaches the header instead of being dropped
+        rows = [dict(zip(COLUMNS, (1, 1.0, 0.5, 1.1, 0.4)), lr=0.001), dict(zip(COLUMNS, (2, 0.5, 0.9, 0.6, 0.8)), lr=0.002)]
+        lines = ["epoch,train_loss,train_acc,val_loss,val_acc,lr", "1,1.0,0.5,1.1,0.4,0.001", "2,0.5,0.9,0.6,0.8,0.002"]
+        assert curve_to_csv(rows) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [{"epoch": 1, "loss": 0.5}, {"epoch": 2}], [{"epoch": 1, "loss": 0.5}, {"loss": 0.25, "epoch": 2}]],
+        ids=["no-records", "missing-key", "reordered-keys"],
+    )
+    def test_records_that_do_not_share_their_keys_are_refused(self, rows):
+        with pytest.raises(ContractError, match="same keys in the same order"):
+            curve_to_csv(rows)
 
 
 def _libc_mallopt():

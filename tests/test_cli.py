@@ -146,6 +146,43 @@ class TestPipeline:
         curve_last = (tmp / "curve.csv").read_text().strip().split("\n")[-1].split(",")
         assert emitted["final_train_loss"] == float(curve_last[1]) == float(np.mean(last_epoch))
 
+    def test_train_line_names_the_epoch_the_checkpoint_holds(self, workspace, capsys, monkeypatch):
+        # at seed 0 the best validation loss of 8 epochs falls at epoch 6: the
+        # line's kept_* keys name the epoch whose snapshot train restores
+        from sentibert import classify
+
+        tmp, config_path, config = workspace
+        config["train"].update(epochs=8, lr=0.003)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("build-vocab", "--config", str(config_path)) == 0
+        scored, taken, restored = [], [], []
+        real_scores, real_snapshot, real_load = (
+            classify._partition_scores, SentimentModel.snapshot, SentimentModel.load_snapshot
+        )
+        monkeypatch.setattr(classify, "_partition_scores", lambda *a: scored.append(1) or real_scores(*a))
+        snapshot = lambda m: taken.append((len(scored), real_snapshot(m))) or taken[-1][1]
+        monkeypatch.setattr(SentimentModel, "snapshot", snapshot)
+        monkeypatch.setattr(SentimentModel, "load_snapshot", lambda m, a: restored.append(a) or real_load(m, a))
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(config_path), "--seed", "0") == 0
+        emitted = json.loads(capsys.readouterr().out)
+        rows = list(csv.DictReader((tmp / "curve.csv").read_text().splitlines()))
+        [epoch] = [e for e, arrays in taken if any(arrays is r for r in restored)]
+        assert emitted["kept_epoch"] == epoch == 6 < emitted["epochs"]
+        assert emitted["kept_val_acc"] == float(rows[epoch - 1]["val_acc"]) != emitted["final_val_acc"]
+        assert emitted["final_val_acc"] == float(rows[-1]["val_acc"])
+
+    def test_without_keep_best_the_kept_epoch_is_the_last(self, workspace, capsys):
+        tmp, config_path, config = workspace
+        config["train"]["keep_best"] = False
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("build-vocab", "--config", str(config_path)) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(config_path)) == 0
+        emitted = json.loads(capsys.readouterr().out)
+        assert emitted["kept_epoch"] == emitted["epochs"] == 2
+        assert emitted["kept_val_acc"] == emitted["final_val_acc"]
+
     def test_evaluate_perfect_fixture(self, workspace, capsys):
         tmp, config_path, config = workspace
         assert run_cli("build-vocab", "--config", str(config_path)) == 0
@@ -453,6 +490,9 @@ BAD_CONFIGS = [
     ("train", _set("encoder.d_model", 2**42), "bad encoder config: too large to allocate"),
     ("pretrain", _set("encoder.max_len", 2**42), "bad encoder config: too large to allocate"),
     ("train", _set("encoder.d_ff", 2**42), "bad encoder config: too large to allocate"),
+    # weights counted against physical memory before the shape table of 10**7 layers is built
+    ("train", _set("encoder.num_layers", 10**7), "parameters need"),
+    ("pretrain", _set("encoder.num_layers", 10**7), "parameters need"),
 ]
 
 

@@ -92,6 +92,12 @@ class TestCsvIngest:
         path.write_text("text,label\n\nfine,positive\n\n\nmeh,neutral\n", encoding="utf-8")
         assert ingest(str(path), "csv") == [LabeledExample("fine", 2), LabeledExample("meh", 1)]
 
+    def test_header_only_file_has_no_records(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("text,label\n\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: no records found (empty dataset)")):
+            ingest(str(path), "csv")
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("body,sentiment\nx,positive\n", encoding="utf-8")

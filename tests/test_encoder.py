@@ -124,6 +124,8 @@ class TestAttention:
             attention(t(0, 12), [], 1)
         with pytest.raises(ShapeError):
             attention(Tensor(np.zeros(12)), [1], 1)
+        with pytest.raises(ShapeError, match=r"^multi_head: input width 8 != d_model 4$"):
+            multi_head(t(2, 8), t(4, 12), t(4, 4), [2], 1)
 
     def test_matches_per_sequence_reference(self):
         rng = np.random.default_rng(12)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 import re
@@ -182,6 +183,10 @@ class TestAccuracy:
         with pytest.raises(ContractError):
             accuracy(np.zeros((3, 3)))
 
+    def test_matrix_that_is_not_3x3_rejected(self):
+        with pytest.raises(ContractError, match=re.escape("expected a 3x3 confusion matrix, got shape (2, 2)")):
+            accuracy(np.eye(2))
+
     def test_equals_prevalence_weighted_recall(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -262,7 +267,7 @@ def test_brute_force_oracle_equivalence(pairs):
         assert recall_class(cm, c) == pytest.approx(r, abs=1e-12)
         assert f1_class(cm, c) == pytest.approx(f, abs=1e-12)
     rep = report(cm)
-    assert rep.precision_macro == pytest.approx(macro([expected["per_class"][c][0] for c in range(3)]), abs=1e-12)
+    assert rep.precision.macro == pytest.approx(macro([expected["per_class"][c][0] for c in range(3)]), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -313,6 +318,27 @@ class TestSerialization:
         assert set(raw) == {"precision", "recall", "f1", "accuracy", "log_loss", "degenerate_flags"}
         assert set(raw["precision"]) == {"per_class", "macro"}
 
+    def test_to_dict_is_asdict_in_the_file_layout(self):
+        rep = report(confusion([0, 1, 2, 2], [0, 1, 1, 2]), [[1.0, 0.0, 0.0]] * 4, [0, 1, 1, 2])
+        raw = rep.to_dict()
+        assert raw == dataclasses.asdict(rep)
+        assert list(raw) == ["precision", "recall", "f1", "accuracy", "log_loss", "degenerate_flags"]
+        for name in ("precision", "recall", "f1"):
+            assert raw[name] == {"per_class": getattr(rep, name).per_class, "macro": getattr(rep, name).macro}
+        assert raw["f1"] == {"per_class": [1.0, 2 / 3, 2 / 3], "macro": macro([1.0, 2 / 3, 2 / 3])}
+
+    def test_from_dict_names_the_fields_in_file_order(self):
+        # every field broken: each fix moves the error to the next field, in file order
+        raw = {"precision": {}, "recall": {}, "f1": {}}
+        fields = [f"{m}.{k}" for m in ("precision", "recall", "f1") for k in ("per_class", "macro")]
+        valid = {"per_class": [0.5, 0.5, 0.5], "macro": 0.5}
+        for path in fields + ["accuracy", "log_loss", "degenerate_flags"]:
+            with pytest.raises(DataError, match=rf"^metrics field {re.escape(path)} must be "):
+                MetricsReport.from_dict(raw)
+            metric, _, key = path.rpartition(".")
+            (raw[metric] if metric else raw)[key] = valid.get(key, [] if key == "degenerate_flags" else 0.5)
+        assert MetricsReport.from_dict(raw).to_dict() == raw
+
     def test_cm_csv_round_trip(self):
         cm = confusion([0, 1, 2, 0, 1], [0, 2, 2, 0, 1])
         assert cm_to_csv(cm) == ",negative,neutral,positive\nnegative,2,0,0\nneutral,0,1,0\npositive,0,1,1\n"
@@ -326,12 +352,12 @@ class TestSerialization:
             rep = report(confusion(preds, labels))
             for v in (
                 rep.accuracy,
-                rep.precision_macro,
-                rep.recall_macro,
-                rep.f1_macro,
-                *rep.precision_per_class,
-                *rep.recall_per_class,
-                *rep.f1_per_class,
+                rep.precision.macro,
+                rep.recall.macro,
+                rep.f1.macro,
+                *rep.precision.per_class,
+                *rep.recall.per_class,
+                *rep.f1.per_class,
             ):
                 assert 0.0 <= v <= 1.0
             assert rep.log_loss >= 0.0

@@ -1,3 +1,7 @@
+import math
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -155,6 +159,56 @@ class TestParameters:
         snap["classifier.weight"] = np.zeros((2, 2))
         with pytest.raises(ConfigError):
             model.clone().load_snapshot(snap)
+
+
+    def test_missing_tensors_are_named(self, model):
+        arrays = model.snapshot()
+        del arrays["nsp.bias"], arrays["encoder.1.wo"]
+        named = "tensors missing: ['encoder.1.wo', 'nsp.bias']; not model parameters: []"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            SentimentModel.from_arrays(model.vocab, CONFIG, arrays, seed=0)
+
+
+def _physical_memory(monkeypatch, nbytes):
+    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": nbytes // 8}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+
+class TestMemoryCheck:
+    """init refuses weights that physical memory cannot hold, before it builds the shape table."""
+
+    VOCAB = Vocab(list(SPECIAL_TOKENS) + ["a", "b"])
+
+    def test_the_bound_is_eight_bytes_per_listed_weight(self, monkeypatch):
+        nbytes = 8 * sum(math.prod(shape) for shape in parameter_shapes(len(self.VOCAB), CONFIG).values())
+        _physical_memory(monkeypatch, nbytes)
+        SentimentModel.init(self.VOCAB, CONFIG, seed=0)
+        _physical_memory(monkeypatch, nbytes - 8)
+        named = f"too large to allocate ({nbytes // 8} parameters need {nbytes} bytes; memory has {nbytes - 8})"
+        with pytest.raises(ConfigError, match="^" + re.escape(named)):
+            SentimentModel.init(self.VOCAB, CONFIG, seed=0)
+
+    def test_a_huge_stack_is_refused_without_building_its_table(self, monkeypatch):
+        from sentibert import model as model_mod
+
+        real = model_mod.parameter_shapes
+
+        def small_tables_only(vocab_size, config):
+            assert config.num_layers <= 1, "the shape table of the whole stack was built"
+            return real(vocab_size, config)
+
+        monkeypatch.setattr(model_mod, "parameter_shapes", small_tables_only)
+        _physical_memory(monkeypatch, 2**33)
+        with pytest.raises(ConfigError, match="too large to allocate"):
+            SentimentModel.init(self.VOCAB, EncoderConfig(num_layers=10**7), seed=0)
+
+    @pytest.mark.parametrize("fault", [ValueError, OSError])
+    def test_a_platform_that_does_not_report_its_memory_is_not_checked(self, monkeypatch, fault):
+        def sysconf(name):
+            raise fault(f"unrecognized configuration name {name}")
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert SentimentModel.init(self.VOCAB, CONFIG, seed=0).config == CONFIG
 
 
 class TestHeads:

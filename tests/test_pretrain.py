@@ -9,12 +9,12 @@ from gradcheck import tape_ops
 from sentibert import classify, pretrain, tensor
 from sentibert.classify import TrainConfig
 from sentibert.encoder import EncoderConfig
-from sentibert.errors import ConfigError, SamplingError
+from sentibert.errors import ConfigError, ContractError, SamplingError
 from sentibert.model import SentimentModel
 from sentibert.optim import Adam
 from sentibert.pretrain import (
-    HISTORY_COLUMNS,
     SENTINEL,
+    MaskedBatch,
     PretrainConfig,
     _batch_losses,
     build_masked_batch,
@@ -107,6 +107,12 @@ class TestMaskTokens:
             mask_tokens(seq, 0.15, rng, NUM_SPECIALS)
         assert rng.random() == np.random.default_rng(0).random()  # the generator was not advanced
         assert mask_tokens(seq, 0.0, rng, NUM_SPECIALS)[0].token_ids == seq.token_ids
+
+    @pytest.mark.parametrize("p", [1.0, -0.1])
+    def test_probability_outside_zero_to_one_rejected(self, vocab, p):
+        seq = encode_pair("room", None, vocab, 12)
+        with pytest.raises(ContractError, match=re.escape(f"mask probability must be in [0, 1), got {p}")):
+            mask_tokens(seq, p, np.random.default_rng(0), len(vocab))
 
     def test_targets_hold_original_ids(self, vocab):
         seq = encode_pair("good room bad pool", None, vocab, 12)
@@ -300,11 +306,29 @@ class TestPretrainStep:
     def test_history_rows_carry_honest_columns(self, corpus, vocab):
         model = self._model(vocab, seed=9)
         history = run_pretraining(corpus, model, PretrainConfig(epochs=2, batch_size=4, seed=31))
-        assert [tuple(row) for row in history] == [HISTORY_COLUMNS] * 2
+        columns = ("epoch", "train_loss", "val_loss", "mlm_loss", "nsp_loss", "mlm_acc")
+        assert [tuple(row) for row in history] == [columns] * 2
         assert [row["epoch"] for row in history] == [1, 2]
         for row in history:
             assert row["val_loss"] == row["mlm_loss"] + row["nsp_loss"]
             assert 0.0 <= row["mlm_acc"] <= 1.0
+
+    def test_an_empty_batch_is_refused(self, vocab):
+        model, empty = self._model(vocab), MaskedBatch(sequences=[], mlm_targets=[], nsp_labels=[])
+        with pytest.raises(ContractError, match="^pretrain_step: empty batch$"):
+            pretrain_step(empty, model, self._optimizer(model))
+        with pytest.raises(ContractError, match="^eval_losses: empty batch$"):
+            eval_losses(empty, model)
+
+    def test_eval_losses_returns_the_held_out_columns(self, corpus, vocab):
+        # the history's eval-mode columns, in order, passed through unrenamed
+        model = self._model(vocab, seed=9)
+        rng = np.random.default_rng(4)
+        held = eval_losses(build_masked_batch(nsp_pairs(corpus, rng), vocab, SMALL.max_len, 0.3, rng), model)
+        assert tuple(held) == ("val_loss", "mlm_loss", "nsp_loss", "mlm_acc")
+        assert held["val_loss"] == held["mlm_loss"] + held["nsp_loss"]
+        history = run_pretraining(corpus, model, PretrainConfig(epochs=1, batch_size=4, seed=31))
+        assert tuple(history[0])[2:] == tuple(held)
 
     def test_fifty_steps_reduce_mlm_loss(self, corpus, vocab):
         model = self._model(vocab, seed=1)
@@ -375,7 +399,7 @@ def test_no_op_reaches_the_tape_without_a_graph(corpus, vocab, monkeypatch):
     classify.forward_classify(data[0].text, model)
     classify.predict_batch([ex.text for ex in data], model)
     classify.evaluate(model, data)
-    assert eval_losses(batch, model)["mlm_accuracy"] >= 0.0
+    assert eval_losses(batch, model)["mlm_acc"] >= 0.0
 
 
 @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])

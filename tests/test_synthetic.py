@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sentibert.errors import ConfigError
@@ -17,6 +19,8 @@ def test_counts_respected():
     for ex in data:
         counts[ex.label] += 1
     assert counts == [5, 7, 11]
+    with pytest.raises(ConfigError, match=re.escape("counts must be 3 nonnegative ints, got (1, 2)")):
+        generate_dataset((1, 2), seed=0)
 
 
 def test_deterministic_per_seed():
@@ -47,6 +51,8 @@ def test_imbalanced_counts():
     assert counts == [30, 100, 100]
     with pytest.raises(ConfigError):
         generate_imbalanced(100, 0.0, 0, seed=1)
+    with pytest.raises(ConfigError, match=re.escape("minority_label must be in 0..2, got 3")):
+        generate_imbalanced(5, 0.5, 3, seed=0)
 
 
 def test_documents_shape():

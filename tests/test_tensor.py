@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,10 @@ class TestLayerNorm:
         np.testing.assert_array_equal(masked, norm(Tensor(x + sub * keep), gamma, beta).data)
         unmasked = layer_norm(Tensor(x), Tensor(sub), gamma, beta).data
         np.testing.assert_array_equal(unmasked, norm(Tensor(x + sub), gamma, beta).data)
+
+    def test_gamma_that_does_not_fit_the_width_rejected(self):
+        with pytest.raises(ShapeError, match=re.escape("gamma/beta shapes (2,)/(3,) do not fit width 3")):
+            layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(3)))
 
     def test_residual_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="residual"):
@@ -719,6 +724,17 @@ class TestOptimizers:
         w = parameter([1.0])
         assert isinstance(OPTIMIZERS["sgd"]({"w": w}, 1e-3), SGD)
         assert isinstance(OPTIMIZERS["adam"]({"w": w}, 1e-3), Adam)
+
+
+class TestTensorBasics:
+    def test_item_needs_a_scalar(self):
+        assert Tensor([[2.5]]).item() == 2.5
+        with pytest.raises(ContractError, match=re.escape("item() needs a scalar tensor, got shape (2,)")):
+            Tensor([1.0, 2.0]).item()
+
+    def test_repr_names_a_named_parameter(self):
+        assert repr(tensor.parameter(np.zeros((2, 3)), name="wo")) == "Tensor 'wo'(shape=(2, 3), requires_grad=True)"
+        assert repr(Tensor(np.zeros(4))) == "Tensor(shape=(4,), requires_grad=False)"
 
 
 class TestDeterminismAndFiniteness:

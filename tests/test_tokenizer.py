@@ -14,6 +14,7 @@ from sentibert.tokenizer import (
     UNK_ID,
     Vocab,
     build_vocab,
+    check_vocab_limits,
     decode,
     encode_pair,
     tokenize,
@@ -85,6 +86,10 @@ class TestBuildVocab:
     def test_empty_corpus(self):
         with pytest.raises(ConfigError):
             build_vocab([], max_size=10)
+
+    def test_min_freq_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="^min_freq must be positive, got 0$"):
+            check_vocab_limits(10, 0)
 
     def test_deterministic(self):
         docs = ["the room was fine", "the pool was cold", "fine room"]
