@@ -38,7 +38,13 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction; first-step update magnitude is ~lr per coordinate."""
+    """Adam with bias correction; first-step update magnitude is ~lr per coordinate.
+
+    The moments are kept scaled, M = m / (1 - beta1) and V = v / (1 - beta2),
+    and both bias corrections are folded into the step size and eps (Kingma &
+    Ba 2015, section 2), so a step is ten in-place passes per tensor over a
+    scratch buffer made here: nothing is allocated per step.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = dict(params)
@@ -46,21 +52,28 @@ class Adam:
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        # tensors step one at a time, so their scratch views share one block the size of the largest
+        block = np.empty(max((p.data.size for p in self.params.values()), default=0))
+        self._scratch = {name: block[: p.data.size].reshape(p.data.shape) for name, p in self.params.items()}
 
     def step(self) -> None:
         _check_gradients(self.params)
         self.t += 1
-        bias1 = 1.0 - BETA1**self.t
-        bias2 = 1.0 - BETA2**self.t
+        # lr * m_hat / (sqrt(v_hat) + EPS) == step * M / (sqrt(V) + eps)
+        root = math.sqrt((1.0 - BETA2**self.t) / (1.0 - BETA2))
+        step = self.lr * (1.0 - BETA1) / (1.0 - BETA1**self.t) * root
+        eps = EPS * root
         for name, p in self.params.items():
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
+            g, m, v, a = p.grad, self._m[name], self._v[name], self._scratch[name]
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += g
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
+            v += np.multiply(g, g, out=a)
+            np.sqrt(v, out=a)
+            a += eps
+            np.divide(m, a, out=a)
+            a *= step
+            p.data -= a
             p.grad = None
 
 

@@ -142,8 +142,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, rows=None, transposed:
     ids, every row by default. dW = x[rows]^T @ dY, db = dY summed over
     rows, and dx = dY @ W^T summed back into x's rows as gather_rows' does."""
     xs, idx = (x.data, None) if rows is None else _take(x, rows, "linear")
-    # a C-ordered copy of w^T: BLAS may round a product with the F-ordered view .T differently
-    wt = np.ascontiguousarray(w.data.T) if transposed else w.data
+    wt = w.data.T if transposed else w.data
     if xs.ndim != 2 or wt.ndim != 2 or xs.shape[1] != wt.shape[0]:
         raise ShapeError(f"linear: shapes {xs.shape} and {wt.shape} are not 2-D with equal inner sizes")
     if b is not None and b.data.shape != (wt.shape[1],):

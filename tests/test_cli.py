@@ -460,43 +460,61 @@ def test_console_entry_point(workspace):
 
 
 BAD_CONFIGS = [
-    ("train", _set("encoder.num_layer", 9), "encoder.num_layer"),
-    ("train", _set("trian", {"epochs": 1}), "trian"),
-    ("pretrain", _set("pretrain.seed", 4), "pretrain.seed"),
-    ("build-vocab", _set("vocab.max_len", 10), "vocab.max_len"),
-    ("train", _set("paths.curvee", "c.csv"), "paths.curvee"),
-    ("rebalance", _set("seed", "x"), "seed"),
-    ("rebalance", _set("seed", -1), "seed"),
-    ("build-vocab", _set("vocab.max_size", "abc"), "max_size"),
-    ("train", _set("train.epochs", 2.5), "epochs"),
-    ("train", _set("train.keep_best", "no"), "keep_best"),
-    ("train", _set("train.algorithm", "adamw"), "adamw"),
-    ("train", _set("train.class_weights", [1.0, 1.0, 1.0]), "train.class_weights"),  # balance sets the weights
-    ("train", _set("encoder.num_layers", 1.5), "num_layers"),
-    ("train", _set("encoder.max_len", 2), "max_len"),
-    ("train", _set("encoder.d_model", 0), "d_model"),
-    ("pretrain", _set("pretrain.lr", "fast"), "lr"),
-    ("pretrain", _set("pretrain.mask_probability", 1.5), "mask_probability"),
-    ("train", _set("paths.vocab", 5), "paths.vocab"),
-    ("train", _set("paths.curve", "c\0.csv"), "paths.curve"),
-    ("train", _set("paths.checkpoint", "\ud800"), "paths.checkpoint"),
-    ("train", _set("paths.data_format", "xml"), "paths.data_format"),
-    ("train", _set("train.seed", 4), "train.seed"),  # seed and balance are top-level only
-    ("train", _set("train.balance", "oversample"), "train.balance"),
-    ("pretrain", _set("encoder.num_layers", -1), "num_layers"),
-    ("train", _set("encoder.num_heads", 3), "divisible"),
-    ("train", _set("encoder.dropout_rate", 1.0), "dropout_rate"),
+    pytest.param("train", _set("encoder.num_layer", 9), "encoder.num_layer", id="encoder.num_layer-train"),
+    pytest.param("train", _set("trian", {"epochs": 1}), "trian", id="trian-train"),
+    pytest.param("pretrain", _set("pretrain.seed", 4), "pretrain.seed", id="pretrain.seed-pretrain"),
+    pytest.param("build-vocab", _set("vocab.max_len", 10), "vocab.max_len", id="vocab.max_len-build-vocab"),
+    pytest.param("train", _set("paths.curvee", "c.csv"), "paths.curvee", id="paths.curvee-train"),
+    pytest.param("rebalance", _set("seed", "x"), "seed", id="seed-string-rebalance"),
+    pytest.param("rebalance", _set("seed", -1), "seed", id="seed-negative-rebalance"),
+    pytest.param("build-vocab", _set("vocab.max_size", "abc"), "max_size", id="max_size-build-vocab"),
+    pytest.param("train", _set("train.epochs", 2.5), "epochs", id="epochs-train"),
+    pytest.param("train", _set("train.keep_best", "no"), "keep_best", id="keep_best-train"),
+    pytest.param("train", _set("train.algorithm", "adamw"), "adamw", id="adamw-train"),
+    pytest.param(
+        "train", _set("train.class_weights", [1.0, 1.0, 1.0]), "train.class_weights",
+        id="train.class_weights-train",
+    ),  # balance sets the weights
+    pytest.param("train", _set("encoder.num_layers", 1.5), "num_layers", id="num_layers-train"),
+    pytest.param("train", _set("encoder.max_len", 2), "max_len", id="max_len-train"),
+    pytest.param("train", _set("encoder.d_model", 0), "d_model", id="d_model-train"),
+    pytest.param("pretrain", _set("pretrain.lr", "fast"), "lr", id="lr-pretrain"),
+    pytest.param("pretrain", _set("pretrain.mask_probability", 1.5), "mask_probability", id="mask_probability-pretrain"),
+    pytest.param("train", _set("paths.vocab", 5), "paths.vocab", id="paths.vocab-train"),
+    pytest.param("train", _set("paths.curve", "c\0.csv"), "paths.curve", id="paths.curve-train"),
+    pytest.param("train", _set("paths.checkpoint", "\ud800"), "paths.checkpoint", id="paths.checkpoint-train"),
+    pytest.param("train", _set("paths.data_format", "xml"), "paths.data_format", id="paths.data_format-train"),
+    pytest.param("train", _set("train.seed", 4), "train.seed", id="train.seed-train"),  # seed and balance are top-level only
+    pytest.param("train", _set("train.balance", "oversample"), "train.balance", id="train.balance-train"),
+    pytest.param("pretrain", _set("encoder.num_layers", -1), "num_layers", id="num_layers-pretrain"),
+    pytest.param("train", _set("encoder.num_heads", 3), "divisible", id="divisible-train"),
+    pytest.param("train", _set("encoder.dropout_rate", 1.0), "dropout_rate", id="dropout_rate-train"),
     # sizes past the 128 TiB address space, so numpy refuses the allocation at once
-    ("train", _set("encoder.d_model", 2**42), "bad encoder config: too large to allocate"),
-    ("pretrain", _set("encoder.max_len", 2**42), "bad encoder config: too large to allocate"),
-    ("train", _set("encoder.d_ff", 2**42), "bad encoder config: too large to allocate"),
+    pytest.param(
+        "train", _set("encoder.d_model", 2**42), "bad encoder config: too large to allocate",
+        id="bad encoder config: too large to allocate-d_model-train",
+    ),
+    pytest.param(
+        "pretrain", _set("encoder.max_len", 2**42), "bad encoder config: too large to allocate",
+        id="bad encoder config: too large to allocate-pretrain",
+    ),
+    pytest.param(
+        "train", _set("encoder.d_ff", 2**42), "bad encoder config: too large to allocate",
+        id="bad encoder config: too large to allocate-d_ff-train",
+    ),
     # weights counted against physical memory before the shape table of 10**7 layers is built
-    ("train", _set("encoder.num_layers", 10**7), "parameters need"),
-    ("pretrain", _set("encoder.num_layers", 10**7), "parameters need"),
+    pytest.param("train", _set("encoder.num_layers", 10**7), "parameters need", id="parameters need-train"),
+    pytest.param("pretrain", _set("encoder.num_layers", 10**7), "parameters need", id="parameters need-pretrain"),
 ]
 
 
-@pytest.mark.parametrize("command, mutate, named", BAD_CONFIGS, ids=[named + "-" + cmd for cmd, _, named in BAD_CONFIGS])
+def test_bad_config_ids_are_unique():
+    # pytest numbers repeated ids by position, so a new row would rename existing tests
+    ids = [row.id for row in BAD_CONFIGS]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("command, mutate, named", BAD_CONFIGS)
 def test_bad_config_is_usage_error_naming_the_key(workspace, capsys, command, mutate, named):
     _assert_usage_error_naming(workspace, capsys, command, mutate, named)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from sentibert.classify import TrainConfig
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError
-from sentibert.optim import LoopConfig, run_epochs
+from sentibert.model import SentimentModel
+from sentibert.optim import Adam, LoopConfig, run_epochs
 from sentibert.pretrain import PretrainConfig
+from sentibert.tokenizer import SPECIAL_TOKENS, Vocab
 
 
 def test_run_epochs_slices_one_permutation_per_epoch():
@@ -84,3 +87,25 @@ def test_every_config_field_is_a_scalar_check_field_types_checks(config_cls):
     # one rule for every config value: check_field_types covers exactly these kinds
     for f in dataclasses.fields(config_cls):
         assert f.type in (int, float, bool, str), f"{config_cls.__name__}.{f.name} is {f.type}"
+
+
+def test_adam_step_allocates_nothing_in_proportion_to_the_weights():
+    vocab = Vocab(list(SPECIAL_TOKENS) + ["good", "bad"])
+    params = SentimentModel.init(vocab, EncoderConfig(), seed=0).named_parameters("classifier")
+    largest = max(p.data.nbytes for p in params.values())
+    rng = np.random.default_rng(0)
+    grads = {name: rng.normal(size=p.data.shape) for name, p in params.items()}
+    opt = Adam(params)
+    for warm_up in (True, True, False):
+        for name, p in params.items():
+            p.grad = grads[name]
+        if warm_up:
+            opt.step()
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert largest == 64 * 256 * 8
+    assert peak < largest, f"one step peaked at {peak} B, the largest tensor is {largest} B"

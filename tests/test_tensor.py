@@ -99,6 +99,23 @@ class TestLinear:
         assert x.grad.tobytes() == x_ref.grad.tobytes() and b.grad.tobytes() == b_ref.grad.tobytes()
         np.testing.assert_array_equal(w.grad, w_ref.grad.T if transposed else w_ref.grad)
 
+    def test_transposed_table_agrees_with_a_copy_of_its_transpose(self):
+        # a transposed weight is multiplied as the view w.T; at this width BLAS
+        # rounds that product differently from one with a C-ordered copy
+        rng = np.random.default_rng(9)
+        x, w = parameter(rng.normal(size=(16, 64))), parameter(rng.normal(size=(100, 64)))
+        x_ref, w_ref = parameter(x.data.copy()), parameter(w.data.T.copy())
+        upstream = rng.normal(size=(16, 100))
+        with Graph() as g:
+            out = linear(x, w, transposed=True)
+            g.backward(weighted_sum(out, upstream))
+        with Graph() as g:
+            ref = linear(x_ref, w_ref)
+            g.backward(weighted_sum(ref, upstream))
+        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, x_ref.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.grad, w_ref.grad.T, rtol=0, atol=1e-12)
+
     def test_bias_shape_error(self):
         with pytest.raises(ShapeError, match=r"bias shape \(3,\)"):
             linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
@@ -719,6 +736,28 @@ class TestOptimizers:
             v = 0.999 * v + 0.001 * g * g
             x -= 0.01 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
             assert w.data[0] == pytest.approx(x, abs=1e-12)
+
+    def test_adam_follows_the_textbook_recurrence(self):
+        # unscaled moments and explicit bias corrections, one coordinate at a time;
+        # gradients span 1e-6..1e3, even coordinates flip sign every step, odd ones at
+        # random, and the last 8 coordinates never see a gradient
+        rng = np.random.default_rng(11)
+        magnitude = np.concatenate([np.logspace(-6, 3, 56), np.zeros(8)])
+        start = np.linspace(1.0, 2.0, 64)
+        w = parameter(start.copy())
+        opt = Adam({"w": w}, lr=1e-3)
+        m, v, x = [0.0] * 64, [0.0] * 64, list(start)
+        for t in range(1, 201):
+            sign = np.where(np.arange(64) % 2 == 0, (-1.0) ** t, rng.choice([-1.0, 1.0], size=64))
+            g = magnitude * sign * rng.uniform(0.5, 1.5, size=64)
+            w.grad = g.copy()
+            opt.step()
+            for i in range(64):
+                m[i] = 0.9 * m[i] + 0.1 * g[i]
+                v[i] = 0.999 * v[i] + 0.001 * g[i] * g[i]
+                x[i] -= 1e-3 * (m[i] / (1 - 0.9**t)) / (math.sqrt(v[i] / (1 - 0.999**t)) + 1e-8)
+            np.testing.assert_allclose(w.data, x, rtol=1e-10, atol=0)
+        np.testing.assert_array_equal(w.data[56:], start[56:])  # M = V = 0: a zero update
 
     def test_algorithm_dispatch(self):
         w = parameter([1.0])
