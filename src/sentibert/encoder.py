@@ -3,7 +3,7 @@ post-norm residuals, and a position-wise ReLU feed-forward block.
 
 Every function works on packed rows: the real (unpadded) rows of a batch of
 sequences back to back, with `lengths` giving each sequence's row count.
-Only the fused attention op pads, internally.
+Only the attention ops pad, internally.
 """
 
 from dataclasses import dataclass, fields
@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ShapeError, check_field_types
-from .tensor import Tensor, attention, check_dropout_rate, dropout, ffn, gather_rows, layer_norm, linear
+from .tensor import Tensor, attend, attention, check_dropout_rate, dropout, ffn, gather_rows, layer_norm, linear
 
 LAYER_NORM_EPS = 1e-5
 
@@ -55,10 +55,13 @@ class EncoderConfig:
 def multi_head(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     """Attention on the packed rows' fused projection x wqkv (Q heads, then K
     heads, then V heads, d_k columns each), projected by W^O: one output row
-    per query row, every row by default (see tensor.attention)."""
+    per row (tensor.attention), or given rows, per wanted row, in their order
+    (tensor.attend, which projects no row to a key or a value)."""
     if x.data.shape[1] != wo.data.shape[0]:
         raise ShapeError(f"multi_head: input width {x.data.shape[1]} != d_model {wo.data.shape[0]}")
-    return linear(attention(linear(x, wqkv), lengths, num_heads, rows), wo)
+    if rows is None:
+        return linear(attention(linear(x, wqkv), lengths, num_heads), wo)
+    return linear(attend(x, wqkv, lengths, num_heads, rows), wo)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -80,9 +83,9 @@ def encoder_layer(
     """Post-norm block on the weights named prefix + "." + suffix in params:
     y = LayerNorm(x + attn), then LayerNorm(y + FFN(y)), each sub-layer output
     under its own dropout mask. Given rows, the block computes outputs only at
-    those packed rows, in that order: keys and values still come from every
-    row, and both dropout masks are drawn at the full [N x d] shape and then
-    indexed, so the rng stream does not depend on rows."""
+    those packed rows, in that order: they still attend to every row of their
+    sequence, and both dropout masks are drawn at the full [N x d] shape and
+    then indexed, so the rng stream does not depend on rows."""
     check_dropout_rate(dropout_rate)  # in eval mode too, where no mask is drawn
     masked = training and dropout_rate > 0.0
     if masked and rng is None:

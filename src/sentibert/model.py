@@ -158,7 +158,7 @@ class SentimentModel:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Sentiment logits [B x 3] from each sequence's [CLS] hidden state."""
-        starts = batch_layout(tuple(s.real_length() for s in seqs)).start  # attention takes its [CLS] plan
+        starts = batch_layout(tuple(s.real_length() for s in seqs)).start  # attend takes these as the [CLS] rows
         hidden = self.hidden_states(seqs, training, rng, rows=starts)
         return linear(hidden, self.params["classifier.weight"], self.params["classifier.bias"])
 

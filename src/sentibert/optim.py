@@ -23,17 +23,26 @@ def _check_gradients(params: dict[str, Tensor]) -> None:
             raise ContractError(f"optimizer step: missing gradient for parameter {name!r}")
 
 
+def _scratch_views(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Per tensor, a scratch view of its shape. Tensors step one at a time,
+    so the views share one block the size of the largest."""
+    block = np.empty(max((p.data.size for p in params.values()), default=0))
+    return {name: block[: p.data.size].reshape(p.data.shape) for name, p in params.items()}
+
+
 class SGD:
-    """params is a name -> Tensor mapping; updates happen in place."""
+    """params is a name -> Tensor mapping; updates happen in place, the
+    scaled gradient going through a scratch view, so a step allocates nothing."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = dict(params)
         self.lr = lr
+        self._scratch = _scratch_views(self.params)
 
     def step(self) -> None:
         _check_gradients(self.params)
-        for p in self.params.values():
-            p.data -= self.lr * p.grad
+        for name, p in self.params.items():
+            p.data -= np.multiply(self.lr, p.grad, out=self._scratch[name])
             p.grad = None
 
 
@@ -52,9 +61,7 @@ class Adam:
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        # tensors step one at a time, so their scratch views share one block the size of the largest
-        block = np.empty(max((p.data.size for p in self.params.values()), default=0))
-        self._scratch = {name: block[: p.data.size].reshape(p.data.shape) for name, p in self.params.items()}
+        self._scratch = _scratch_views(self.params)
 
     def step(self) -> None:
         _check_gradients(self.params)

@@ -267,8 +267,8 @@ class _Layout(NamedTuple):
     grids lie end to end in one slot buffer, grid g holding B_g sequences of
     L_g slots each. slots holds each packed row's slot: its grid's offset,
     plus its sequence within the grid times L_g, plus its position. A
-    one-sequence plan gives its contiguous positions and [CLS] slot as
-    slices, which index without a gather."""
+    one-sequence plan gives its contiguous positions as a slice, which
+    indexes without a gather."""
 
     key_bias: tuple[np.ndarray, ...]  # per grid, its [B_g, 1, 1, L_g] additive key mask
     grids: tuple[slice, ...]  # per grid, its B_g * L_g slots
@@ -276,7 +276,6 @@ class _Layout(NamedTuple):
     start: np.ndarray  # per sequence, its first packed row
     group: np.ndarray  # per sequence, its grid
     positions: np.ndarray | slice  # per packed row, its position in its sequence
-    cls: np.ndarray | slice  # per sequence, the slot of its first row
 
 
 @functools.lru_cache(maxsize=64)
@@ -300,11 +299,11 @@ def _padding_layout(lengths: tuple[int, ...]) -> _Layout:
         offset += b * length
     positions = np.arange(sum(lengths)) - np.repeat(starts, lens)
     slots = positions + np.repeat(first_slot, lens)
-    for array in (*key_bias, slots, starts, group_of, positions, first_slot):
+    for array in (*key_bias, slots, starts, group_of, positions):
         array.flags.writeable = False
     if len(lengths) == 1:
-        positions, first_slot = slice(0, lengths[0]), slice(0, 1)
-    return _Layout(tuple(key_bias), tuple(grids), slots, starts, group_of, positions, first_slot)
+        positions = slice(0, lengths[0])
+    return _Layout(tuple(key_bias), tuple(grids), slots, starts, group_of, positions)
 
 
 @functools.lru_cache(maxsize=256)
@@ -320,68 +319,52 @@ def batch_layout(lengths: tuple[int, ...]) -> _Layout:
     return _sequence_layout(lengths[0]) if len(lengths) == 1 else _padding_layout(lengths)
 
 
-def _query_plan(layout: _Layout, rows, n: int) -> tuple[list[int], np.ndarray]:
-    """Per grid of layout, Q_max: one past the furthest wanted position in it,
-    0 for a grid holding no wanted row; and each wanted row's slot. rows, the
-    distinct packed query rows, are checked here."""
-    queries = np.asarray(rows, dtype=np.int64)
-    if queries.ndim != 1:
-        raise ShapeError(f"attention: rows must be a list of row indices, got shape {queries.shape}")
-    if queries.size and (queries.min() < 0 or queries.max() >= n):
-        raise IndexError(f"attention: query row out of range [0, {n})")
-    if queries.size > 1:
-        seen = np.zeros(n, dtype=bool)
-        seen[queries] = True
-        if np.count_nonzero(seen) != queries.size:
-            raise ShapeError("attention: query rows repeat")
-    seq = np.searchsorted(layout.start, queries, side="right") - 1
-    q_lengths = np.zeros(len(layout.grids), dtype=np.int64)
-    np.maximum.at(q_lengths, layout.group[seq], queries - layout.start[seq] + 1)
-    return q_lengths.tolist(), layout.slots[queries]
-
-
-def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
-    """Multi-head softmax(Q K^T / sqrt(d_k)) V over sequences packed back to back.
-
-    qkv is [N x 3d]: per real row, the query heads, then the key heads, then
-    the value heads, d_k = d / num_heads columns each. lengths are the row
-    counts of the sequences and sum to N. rows, when given, are the distinct
-    packed rows whose outputs are wanted, in any order; by default every row.
-    The result holds each wanted row's heads side by side, in the order of
-    rows. Padding exists only inside this op: the sequences, stably sorted by
-    length, are cut into grids of at most EVAL_SLOTS padded slots each
-    (length_groups; a longer sequence gets a grid of its own), and each grid
-    is padded to its own longest length, with the additive -1e9 mask on keys
-    past a sequence's length. The grids lie end to end in one slot buffer,
-    which the rows enter with one scatter; a batch that fits one grid keeps
-    its packed order, so when it has no padding slot (one sequence, or equal
-    lengths) qkv itself is the buffer. Queries run over each sequence's first
-    Q_max positions only, Q_max being one past the furthest wanted position
-    in that grid, so the [CLS] rows alone cost a 1 x L score grid, and a grid
-    holding no wanted row runs no query. The context lands in a buffer of the
-    same slots, which the outputs leave with one gather. The plan is computed
-    once per distinct lengths (batch_layout), and rows that are its own start
-    array (batch_layout(lengths).start) take its [CLS] slots unchecked; the
-    backward reuses the forward's q/k/v and probability grids.
-    """
-    _require_2d(qkv, "attention")
-    n, width = qkv.data.shape
-    if num_heads < 1 or width % (3 * num_heads):
-        raise ShapeError(f"attention: width {width} does not split into q/k/v for {num_heads} heads")
+def _checked_layout(lengths, n: int) -> _Layout:
+    """batch_layout of lengths, which must be positive and sum to n."""
     try:
         key = tuple(map(operator.index, lengths))  # Python ints from a list, tuple or 1-D integer array
     except TypeError:
         key = ()
     if not key or min(key) < 1 or sum(key) != n:
         raise ShapeError(f"attention: lengths {lengths!r} do not partition {n} rows")
-    layout = batch_layout(key)
-    if rows is None:
-        q_lengths, q_slots = [bias.shape[-1] for bias in layout.key_bias], layout.slots
-    elif rows is layout.start:
-        q_lengths, q_slots = [1] * len(layout.grids), layout.cls  # each sequence's [CLS] row, in order
-    else:
-        q_lengths, q_slots = _query_plan(layout, rows, n)
-    dense = len(layout.grids) == 1 and layout.grids[0].stop == n  # no padding slot: slot i holds row i
+    return batch_layout(key)
+
+
+def _slot_buffer(rows: np.ndarray, layout: _Layout) -> tuple[np.ndarray, bool]:
+    """The slot buffer holding the packed rows, zero in every padding slot,
+    and whether it is dense: a batch that fits one grid with no padding slot
+    (one sequence, or equal lengths) has slot i holding row i, and the rows
+    themselves are the buffer."""
+    dense = len(layout.grids) == 1 and layout.grids[0].stop == rows.shape[0]
+    if dense:
+        return rows, True
+    flat = np.zeros((layout.grids[-1].stop, rows.shape[1]))
+    flat[layout.slots] = rows
+    return flat, False
+
+
+def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
+    """Multi-head softmax(Q K^T / sqrt(d_k)) V over sequences packed back to back.
+
+    qkv is [N x 3d]: per real row, the query heads, then the key heads, then
+    the value heads, d_k = d / num_heads columns each. lengths are the row
+    counts of the sequences and sum to N. The result holds each row's heads
+    side by side. Padding exists only inside this op: the sequences, stably
+    sorted by length, are cut into grids of at most EVAL_SLOTS padded slots
+    each (length_groups; a longer sequence gets a grid of its own), and each
+    grid is padded to its own longest length, with the additive -1e9 mask on
+    keys past a sequence's length. The grids lie end to end in one slot
+    buffer (_slot_buffer), which the rows enter with one scatter; the context
+    lands in a buffer of the same slots, which the outputs leave with one
+    gather. The plan is computed once per distinct lengths (batch_layout);
+    the backward reuses the forward's q/k/v and probability grids.
+    """
+    _require_2d(qkv, "attention")
+    n, width = qkv.data.shape
+    if num_heads < 1 or width % (3 * num_heads):
+        raise ShapeError(f"attention: width {width} does not split into q/k/v for {num_heads} heads")
+    layout = _checked_layout(lengths, n)
+    flat, dense = _slot_buffer(qkv.data, layout)
     d = width // 3
     d_k = d // num_heads
     factor = 1.0 / math.sqrt(d_k)
@@ -393,51 +376,175 @@ def attention(qkv: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
                 else flat.reshape(-1, grid_length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4))
         return (view[0], view[1], view[2]) if parts == 3 else view[0]  # indexing beats unpacking an array
 
-    if dense:
-        flat = qkv.data
-    else:
-        flat = np.zeros((layout.grids[-1].stop, width))
-        flat[layout.slots] = qkv.data
-    context = np.empty((flat.shape[0], d))  # each sequence's first Q_max slots are written
+    context = np.empty((flat.shape[0], d))
     kept = []  # per grid: its slots and its probabilities
-    for key_bias, kv, q_length in zip(layout.key_bias, layout.grids, q_lengths):
+    for key_bias, kv in zip(layout.key_bias, layout.grids):
         length = key_bias.shape[-1]
         q, k, v = heads(flat[kv], length, 3)
-        scores = q[..., :q_length, :] @ k.swapaxes(-1, -2)
+        scores = q @ k.swapaxes(-1, -2)
         scores *= factor
         if not dense and scores.ndim == 4:  # one sequence's grid, or a batch with no padded slot, has a zero
             scores += key_bias  # mask: adding it would only turn -0.0 scores into +0.0, which exp does not tell apart
         probs = softmax(scores, out=scores)
-        np.matmul(probs, v, out=heads(context[kv], length, 1)[..., :q_length, :])
+        np.matmul(probs, v, out=heads(context[kv], length, 1))
         kept.append((kv, probs))
-    out = Tensor(context if dense and rows is None else context[q_slots])
+    out = Tensor(context if dense else context[layout.slots])
     if _active.graph is None:  # not recording: no backward to build
         return out
 
     def backward(grad):
-        if dense and rows is None:
+        if dense:
             flat_g = np.ascontiguousarray(grad)
         else:
             flat_g = np.zeros_like(context)
-            flat_g[q_slots] = grad  # positions not wanted get zero gradient
+            flat_g[layout.slots] = grad
         d_flat = np.empty_like(flat)
         for kv, probs in kept:
-            q_length, length = probs.shape[-2:]
+            length = probs.shape[-1]
             q, k, v = heads(flat[kv], length, 3)
-            q = q[..., :q_length, :]
-            g = heads(flat_g[kv], length, 1)[..., :q_length, :]
+            g = heads(flat_g[kv], length, 1)
             d_scores = g @ v.swapaxes(-1, -2)  # d probs, turned into d scores in place
             d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
             d_scores *= probs
             d_scores *= factor
             grad_q, grad_k, grad_v = heads(d_flat[kv], length, 3)
-            np.matmul(d_scores, k, out=grad_q[..., :q_length, :])
-            grad_q[..., q_length:, :] = 0.0
+            np.matmul(d_scores, k, out=grad_q)
             np.matmul(d_scores.swapaxes(-1, -2), q, out=grad_k)
             np.matmul(probs.swapaxes(-1, -2), g, out=grad_v)
         _accumulate(qkv, d_flat if dense else d_flat[layout.slots])
 
     _record(out, backward, qkv)
+    return out
+
+
+def _query_slots(layout: _Layout, rows, n: int) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+    """The wanted rows as an index array, each one's slot in a query buffer,
+    the Q_g, and the buffer's size. The buffer holds, grid after grid, a
+    [B_g, Q_g] block: the grid's sequences in its order, each with a slot for
+    each of its wanted rows in the order given, Q_g being the most wanted
+    rows of any one of them (0 for a grid holding none). rows, the distinct
+    packed query rows, are checked here."""
+    queries = np.asarray(rows, dtype=np.int64)
+    if queries.ndim != 1:
+        raise ShapeError(f"attention: rows must be a list of row indices, got shape {queries.shape}")
+    if queries.size and (queries.min() < 0 or queries.max() >= n):
+        raise IndexError(f"attention: query row out of range [0, {n})")
+    if queries.size > 1:
+        seen = np.zeros(n, dtype=bool)
+        seen[queries] = True
+        if np.count_nonzero(seen) != queries.size:
+            raise ShapeError("attention: query rows repeat")
+    seq = np.searchsorted(layout.start, queries, side="right") - 1
+    by_seq = np.argsort(seq, kind="stable")
+    grouped = seq[by_seq]
+    rank = np.empty_like(queries)  # among its sequence's wanted rows
+    rank[by_seq] = np.arange(queries.size) - np.searchsorted(grouped, grouped)
+    grid = layout.group[seq]
+    q_lengths = np.zeros(len(layout.grids), dtype=np.int64)
+    np.maximum.at(q_lengths, grid, rank + 1)
+    sizes, lengths = np.array([bias.shape[::3] for bias in layout.key_bias]).T  # B_g and L_g
+    blocks = sizes * q_lengths
+    ordinal = (layout.slots[layout.start[seq]] - np.array([kv.start for kv in layout.grids])[grid]) // lengths[grid]
+    slots = (np.cumsum(blocks) - blocks)[grid] + ordinal * q_lengths[grid] + rank
+    return queries, slots, q_lengths.tolist(), int(blocks.sum())
+
+
+def attend(x: Tensor, wqkv: Tensor, lengths, num_heads: int, rows) -> Tensor:
+    """attention(linear(x, wqkv), lengths, num_heads) at the wanted packed
+    rows only: rows are distinct, in any order, and the result holds one row
+    per wanted row, in the order of rows.
+
+    wqkv has no bias and nothing acts between the projections and the
+    softmax, so the key projection folds into the query and the value
+    projection moves past the softmax (as DeepSeek-V2 absorbs its key
+    up-projection): for a wanted row r of sequence s and head h, with X_s
+    the rows of s, u = W_K^h (x_r W_Q^h) / sqrt(d_k), p = softmax(X_s u plus
+    the key mask) and the output is (p X_s) W_V^h. So the rows enter the
+    slot buffer d wide (_slot_buffer), only the wanted rows are projected,
+    and no row is projected to a key or a value. Each grid runs its queries
+    as a [B_g, Q_g] block of a query buffer (_query_slots), Q_g being the
+    most wanted rows of one of its sequences, and runs nothing when it holds
+    none. Rows that are the plan's own start array
+    (batch_layout(lengths).start) of a one-grid batch are its [CLS] rows in
+    the grid's order, one per sequence: they need no query plan, scatter or
+    gather, and go unchecked.
+    """
+    _require_2d(x, "attend")
+    n, d = x.data.shape
+    if wqkv.data.shape != (d, 3 * d) or num_heads < 1 or d % num_heads:
+        raise ShapeError(f"attend: weights of shape {wqkv.data.shape} do not split width {d} into {num_heads} heads")
+    layout = _checked_layout(lengths, n)
+    if rows is layout.start and len(layout.grids) == 1:
+        picks, q_slots, q_lengths = rows, None, [1]
+    else:
+        picks, q_slots, q_lengths, size = _query_slots(layout, rows, n)
+    flat, dense = _slot_buffer(x.data, layout)
+    r, d_k = len(picks), d // num_heads
+    factor = 1.0 / math.sqrt(d_k)
+    w = wqkv.data.reshape(d, 3, num_heads, d_k).transpose(1, 2, 0, 3)  # q, k, v: each [H, d, d_k], a view
+    w_q, w_k, w_v = w[0], w[1], w[2]
+    x_q = x.data.take(picks, axis=0)
+    q_h = np.matmul(x_q, w_q)  # [H, R, d_k]
+    q_h *= factor
+    u = np.matmul(q_h, w_k.swapaxes(-1, -2)).swapaxes(0, 1)  # [R, H, d]: per wanted row, its heads' u
+    if q_slots is None:
+        queries = u
+    else:
+        queries = np.zeros((size, num_heads, d))  # a slot no row fills holds a zero query
+        queries[q_slots] = u
+    mixed = np.empty((len(queries), num_heads, d))  # per query slot and head, p X_s
+    kept, offset = [], 0  # per grid that runs: its slots, keys, query slots and their shape, and its probabilities
+    for key_bias, kv, q_length in zip(layout.key_bias, layout.grids, q_lengths):
+        b, length = key_bias.shape[::3]
+        block, offset = slice(offset, offset + b * q_length), offset + b * q_length
+        if not q_length:
+            continue
+        shape = (b, -1, d) if b > 1 else (-1, d)  # one sequence: no batch axis, which matmul runs with less overhead
+        keys = flat[kv].reshape(b, length, d) if b > 1 else flat[kv]
+        scores = queries[block].reshape(shape) @ keys.swapaxes(-1, -2)
+        if not dense and b > 1:  # a dense batch's mask is zero, and so is a one-sequence grid's (see attention)
+            scores += key_bias[:, 0]
+        probs = softmax(scores, out=scores)
+        np.matmul(probs, keys, out=mixed[block].reshape(shape))
+        kept.append((kv, keys, block, shape, probs))
+    m_h = (mixed if q_slots is None else mixed[q_slots]).swapaxes(0, 1)  # [H, R, d]
+    out = Tensor(np.matmul(m_h, w_v).swapaxes(0, 1).reshape(r, d))  # each row's heads side by side
+    if _active.graph is None:  # not recording: no backward to build
+        return out
+
+    def backward(grad):
+        g = grad.reshape(r, num_heads, d_k).swapaxes(0, 1)  # [H, R, d_k]
+        d_w = np.empty_like(wqkv.data)
+        d_parts = d_w.reshape(d, 3, num_heads, d_k).transpose(1, 2, 0, 3)
+        np.matmul(m_h.swapaxes(-1, -2), g, out=d_parts[2])
+        d_m = np.matmul(g, w_v.swapaxes(-1, -2)).swapaxes(0, 1)  # [R, H, d]
+        if q_slots is None:
+            d_mixed = d_m
+        else:
+            d_mixed = np.zeros_like(mixed)  # a slot no row fills gets no gradient
+            d_mixed[q_slots] = d_m
+        d_queries = np.empty_like(mixed)
+        d_flat = np.empty_like(flat) if len(kept) == len(layout.grids) else np.zeros_like(flat)
+        for kv, keys, block, shape, probs in kept:
+            g_m = d_mixed[block].reshape(shape)
+            d_scores = g_m @ keys.swapaxes(-1, -2)  # d probs, turned into d scores in place
+            d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+            d_scores *= probs
+            np.matmul(d_scores, keys, out=d_queries[block].reshape(shape))
+            d_keys = d_flat[kv].reshape(keys.shape)
+            np.matmul(probs.swapaxes(-1, -2), g_m, out=d_keys)
+            d_keys += d_scores.swapaxes(-1, -2) @ queries[block].reshape(shape)
+        d_u = (d_queries if q_slots is None else d_queries[q_slots]).swapaxes(0, 1)  # [H, R, d]
+        np.matmul(d_u.swapaxes(-1, -2), q_h, out=d_parts[1])
+        d_q = np.matmul(d_u, w_k)  # [H, R, d_k]
+        d_q *= factor
+        np.matmul(x_q.T, d_q, out=d_parts[0])
+        d_x = d_flat if dense else d_flat[layout.slots]
+        d_x[picks] += d_q.swapaxes(0, 1).reshape(r, d) @ wqkv.data[:, :d].T  # distinct rows: no two updates meet
+        _accumulate(wqkv, d_w)
+        _accumulate(x, d_x)
+
+    _record(out, backward, x, wqkv)
     return out
 
 

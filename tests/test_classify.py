@@ -90,17 +90,23 @@ def _plain_norm(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarra
 def _plain_forward(text: str, model: SentimentModel) -> np.ndarray:
     """forward_classify in plain numpy on the text's own rows: no tape, no
     padding, no batch plan; the same arithmetic in the same order, the last
-    layer computing the [CLS] row only."""
+    layer computing the [CLS] row only, with each head's key projection
+    folded into its query and its value projection after the softmax."""
     config, p = model.config, {name: t.data for name, t in model.params.items()}
     seq = encode_pair(text, None, model.vocab, config.max_len)
-    n, heads, d_k = seq.real_length(), config.num_heads, config.d_k
+    n, d, heads, d_k = seq.real_length(), config.d_model, config.num_heads, config.d_k
     x = p["embeddings.token"][seq.token_ids] + p["embeddings.segment"][seq.segment_ids] + p["embeddings.position"][:n]
     for i in range(config.num_layers):
         w = {name[len(f"encoder.{i}.") :]: a for name, a in p.items() if name.startswith(f"encoder.{i}.")}
-        q, k, v = (x @ w["wqkv"]).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)  # each [heads, n, d_k]
-        if i == config.num_layers - 1:
-            q, x = q[:, :1], x[:1]
-        context = (_plain_softmax(q @ k.transpose(0, 2, 1) * (1.0 / np.sqrt(d_k))) @ v).transpose(1, 0, 2)
+        if i < config.num_layers - 1:
+            q, k, v = (x @ w["wqkv"]).reshape(n, 3, heads, d_k).transpose(1, 2, 0, 3)  # each [heads, n, d_k]
+            context = (_plain_softmax(q @ k.transpose(0, 2, 1) * (1.0 / np.sqrt(d_k))) @ v).transpose(1, 0, 2)
+        else:
+            w_q, w_k, w_v = w["wqkv"].reshape(d, 3, heads, d_k).transpose(1, 2, 0, 3)  # each [heads, d, d_k]
+            q = x[:1] @ w_q * (1.0 / np.sqrt(d_k))  # [heads, 1, d_k]
+            u = (q @ w_k.transpose(0, 2, 1)).transpose(1, 0, 2)  # [1, heads, d]: W_K^h q^h
+            mixed = _plain_softmax(u @ x.T) @ x  # [1, heads, d]: each head's softmax-weighted rows
+            context, x = (mixed.transpose(1, 0, 2) @ w_v).transpose(1, 0, 2), x[:1]
         y = _plain_norm(x + context.reshape(len(x), -1) @ w["wo"], w["ln1.gamma"], w["ln1.beta"])
         hidden = np.maximum(y @ w["ffn.w1"] + w["ffn.b1"], 0.0)
         x = _plain_norm(y + (hidden @ w["ffn.w2"] + w["ffn.b2"]), w["ln2.gamma"], w["ln2.beta"])
@@ -221,17 +227,19 @@ class TestBatchEquivalence:
             np.testing.assert_allclose(grad, mean, atol=1e-12, rtol=0.0, err_msg=name)
 
 
-    def test_default_fine_tuning_step_records_15_tape_nodes(self):
-        # embedding 1 (one three-table gather); per layer 6 (Q/K/V linear,
-        # attention, W^O linear, two residual layer norms that apply their
-        # dropout masks, one fused feed-forward; the last layer's first norm
-        # reads its residual at the [CLS] rows); the head's linear and the loss 2
+    def test_default_fine_tuning_step_records_14_tape_nodes(self):
+        # embedding 1 (one three-table gather); the first layer 6 (Q/K/V
+        # linear, attention, W^O linear, two residual layer norms that apply
+        # their dropout masks, one fused feed-forward); the last layer 5, as
+        # attend at the [CLS] rows replaces the Q/K/V linear and attention and
+        # its first norm reads its residual at those rows; the head's linear and the loss 2
         model = _model(TOY, seed=2, config=EncoderConfig())
         seqs = [encode_pair(ex.text, None, model.vocab, model.config.max_len) for ex in TOY]
         with Graph() as g:
             cross_entropy(model.class_logits(seqs, training=True, rng=np.random.default_rng(0)), [ex.label for ex in TOY])
-        assert len(g) == 15
-        assert tape_ops(g) == {"gather_rows": 1, "linear": 5, "attention": 2, "layer_norm": 4, "ffn": 2, "cross_entropy": 1}
+        assert len(g) == 14
+        ops = {"gather_rows": 1, "linear": 4, "attention": 1, "attend": 1, "layer_norm": 4, "ffn": 2, "cross_entropy": 1}
+        assert tape_ops(g) == ops
 
 
 class TestTrain:

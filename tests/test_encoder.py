@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import check_gradients, weighted_sum
 from sentibert import tensor
@@ -14,10 +16,12 @@ from sentibert.encoder import (
 from sentibert.errors import ConfigError, ContractError, ShapeError
 from sentibert.model import initial_array, parameter_shapes
 from sentibert.tensor import (
+    EVAL_SLOTS,
     NEG_INF_MASK,
     Graph,
     Tensor,
     _padding_layout,
+    attend,
     cross_entropy,
     linear,
     parameter,
@@ -144,51 +148,45 @@ class TestAttention:
 
     def test_query_rows_match_the_full_output(self):
         rng = np.random.default_rng(14)
-        qkv = rng.normal(size=(9, 24))
+        x, wqkv = rng.normal(size=(9, 8)), rng.normal(size=(8, 24))
         rows = [8, 0, 5, 2, 6]  # any order; the 1-row sequence has no query
-        got = attention(Tensor(qkv), [3, 1, 5], 2, rows).data
-        np.testing.assert_allclose(got, attention(Tensor(qkv), [3, 1, 5], 2).data[rows], atol=1e-12, rtol=0)
+        got = attend(Tensor(x), Tensor(wqkv), [3, 1, 5], 2, rows).data
+        np.testing.assert_allclose(got, attention(Tensor(x @ wqkv), [3, 1, 5], 2).data[rows], atol=1e-12, rtol=0)
 
     def test_query_rows_gradient_matches_the_full_path(self):
         # the full output under a loss that ignores every other row
         rng = np.random.default_rng(15)
         rows = [8, 0, 5, 2, 6]
-        weights = rng.normal(size=(5, 8))
-        padded = np.zeros((9, 8))
-        padded[rows] = weights
-        qkv = rng.normal(size=(9, 24))
-
-        def grad(query_rows, upstream):
-            leaf = parameter(qkv)
-            with Graph() as graph:
-                graph.backward(weighted_sum(attention(leaf, [3, 1, 5], 2, query_rows), upstream))
-            return leaf.grad
-
-        np.testing.assert_allclose(grad(rows, weights), grad(None, padded), atol=1e-12, rtol=0)
+        x, wqkv = rng.normal(size=(9, 8)), rng.normal(size=(8, 24))
+        upstream = rng.normal(size=(5, 8))
+        got, full = _attend_and_grad(x, wqkv, [3, 1, 5], rows, upstream), _full_path(x, wqkv, [3, 1, 5], rows, upstream)
+        for mine, theirs in zip(got, full):
+            np.testing.assert_allclose(mine, theirs, atol=1e-12, rtol=0)
 
     def test_gradcheck_query_rows(self):
         rng = np.random.default_rng(16)
-        qkv = parameter(rng.normal(size=(9, 12)))
+        x, wqkv = parameter(rng.normal(size=(9, 4))), parameter(rng.normal(size=(4, 12)))
         rows = [8, 0, 5, 2, 6]  # several queries in two sequences, none in the 1-row one
         weights = rng.normal(size=(5, 4))
         checked = check_gradients(
-            lambda: weighted_sum(attention(qkv, [3, 1, 5], 2, rows), weights), {"qkv": qkv}, rng, probes=80, rel=1e-4
+            lambda: weighted_sum(attend(x, wqkv, [3, 1, 5], 2, rows), weights), {"x": x, "wqkv": wqkv}, rng, 80
         )
         assert checked == 80
 
     def test_bad_query_rows(self):
-        qkv = Tensor(np.zeros((5, 12)))
-        with pytest.raises(IndexError):
-            attention(qkv, [2, 3], 1, [5])
-        with pytest.raises(IndexError):
-            attention(qkv, [2, 3], 1, [0, -1])
-        with pytest.raises(ShapeError):
-            attention(qkv, [2, 3], 1, [1, 4, 1])  # repeated
-        with pytest.raises(ShapeError):
-            attention(qkv, [2, 3], 1, [[0, 1]])
+        x, wqkv = Tensor(np.zeros((5, 4))), Tensor(np.zeros((4, 12)))
+        out_of_range = r"^attention: query row out of range \[0, 5\)$"
+        for rows, error, message in (
+            ([5], IndexError, out_of_range),
+            ([0, -1], IndexError, out_of_range),
+            ([1, 4, 1], ShapeError, "^attention: query rows repeat$"),
+            ([[0, 1]], ShapeError, r"^attention: rows must be a list of row indices, got shape \(1, 2\)$"),
+        ):
+            with pytest.raises(error, match=message):
+                attend(x, wqkv, [2, 3], 1, rows)
         for rows in ([np.array([0])], [np.array([0, 1])], 0):  # not a flat list of ints, even where it equals the starts
             with pytest.raises(ShapeError):
-                attention(qkv, [5], 1, rows)
+                attend(x, wqkv, [5], 1, rows)
 
 
 class TestPaddingLayout:
@@ -244,14 +242,14 @@ class TestPaddingLayout:
         assert layout is tensor._sequence_layout(7) and _padding_layout.cache_info() == before[0]
         general = _padding_layout.__wrapped__((7,))
         assert layout.grids == general.grids == (slice(0, 7),)
-        assert layout.positions == slice(0, 7) and layout.cls == slice(0, 1)  # contiguous: no gather
+        assert layout.positions == slice(0, 7)  # contiguous: no gather
         for mine, theirs in zip((*layout.key_bias, *layout[2:]), (*general.key_bias, *general[2:])):
             np.testing.assert_array_equal(mine, theirs)
 
     @pytest.mark.parametrize("budget", [None, 8])
     def test_cls_plan_is_the_general_plan_of_the_starts(self, slot_budget, monkeypatch, budget):
-        # attention takes the [CLS] plan from the layout when rows are the
-        # plan's own start array; it must be exactly what _query_plan works out
+        # attend takes a one-grid batch's [CLS] rows unplanned when rows are the
+        # plan's own start array; it must be exactly what _query_slots works out
         if budget is not None:
             slot_budget(budget)  # lengths over 8 stand alone: many grids
         rng = np.random.default_rng(23)
@@ -260,35 +258,65 @@ class TestPaddingLayout:
             lengths = tuple(rng.integers(1, 24, size=int(rng.integers(1, 14))).tolist())
             layout, n = tensor.batch_layout(lengths), sum(lengths)
             starts = [sum(lengths[:i]) for i in range(len(lengths))]
-            q_lengths, slots = tensor._query_plan(layout, starts, n)
-            assert q_lengths == [1] * len(layout.grids)
-            # a one-sequence plan gives its [CLS] slot as a slice; index a buffer of slot ids either way
-            np.testing.assert_array_equal(np.arange(layout.grids[-1].stop)[layout.cls], slots)
+            _, slots, q_lengths, size = tensor._query_slots(layout, starts, n)
+            assert q_lengths == [1] * len(layout.grids) and size == len(lengths)
+            if len(layout.grids) == 1:  # one query per sequence, in packed order
+                np.testing.assert_array_equal(slots, np.arange(len(lengths)))
+            np.testing.assert_array_equal(np.sort(slots), np.arange(len(lengths)))
             np.testing.assert_array_equal(layout.start, starts)
             split += len(layout.grids) > 1
-            cases.append((lengths, starts))
+            cases.append((lengths, starts, len(layout.grids)))
         assert split >= (20 if budget else 0)
         asked = []
-        general = tensor._query_plan
-        monkeypatch.setattr(tensor, "_query_plan", lambda *args: asked.append(args) or general(*args))
-        for lengths, starts in cases[:10]:
-            qkv = rng.normal(size=(sum(lengths), 12))
+        general = tensor._query_slots
+        monkeypatch.setattr(tensor, "_query_slots", lambda *args: asked.append(args) or general(*args))
+        for lengths, starts, grids in cases[:10]:
+            x, wqkv = rng.normal(size=(sum(lengths), 4)), rng.normal(size=(4, 12))
             upstream = rng.normal(size=(len(lengths), 4))
-            cls_out, cls_grad = _attention_and_grad(qkv, lengths, tensor.batch_layout(lengths).start, upstream)
-            assert not asked  # the plan's own start: its [CLS] slots, no general plan
+            cls = _attend_and_grad(x, wqkv, lengths, tensor.batch_layout(lengths).start, upstream)
+            assert len(asked) == (grids > 1)  # the plan's own start of one grid: no query plan
+            asked.clear()
             for rows in (starts, tuple(starts), np.array(starts, dtype=np.int32)):  # equal, but not the plan's
-                out, grad = _attention_and_grad(qkv, lengths, rows, upstream)
+                got = _attend_and_grad(x, wqkv, lengths, rows, upstream)
                 assert len(asked) == 1
                 asked.clear()
-                assert np.array_equal(out, cls_out) and np.array_equal(grad, cls_grad)
+                assert all(np.array_equal(mine, theirs) for mine, theirs in zip(got, cls))
 
 
-def _attention_and_grad(qkv, lengths, rows, upstream, num_heads=2):
+def _attention_and_grad(qkv, lengths, upstream, num_heads=2):
     leaf = parameter(qkv)
     with Graph() as graph:
-        out = attention(leaf, lengths, num_heads, rows)
+        out = attention(leaf, lengths, num_heads)
         graph.backward(weighted_sum(out, upstream))
     return out.data, leaf.grad
+
+
+def _attend_and_grad(x, wqkv, lengths, rows, upstream, num_heads=2):
+    """attend's output at rows and the x and wqkv gradients of sum(out * upstream)."""
+    x, wqkv = parameter(x), parameter(wqkv)
+    with Graph() as graph:
+        out = attend(x, wqkv, lengths, num_heads, rows)
+        graph.backward(weighted_sum(out, upstream))
+    return out.data, x.grad, wqkv.grad
+
+
+def _either_and_grad(x, wqkv, lengths, rows, upstream):
+    """_attention_and_grad of x wqkv at every row when rows is None, else _attend_and_grad."""
+    if rows is None:
+        return _attention_and_grad(x @ wqkv, lengths, upstream)
+    return _attend_and_grad(x, wqkv, lengths, rows, upstream)
+
+
+def _full_path(x, wqkv, lengths, rows, upstream, num_heads=2):
+    """_attend_and_grad's three arrays through attention(linear(x, wqkv)) at
+    every row, read at rows, under an upstream that is zero at every other row."""
+    x, wqkv = parameter(x), parameter(wqkv)
+    padded = np.zeros((x.data.shape[0], upstream.shape[1]))
+    padded[rows] = upstream
+    with Graph() as graph:
+        out = attention(linear(x, wqkv), lengths, num_heads)
+        graph.backward(weighted_sum(out, padded))
+    return out.data[rows], x.grad, wqkv.grad
 
 
 def _one_grid_reference(qkv, lengths, num_heads, upstream):
@@ -368,8 +396,8 @@ class TestLengthGroups:
 
     @pytest.mark.parametrize("budget, max_length, max_batch", [(None, 64, 32), (8, 6, 8)])
     def test_grids_match_one_grid(self, slot_budget, budget, max_length, max_batch):
-        # random ragged batches; queries every row, a random subset, or only
-        # the longest sequence's rows, so that other grids hold no wanted row
+        # random ragged batches; attention at every row, or attend at a random
+        # subset or only the longest sequence's rows, so that other grids hold no wanted row
         if budget is not None:
             slot_budget(budget)
         rng = np.random.default_rng(18)
@@ -383,21 +411,20 @@ class TestLengthGroups:
                 rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist(),
                 list(range(start + lengths[longest] - 1, start - 1, -1)),
             ][trial % 3]
-            qkv = rng.normal(size=(n, 12))
+            x, wqkv = rng.normal(size=(n, 4)), rng.normal(size=(4, 12))
             upstream = rng.normal(size=(n if rows is None else len(rows), 4))
             layout = _padding_layout(tuple(lengths))
             split += len(layout.key_bias) > 1
             if rows is not None:  # the grids holding a wanted row, found from each row's sequence
                 wanted = layout.group[np.searchsorted(layout.start, rows, side="right") - 1]
                 skipped += len(set(wanted.tolist())) < len(layout.key_bias)
-            cases.append((qkv, lengths, rows, upstream, _attention_and_grad(qkv, lengths, rows, upstream)))
+            cases.append((x, wqkv, lengths, rows, upstream, _either_and_grad(x, wqkv, lengths, rows, upstream)))
         assert split >= 10 and skipped >= 3
         slot_budget(10**9)  # every batch in one grid
-        for qkv, lengths, rows, upstream, (out, grad) in cases:
+        for x, wqkv, lengths, rows, upstream, got in cases:
             assert len(_padding_layout(tuple(lengths)).key_bias) == 1
-            one_out, one_grad = _attention_and_grad(qkv, lengths, rows, upstream)
-            np.testing.assert_allclose(out, one_out, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(grad, one_grad, atol=1e-12, rtol=0)
+            for mine, one in zip(got, _either_and_grad(x, wqkv, lengths, rows, upstream)):
+                np.testing.assert_allclose(mine, one, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("rows", [None, [10, 0, 6], [7, 5]])
     def test_gradcheck_across_a_forced_split(self, slot_budget, rows):
@@ -405,11 +432,14 @@ class TestLengthGroups:
         lengths = [3, 1, 5, 2]
         assert len(_padding_layout(tuple(lengths)).key_bias) == 3
         rng = np.random.default_rng(19)
-        qkv = parameter(rng.normal(size=(11, 12)))
+        if rows is None:
+            qkv = parameter(rng.normal(size=(11, 12)))
+            params, build = {"qkv": qkv}, lambda: attention(qkv, lengths, 2)
+        else:
+            x, wqkv = parameter(rng.normal(size=(11, 4))), parameter(rng.normal(size=(4, 12)))
+            params, build = {"x": x, "wqkv": wqkv}, lambda: attend(x, wqkv, lengths, 2, rows)
         weights = rng.normal(size=(11 if rows is None else len(rows), 4))
-        checked = check_gradients(
-            lambda: weighted_sum(attention(qkv, lengths, 2, rows), weights), {"qkv": qkv}, rng, probes=60, rel=1e-4
-        )
+        checked = check_gradients(lambda: weighted_sum(build(), weights), params, rng, probes=60, rel=1e-4)
         assert checked == 60
 
     def test_grid_with_no_wanted_row_gives_exactly_zero_gradient(self, slot_budget):
@@ -417,11 +447,13 @@ class TestLengthGroups:
         lengths, rows = [3, 1, 5, 2], [7, 5]
         rng = np.random.default_rng(21)
         layout = _padding_layout(tuple(lengths))
-        q_lengths, _ = tensor._query_plan(layout, rows, 11)
-        np.testing.assert_array_equal(q_lengths, [0, 0, 4])
-        _, grad = _attention_and_grad(rng.normal(size=(11, 12)), lengths, rows, rng.normal(size=(2, 4)))
+        _, slots, q_lengths, size = tensor._query_slots(layout, rows, 11)
+        assert q_lengths == [0, 0, 2] and size == 2  # two queries for the 5's one sequence
+        np.testing.assert_array_equal(slots, [0, 1])
+        _, grad, _ = _attend_and_grad(rng.normal(size=(11, 4)), rng.normal(size=(4, 12)), lengths, rows,
+                                      rng.normal(size=(2, 4)))
         assert np.all(grad[[0, 1, 2, 3, 9, 10]] == 0.0)
-        assert np.all(grad[4:9, 4:] != 0.0)  # the 5's keys and values
+        assert np.all(grad[4:9] != 0.0)  # the 5's rows
 
     def test_one_grid_path_is_the_single_grid_formula(self):
         rng = np.random.default_rng(20)
@@ -433,7 +465,7 @@ class TestLengthGroups:
             )
             n = sum(lengths)
             qkv, upstream = rng.normal(size=(n, 24)), rng.normal(size=(n, 8))
-            out, grad = _attention_and_grad(qkv, lengths, None, upstream)
+            out, grad = _attention_and_grad(qkv, lengths, upstream)
             ref_out, ref_grad = _one_grid_reference(qkv, lengths, 2, upstream)
             np.testing.assert_array_equal(out, ref_out)
             np.testing.assert_array_equal(grad, ref_grad)
@@ -442,15 +474,104 @@ class TestLengthGroups:
     def test_bad_query_rows_in_a_split_batch(self, slot_budget):
         slot_budget(6)
         assert len(_padding_layout((3, 1, 5, 2)).key_bias) == 3
-        qkv = Tensor(np.zeros((11, 12)))
+        x, wqkv = Tensor(np.zeros((11, 4))), Tensor(np.zeros((4, 12)))
         with pytest.raises(IndexError):
-            attention(qkv, [3, 1, 5, 2], 1, [11])
+            attend(x, wqkv, [3, 1, 5, 2], 1, [11])
         with pytest.raises(IndexError):
-            attention(qkv, [3, 1, 5, 2], 1, [0, -1])
+            attend(x, wqkv, [3, 1, 5, 2], 1, [0, -1])
         with pytest.raises(ShapeError):
-            attention(qkv, [3, 1, 5, 2], 1, [9, 4, 9])  # repeated
+            attend(x, wqkv, [3, 1, 5, 2], 1, [9, 4, 9])  # repeated
         with pytest.raises(ShapeError):
-            attention(qkv, [3, 1, 5, 2], 1, [[0, 1]])
+            attend(x, wqkv, [3, 1, 5, 2], 1, [[0, 1]])
+
+
+@st.composite
+def _attend_cases(draw):
+    """x, wqkv, lengths, num_heads and rows for attend: up to eight random
+    lengths, sometimes with one past EVAL_SLOTS so that the batch runs as
+    several grids, and one sequence is a batch too; rows distinct, in any
+    order and often several to a sequence, or the plan's own start array,
+    or those starts followed by other rows, as in pretraining."""
+    lengths = draw(st.lists(st.integers(1, 16), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(EVAL_SLOTS + 1, EVAL_SLOTS + 3)))
+    n, starts = sum(lengths), tensor.batch_layout(tuple(lengths)).start
+    kind = draw(st.sampled_from(["random", "starts", "starts then others"]))
+    if kind == "starts":
+        rows = starts
+    else:
+        others = [r for r in range(n) if kind == "random" or r not in starts]
+        picked = draw(st.lists(st.sampled_from(others), unique=True, max_size=16)) if others else []
+        rows = picked if kind == "random" else np.concatenate((starts, np.array(picked, dtype=np.int64)))
+    if not len(rows):
+        rows = [draw(st.integers(0, n - 1))]
+    num_heads = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(n, 8)), rng.normal(size=(8, 24)), lengths, num_heads, rows, rng
+
+
+class TestAttend:
+    """attend(x, wqkv, lengths, num_heads, rows) against attention(linear(x, wqkv))."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_attend_cases())
+    def test_equals_attention_of_the_projection_at_the_rows(self, case):
+        x, wqkv, lengths, num_heads, rows, rng = case
+        upstream = rng.normal(size=(len(rows), 8))
+        got = _attend_and_grad(x, wqkv, lengths, rows, upstream, num_heads)
+        full = _full_path(x, wqkv, lengths, rows, upstream, num_heads)
+        for name, mine, theirs in zip(("output", "x gradient", "wqkv gradient"), got, full):
+            np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-12 * np.abs(theirs).max(), err_msg=name)
+
+    @pytest.mark.parametrize("extra", [[], [2, 9, 7, 13, 10]], ids=["cls", "pretraining"])
+    def test_gradcheck(self, extra):
+        # the [CLS] rows alone, or the [CLS] rows and then masked-token rows
+        rng = np.random.default_rng(26)
+        lengths = [4, 1, 6, 4]
+        rows = np.concatenate((tensor.batch_layout(tuple(lengths)).start, np.array(extra, dtype=np.int64)))
+        x, wqkv = parameter(rng.normal(size=(15, 8))), parameter(rng.normal(size=(8, 24)))
+        weights = rng.normal(size=(len(rows), 8))
+        checked = check_gradients(
+            lambda: weighted_sum(attend(x, wqkv, lengths, 2, rows), weights), {"x": x, "wqkv": wqkv}, rng, 120, rel=1e-4
+        )
+        assert checked == 120
+
+    @pytest.mark.parametrize("budget", [None, 6])
+    def test_pad_isolation(self, slot_budget, budget):
+        # a wanted row ignores whatever another sequence holds, in its grid or in another
+        if budget is not None:
+            slot_budget(budget)  # lengths sorted 2, 3 | 5 | 6
+        lengths, rows = [3, 5, 2, 6], [0, 12, 2, 10, 9, 15]  # none in the 5-row sequence
+        rng = np.random.default_rng(27)
+        x, wqkv = rng.normal(size=(16, 8)), rng.normal(size=(8, 24))
+        scrambled = x.copy()
+        scrambled[3:8] = rng.normal(size=(5, 8)) * 10.0
+        for wanted in (rows, tensor.batch_layout(tuple(lengths)).start):
+            keep = [i for i, r in enumerate(wanted) if not 3 <= r < 8]
+            out_a = attend(Tensor(x), Tensor(wqkv), lengths, 2, wanted).data
+            out_b = attend(Tensor(scrambled), Tensor(wqkv), lengths, 2, wanted).data
+            np.testing.assert_allclose(out_a[keep], out_b[keep], atol=1e-9, rtol=0)
+
+    def test_no_rows_give_no_output_and_zero_gradients(self):
+        rng = np.random.default_rng(28)
+        out, d_x, d_w = _attend_and_grad(rng.normal(size=(5, 4)), rng.normal(size=(4, 12)), [2, 3], [], np.zeros((0, 4)))
+        assert out.shape == (0, 4) and not d_x.any() and not d_w.any()
+
+    def test_shape_errors(self):
+        t = lambda *s: Tensor(np.zeros(s))
+        with pytest.raises(ShapeError, match="^attend expects a 2-D tensor"):
+            attend(t(8), t(8, 24), [1], 2, [0])
+        for w_shape, heads in (((8, 16), 2), ((4, 24), 2), ((8, 24), 3), ((8, 24), 0)):
+            with pytest.raises(ShapeError, match=r"^attend: weights of shape"):
+                attend(t(2, 8), t(*w_shape), [2], heads, [0])
+        with pytest.raises(ShapeError, match="do not partition"):
+            attend(t(3, 8), t(8, 24), [1, 1], 2, [0])
+
+    def test_one_tape_node_for_the_layer_before_its_output_projection(self):
+        x, wqkv = parameter(np.ones((5, 4))), parameter(np.ones((4, 12)))
+        with Graph() as graph:
+            attend(x, wqkv, [2, 3], 2, [0, 2])
+        assert len(graph) == 1
 
 
 class TestMultiHead:

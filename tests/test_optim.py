@@ -10,8 +10,9 @@ from sentibert.classify import TrainConfig
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError
 from sentibert.model import SentimentModel
-from sentibert.optim import Adam, LoopConfig, run_epochs
+from sentibert.optim import SGD, Adam, LoopConfig, run_epochs
 from sentibert.pretrain import PretrainConfig
+from sentibert.tensor import parameter
 from sentibert.tokenizer import SPECIAL_TOKENS, Vocab
 
 
@@ -89,13 +90,15 @@ def test_every_config_field_is_a_scalar_check_field_types_checks(config_cls):
         assert f.type in (int, float, bool, str), f"{config_cls.__name__}.{f.name} is {f.type}"
 
 
-def test_adam_step_allocates_nothing_in_proportion_to_the_weights():
+def _step_peak(optimizer_cls) -> tuple[int, int]:
+    """The traced allocation peak of one step, after two warm-up steps, of
+    optimizer_cls on the default model's classifier set; and its largest tensor's bytes."""
     vocab = Vocab(list(SPECIAL_TOKENS) + ["good", "bad"])
     params = SentimentModel.init(vocab, EncoderConfig(), seed=0).named_parameters("classifier")
     largest = max(p.data.nbytes for p in params.values())
     rng = np.random.default_rng(0)
     grads = {name: rng.normal(size=p.data.shape) for name, p in params.items()}
-    opt = Adam(params)
+    opt = optimizer_cls(params)
     for warm_up in (True, True, False):
         for name, p in params.items():
             p.grad = grads[name]
@@ -107,5 +110,29 @@ def test_adam_step_allocates_nothing_in_proportion_to_the_weights():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, largest
+
+
+def test_adam_step_allocates_nothing_in_proportion_to_the_weights():
+    peak, largest = _step_peak(Adam)
     assert largest == 64 * 256 * 8
     assert peak < largest, f"one step peaked at {peak} B, the largest tensor is {largest} B"
+
+
+def test_sgd_step_allocates_nothing_in_proportion_to_the_weights():
+    peak, largest = _step_peak(SGD)
+    assert largest == 64 * 256 * 8
+    assert peak < largest, f"one step peaked at {peak} B, the largest tensor is {largest} B"
+
+
+def test_sgd_step_is_the_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(1)
+    params = {"a": parameter(rng.normal(size=(3, 4))), "b": parameter(rng.normal(size=5))}
+    grads = {name: rng.normal(size=p.data.shape) for name, p in params.items()}
+    expected = {name: p.data - 0.3 * grads[name] for name, p in params.items()}
+    for name, p in params.items():
+        p.grad = grads[name]
+    SGD(params, lr=0.3).step()
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, expected[name])
+        assert p.grad is None

@@ -14,6 +14,7 @@ from sentibert.optim import OPTIMIZERS, SGD, Adam
 from sentibert.tensor import (
     Graph,
     Tensor,
+    attend,
     attention,
     cross_entropy,
     dropout,
@@ -459,6 +460,7 @@ _OP_INPUTS = {
         ((3, 4), (3, 4), (4,), (4,)),
     ),
     "attention": (lambda qkv: attention(qkv, [2, 1], 2), ((3, 12),)),
+    "attend": (lambda x, wqkv: attend(x, wqkv, [2, 1], 2, [2, 0, 1]), ((3, 4), (4, 12))),
     "cross_entropy": (lambda logits: cross_entropy(logits, [0, 2, 1]), ((3, 3),)),
     "gather_rows": (lambda a, e: gather_rows((a, [2, 0, 2]), (e, [1, 1, 0])), ((3, 4), (2, 4))),
 }
