@@ -29,11 +29,11 @@ from .tokenizer import Vocab
 FORMAT_VERSION = 2
 
 
-def _derived_fields(vocab: Vocab, config: EncoderConfig) -> dict:
+def _derived_fields(vocab: Vocab, shapes: dict[str, tuple[int, ...]]) -> dict:
     """The header fields that follow from the vocab and config: the class
-    names, the vocab's hash, and the tensor index, one entry per
-    parameter_shapes name sorted by name, float32 payloads back to back."""
-    shapes = parameter_shapes(len(vocab), config)
+    names, the vocab's hash, and the tensor index, one entry per name of
+    shapes (the config's parameter_shapes) sorted by name, float32 payloads
+    back to back."""
     index, offset = [], 0
     for name in sorted(shapes):
         nbytes = 4 * math.prod(shapes[name])
@@ -43,7 +43,7 @@ def _derived_fields(vocab: Vocab, config: EncoderConfig) -> dict:
 
 
 def save_checkpoint(model: SentimentModel, path: str) -> None:
-    derived = _derived_fields(model.vocab, model.config)
+    derived = _derived_fields(model.vocab, parameter_shapes(len(model.vocab), model.config))
     header = {
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
@@ -94,12 +94,22 @@ def _json(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
+def _same_types(got, want) -> bool:
+    """Whether got, equal to want, also has want's type at every level."""
+    if type(want) is dict:
+        return all([_same_types(got[key], value) for key, value in want.items()])
+    if type(want) is list:
+        return all(map(_same_types, got, want))
+    return type(got) is type(want)
+
+
 def _check_derived(header: dict, key: str, want) -> None:
     """CheckpointError unless header[key] is want, the value derived from the
-    vocab and config, as the JSON text the writer produces (false is not 0,
-    16.0 is not 16). A list names its first bad entry, showing both sides."""
+    vocab and config, with want's types: == alone takes JSON's false for 0
+    and 16.0 for 16, which the writer never writes. A list names its first
+    bad entry, showing both sides as the JSON text the writer produces."""
     got = _header_field(header, key, lambda raw: raw)
-    if _json(got) == _json(want):
+    if got == want and _same_types(got, want):
         return
     if isinstance(got, list) and isinstance(want, list):
         for i in range(max(len(got), len(want))):
@@ -129,7 +139,8 @@ def load_checkpoint(path: str) -> SentimentModel:
         raise CheckpointError(
             f"checkpoint config implies at least {config.num_layers} tensors, the file holds {stored}"
         )
-    derived = _derived_fields(vocab, config)
+    shapes = parameter_shapes(len(vocab), config)
+    derived = _derived_fields(vocab, shapes)
     for key, want in derived.items():
         _check_derived(header, key, want)
 
@@ -141,4 +152,4 @@ def load_checkpoint(path: str) -> SentimentModel:
         arrays[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(entry["shape"])
         if not np.isfinite(arrays[name]).all():
             raise CheckpointError(f"checkpoint tensor {name!r} holds non-finite values")
-    return SentimentModel.from_arrays(vocab, config, arrays, seed)
+    return SentimentModel.from_arrays(vocab, config, arrays, seed, shapes)

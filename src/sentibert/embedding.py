@@ -4,14 +4,20 @@ from .tensor import Tensor, batch_layout, gather_rows
 from .tokenizer import EncodedSequence
 
 
-def embed(seqs: list[EncodedSequence], params: dict[str, Tensor]) -> Tensor:
+def embed(seqs: list[EncodedSequence], params: dict[str, Tensor], plan=None) -> Tensor:
     """Packed rows of a batch, each sequence's rows back to back: the row of
     token i = (token_table[token_ids[i]] + segment_table[segment_ids[i]]) + position_table[i],
     one gather over the embeddings.* tables of params, the positions read from
-    the batch's plan (tensor.batch_layout). Tables that disagree on width fail
-    with a ShapeError."""
+    the batch's plan (tensor.batch_layout; looked up here unless given). Tables
+    that disagree on width fail with a ShapeError."""
+    if plan is None:
+        plan = batch_layout(tuple([s.real_length() for s in seqs]))
+    if len(seqs) == 1:  # one sequence's ids are its own lists
+        token_ids, segment_ids = seqs[0].token_ids, seqs[0].segment_ids
+    else:
+        token_ids, segment_ids = [t for s in seqs for t in s.token_ids], [t for s in seqs for t in s.segment_ids]
     return gather_rows(
-        (params["embeddings.token"], [t for s in seqs for t in s.token_ids]),
-        (params["embeddings.segment"], [t for s in seqs for t in s.segment_ids]),
-        (params["embeddings.position"], batch_layout(tuple(s.real_length() for s in seqs)).positions),
+        (params["embeddings.token"], token_ids),
+        (params["embeddings.segment"], segment_ids),
+        (params["embeddings.position"], plan.positions),
     )

@@ -52,11 +52,30 @@ class EncoderConfig:
         return cls(**raw)
 
 
+LAYER_WEIGHTS = ("wqkv", "wo", "ln1.gamma", "ln1.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gamma", "ln2.beta")
+
+
+def layer_weights(params: dict[str, Tensor], prefix: str) -> tuple[Tensor, ...]:
+    """The tensors named prefix + "." + suffix in params, for each suffix of
+    LAYER_WEIGHTS in order: one layer's weights, bound once, so that a
+    forward reads no weight by name. A missing one is a ConfigError naming it."""
+    try:
+        return tuple([params[f"{prefix}.{suffix}"] for suffix in LAYER_WEIGHTS])
+    except KeyError as exc:
+        raise ConfigError(f"encoder: no parameter named {exc.args[0]}") from None
+
+
+def stack_weights(params: dict[str, Tensor], config: EncoderConfig) -> tuple[tuple[Tensor, ...], ...]:
+    """layer_weights of encoder.0 .. encoder.{num_layers-1}, in order."""
+    return tuple(layer_weights(params, f"encoder.{i}") for i in range(config.num_layers))
+
+
 def multi_head(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
     """Attention on the packed rows' fused projection x wqkv (Q heads, then K
     heads, then V heads, d_k columns each), projected by W^O: one output row
     per row (tensor.attention), or given rows, per wanted row, in their order
-    (tensor.attend, which projects no row to a key or a value)."""
+    (tensor.attend, which projects no row to a key or a value). lengths are
+    the sequences' row counts or their plan, as both ops take them."""
     if x.data.shape[1] != wo.data.shape[0]:
         raise ShapeError(f"multi_head: input width {x.data.shape[1]} != d_model {wo.data.shape[0]}")
     if rows is None:
@@ -71,8 +90,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
 def encoder_layer(
     x: Tensor,
-    params: dict[str, Tensor],
-    prefix: str,
+    weights: tuple[Tensor, ...],
     lengths,
     num_heads: int,
     dropout_rate: float = 0.0,
@@ -80,52 +98,44 @@ def encoder_layer(
     training: bool = False,
     rows=None,
 ) -> Tensor:
-    """Post-norm block on the weights named prefix + "." + suffix in params:
-    y = LayerNorm(x + attn), then LayerNorm(y + FFN(y)), each sub-layer output
-    under its own dropout mask. Given rows, the block computes outputs only at
-    those packed rows, in that order: they still attend to every row of their
-    sequence, and both dropout masks are drawn at the full [N x d] shape and
-    then indexed, so the rng stream does not depend on rows."""
+    """Post-norm block on one layer's weights (layer_weights): y =
+    LayerNorm(x + attn), then LayerNorm(y + FFN(y)), each sub-layer output
+    under its own dropout mask. Given rows, the block computes outputs only
+    at those packed rows, in that order: they still attend to every row of
+    their sequence, and both dropout masks are drawn, in turn, at the full
+    [N x d] shape and then indexed, so the rng stream does not depend on rows."""
     check_dropout_rate(dropout_rate)  # in eval mode too, where no mask is drawn
-    masked = training and dropout_rate > 0.0
-    if masked and rng is None:
-        raise ConfigError("encoder_layer: training with dropout needs an rng")
-
-    def p(suffix: str) -> Tensor:
-        try:
-            return params[f"{prefix}.{suffix}"]
-        except KeyError:
-            raise ConfigError(f"encoder_layer: no parameter named {prefix}.{suffix}") from None
-
-    def keep() -> np.ndarray | None:
-        mask = dropout(x, dropout_rate, rng, True) if masked else None
-        return mask if mask is None or rows is None else mask[rows]
-
-    attn = multi_head(x, p("wqkv"), p("wo"), lengths, num_heads, rows)
-    y = layer_norm(x, attn, p("ln1.gamma"), p("ln1.beta"), keep(), LAYER_NORM_EPS, rows)
-    sub = feed_forward(y, p("ffn.w1"), p("ffn.b1"), p("ffn.w2"), p("ffn.b2"))
-    return layer_norm(y, sub, p("ln2.gamma"), p("ln2.beta"), keep(), LAYER_NORM_EPS)
+    keep = (None, None)
+    if training and dropout_rate > 0.0:
+        if rng is None:
+            raise ConfigError("encoder_layer: training with dropout needs an rng")
+        keep = [dropout(x, dropout_rate, rng, True) for _ in range(2)]
+        if rows is not None:
+            keep = [mask[rows] for mask in keep]
+    wqkv, wo, gamma1, beta1, w1, b1, w2, b2, gamma2, beta2 = weights
+    y = layer_norm(x, multi_head(x, wqkv, wo, lengths, num_heads, rows), gamma1, beta1, keep[0], LAYER_NORM_EPS, rows)
+    return layer_norm(y, feed_forward(y, w1, b1, w2, b2), gamma2, beta2, keep[1], LAYER_NORM_EPS)
 
 
 def encode(
     x: Tensor,
     config: EncoderConfig,
-    params: dict[str, Tensor],
+    layers: tuple[tuple[Tensor, ...], ...],
     lengths,
     training: bool = False,
     rng: np.random.Generator | None = None,
     rows=None,
 ) -> Tensor:
-    """Apply layers encoder.0 .. encoder.{num_layers-1} of params in turn;
-    an empty stack is the identity. Given rows, the output holds only those
-    packed rows, in that order: the last layer computes nothing else. A
-    missing layer weight is a ConfigError."""
-    if config.num_layers == 0:
+    """Apply layers, each one's layer_weights (stack_weights), in turn; an
+    empty stack is the identity. lengths are the sequences' row counts or
+    their plan (tensor.batch_layout), which a forward looks up once for every
+    layer. Given rows, the output holds only those packed rows, in that
+    order: the last layer computes nothing else."""
+    if not layers:
         return x if rows is None else gather_rows((x, rows))
-    hidden = x
-    for i in range(config.num_layers):
-        layer_rows = rows if i == config.num_layers - 1 else None
-        hidden = encoder_layer(
-            hidden, params, f"encoder.{i}", lengths, config.num_heads, config.dropout_rate, rng, training, layer_rows
+    last = len(layers) - 1
+    for i, weights in enumerate(layers):
+        x = encoder_layer(
+            x, weights, lengths, config.num_heads, config.dropout_rate, rng, training, rows if i == last else None
         )
-    return hidden
+    return x

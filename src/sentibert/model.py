@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import NUM_CLASSES
 from .embedding import embed
-from .encoder import EncoderConfig, encode
+from .encoder import EncoderConfig, encode, stack_weights
 from .errors import ConfigError, ContractError
 from .tensor import Tensor, batch_layout, length_groups, linear, parameter
 from .tokenizer import EncodedSequence, Vocab
@@ -88,13 +88,17 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 class SentimentModel:
     """Every learnable weight, stored once by name in parameter_shapes order,
-    plus the vocabulary and shape configuration. The forward reads params by name."""
+    plus the vocabulary and shape configuration. The encoder's tensors are
+    bound once, per layer (layers), so a forward reads no encoder weight by
+    name; load_snapshot writes into the same tensors."""
 
-    def __init__(self, vocab: Vocab, config: EncoderConfig, params: dict[str, Tensor], seed: int = 0):
-        shapes = parameter_shapes(len(vocab), config)
+    def __init__(self, vocab: Vocab, config: EncoderConfig, params: dict[str, Tensor], seed: int = 0, shapes=None):
+        """shapes: parameter_shapes(len(vocab), config), when the caller has it."""
+        shapes = parameter_shapes(len(vocab), config) if shapes is None else shapes
         _check_arrays(shapes, params)
         self.vocab, self.config, self.seed = vocab, config, seed
         self.params = {name: params[name] for name in shapes}
+        self.layers = stack_weights(self.params, config)
 
     @classmethod
     def init(cls, vocab: Vocab, config: EncoderConfig, seed: int) -> "SentimentModel":
@@ -104,15 +108,17 @@ class SentimentModel:
         rng = np.random.default_rng(seed)
         shapes = parameter_shapes(len(vocab), config)
         params = {n: parameter(initial_array(n, s, config, rng), name=n) for n, s in shapes.items()}
-        return cls(vocab, config, params, seed)
+        return cls(vocab, config, params, seed, shapes)
 
     @classmethod
     def from_arrays(
-        cls, vocab: Vocab, config: EncoderConfig, arrays: dict[str, np.ndarray], seed: int
+        cls, vocab: Vocab, config: EncoderConfig, arrays: dict[str, np.ndarray], seed: int, shapes=None
     ) -> "SentimentModel":
         """Model holding float64 copies of named arrays whose names and shapes
-        match parameter_shapes exactly; no random initialization."""
-        return cls(vocab, config, {n: parameter(np.array(a, np.float64), name=n) for n, a in arrays.items()}, seed)
+        match parameter_shapes (shapes, when the caller has it) exactly; no
+        random initialization."""
+        params = {n: parameter(np.array(a, np.float64), name=n) for n, a in arrays.items()}
+        return cls(vocab, config, params, seed, shapes)
 
     def named_parameters(self, head: str | None = None) -> dict[str, Tensor]:
         """Every parameter by name; given one of HEADS, only the embeddings,
@@ -142,14 +148,17 @@ class SentimentModel:
         seqs: list[EncodedSequence],
         training: bool = False,
         rng: np.random.Generator | None = None,
-        rows: list[int] | None = None,
+        rows=None,
+        plan=None,
     ) -> Tensor:
         """Encoder output [N x d] of a batch: each sequence's rows, back to
-        back in batch order, from row batch_layout(lengths).start[i] for the
-        i-th. Given rows, only those packed rows, in that order; the last
-        encoder layer computes nothing else."""
-        lengths = [s.real_length() for s in seqs]
-        return encode(embed(seqs, self.params), self.config, self.params, lengths, training, rng, rows)
+        back in batch order, from row plan.start[i] for the i-th, plan being
+        the batch's batch_layout (looked up here unless given, then handed to
+        the embedding and every attention op). Given rows, only those packed
+        rows, in that order; the last encoder layer computes nothing else."""
+        if plan is None:
+            plan = batch_layout(tuple([s.real_length() for s in seqs]))
+        return encode(embed(seqs, self.params, plan), self.config, self.layers, plan, training, rng, rows)
 
     def class_logits(
         self,
@@ -158,8 +167,8 @@ class SentimentModel:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """Sentiment logits [B x 3] from each sequence's [CLS] hidden state."""
-        starts = batch_layout(tuple(s.real_length() for s in seqs)).start  # attend takes these as the [CLS] rows
-        hidden = self.hidden_states(seqs, training, rng, rows=starts)
+        plan = batch_layout(tuple([s.real_length() for s in seqs]))
+        hidden = self.hidden_states(seqs, training, rng, plan.start, plan)  # attend takes its start as the [CLS] rows
         return linear(hidden, self.params["classifier.weight"], self.params["classifier.bias"])
 
     def nsp_logits(self, hidden: Tensor, rows) -> Tensor:

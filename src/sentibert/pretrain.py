@@ -113,12 +113,12 @@ def _batch_losses(
 
     The encoder computes its last layer only at the rows the heads read: each
     sequence's [CLS], then every masked position."""
-    starts = batch_layout(tuple(s.real_length() for s in batch.sequences)).start
+    plan = batch_layout(tuple([s.real_length() for s in batch.sequences]))
     packed = np.concatenate(batch.mlm_targets)  # one target per packed row
     rows = np.flatnonzero(packed != SENTINEL)
     targets = packed[rows]
-    hidden = model.hidden_states(batch.sequences, training, rng, rows=np.concatenate((starts, rows)))
-    b = len(starts)
+    hidden = model.hidden_states(batch.sequences, training, rng, np.concatenate((plan.start, rows)), plan)
+    b = len(plan.start)
     nsp_loss = cross_entropy(model.nsp_logits(hidden, slice(0, b)), batch.nsp_labels)
     if not rows.size:
         return None, nsp_loss, None, targets

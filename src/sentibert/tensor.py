@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 NEG_INF_MASK = -1e9  # additive pre-softmax penalty for masked attention slots
+SHORT_IDS = 16  # an id array up to this long is bounds-checked with Python's min and max, as a list is
 EVAL_SLOTS = 512  # padded token slots (sequences x longest length) per attention grid and per eval-mode forward
 # glibc trims freed pages off the heap top and maps large arrays fresh, so every training step faults
 HEAP_TOP_PAD = 64 << 20  # its ~13 MB of temporaries back in; a padded top keeps them (address space, not RSS)
@@ -153,7 +154,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, rows=None, transposed:
 
     def backward(grad):
         if b is not None:
-            _accumulate(b, grad.sum(axis=0))
+            _accumulate(b, np.add.reduce(grad, 0))
         d_x = grad @ wt.T
         _accumulate(x, d_x if idx is None else _segment_sum(d_x, idx, x.data.shape[0]))
         d_w = xs.T @ grad
@@ -184,11 +185,11 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         return out
 
     def backward(grad):
-        _accumulate(b2, grad.sum(axis=0))
+        _accumulate(b2, np.add.reduce(grad, 0))
         _accumulate(w2, h.T @ grad)
         d_h = grad @ w2.data.T
         d_h *= h > 0.0
-        _accumulate(b1, d_h.sum(axis=0))
+        _accumulate(b1, np.add.reduce(d_h, 0))
         _accumulate(x, d_h @ w1.data.T)
         _accumulate(w1, x.data.T @ d_h)
 
@@ -214,22 +215,24 @@ def layer_norm(
     if eps <= 0.0:
         raise ContractError(f"layer_norm: eps must be positive, got {eps}")
     z = xs + (sub.data if keep is None else sub.data * keep)
-    # sum / d is exactly what .mean computes (add.reduce, then true_divide)
-    x_hat = np.subtract(z, z.sum(axis=1, keepdims=True) / d, out=z)  # z is a temporary: centred in place
-    inv_std = 1.0 / np.sqrt((x_hat**2).sum(axis=1, keepdims=True) / d + eps)
+    # add.reduce, then / d, is exactly what .mean computes
+    x_hat = np.subtract(z, np.add.reduce(z, 1, keepdims=True) / d, out=z)  # z is a temporary: centred in place
+    square = np.square(x_hat)
+    # [N x 1] statistics out of place: numpy's in-place path costs twice as much on [1 x 1]
+    inv_std = 1.0 / np.sqrt(np.add.reduce(square, 1, keepdims=True) / d + eps)
     x_hat *= inv_std
-    out = x_hat * gamma.data
+    out = np.multiply(x_hat, gamma.data, out=square)  # the squares' buffer, read already
     out += beta.data
     out = Tensor(out)
     if _active.graph is None:  # not recording: no backward to build
         return out
 
     def backward(grad):
-        _accumulate(gamma, (grad * x_hat).sum(axis=0))
-        _accumulate(beta, grad.sum(axis=0))
+        _accumulate(gamma, np.add.reduce(grad * x_hat, 0))
+        _accumulate(beta, np.add.reduce(grad, 0))
         d_z = grad * gamma.data
-        term_mean = d_z.sum(axis=1, keepdims=True) / d
-        term_proj = (d_z * x_hat).sum(axis=1, keepdims=True) / d
+        term_mean = np.add.reduce(d_z, 1, keepdims=True) / d
+        term_proj = np.add.reduce(d_z * x_hat, 1, keepdims=True) / d
         d_z -= term_mean
         d_z -= x_hat * term_proj
         d_z *= inv_std
@@ -243,9 +246,9 @@ def layer_norm(
 def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis of a plain array, stabilized by subtracting
     each row's maximum; written into out when given, which may be x itself."""
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    out = np.subtract(x, np.maximum.reduce(x, -1, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= np.add.reduce(out, -1, keepdims=True)
     return out
 
 
@@ -319,28 +322,31 @@ def batch_layout(lengths: tuple[int, ...]) -> _Layout:
     return _sequence_layout(lengths[0]) if len(lengths) == 1 else _padding_layout(lengths)
 
 
-def _checked_layout(lengths, n: int) -> _Layout:
-    """batch_layout of lengths, which must be positive and sum to n."""
-    try:
-        key = tuple(map(operator.index, lengths))  # Python ints from a list, tuple or 1-D integer array
-    except TypeError:
-        key = ()
-    if not key or min(key) < 1 or sum(key) != n:
-        raise ShapeError(f"attention: lengths {lengths!r} do not partition {n} rows")
-    return batch_layout(key)
-
-
-def _slot_buffer(rows: np.ndarray, layout: _Layout) -> tuple[np.ndarray, bool]:
-    """The slot buffer holding the packed rows, zero in every padding slot,
-    and whether it is dense: a batch that fits one grid with no padding slot
-    (one sequence, or equal lengths) has slot i holding row i, and the rows
-    themselves are the buffer."""
-    dense = len(layout.grids) == 1 and layout.grids[0].stop == rows.shape[0]
-    if dense:
-        return rows, True
+def _slot_buffer(rows: np.ndarray, lengths) -> tuple[_Layout, np.ndarray, bool]:
+    """The plan of lengths, the slot buffer holding the packed rows under it,
+    zero in every padding slot, and whether that buffer is dense: a batch
+    that fits one grid with no padding slot (one sequence, or equal lengths)
+    has slot i holding row i, and the rows themselves are the buffer. lengths
+    are positive and sum to the row count, or are already the plan (a
+    forward's, looked up once for all its layers)."""
+    n = rows.shape[0]
+    if lengths.__class__ is _Layout:
+        layout = lengths
+        if layout.slots.shape[0] != n:
+            raise ShapeError(f"attention: a plan of {layout.slots.shape[0]} rows does not partition {n} rows")
+    else:
+        try:
+            key = tuple(map(operator.index, lengths))  # Python ints from a list, tuple or 1-D integer array
+        except TypeError:
+            key = ()
+        if not key or min(key) < 1 or sum(key) != n:
+            raise ShapeError(f"attention: lengths {lengths!r} do not partition {n} rows")
+        layout = batch_layout(key)
+    if len(layout.grids) == 1 and layout.grids[0].stop == n:
+        return layout, rows, True
     flat = np.zeros((layout.grids[-1].stop, rows.shape[1]))
     flat[layout.slots] = rows
-    return flat, False
+    return layout, flat, False
 
 
 def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
@@ -348,45 +354,38 @@ def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
 
     qkv is [N x 3d]: per real row, the query heads, then the key heads, then
     the value heads, d_k = d / num_heads columns each. lengths are the row
-    counts of the sequences and sum to N. The result holds each row's heads
-    side by side. Padding exists only inside this op: the sequences, stably
-    sorted by length, are cut into grids of at most EVAL_SLOTS padded slots
-    each (length_groups; a longer sequence gets a grid of its own), and each
-    grid is padded to its own longest length, with the additive -1e9 mask on
-    keys past a sequence's length. The grids lie end to end in one slot
-    buffer (_slot_buffer), which the rows enter with one scatter; the context
-    lands in a buffer of the same slots, which the outputs leave with one
-    gather. The plan is computed once per distinct lengths (batch_layout);
-    the backward reuses the forward's q/k/v and probability grids.
+    counts of the sequences, summing to N, or their plan (batch_layout),
+    which a forward looks up once and hands to every layer. The result holds
+    each row's heads side by side. Padding exists only inside this op: the
+    sequences, stably sorted by length, are cut into grids of at most
+    EVAL_SLOTS padded slots each (length_groups; a longer sequence gets a
+    grid of its own), and each grid is padded to its own longest length,
+    with the additive -1e9 mask on keys past a sequence's length. The grids
+    lie end to end in one slot buffer (_slot_buffer), which the rows enter
+    with one scatter; the context lands in a buffer of the same slots, which
+    the outputs leave with one gather. The plan is computed once per
+    distinct lengths (batch_layout); the backward reuses the forward's q/k/v
+    and probability grids.
     """
     _require_2d(qkv, "attention")
     n, width = qkv.data.shape
     if num_heads < 1 or width % (3 * num_heads):
         raise ShapeError(f"attention: width {width} does not split into q/k/v for {num_heads} heads")
-    layout = _checked_layout(lengths, n)
-    flat, dense = _slot_buffer(qkv.data, layout)
+    layout, flat, dense = _slot_buffer(qkv.data, lengths)
     d = width // 3
     d_k = d // num_heads
     factor = 1.0 / math.sqrt(d_k)
-
-    def heads(flat: np.ndarray, grid_length: int, parts: int):
-        """Per part (q, k, v when 3), the [B, H, grid_length, d_k] view of [B*grid_length x parts*d]
-        slot rows; [H, grid_length, d_k] for one sequence, which matmul runs with less overhead."""
-        view = (flat.reshape(grid_length, parts, num_heads, d_k).transpose(1, 2, 0, 3) if flat.shape[0] == grid_length
-                else flat.reshape(-1, grid_length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4))
-        return (view[0], view[1], view[2]) if parts == 3 else view[0]  # indexing beats unpacking an array
-
     context = np.empty((flat.shape[0], d))
     kept = []  # per grid: its slots and its probabilities
     for key_bias, kv in zip(layout.key_bias, layout.grids):
         length = key_bias.shape[-1]
-        q, k, v = heads(flat[kv], length, 3)
+        q, k, v = _heads(flat[kv], length, 3, num_heads)
         scores = q @ k.swapaxes(-1, -2)
         scores *= factor
         if not dense and scores.ndim == 4:  # one sequence's grid, or a batch with no padded slot, has a zero
             scores += key_bias  # mask: adding it would only turn -0.0 scores into +0.0, which exp does not tell apart
         probs = softmax(scores, out=scores)
-        np.matmul(probs, v, out=heads(context[kv], length, 1))
+        np.matmul(probs, v, out=_heads(context[kv], length, 1, num_heads))
         kept.append((kv, probs))
     out = Tensor(context if dense else context[layout.slots])
     if _active.graph is None:  # not recording: no backward to build
@@ -401,13 +400,13 @@ def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
         d_flat = np.empty_like(flat)
         for kv, probs in kept:
             length = probs.shape[-1]
-            q, k, v = heads(flat[kv], length, 3)
-            g = heads(flat_g[kv], length, 1)
+            q, k, v = _heads(flat[kv], length, 3, num_heads)
+            g = _heads(flat_g[kv], length, 1, num_heads)
             d_scores = g @ v.swapaxes(-1, -2)  # d probs, turned into d scores in place
-            d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+            d_scores -= np.add.reduce(d_scores * probs, -1, keepdims=True)
             d_scores *= probs
             d_scores *= factor
-            grad_q, grad_k, grad_v = heads(d_flat[kv], length, 3)
+            grad_q, grad_k, grad_v = _heads(d_flat[kv], length, 3, num_heads)
             np.matmul(d_scores, k, out=grad_q)
             np.matmul(d_scores.swapaxes(-1, -2), q, out=grad_k)
             np.matmul(probs.swapaxes(-1, -2), g, out=grad_v)
@@ -415,6 +414,18 @@ def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
 
     _record(out, backward, qkv)
     return out
+
+
+def _heads(rows: np.ndarray, length: int, parts: int, num_heads: int):
+    """Per part (q, k, v when 3), the [B, H, length, d_k] view of a grid's
+    [B*length x parts*d] slot rows; [H, length, d_k] for one sequence, which
+    matmul runs with less overhead."""
+    d_k = rows.shape[1] // (parts * num_heads)
+    if rows.shape[0] == length:
+        view = rows.reshape(length, parts, num_heads, d_k).transpose(1, 2, 0, 3)
+    else:
+        view = rows.reshape(-1, length, parts, num_heads, d_k).transpose(2, 0, 3, 1, 4)
+    return (view[0], view[1], view[2]) if parts == 3 else view[0]  # indexing beats unpacking an array
 
 
 def _query_slots(layout: _Layout, rows, n: int) -> tuple[np.ndarray, np.ndarray, list[int], int]:
@@ -464,21 +475,20 @@ def attend(x: Tensor, wqkv: Tensor, lengths, num_heads: int, rows) -> Tensor:
     and no row is projected to a key or a value. Each grid runs its queries
     as a [B_g, Q_g] block of a query buffer (_query_slots), Q_g being the
     most wanted rows of one of its sequences, and runs nothing when it holds
-    none. Rows that are the plan's own start array
-    (batch_layout(lengths).start) of a one-grid batch are its [CLS] rows in
-    the grid's order, one per sequence: they need no query plan, scatter or
-    gather, and go unchecked.
+    none. lengths are what attention takes, row counts or their plan. Rows
+    that are the plan's own start array (batch_layout(lengths).start) of a
+    one-grid batch are its [CLS] rows in the grid's order, one per sequence:
+    they need no query plan, scatter or gather, and go unchecked.
     """
     _require_2d(x, "attend")
     n, d = x.data.shape
     if wqkv.data.shape != (d, 3 * d) or num_heads < 1 or d % num_heads:
         raise ShapeError(f"attend: weights of shape {wqkv.data.shape} do not split width {d} into {num_heads} heads")
-    layout = _checked_layout(lengths, n)
+    layout, flat, dense = _slot_buffer(x.data, lengths)
     if rows is layout.start and len(layout.grids) == 1:
-        picks, q_slots, q_lengths = rows, None, [1]
+        picks, q_slots, q_lengths = rows, None, (1,)
     else:
         picks, q_slots, q_lengths, size = _query_slots(layout, rows, n)
-    flat, dense = _slot_buffer(x.data, layout)
     r, d_k = len(picks), d // num_heads
     factor = 1.0 / math.sqrt(d_k)
     w = wqkv.data.reshape(d, 3, num_heads, d_k).transpose(1, 2, 0, 3)  # q, k, v: each [H, d, d_k], a view
@@ -528,7 +538,7 @@ def attend(x: Tensor, wqkv: Tensor, lengths, num_heads: int, rows) -> Tensor:
         for kv, keys, block, shape, probs in kept:
             g_m = d_mixed[block].reshape(shape)
             d_scores = g_m @ keys.swapaxes(-1, -2)  # d probs, turned into d scores in place
-            d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+            d_scores -= np.add.reduce(d_scores * probs, -1, keepdims=True)
             d_scores *= probs
             np.matmul(d_scores, keys, out=d_queries[block].reshape(shape))
             d_keys = d_flat[kv].reshape(keys.shape)
@@ -573,8 +583,8 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
             raise ContractError("cross_entropy: class weights must be positive")
         w = w_per_class[idx]
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits.data - np.maximum.reduce(logits.data, 1, keepdims=True)
+    log_norm = np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
     log_probs = shifted - log_norm
     rows = np.arange(b)
     out = Tensor((w * -log_probs[rows, idx]).mean())
@@ -629,10 +639,11 @@ def _take(table: Tensor, ids, op: str) -> tuple[np.ndarray, np.ndarray | slice]:
         raise ShapeError(f"{op}: ids must be a list of row indices, got shape {idx.shape}")
     if isinstance(ids, slice):
         low, high = ids.start, ids.stop - 1
-    elif isinstance(ids, list):  # builtins: a numpy reduction costs more on a short list
-        low, high = (min(ids), max(ids)) if ids else (0, -1)
+    elif isinstance(ids, list) or idx.size <= SHORT_IDS:  # builtins: a numpy reduction costs more on a few ids
+        short = ids if isinstance(ids, list) else idx.tolist()
+        low, high = (min(short), max(short)) if short else (0, -1)
     else:
-        low, high = 0, idx.view(np.uint64).max() if idx.size else -1  # a negative id reads as over 2**63
+        low, high = 0, np.maximum.reduce(idx.view(np.uint64))  # a negative id reads as over 2**63
     if low < 0 or high >= table.data.shape[0]:
         raise IndexError(f"{op}: id out of range [0, {table.data.shape[0]})")
     return (table.data[idx] if isinstance(idx, slice) else table.data.take(idx, axis=0)), idx

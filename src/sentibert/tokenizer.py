@@ -33,14 +33,18 @@ def _is_punctuation(ch: str) -> bool:
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens; each punctuation character is its own token.
 
-    A whitespace-separated chunk of letters and digits alone passes whole: no
-    punctuation character is alphanumeric. Other chunks are scanned
+    A whitespace-separated chunk of letters and digits alone passes whole,
+    and one that ends in a single punctuation mark (`room,`) splits there:
+    no punctuation character is alphanumeric. Other chunks are scanned
     character by character.
     """
     tokens: list[str] = []
     for chunk in text.lower().split():
         if chunk.isalnum():
             tokens.append(chunk)
+            continue
+        if chunk[:-1].isalnum() and _is_punctuation(chunk[-1]):
+            tokens += (chunk[:-1], chunk[-1])
             continue
         start = 0
         for i, ch in enumerate(chunk):

@@ -97,3 +97,20 @@ def test_forward_hook_records_each_forwards_training_flag():
     assert [recorded[i][4] for i in training] == [1] * len(training)
     assert [recorded[i][4] for i in rescoring + pretrain_eval + predicting] == [0] * (len(forwards) - len(training))
     assert len(training) == sum(1 for sp in recorded if sp[0] == "optim.step")  # one forward per step
+
+
+def test_a_single_text_forward_records_its_layer_spans_once_per_layer():
+    # the benchmark's per-layer figures divide by these counts; a forward that
+    # called a wrapped name twice, or bypassed it, would skew them silently
+    spans = _spans_module()
+    vocab = build_vocab(["lovely room", "awful room"], 50)
+    config = encoder.EncoderConfig(num_layers=2, num_heads=2, d_model=8, d_ff=16, max_len=8)
+    net = model.SentimentModel.init(vocab, config, seed=0)
+    recorder = spans.Recorder()
+    with spans.instrumented(recorder, SB):
+        for text in ("lovely room", "awful"):
+            classify.forward_classify(text, net)
+    calls = {name: row["calls"] for name, row in spans.summary(recorder.spans).items()}
+    per_forward = {"model.hidden_states": 1, "embedding.embed": 1, "encoder.attention": 1}
+    per_forward.update({"encoder.multi_head": 2, "encoder.feed_forward": 2, "encoder.layer_norm": 4})
+    assert calls == {"tokenizer.encode_pair": 2, **{name: 2 * count for name, count in per_forward.items()}}

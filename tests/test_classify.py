@@ -153,6 +153,33 @@ def test_a_long_predict_batch_leaves_single_text_plans_warm():
     assert tensor._sequence_layout.cache_info().misses == warm.misses
 
 
+def _plan_lookups() -> int:
+    """Lookups, hits or misses, of both batch-plan memos so far."""
+    memos = (tensor._sequence_layout, tensor._padding_layout)
+    return sum(info.hits + info.misses for info in (memo.cache_info() for memo in memos))
+
+
+def test_a_forward_looks_its_batch_plan_up_once():
+    # class_logits looks the plan up and hands it to the embedding and to every
+    # layer's attention: one lookup per forward, however many layers run
+    model = _model(TOY, config=EncoderConfig(num_layers=3, num_heads=2, d_model=8, d_ff=16, max_len=12))
+    seqs = [encode_pair(ex.text, None, model.vocab, model.config.max_len) for ex in TOY]
+    forwards = {
+        "single text": lambda: forward_classify("lovely room", model),
+        "batch": lambda: model.class_logits(seqs),
+        "training step": lambda: model.class_logits(seqs, training=True, rng=np.random.default_rng(0)),
+        "hidden states": lambda: model.hidden_states(seqs),
+    }
+    for name, forward in forwards.items():
+        before = _plan_lookups()
+        if name == "training step":
+            with Graph():
+                forward()
+        else:
+            forward()
+        assert _plan_lookups() - before == 1, name
+
+
 class TestBatchEquivalence:
     """The batched forward against the per-sequence semantics it replaced."""
 

@@ -11,7 +11,9 @@ from sentibert.encoder import (
     encode,
     encoder_layer,
     feed_forward,
+    layer_weights,
     multi_head,
+    stack_weights,
 )
 from sentibert.errors import ConfigError, ContractError, ShapeError
 from sentibert.model import initial_array, parameter_shapes
@@ -574,6 +576,54 @@ class TestAttend:
         assert len(graph) == 1
 
 
+class TestOneSequencePlan:
+    """A single text's forward hands attention and attend its plan, one
+    sequence wide, and attend its start as the [CLS] row: under a recording
+    Graph the same code is the training code."""
+
+    @pytest.mark.parametrize("by_plan", [False, True], ids=["lengths", "plan"])
+    def test_attention_gradcheck(self, by_plan):
+        rng = np.random.default_rng(40)
+        lengths = tensor.batch_layout((6,)) if by_plan else [6]
+        qkv, weights = parameter(rng.normal(size=(6, 24))), rng.normal(size=(6, 8))
+        build = lambda: weighted_sum(attention(qkv, lengths, 2), weights)
+        assert check_gradients(build, {"qkv": qkv}, rng, probes=60, rel=1e-4) == 60
+
+    @pytest.mark.parametrize("by_plan", [False, True], ids=["lengths", "plan"])
+    def test_attend_at_the_plans_start_gradcheck(self, monkeypatch, by_plan):
+        asked = []
+        general = tensor._query_slots
+        monkeypatch.setattr(tensor, "_query_slots", lambda *args: asked.append(args) or general(*args))
+        rng = np.random.default_rng(41)
+        plan = tensor.batch_layout((6,))
+        x, wqkv = parameter(rng.normal(size=(6, 8))), parameter(rng.normal(size=(8, 24)))
+        weights = rng.normal(size=(1, 8))
+        build = lambda: weighted_sum(attend(x, wqkv, plan if by_plan else [6], 2, plan.start), weights)
+        assert check_gradients(build, {"x": x, "wqkv": wqkv}, rng, probes=80, rel=1e-4) == 80
+        assert not asked  # the plan's own start: the [CLS] path, with no query plan
+
+    def test_a_plan_gives_what_its_lengths_give(self):
+        rng = np.random.default_rng(42)
+        for lengths in ([5], [3, 1, 5]):
+            plan = tensor.batch_layout(tuple(lengths))
+            n = sum(lengths)
+            qkv, upstream = rng.normal(size=(n, 24)), rng.normal(size=(n, 8))
+            by_plan, by_lengths = _attention_and_grad(qkv, plan, upstream), _attention_and_grad(qkv, lengths, upstream)
+            for mine, theirs in zip(by_plan, by_lengths):
+                np.testing.assert_array_equal(mine, theirs)
+            x, wqkv, upstream = rng.normal(size=(n, 8)), rng.normal(size=(8, 24)), rng.normal(size=(len(lengths), 8))
+            got = _attend_and_grad(x, wqkv, plan, plan.start, upstream)
+            for mine, theirs in zip(got, _attend_and_grad(x, wqkv, lengths, list(plan.start), upstream)):
+                np.testing.assert_array_equal(mine, theirs)
+
+    def test_a_plan_of_other_rows_is_rejected(self):
+        t = lambda *s: Tensor(np.zeros(s))
+        with pytest.raises(ShapeError, match="does not partition 5 rows"):
+            attention(t(5, 12), tensor.batch_layout((6,)), 1)
+        with pytest.raises(ShapeError, match="does not partition 7 rows"):
+            attend(t(7, 4), t(4, 12), tensor.batch_layout((3, 3)), 1, [0])
+
+
 class TestMultiHead:
     def test_single_head_identity_projections(self):
         config = _config(num_heads=1, d_model=4)
@@ -610,7 +660,7 @@ class TestEncoderLayer:
         for name in ("wqkv", "wo", "ffn.w1", "ffn.w2"):
             params[f"encoder.0.{name}"].data[:] = 0.0
         x = np.random.default_rng(5).normal(size=(3, 6))
-        out = encoder_layer(Tensor(x), params, "encoder.0", [3], 2).data
+        out = encoder_layer(Tensor(x), layer_weights(params, "encoder.0"), [3], 2).data
         mean = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         once = (x - mean) / np.sqrt(var + 1e-5)
@@ -623,22 +673,24 @@ class TestEncoderLayer:
         config = _config(dropout_rate=0.5)
         params = init_layer_params(config, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
-        a = encoder_layer(x, params, "encoder.0", [4], 2, config.dropout_rate, np.random.default_rng(1), training=False)
-        b = encoder_layer(x, params, "encoder.0", [4], 2, config.dropout_rate, np.random.default_rng(999), training=False)
+        weights = layer_weights(params, "encoder.0")
+        a = encoder_layer(x, weights, [4], 2, config.dropout_rate, np.random.default_rng(1), training=False)
+        b = encoder_layer(x, weights, [4], 2, config.dropout_rate, np.random.default_rng(999), training=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_training_dropout_needs_rng(self):
         config = _config(dropout_rate=0.5)
         params = init_layer_params(config, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            encoder_layer(Tensor(np.zeros((2, 8))), params, "encoder.0", [2], 2, 0.5, None, training=True)
+            encoder_layer(Tensor(np.zeros((2, 8))), layer_weights(params, "encoder.0"), [2], 2, 0.5, None, training=True)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
     @pytest.mark.parametrize("rate", [-0.1, 1.0, float("nan")])
     def test_bad_dropout_rate_is_rejected_in_either_mode(self, training, rate):
         params = init_layer_params(_config(), np.random.default_rng(0))
         with pytest.raises(ContractError, match=r"^dropout: rate must be in \[0, 1\), got"):
-            encoder_layer(Tensor(np.zeros((2, 8))), params, "encoder.0", [2], 2, rate, np.random.default_rng(0), training)
+            weights = layer_weights(params, "encoder.0")
+            encoder_layer(Tensor(np.zeros((2, 8))), weights, [2], 2, rate, np.random.default_rng(0), training)
 
     @pytest.mark.parametrize("rows", [None, [0, 2]], ids=["all-rows", "query-rows"])
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
@@ -648,7 +700,7 @@ class TestEncoderLayer:
         params = init_layer_params(_config(), np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(5, 8)))
         rng, reference = np.random.default_rng(2), np.random.default_rng(2)
-        encoder_layer(x, params, "encoder.0", [2, 3], 2, 0.3, rng, training, rows)
+        encoder_layer(x, layer_weights(params, "encoder.0"), [2, 3], 2, 0.3, rng, training, rows)
         for _ in range(2 if training else 0):
             reference.random((5, 8))
         assert rng.bit_generator.state == reference.bit_generator.state
@@ -656,7 +708,7 @@ class TestEncoderLayer:
     def test_output_shape(self):
         config = _config()
         params = init_layer_params(config, np.random.default_rng(0))
-        out = encoder_layer(Tensor(np.zeros((5, 8))), params, "encoder.0", [2, 3], 2)
+        out = encoder_layer(Tensor(np.zeros((5, 8))), layer_weights(params, "encoder.0"), [2, 3], 2)
         assert out.data.shape == (5, 8)
 
 
@@ -673,8 +725,9 @@ class TestEncode:
         params = init_stack(config, rng)
         x = Tensor(rng.normal(size=(4, 8)))
         lengths = [1, 3]
-        stacked = encode(x, config, params, lengths)
-        manual = encoder_layer(encoder_layer(x, params, "encoder.0", lengths, 2), params, "encoder.1", lengths, 2)
+        stacked = encode(x, config, stack_weights(params, config), lengths)
+        first, second = layer_weights(params, "encoder.0"), layer_weights(params, "encoder.1")
+        manual = encoder_layer(encoder_layer(x, first, lengths, 2), second, lengths, 2)
         np.testing.assert_array_equal(stacked.data, manual.data)
 
     def test_layer_count_mismatch(self):
@@ -682,14 +735,14 @@ class TestEncode:
         config = _config(num_layers=2)
         params = init_layer_params(config, np.random.default_rng(0))
         with pytest.raises(ConfigError, match=r"encoder\.1\.wqkv"):
-            encode(Tensor(np.zeros((2, 8))), config, params, [2])
+            encode(Tensor(np.zeros((2, 8))), config, stack_weights(params, config), [2])
 
     def test_missing_layer_weight_is_config_error(self):
         config = _config(num_layers=1)
         params = init_layer_params(config, np.random.default_rng(0))
         del params["encoder.0.ln2.beta"]
         with pytest.raises(ConfigError, match=r"encoder\.0\.ln2\.beta"):
-            encode(Tensor(np.zeros((2, 8))), config, params, [2])
+            encode(Tensor(np.zeros((2, 8))), config, stack_weights(params, config), [2])
 
     def test_pad_isolation(self):
         # a sequence's rows ignore whatever its batch neighbour holds
@@ -700,8 +753,8 @@ class TestEncode:
         x = rng.normal(size=(5, 8))
         scrambled = x.copy()
         scrambled[3:, :] = rng.normal(size=(2, 8)) * 10.0
-        out_a = encode(Tensor(x), config, params, lengths).data
-        out_b = encode(Tensor(scrambled), config, params, lengths).data
+        out_a = encode(Tensor(x), config, stack_weights(params, config), lengths).data
+        out_b = encode(Tensor(scrambled), config, stack_weights(params, config), lengths).data
         np.testing.assert_allclose(out_a[:3], out_b[:3], atol=1e-9)
 
     def test_permutation_equivariance(self):
@@ -710,8 +763,8 @@ class TestEncode:
         params = init_stack(config, rng)
         x = rng.normal(size=(5, 8))
         perm = rng.permutation(5)
-        out = encode(Tensor(x), config, params, [5]).data
-        out_perm = encode(Tensor(x[perm]), config, params, [5]).data
+        out = encode(Tensor(x), config, stack_weights(params, config), [5]).data
+        out_perm = encode(Tensor(x[perm]), config, stack_weights(params, config), [5]).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
     def test_eval_determinism_bitwise(self):
@@ -719,8 +772,8 @@ class TestEncode:
         rng = np.random.default_rng(9)
         params = init_stack(config, rng)
         x = rng.normal(size=(4, 8))
-        a = encode(Tensor(x), config, params, [4], training=False).data
-        b = encode(Tensor(x), config, params, [4], training=False).data
+        a = encode(Tensor(x), config, stack_weights(params, config), [4], training=False).data
+        b = encode(Tensor(x), config, stack_weights(params, config), [4], training=False).data
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("num_layers", [0, 1, 2])
@@ -733,8 +786,8 @@ class TestEncode:
         x = Tensor(rng.normal(size=(9, 8)))
         rows = [3, 0, 8, 5]
         full_rng, cut_rng = np.random.default_rng(1), np.random.default_rng(1)
-        full = encode(x, config, params, [3, 1, 5], True, full_rng).data[rows]
-        cut = encode(x, config, params, [3, 1, 5], True, cut_rng, rows).data
+        full = encode(x, config, stack_weights(params, config), [3, 1, 5], True, full_rng).data[rows]
+        cut = encode(x, config, stack_weights(params, config), [3, 1, 5], True, cut_rng, rows).data
         np.testing.assert_allclose(cut, full, atol=1e-12, rtol=0)
         assert full_rng.random() == cut_rng.random()
 
@@ -749,7 +802,7 @@ class TestEncoderGradients:
         lengths = [3, 1]
 
         def build():
-            hidden = encode(x, config, layers, lengths)
+            hidden = encode(x, config, stack_weights(layers, config), lengths)
             return cross_entropy(linear(hidden, head, rows=[0]), [2])
 
         check_gradients(build, {"x": x, "head": head, **layers}, rng, probes=120)

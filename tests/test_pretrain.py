@@ -260,6 +260,17 @@ class TestPretrainStep:
         ops = {"gather_rows": 1, "linear": 5, "attention": 1, "attend": 1, "layer_norm": 4, "ffn": 2, "cross_entropy": 2}
         assert tapes == [ops] and sum(ops.values()) == 16
 
+    def test_a_pretraining_step_looks_its_batch_plan_up_once(self, corpus, vocab):
+        # the [CLS] rows come from the plan that the embedding and every layer's attention then reuse
+        model = SentimentModel.init(vocab, EncoderConfig(max_len=SMALL.max_len), seed=0)
+        rng = np.random.default_rng(6)
+        batch = build_masked_batch(nsp_pairs(corpus, rng)[:4], vocab, SMALL.max_len, 0.3, rng)
+        memos = (tensor._sequence_layout, tensor._padding_layout)
+        lookups = lambda: sum(info.hits + info.misses for info in (memo.cache_info() for memo in memos))
+        before = lookups()
+        pretrain_step(batch, model, self._optimizer(model), rng=rng)
+        assert lookups() - before == 1
+
     def test_fixed_seed_reproducible_trajectory(self, corpus, vocab):
         def run():
             model = self._model(vocab, seed=9)

@@ -55,6 +55,22 @@ def test_tokenize_matches_per_character_reference(text):
     assert tokenize(text) == reference_tokenize(text)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.text(st.characters(categories=("L", "N")), max_size=6),  # mostly alphanumeric: some L/N fail isalnum
+            st.one_of(st.sampled_from(",.!?;:'\"-()$%+/@_~"), st.characters()),  # a mark, a symbol or anything
+        ),
+        max_size=8,
+    )
+)
+def test_a_word_with_one_trailing_character_matches_the_reference(parts):
+    # the fast path splits a chunk of letters and digits ending in one punctuation mark (`room,`)
+    text = " ".join(word + tail for word, tail in parts)
+    assert tokenize(text) == reference_tokenize(text)
+
+
 class TestBuildVocab:
     def test_frequency_order(self):
         vocab = build_vocab(["a a b"], max_size=10, min_freq=1)
