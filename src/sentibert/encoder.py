@@ -10,8 +10,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_field_types
-from .tensor import Tensor, attend, attention, check_dropout_rate, dropout, ffn, gather_rows, layer_norm, linear
+from .errors import ConfigError, check_field_types
+from .tensor import Tensor, attend, attention, check_dropout_rate, dropout, ffn, gather_rows, layer_norm
 
 LAYER_NORM_EPS = 1e-5
 
@@ -71,16 +71,15 @@ def stack_weights(params: dict[str, Tensor], config: EncoderConfig) -> tuple[tup
 
 
 def multi_head(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
-    """Attention on the packed rows' fused projection x wqkv (Q heads, then K
-    heads, then V heads, d_k columns each), projected by W^O: one output row
-    per row (tensor.attention), or given rows, per wanted row, in their order
-    (tensor.attend, which projects no row to a key or a value). lengths are
-    the sequences' row counts or their plan, as both ops take them."""
-    if x.data.shape[1] != wo.data.shape[0]:
-        raise ShapeError(f"multi_head: input width {x.data.shape[1]} != d_model {wo.data.shape[0]}")
+    """The attention sublayer on the packed rows as one op, which projects x
+    by wqkv (Q heads, then K heads, then V heads, d_k columns each) and
+    applies W^O: one output row per row (tensor.attention), or given rows,
+    per wanted row, in their order (tensor.attend, which projects no row to
+    a key or a value). lengths are the sequences' row counts or their plan,
+    as both ops take them."""
     if rows is None:
-        return linear(attention(linear(x, wqkv), lengths, num_heads), wo)
-    return linear(attend(x, wqkv, lengths, num_heads, rows), wo)
+        return attention(x, wqkv, wo, lengths, num_heads)
+    return attend(x, wqkv, wo, lengths, num_heads, rows)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -113,8 +112,9 @@ def encoder_layer(
         if rows is not None:
             keep = [mask[rows] for mask in keep]
     wqkv, wo, gamma1, beta1, w1, b1, w2, b2, gamma2, beta2 = weights
-    y = layer_norm(x, multi_head(x, wqkv, wo, lengths, num_heads, rows), gamma1, beta1, keep[0], LAYER_NORM_EPS, rows)
-    return layer_norm(y, feed_forward(y, w1, b1, w2, b2), gamma2, beta2, keep[1], LAYER_NORM_EPS)
+    attended = multi_head(x, wqkv, wo, lengths, num_heads, rows)
+    y = layer_norm(x, attended, gamma1, beta1, keep[0], rate=dropout_rate, eps=LAYER_NORM_EPS, rows=rows)
+    return layer_norm(y, feed_forward(y, w1, b1, w2, b2), gamma2, beta2, keep[1], rate=dropout_rate, eps=LAYER_NORM_EPS)
 
 
 def encode(

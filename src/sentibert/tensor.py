@@ -198,12 +198,15 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def layer_norm(
-    x: Tensor, sub: Tensor, gamma: Tensor, beta: Tensor, keep: np.ndarray | None = None, eps: float = 1e-5, rows=None
+    x: Tensor, sub: Tensor, gamma: Tensor, beta: Tensor, keep: np.ndarray | None = None, *, rate: float = 0.0,
+    eps: float = 1e-5, rows=None,
 ) -> Tensor:
     """Post-norm residual: per-row normalization over the feature axis
-    (population variance) of z = x[rows] + sub * keep, or of x[rows] + sub
-    when keep is None. keep is a constant array such as a dropout mask; rows
-    are what linear takes, every row by default, and x's gradient sums back as linear's does."""
+    (population variance) of z = x[rows] + sub * keep / (1 - rate), or of
+    x[rows] + sub when keep is None. keep is a constant boolean mask, such as
+    dropout's (_masked); rows are what linear takes, every row by default,
+    and x's gradient sums back as linear's does. rate, eps and rows are
+    keyword-only: a value meant for eps never lands on rate."""
     xs, idx = (x.data, None) if rows is None else _take(x, rows, "layer_norm")
     if xs.ndim != 2 or sub.data.shape != xs.shape:
         raise ShapeError(f"layer_norm: x and residual shapes {xs.shape} and {sub.data.shape} differ or are not 2-D")
@@ -214,7 +217,9 @@ def layer_norm(
         )
     if eps <= 0.0:
         raise ContractError(f"layer_norm: eps must be positive, got {eps}")
-    z = xs + (sub.data if keep is None else sub.data * keep)
+    if keep is not None and not 0.0 < rate < 1.0:  # dropout gives no mask at rate 0: a mask with it lost its rate
+        raise ContractError(f"layer_norm: a keep mask needs its dropout rate in (0, 1), got {rate}")
+    z = xs + (sub.data if keep is None else _masked(sub.data, keep, rate))
     # add.reduce, then / d, is exactly what .mean computes
     x_hat = np.subtract(z, np.add.reduce(z, 1, keepdims=True) / d, out=z)  # z is a temporary: centred in place
     square = np.square(x_hat)
@@ -237,9 +242,18 @@ def layer_norm(
         d_z -= x_hat * term_proj
         d_z *= inv_std
         _accumulate(x, d_z if idx is None else _segment_sum(d_z, idx, x.data.shape[0]))
-        _accumulate(sub, d_z if keep is None else d_z * keep)
+        _accumulate(sub, d_z if keep is None else _masked(d_z, keep, rate))
 
     _record(out, backward, x, sub, gamma, beta)
+    return out
+
+
+def _masked(a: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """a * keep / (1 - rate) for a boolean keep, as a * keep, then times
+    1 / (1 - rate): for finite a, bit for bit a times the float mask
+    keep / (1 - rate), which took eight bytes a slot where keep takes one."""
+    out = a * keep
+    out *= 1.0 / (1.0 - rate)
     return out
 
 
@@ -349,32 +363,40 @@ def _slot_buffer(rows: np.ndarray, lengths) -> tuple[_Layout, np.ndarray, bool]:
     return layout, flat, False
 
 
-def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
-    """Multi-head softmax(Q K^T / sqrt(d_k)) V over sequences packed back to back.
+def _sublayer_width(x: Tensor, wqkv: Tensor, wo: Tensor, num_heads: int, op: str) -> int:
+    """x's width d, once x is 2-D, wqkv [d x 3d], wo [d x d] and d splits into num_heads heads."""
+    _require_2d(x, op)
+    d = x.data.shape[1]
+    if wqkv.data.shape != (d, 3 * d) or wo.data.shape != (d, d) or num_heads < 1 or d % num_heads:
+        raise ShapeError(
+            f"{op}: weights of shapes {wqkv.data.shape}/{wo.data.shape} do not split width {d} into {num_heads} heads"
+        )
+    return d
 
-    qkv is [N x 3d]: per real row, the query heads, then the key heads, then
-    the value heads, d_k = d / num_heads columns each. lengths are the row
-    counts of the sequences, summing to N, or their plan (batch_layout),
-    which a forward looks up once and hands to every layer. The result holds
-    each row's heads side by side. Padding exists only inside this op: the
-    sequences, stably sorted by length, are cut into grids of at most
-    EVAL_SLOTS padded slots each (length_groups; a longer sequence gets a
-    grid of its own), and each grid is padded to its own longest length,
-    with the additive -1e9 mask on keys past a sequence's length. The grids
-    lie end to end in one slot buffer (_slot_buffer), which the rows enter
-    with one scatter; the context lands in a buffer of the same slots, which
-    the outputs leave with one gather. The plan is computed once per
-    distinct lengths (batch_layout); the backward reuses the forward's q/k/v
-    and probability grids.
+
+def attention(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int) -> Tensor:
+    """The multi-head attention sublayer Concat(heads) W_O over sequences
+    packed back to back, each head softmax(Q K^T / sqrt(d_k)) V, as one op.
+
+    x is [N x d]; x wqkv holds per row the query heads, then the key heads,
+    then the value heads, d_k = d / num_heads columns each; wo is [d x d].
+    lengths are the row counts of the sequences, summing to N, or their plan
+    (batch_layout), which a forward looks up once and hands to every layer.
+    Padding exists only inside this op: the sequences, stably sorted by
+    length, are cut into grids of at most EVAL_SLOTS padded slots each
+    (length_groups; a longer sequence gets a grid of its own), and each grid
+    is padded to its own longest length, with the additive -1e9 mask on keys
+    past a sequence's length. The grids lie end to end in one slot buffer
+    (_slot_buffer), which the projected rows enter with one scatter, the
+    projection itself being a temporary; the context lands in a buffer of
+    the same slots, which the rows leave with one gather before W_O. The
+    plan is computed once per distinct lengths (batch_layout); the backward
+    reuses the forward's q/k/v and probability grids, and takes the
+    projections' gradients as linear does.
     """
-    _require_2d(qkv, "attention")
-    n, width = qkv.data.shape
-    if num_heads < 1 or width % (3 * num_heads):
-        raise ShapeError(f"attention: width {width} does not split into q/k/v for {num_heads} heads")
-    layout, flat, dense = _slot_buffer(qkv.data, lengths)
-    d = width // 3
-    d_k = d // num_heads
-    factor = 1.0 / math.sqrt(d_k)
+    d = _sublayer_width(x, wqkv, wo, num_heads, "attention")
+    layout, flat, dense = _slot_buffer(x.data @ wqkv.data, lengths)
+    factor = 1.0 / math.sqrt(d // num_heads)
     context = np.empty((flat.shape[0], d))
     kept = []  # per grid: its slots and its probabilities
     for key_bias, kv in zip(layout.key_bias, layout.grids):
@@ -387,16 +409,19 @@ def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
         probs = softmax(scores, out=scores)
         np.matmul(probs, v, out=_heads(context[kv], length, 1, num_heads))
         kept.append((kv, probs))
-    out = Tensor(context if dense else context[layout.slots])
+    concat = context if dense else context[layout.slots]  # each row's heads side by side
+    out = Tensor(concat @ wo.data)
     if _active.graph is None:  # not recording: no backward to build
         return out
 
     def backward(grad):
+        d_concat = grad @ wo.data.T
+        _accumulate(wo, concat.T @ grad)
         if dense:
-            flat_g = np.ascontiguousarray(grad)
+            flat_g = d_concat
         else:
-            flat_g = np.zeros_like(context)
-            flat_g[layout.slots] = grad
+            flat_g = np.zeros((flat.shape[0], d))
+            flat_g[layout.slots] = d_concat
         d_flat = np.empty_like(flat)
         for kv, probs in kept:
             length = probs.shape[-1]
@@ -410,9 +435,11 @@ def attention(qkv: Tensor, lengths, num_heads: int) -> Tensor:
             np.matmul(d_scores, k, out=grad_q)
             np.matmul(d_scores.swapaxes(-1, -2), q, out=grad_k)
             np.matmul(probs.swapaxes(-1, -2), g, out=grad_v)
-        _accumulate(qkv, d_flat if dense else d_flat[layout.slots])
+        d_qkv = d_flat if dense else d_flat[layout.slots]
+        _accumulate(x, d_qkv @ wqkv.data.T)
+        _accumulate(wqkv, x.data.T @ d_qkv)
 
-    _record(out, backward, qkv)
+    _record(out, backward, x, wqkv, wo)
     return out
 
 
@@ -460,10 +487,10 @@ def _query_slots(layout: _Layout, rows, n: int) -> tuple[np.ndarray, np.ndarray,
     return queries, slots, q_lengths.tolist(), int(blocks.sum())
 
 
-def attend(x: Tensor, wqkv: Tensor, lengths, num_heads: int, rows) -> Tensor:
-    """attention(linear(x, wqkv), lengths, num_heads) at the wanted packed
-    rows only: rows are distinct, in any order, and the result holds one row
-    per wanted row, in the order of rows.
+def attend(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows) -> Tensor:
+    """attention(x, wqkv, wo, lengths, num_heads) at the wanted packed rows
+    only: rows are distinct, in any order, and the result holds one row per
+    wanted row, in the order of rows.
 
     wqkv has no bias and nothing acts between the projections and the
     softmax, so the key projection folds into the query and the value
@@ -480,10 +507,8 @@ def attend(x: Tensor, wqkv: Tensor, lengths, num_heads: int, rows) -> Tensor:
     one-grid batch are its [CLS] rows in the grid's order, one per sequence:
     they need no query plan, scatter or gather, and go unchecked.
     """
-    _require_2d(x, "attend")
-    n, d = x.data.shape
-    if wqkv.data.shape != (d, 3 * d) or num_heads < 1 or d % num_heads:
-        raise ShapeError(f"attend: weights of shape {wqkv.data.shape} do not split width {d} into {num_heads} heads")
+    d = _sublayer_width(x, wqkv, wo, num_heads, "attend")
+    n = x.data.shape[0]
     layout, flat, dense = _slot_buffer(x.data, lengths)
     if rows is layout.start and len(layout.grids) == 1:
         picks, q_slots, q_lengths = rows, None, (1,)
@@ -502,7 +527,8 @@ def attend(x: Tensor, wqkv: Tensor, lengths, num_heads: int, rows) -> Tensor:
     else:
         queries = np.zeros((size, num_heads, d))  # a slot no row fills holds a zero query
         queries[q_slots] = u
-    mixed = np.empty((len(queries), num_heads, d))  # per query slot and head, p X_s
+    mixed_shape = (len(queries), num_heads, d)
+    mixed = np.empty(mixed_shape)  # per query slot and head, p X_s
     kept, offset = [], 0  # per grid that runs: its slots, keys, query slots and their shape, and its probabilities
     for key_bias, kv, q_length in zip(layout.key_bias, layout.grids, q_lengths):
         b, length = key_bias.shape[::3]
@@ -518,12 +544,14 @@ def attend(x: Tensor, wqkv: Tensor, lengths, num_heads: int, rows) -> Tensor:
         np.matmul(probs, keys, out=mixed[block].reshape(shape))
         kept.append((kv, keys, block, shape, probs))
     m_h = (mixed if q_slots is None else mixed[q_slots]).swapaxes(0, 1)  # [H, R, d]
-    out = Tensor(np.matmul(m_h, w_v).swapaxes(0, 1).reshape(r, d))  # each row's heads side by side
+    concat = np.matmul(m_h, w_v).swapaxes(0, 1).reshape(r, d)  # each row's heads side by side
+    out = Tensor(concat @ wo.data)
     if _active.graph is None:  # not recording: no backward to build
         return out
 
     def backward(grad):
-        g = grad.reshape(r, num_heads, d_k).swapaxes(0, 1)  # [H, R, d_k]
+        _accumulate(wo, concat.T @ grad)
+        g = (grad @ wo.data.T).reshape(r, num_heads, d_k).swapaxes(0, 1)  # [H, R, d_k]
         d_w = np.empty_like(wqkv.data)
         d_parts = d_w.reshape(d, 3, num_heads, d_k).transpose(1, 2, 0, 3)
         np.matmul(m_h.swapaxes(-1, -2), g, out=d_parts[2])
@@ -531,9 +559,9 @@ def attend(x: Tensor, wqkv: Tensor, lengths, num_heads: int, rows) -> Tensor:
         if q_slots is None:
             d_mixed = d_m
         else:
-            d_mixed = np.zeros_like(mixed)  # a slot no row fills gets no gradient
+            d_mixed = np.zeros(mixed_shape)  # a slot no row fills gets no gradient
             d_mixed[q_slots] = d_m
-        d_queries = np.empty_like(mixed)
+        d_queries = np.empty(mixed_shape)
         d_flat = np.empty_like(flat) if len(kept) == len(layout.grids) else np.zeros_like(flat)
         for kv, keys, block, shape, probs in kept:
             g_m = d_mixed[block].reshape(shape)
@@ -554,7 +582,7 @@ def attend(x: Tensor, wqkv: Tensor, lengths, num_heads: int, rows) -> Tensor:
         _accumulate(wqkv, d_w)
         _accumulate(x, d_x)
 
-    _record(out, backward, x, wqkv)
+    _record(out, backward, x, wqkv, wo)
     return out
 
 
@@ -671,10 +699,10 @@ def check_dropout_rate(rate: float) -> None:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> np.ndarray | None:
-    """Inverted-dropout keep mask for x, 0 with probability rate and else
-    1/(1-rate), as layer_norm's keep. None when not training or rate == 0;
-    rng is consumed only when active."""
+    """Inverted-dropout keep mask for x, one byte per slot: False with
+    probability rate, as layer_norm's keep, which scales the kept slots by
+    1/(1-rate). None when not training or rate == 0; rng is consumed only when active."""
     check_dropout_rate(rate)
     if not training or rate == 0.0:
         return None
-    return (rng.random(x.data.shape) >= rate) * (1.0 / (1.0 - rate))  # equals the division bit for bit
+    return rng.random(x.data.shape) >= rate

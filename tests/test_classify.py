@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import tape_ops
-from sentibert import tensor
+from sentibert import encoder, tensor
 from sentibert.classify import (
     TrainConfig,
     curve_to_csv,
@@ -42,6 +42,17 @@ TOY = [
 def _model(dataset, seed=0, config=TINY):
     vocab = build_vocab([ex.text for ex in dataset], 500)
     return SentimentModel.init(vocab, config, seed=seed)
+
+
+def _held_shapes(values) -> set:
+    """Shapes of the arrays among values, inside lists and tuples too; a Tensor is an input and is skipped."""
+    shapes = set()
+    for value in values:
+        if isinstance(value, np.ndarray):
+            shapes.add(value.shape)
+        elif isinstance(value, (list, tuple)):
+            shapes |= _held_shapes(value)
+    return shapes
 
 
 class TestForwardClassify:
@@ -254,19 +265,41 @@ class TestBatchEquivalence:
             np.testing.assert_allclose(grad, mean, atol=1e-12, rtol=0.0, err_msg=name)
 
 
-    def test_default_fine_tuning_step_records_14_tape_nodes(self):
-        # embedding 1 (one three-table gather); the first layer 6 (Q/K/V
-        # linear, attention, W^O linear, two residual layer norms that apply
-        # their dropout masks, one fused feed-forward); the last layer 5, as
-        # attend at the [CLS] rows replaces the Q/K/V linear and attention and
-        # its first norm reads its residual at those rows; the head's linear and the loss 2
+    def test_default_fine_tuning_step_records_11_tape_nodes(self):
+        # embedding 1 (one three-table gather); the first layer 4 (attention
+        # with both its projections, two residual layer norms that apply their
+        # dropout masks, one fused feed-forward); the last layer 4, as attend
+        # at the [CLS] rows takes attention's place and its first norm reads
+        # its residual at those rows; the head's linear and the loss 2
         model = _model(TOY, seed=2, config=EncoderConfig())
         seqs = [encode_pair(ex.text, None, model.vocab, model.config.max_len) for ex in TOY]
         with Graph() as g:
             cross_entropy(model.class_logits(seqs, training=True, rng=np.random.default_rng(0)), [ex.label for ex in TOY])
-        assert len(g) == 14
-        ops = {"gather_rows": 1, "linear": 4, "attention": 1, "attend": 1, "layer_norm": 4, "ffn": 2, "cross_entropy": 1}
+        assert len(g) == 11
+        ops = {"gather_rows": 1, "attention": 1, "attend": 1, "layer_norm": 4, "ffn": 2, "linear": 1, "cross_entropy": 1}
         assert tape_ops(g) == ops
+
+    def test_a_ragged_training_step_keeps_no_projection_copy_and_one_byte_masks(self, monkeypatch):
+        # the [N x 3d] projection is a temporary inside attention: no tape node
+        # outputs one, and attention's backward holds neither it nor a [slots x d]
+        # context buffer; each of the step's four dropout masks takes one byte a slot
+        model = _model(TOY, seed=2, config=EncoderConfig())
+        texts = [" ".join(ex.text for ex in TOY[: 1 + i % 5]) for i in range(8)]
+        seqs = [encode_pair(text, None, model.vocab, model.config.max_len) for text in texts]
+        n, d = sum(len(seq.token_ids) for seq in seqs), model.config.d_model
+        slots = tensor.batch_layout(tuple(len(seq.token_ids) for seq in seqs)).grids[-1].stop
+        assert slots > n  # ragged: the slot buffer has padding
+        masks, draw = [], encoder.dropout
+        monkeypatch.setattr(encoder, "dropout", lambda *args: masks.append(draw(*args)) or masks[-1])
+        with Graph() as g:
+            cross_entropy(model.class_logits(seqs, training=True, rng=np.random.default_rng(0)), [0] * len(seqs))
+        assert [mask.shape for mask in masks] == [(n, d)] * 4
+        assert all(mask.dtype == np.bool_ and mask.itemsize == 1 for mask in masks)
+        assert all(out.data.shape[1:] != (3 * d,) for out, _ in g._nodes)
+        (backward,) = [fn for _, fn in g._nodes if fn.__qualname__.split(".")[0] == "attention"]
+        held = _held_shapes([cell.cell_contents for cell in backward.__closure__])
+        assert (slots, 3 * d) in held and (n, d) in held  # the q/k/v slot buffer, and the rows W_O multiplied
+        assert (n, 3 * d) not in held and (slots, d) not in held
 
 
 class TestTrain:

@@ -163,7 +163,7 @@ class TestSoftmaxRows:
 
 def norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """layer_norm with a zero residual branch: the plain normalization of x."""
-    return layer_norm(x, Tensor(np.zeros_like(x.data)), gamma, beta, None, eps)
+    return layer_norm(x, Tensor(np.zeros_like(x.data)), gamma, beta, eps=eps)
 
 
 class TestLayerNorm:
@@ -189,14 +189,27 @@ class TestLayerNorm:
         with pytest.raises(ContractError):
             norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
 
+    @pytest.mark.parametrize("rate", [0.0, 1.0, float("nan")])
+    def test_a_keep_mask_without_its_rate_is_rejected(self, rate):
+        # the default rate 0 would apply the mask unscaled
+        x, keep = Tensor(np.zeros((2, 3))), np.ones((2, 3), dtype=bool)
+        with pytest.raises(ContractError, match=r"^layer_norm: a keep mask needs its dropout rate in \(0, 1\), got"):
+            layer_norm(x, x, Tensor(np.ones(3)), Tensor(np.zeros(3)), keep, rate=rate)
+
+    def test_rate_eps_and_rows_are_keyword_only(self):
+        # a positional eps would otherwise land on rate, and be ignored with no mask
+        x, gamma, beta = Tensor(np.zeros((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3))
+        with pytest.raises(TypeError):
+            layer_norm(x, x, gamma, beta, None, 1e-12)
+
     def test_normalizes_the_residual_sum_bit_for_bit(self):
-        # x + sub * keep, in that order, then the plain normalization
+        # x + sub * keep / (1 - rate), in that order, then the plain normalization
         rng = np.random.default_rng(12)
         x, sub = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
         keep = dropout(Tensor(sub), 0.3, np.random.default_rng(4), True)
         gamma, beta = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
-        masked = layer_norm(Tensor(x), Tensor(sub), gamma, beta, keep).data
-        np.testing.assert_array_equal(masked, norm(Tensor(x + sub * keep), gamma, beta).data)
+        masked = layer_norm(Tensor(x), Tensor(sub), gamma, beta, keep, rate=0.3).data
+        np.testing.assert_array_equal(masked, norm(Tensor(x + sub * (keep / (1 - 0.3))), gamma, beta).data)
         unmasked = layer_norm(Tensor(x), Tensor(sub), gamma, beta).data
         np.testing.assert_array_equal(unmasked, norm(Tensor(x + sub), gamma, beta).data)
 
@@ -456,11 +469,13 @@ _OP_INPUTS = {
     "linear": (lambda x, w, b: linear(x, w, b, rows=[2, 0, 2]), ((3, 4), (4, 5), (5,))),
     "ffn": (ffn, ((3, 4), (4, 6), (6,), (6, 3), (3,))),
     "layer_norm": (
-        lambda x, sub, gamma, beta: layer_norm(x, sub, gamma, beta, np.array([[2.0], [0.0], [2.0]]), rows=[1, 2, 1]),
+        lambda x, sub, gamma, beta: layer_norm(
+            x, sub, gamma, beta, np.array([[True], [False], [True]]), rate=0.5, rows=[1, 2, 1]
+        ),
         ((3, 4), (3, 4), (4,), (4,)),
     ),
-    "attention": (lambda qkv: attention(qkv, [2, 1], 2), ((3, 12),)),
-    "attend": (lambda x, wqkv: attend(x, wqkv, [2, 1], 2, [2, 0, 1]), ((3, 4), (4, 12))),
+    "attention": (lambda x, wqkv, wo: attention(x, wqkv, wo, [2, 1], 2), ((3, 4), (4, 12), (4, 4))),
+    "attend": (lambda x, wqkv, wo: attend(x, wqkv, wo, [2, 1], 2, [2, 0, 1]), ((3, 4), (4, 12), (4, 4))),
     "cross_entropy": (lambda logits: cross_entropy(logits, [0, 2, 1]), ((3, 3),)),
     "gather_rows": (lambda a, e: gather_rows((a, [2, 0, 2]), (e, [1, 1, 0])), ((3, 4), (2, 4))),
 }
@@ -561,15 +576,15 @@ class TestGradientsAgainstFiniteDifferences:
         gamma, beta = Tensor(rng.normal(size=6) + 1.5), Tensor(rng.normal(size=6))
         keep = dropout(sub, 0.4, np.random.default_rng(123), True)
         upstream = rng.normal(size=(4, 6))
-        assert np.any(keep == 0.0)
+        assert not keep.all()
 
         def build():
-            return weighted_sum(layer_norm(x, sub, gamma, beta, keep), upstream)
+            return weighted_sum(layer_norm(x, sub, gamma, beta, keep, rate=0.4), upstream)
 
         check_gradients(build, {"x": x, "sub": sub}, rng, probes=25)
         with Graph() as g:
             g.backward(build())
-        np.testing.assert_array_equal(sub.grad, x.grad * keep)
+        np.testing.assert_array_equal(sub.grad, x.grad * (keep / (1 - 0.4)))
 
     @pytest.mark.parametrize("masked", [False, True], ids=["keep-none", "fixed-mask"])
     @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "x-is-sub"])
@@ -583,7 +598,7 @@ class TestGradientsAgainstFiniteDifferences:
         params = {"x": x, "gamma": gamma, "beta": beta}
         if not shared:
             params["sub"] = sub
-        build = lambda: weighted_sum(layer_norm(x, sub, gamma, beta, keep), upstream)
+        build = lambda: weighted_sum(layer_norm(x, sub, gamma, beta, keep, rate=0.4), upstream)
         assert check_gradients(build, params, rng, probes=40) == 40
 
     def test_multi_table_gather(self):
@@ -673,24 +688,36 @@ class TestDropout:
         assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
 
     def test_inverted_scaling_preserves_mean(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((200, 200)))
-        out = x.data * dropout(x, 0.25, rng, True)
-        kept = out[out > 0]
-        assert np.allclose(kept, 1.0 / 0.75)
+        # what the residual layer norm adds to x: the kept slots scaled by 1 / (1 - rate)
+        keep = dropout(Tensor(np.ones((200, 200))), 0.25, np.random.default_rng(0), True)
+        out = tensor._masked(np.ones((200, 200)), keep, 0.25)
+        np.testing.assert_array_equal(np.unique(out), [0.0, 1.0 / 0.75])
         assert abs(out.mean() - 1.0) < 0.02
 
     def test_mask_is_one_uniform_draw_per_slot(self):
         keep = dropout(Tensor(np.zeros((3, 5))), 0.4, np.random.default_rng(8), True)
-        expected = (np.random.default_rng(8).random((3, 5)) >= 0.4) / 0.6
+        expected = np.random.default_rng(8).random((3, 5)) >= 0.4
+        assert keep.dtype == np.bool_ and keep.itemsize == 1
         np.testing.assert_array_equal(keep, expected)
 
     @pytest.mark.parametrize("rate", [0.05, 0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 0.7, 0.9, 0.999])
     def test_mask_equals_the_division_form_bit_for_bit(self, rate):
-        # the mask multiplies by 1 / (1 - rate) instead of dividing by 1 - rate
-        keep = dropout(Tensor(np.zeros((535, 64))), rate, np.random.default_rng(9), True)
-        expected = (np.random.default_rng(9).random((535, 64)) >= rate) / (1.0 - rate)
-        assert keep.dtype == expected.dtype and keep.tobytes() == expected.tobytes()
+        # layer_norm scales the one-byte mask's kept slots by 1 / (1 - rate): its
+        # masked residual, and the gradient it hands sub, are bit for bit what
+        # the float mask (u >= rate) / (1 - rate) gives
+        rng = np.random.default_rng(10)
+        x, sub = parameter(rng.normal(size=(535, 64))), parameter(rng.normal(size=(535, 64)))
+        upstream = rng.normal(size=(535, 64))
+        gamma, beta = Tensor(rng.normal(size=64)), Tensor(rng.normal(size=64))
+        keep = dropout(sub, rate, np.random.default_rng(9), True)
+        division = (np.random.default_rng(9).random((535, 64)) >= rate) / (1.0 - rate)
+        with Graph() as g:
+            out = layer_norm(x, sub, gamma, beta, keep, rate=rate)
+            g.backward(weighted_sum(out, upstream))
+        residual = Tensor(sub.data * division)
+        assert layer_norm(x, residual, gamma, beta).data.tobytes() == out.data.tobytes()
+        assert tensor._masked(sub.data, keep, rate).tobytes() == (sub.data * division).tobytes()
+        assert sub.grad.tobytes() == (x.grad * division).tobytes()
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ContractError):
