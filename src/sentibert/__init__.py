@@ -13,7 +13,7 @@ from .metrics import MetricsReport, accuracy, confusion, f1_class, log_loss, pre
 from .model import SentimentModel
 from .optim import Adam, SGD
 from .pretrain import PretrainConfig, mask_tokens, nsp_pairs, pretrain_step, run_pretraining
-from .tensor import Graph, Tensor, cross_entropy, layer_norm, linear
+from .tensor import Graph, Tensor, batch_layout, cross_entropy, layer_norm, linear
 from .tokenizer import EncodedSequence, Vocab, build_vocab, decode, encode_pair, tokenize
 
 __version__ = "0.1.0"
@@ -35,6 +35,7 @@ __all__ = [
     "Vocab",
     "accuracy",
     "attention",
+    "batch_layout",
     "build_vocab",
     "class_weights",
     "confusion",

@@ -2,8 +2,8 @@
 post-norm residuals, and a position-wise ReLU feed-forward block.
 
 Every function works on packed rows: the real (unpadded) rows of a batch of
-sequences back to back, with `lengths` giving each sequence's row count.
-Only the attention ops pad, internally.
+sequences back to back, under the batch's plan (tensor.batch_layout of each
+sequence's row count). Only the attention ops pad, internally.
 """
 
 from dataclasses import dataclass, fields
@@ -70,16 +70,15 @@ def stack_weights(params: dict[str, Tensor], config: EncoderConfig) -> tuple[tup
     return tuple(layer_weights(params, f"encoder.{i}") for i in range(config.num_layers))
 
 
-def multi_head(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows=None) -> Tensor:
+def multi_head(x: Tensor, wqkv: Tensor, wo: Tensor, plan, num_heads: int, rows=None) -> Tensor:
     """The attention sublayer on the packed rows as one op, which projects x
     by wqkv (Q heads, then K heads, then V heads, d_k columns each) and
     applies W^O: one output row per row (tensor.attention), or given rows,
     per wanted row, in their order (tensor.attend, which projects no row to
-    a key or a value). lengths are the sequences' row counts or their plan,
-    as both ops take them."""
+    a key or a value). plan is the batch's tensor.batch_layout."""
     if rows is None:
-        return attention(x, wqkv, wo, lengths, num_heads)
-    return attend(x, wqkv, wo, lengths, num_heads, rows)
+        return attention(x, wqkv, wo, plan, num_heads)
+    return attend(x, wqkv, wo, plan, num_heads, rows)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -90,7 +89,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 def encoder_layer(
     x: Tensor,
     weights: tuple[Tensor, ...],
-    lengths,
+    plan,
     num_heads: int,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
@@ -104,6 +103,8 @@ def encoder_layer(
     their sequence, and both dropout masks are drawn, in turn, at the full
     [N x d] shape and then indexed, so the rng stream does not depend on rows."""
     check_dropout_rate(dropout_rate)  # in eval mode too, where no mask is drawn
+    wqkv, wo, gamma1, beta1, w1, b1, w2, b2, gamma2, beta2 = weights
+    attended = multi_head(x, wqkv, wo, plan, num_heads, rows)  # checks rows before they index the masks
     keep = (None, None)
     if training and dropout_rate > 0.0:
         if rng is None:
@@ -111,8 +112,6 @@ def encoder_layer(
         keep = [dropout(x, dropout_rate, rng, True) for _ in range(2)]
         if rows is not None:
             keep = [mask[rows] for mask in keep]
-    wqkv, wo, gamma1, beta1, w1, b1, w2, b2, gamma2, beta2 = weights
-    attended = multi_head(x, wqkv, wo, lengths, num_heads, rows)
     y = layer_norm(x, attended, gamma1, beta1, keep[0], rate=dropout_rate, eps=LAYER_NORM_EPS, rows=rows)
     return layer_norm(y, feed_forward(y, w1, b1, w2, b2), gamma2, beta2, keep[1], rate=dropout_rate, eps=LAYER_NORM_EPS)
 
@@ -121,21 +120,21 @@ def encode(
     x: Tensor,
     config: EncoderConfig,
     layers: tuple[tuple[Tensor, ...], ...],
-    lengths,
+    plan,
     training: bool = False,
     rng: np.random.Generator | None = None,
     rows=None,
 ) -> Tensor:
     """Apply layers, each one's layer_weights (stack_weights), in turn; an
-    empty stack is the identity. lengths are the sequences' row counts or
-    their plan (tensor.batch_layout), which a forward looks up once for every
-    layer. Given rows, the output holds only those packed rows, in that
-    order: the last layer computes nothing else."""
+    empty stack is the identity. plan is the batch's tensor.batch_layout,
+    which a forward looks up once for every layer. Given rows, the output
+    holds only those packed rows, in that order: the last layer computes
+    nothing else."""
     if not layers:
         return x if rows is None else gather_rows((x, rows))
     last = len(layers) - 1
     for i, weights in enumerate(layers):
         x = encoder_layer(
-            x, weights, lengths, config.num_heads, config.dropout_rate, rng, training, rows if i == last else None
+            x, weights, plan, config.num_heads, config.dropout_rate, rng, training, rows if i == last else None
         )
     return x

@@ -11,7 +11,6 @@ inference cheap and safe for concurrent use.
 import ctypes
 import functools
 import math
-import operator
 import threading
 from typing import NamedTuple
 
@@ -21,6 +20,7 @@ from .errors import ContractError, ShapeError
 
 NEG_INF_MASK = -1e9  # additive pre-softmax penalty for masked attention slots
 SHORT_IDS = 16  # an id array up to this long is bounds-checked with Python's min and max, as a list is
+INT64 = np.dtype(np.int64)  # the dtype of row ids, compared by identity
 EVAL_SLOTS = 512  # padded token slots (sequences x longest length) per attention grid and per eval-mode forward
 # glibc trims freed pages off the heap top and maps large arrays fresh, so every training step faults
 HEAP_TOP_PAD = 64 << 20  # its ~13 MB of temporaries back in; a padded top keeps them (address space, not RSS)
@@ -331,36 +331,30 @@ def _sequence_layout(length: int) -> _Layout:
 
 
 def batch_layout(lengths: tuple[int, ...]) -> _Layout:
-    """The memoized plan of lengths, a tuple of ints; one sequence's comes
-    from the memo keyed by its length."""
+    """The memoized plan of lengths, the one batch-shape argument of the
+    attention ops and the embedding; one sequence's comes from the memo keyed
+    by its length. lengths are checked here, before either memo is touched:
+    a nonempty tuple of positive ints, else a ShapeError naming them."""
+    if lengths.__class__ is not tuple or not lengths or not all([n.__class__ is int and n > 0 for n in lengths]):
+        raise ShapeError(f"batch_layout: lengths {lengths!r} are not a nonempty tuple of positive ints")
     return _sequence_layout(lengths[0]) if len(lengths) == 1 else _padding_layout(lengths)
 
 
-def _slot_buffer(rows: np.ndarray, lengths) -> tuple[_Layout, np.ndarray, bool]:
-    """The plan of lengths, the slot buffer holding the packed rows under it,
-    zero in every padding slot, and whether that buffer is dense: a batch
-    that fits one grid with no padding slot (one sequence, or equal lengths)
-    has slot i holding row i, and the rows themselves are the buffer. lengths
-    are positive and sum to the row count, or are already the plan (a
-    forward's, looked up once for all its layers)."""
+def _slot_buffer(rows: np.ndarray, plan: _Layout, op: str) -> tuple[np.ndarray, bool]:
+    """The slot buffer holding the packed rows under plan, zero in every
+    padding slot, and whether that buffer is dense: a batch that fits one
+    grid with no padding slot (one sequence, or equal lengths) has slot i
+    holding row i, and the rows themselves are the buffer. plan is the
+    batch_layout of the rows' sequences, else a ShapeError for op."""
     n = rows.shape[0]
-    if lengths.__class__ is _Layout:
-        layout = lengths
-        if layout.slots.shape[0] != n:
-            raise ShapeError(f"attention: a plan of {layout.slots.shape[0]} rows does not partition {n} rows")
-    else:
-        try:
-            key = tuple(map(operator.index, lengths))  # Python ints from a list, tuple or 1-D integer array
-        except TypeError:
-            key = ()
-        if not key or min(key) < 1 or sum(key) != n:
-            raise ShapeError(f"attention: lengths {lengths!r} do not partition {n} rows")
-        layout = batch_layout(key)
-    if len(layout.grids) == 1 and layout.grids[0].stop == n:
-        return layout, rows, True
-    flat = np.zeros((layout.grids[-1].stop, rows.shape[1]))
-    flat[layout.slots] = rows
-    return layout, flat, False
+    if plan.__class__ is not _Layout or plan.slots.shape[0] != n:
+        got = f"a plan of {plan.slots.shape[0]} rows" if plan.__class__ is _Layout else plan.__class__.__name__
+        raise ShapeError(f"{op}: needs the batch_layout plan of its {n} rows, got {got}")
+    if len(plan.grids) == 1 and plan.grids[0].stop == n:
+        return rows, True
+    flat = np.zeros((plan.grids[-1].stop, rows.shape[1]))
+    flat[plan.slots] = rows
+    return flat, False
 
 
 def _sublayer_width(x: Tensor, wqkv: Tensor, wo: Tensor, num_heads: int, op: str) -> int:
@@ -374,32 +368,31 @@ def _sublayer_width(x: Tensor, wqkv: Tensor, wo: Tensor, num_heads: int, op: str
     return d
 
 
-def attention(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int) -> Tensor:
+def attention(x: Tensor, wqkv: Tensor, wo: Tensor, plan: _Layout, num_heads: int) -> Tensor:
     """The multi-head attention sublayer Concat(heads) W_O over sequences
     packed back to back, each head softmax(Q K^T / sqrt(d_k)) V, as one op.
 
     x is [N x d]; x wqkv holds per row the query heads, then the key heads,
     then the value heads, d_k = d / num_heads columns each; wo is [d x d].
-    lengths are the row counts of the sequences, summing to N, or their plan
-    (batch_layout), which a forward looks up once and hands to every layer.
-    Padding exists only inside this op: the sequences, stably sorted by
-    length, are cut into grids of at most EVAL_SLOTS padded slots each
-    (length_groups; a longer sequence gets a grid of its own), and each grid
-    is padded to its own longest length, with the additive -1e9 mask on keys
-    past a sequence's length. The grids lie end to end in one slot buffer
+    plan is the batch_layout of the sequences' row counts, which sum to N;
+    a forward looks it up once and hands it to every layer. Padding exists
+    only inside this op: the sequences, stably sorted by length, are cut
+    into grids of at most EVAL_SLOTS padded slots each (length_groups; a
+    longer sequence gets a grid of its own), and each grid is padded to its
+    own longest length, with the additive -1e9 mask on keys past a
+    sequence's length. The grids lie end to end in one slot buffer
     (_slot_buffer), which the projected rows enter with one scatter, the
     projection itself being a temporary; the context lands in a buffer of
     the same slots, which the rows leave with one gather before W_O. The
-    plan is computed once per distinct lengths (batch_layout); the backward
-    reuses the forward's q/k/v and probability grids, and takes the
+    backward reuses the forward's q/k/v and probability grids, and takes the
     projections' gradients as linear does.
     """
     d = _sublayer_width(x, wqkv, wo, num_heads, "attention")
-    layout, flat, dense = _slot_buffer(x.data @ wqkv.data, lengths)
+    flat, dense = _slot_buffer(x.data @ wqkv.data, plan, "attention")
     factor = 1.0 / math.sqrt(d // num_heads)
     context = np.empty((flat.shape[0], d))
     kept = []  # per grid: its slots and its probabilities
-    for key_bias, kv in zip(layout.key_bias, layout.grids):
+    for key_bias, kv in zip(plan.key_bias, plan.grids):
         length = key_bias.shape[-1]
         q, k, v = _heads(flat[kv], length, 3, num_heads)
         scores = q @ k.swapaxes(-1, -2)
@@ -409,7 +402,7 @@ def attention(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int) -> T
         probs = softmax(scores, out=scores)
         np.matmul(probs, v, out=_heads(context[kv], length, 1, num_heads))
         kept.append((kv, probs))
-    concat = context if dense else context[layout.slots]  # each row's heads side by side
+    concat = context if dense else context[plan.slots]  # each row's heads side by side
     out = Tensor(concat @ wo.data)
     if _active.graph is None:  # not recording: no backward to build
         return out
@@ -421,7 +414,7 @@ def attention(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int) -> T
             flat_g = d_concat
         else:
             flat_g = np.zeros((flat.shape[0], d))
-            flat_g[layout.slots] = d_concat
+            flat_g[plan.slots] = d_concat
         d_flat = np.empty_like(flat)
         for kv, probs in kept:
             length = probs.shape[-1]
@@ -435,7 +428,7 @@ def attention(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int) -> T
             np.matmul(d_scores, k, out=grad_q)
             np.matmul(d_scores.swapaxes(-1, -2), q, out=grad_k)
             np.matmul(probs.swapaxes(-1, -2), g, out=grad_v)
-        d_qkv = d_flat if dense else d_flat[layout.slots]
+        d_qkv = d_flat if dense else d_flat[plan.slots]
         _accumulate(x, d_qkv @ wqkv.data.T)
         _accumulate(wqkv, x.data.T @ d_qkv)
 
@@ -455,42 +448,39 @@ def _heads(rows: np.ndarray, length: int, parts: int, num_heads: int):
     return (view[0], view[1], view[2]) if parts == 3 else view[0]  # indexing beats unpacking an array
 
 
-def _query_slots(layout: _Layout, rows, n: int) -> tuple[np.ndarray, np.ndarray, list[int], int]:
-    """The wanted rows as an index array, each one's slot in a query buffer,
-    the Q_g, and the buffer's size. The buffer holds, grid after grid, a
-    [B_g, Q_g] block: the grid's sequences in its order, each with a slot for
-    each of its wanted rows in the order given, Q_g being the most wanted
-    rows of any one of them (0 for a grid holding none). rows, the distinct
-    packed query rows, are checked here."""
-    queries = np.asarray(rows, dtype=np.int64)
-    if queries.ndim != 1:
-        raise ShapeError(f"attention: rows must be a list of row indices, got shape {queries.shape}")
-    if queries.size and (queries.min() < 0 or queries.max() >= n):
-        raise IndexError(f"attention: query row out of range [0, {n})")
-    if queries.size > 1:
-        seen = np.zeros(n, dtype=bool)
-        seen[queries] = True
-        if np.count_nonzero(seen) != queries.size:
-            raise ShapeError("attention: query rows repeat")
-    seq = np.searchsorted(layout.start, queries, side="right") - 1
+def _query_slots(plan: _Layout, picks: np.ndarray | slice) -> tuple[np.ndarray, list[int], int]:
+    """Each wanted row's slot in a query buffer, the Q_g, and the buffer's
+    size. The buffer holds, grid after grid, a [B_g, Q_g] block: the grid's
+    sequences in its order, each with a slot for each of its wanted rows in
+    the order given, Q_g being the most wanted rows of any one of them (0 for
+    a grid holding none). picks are packed row ids as _take returns them,
+    checked here only for repeats."""
+    if isinstance(picks, slice):  # contiguous rows: distinct
+        picks = np.arange(picks.start, picks.stop)
+    elif picks.size > 1:
+        seen = np.zeros(plan.slots.shape[0], dtype=bool)
+        seen[picks] = True
+        if np.count_nonzero(seen) != picks.size:
+            raise ShapeError("attend: query rows repeat")
+    seq = np.searchsorted(plan.start, picks, side="right") - 1
     by_seq = np.argsort(seq, kind="stable")
     grouped = seq[by_seq]
-    rank = np.empty_like(queries)  # among its sequence's wanted rows
-    rank[by_seq] = np.arange(queries.size) - np.searchsorted(grouped, grouped)
-    grid = layout.group[seq]
-    q_lengths = np.zeros(len(layout.grids), dtype=np.int64)
+    rank = np.empty_like(picks)  # among its sequence's wanted rows
+    rank[by_seq] = np.arange(picks.size) - np.searchsorted(grouped, grouped)
+    grid = plan.group[seq]
+    q_lengths = np.zeros(len(plan.grids), dtype=np.int64)
     np.maximum.at(q_lengths, grid, rank + 1)
-    sizes, lengths = np.array([bias.shape[::3] for bias in layout.key_bias]).T  # B_g and L_g
+    sizes, lengths = np.array([bias.shape[::3] for bias in plan.key_bias]).T  # B_g and L_g
     blocks = sizes * q_lengths
-    ordinal = (layout.slots[layout.start[seq]] - np.array([kv.start for kv in layout.grids])[grid]) // lengths[grid]
+    ordinal = (plan.slots[plan.start[seq]] - np.array([kv.start for kv in plan.grids])[grid]) // lengths[grid]
     slots = (np.cumsum(blocks) - blocks)[grid] + ordinal * q_lengths[grid] + rank
-    return queries, slots, q_lengths.tolist(), int(blocks.sum())
+    return slots, q_lengths.tolist(), int(blocks.sum())
 
 
-def attend(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows) -> Tensor:
-    """attention(x, wqkv, wo, lengths, num_heads) at the wanted packed rows
-    only: rows are distinct, in any order, and the result holds one row per
-    wanted row, in the order of rows.
+def attend(x: Tensor, wqkv: Tensor, wo: Tensor, plan: _Layout, num_heads: int, rows) -> Tensor:
+    """attention(x, wqkv, wo, plan, num_heads) at the wanted packed rows
+    only: rows are distinct ids, as gather_rows takes them, in any order, and
+    the result holds one row per wanted row, in the order of rows.
 
     wqkv has no bias and nothing acts between the projections and the
     softmax, so the key projection folds into the query and the value
@@ -502,23 +492,21 @@ def attend(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows) -
     and no row is projected to a key or a value. Each grid runs its queries
     as a [B_g, Q_g] block of a query buffer (_query_slots), Q_g being the
     most wanted rows of one of its sequences, and runs nothing when it holds
-    none. lengths are what attention takes, row counts or their plan. Rows
-    that are the plan's own start array (batch_layout(lengths).start) of a
-    one-grid batch are its [CLS] rows in the grid's order, one per sequence:
-    they need no query plan, scatter or gather, and go unchecked.
+    none. Rows that are the plan's own start array of a one-grid batch are
+    its [CLS] rows in the grid's order, one per sequence: they need no query
+    plan, scatter or gather, and go unchecked.
     """
     d = _sublayer_width(x, wqkv, wo, num_heads, "attend")
-    n = x.data.shape[0]
-    layout, flat, dense = _slot_buffer(x.data, lengths)
-    if rows is layout.start and len(layout.grids) == 1:
-        picks, q_slots, q_lengths = rows, None, (1,)
+    flat, dense = _slot_buffer(x.data, plan, "attend")
+    if rows is plan.start and len(plan.grids) == 1:
+        x_q, picks, q_slots, q_lengths = x.data.take(rows, axis=0), rows, None, (1,)
     else:
-        picks, q_slots, q_lengths, size = _query_slots(layout, rows, n)
-    r, d_k = len(picks), d // num_heads
+        x_q, picks = _take(x, rows, "attend")
+        q_slots, q_lengths, size = _query_slots(plan, picks)
+    r, d_k = x_q.shape[0], d // num_heads
     factor = 1.0 / math.sqrt(d_k)
     w = wqkv.data.reshape(d, 3, num_heads, d_k).transpose(1, 2, 0, 3)  # q, k, v: each [H, d, d_k], a view
     w_q, w_k, w_v = w[0], w[1], w[2]
-    x_q = x.data.take(picks, axis=0)
     q_h = np.matmul(x_q, w_q)  # [H, R, d_k]
     q_h *= factor
     u = np.matmul(q_h, w_k.swapaxes(-1, -2)).swapaxes(0, 1)  # [R, H, d]: per wanted row, its heads' u
@@ -530,7 +518,7 @@ def attend(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows) -
     mixed_shape = (len(queries), num_heads, d)
     mixed = np.empty(mixed_shape)  # per query slot and head, p X_s
     kept, offset = [], 0  # per grid that runs: its slots, keys, query slots and their shape, and its probabilities
-    for key_bias, kv, q_length in zip(layout.key_bias, layout.grids, q_lengths):
+    for key_bias, kv, q_length in zip(plan.key_bias, plan.grids, q_lengths):
         b, length = key_bias.shape[::3]
         block, offset = slice(offset, offset + b * q_length), offset + b * q_length
         if not q_length:
@@ -562,7 +550,7 @@ def attend(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows) -
             d_mixed = np.zeros(mixed_shape)  # a slot no row fills gets no gradient
             d_mixed[q_slots] = d_m
         d_queries = np.empty(mixed_shape)
-        d_flat = np.empty_like(flat) if len(kept) == len(layout.grids) else np.zeros_like(flat)
+        d_flat = np.empty_like(flat) if len(kept) == len(plan.grids) else np.zeros_like(flat)
         for kv, keys, block, shape, probs in kept:
             g_m = d_mixed[block].reshape(shape)
             d_scores = g_m @ keys.swapaxes(-1, -2)  # d probs, turned into d scores in place
@@ -577,7 +565,7 @@ def attend(x: Tensor, wqkv: Tensor, wo: Tensor, lengths, num_heads: int, rows) -
         d_q = np.matmul(d_u, w_k)  # [H, R, d_k]
         d_q *= factor
         np.matmul(x_q.T, d_q, out=d_parts[0])
-        d_x = d_flat if dense else d_flat[layout.slots]
+        d_x = d_flat if dense else d_flat[plan.slots]
         d_x[picks] += d_q.swapaxes(0, 1).reshape(r, d) @ wqkv.data[:, :d].T  # distinct rows: no two updates meet
         _accumulate(wqkv, d_w)
         _accumulate(x, d_x)
@@ -596,7 +584,7 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     b, c = logits.data.shape
     if b == 0:
         raise ContractError("cross_entropy: empty batch")
-    idx = np.asarray(targets, dtype=np.int64)
+    idx = _integers(targets, "cross_entropy")
     if idx.ndim != 1 or idx.shape[0] != b:
         raise ContractError(f"cross_entropy: expected {b} targets, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= c):
@@ -661,7 +649,7 @@ def gather_rows(*pairs) -> Tensor:
 def _take(table: Tensor, ids, op: str) -> tuple[np.ndarray, np.ndarray | slice]:
     """table[ids] (a view for a slice) and the index _segment_sum scatters its
     gradient back with; ids are checked for op."""
-    idx = ids if isinstance(ids, slice) else np.asarray(ids, dtype=np.int64)
+    idx = ids if isinstance(ids, slice) else _integers(ids, op)
     _require_2d(table, op)
     if getattr(idx, "ndim", 1) != 1:
         raise ShapeError(f"{op}: ids must be a list of row indices, got shape {idx.shape}")
@@ -675,6 +663,17 @@ def _take(table: Tensor, ids, op: str) -> tuple[np.ndarray, np.ndarray | slice]:
     if low < 0 or high >= table.data.shape[0]:
         raise IndexError(f"{op}: id out of range [0, {table.data.shape[0]})")
     return (table.data[idx] if isinstance(idx, slice) else table.data.take(idx, axis=0)), idx
+
+
+def _integers(ids, op: str) -> np.ndarray:
+    """ids as an int64 array; a ContractError for op unless they are integers
+    (a float, bool or string is no row id or class), or empty."""
+    idx = np.asarray(ids)
+    if idx.dtype is not INT64:  # an int64 array, or what a list of Python ints becomes, needs no cast
+        if idx.dtype.kind not in "iu" and idx.size:
+            raise ContractError(f"{op}: expected integer ids, got {idx.dtype}")
+        idx = idx.astype(np.int64)
+    return idx
 
 
 def _segment_sum(grad: np.ndarray, idx, size: int) -> np.ndarray:

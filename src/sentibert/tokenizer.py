@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConfigError, check_type
+from .errors import ConfigError, ContractError, check_type
 from .fileio import read_text, write_file
 
 PAD_ID = 0
@@ -36,8 +36,10 @@ def tokenize(text: str) -> list[str]:
     A whitespace-separated chunk of letters and digits alone passes whole,
     and one that ends in a single punctuation mark (`room,`) splits there:
     no punctuation character is alphanumeric. Other chunks are scanned
-    character by character.
+    character by character. A text that is not a str is a ContractError.
     """
+    if not isinstance(text, str):  # bytes would encode as [UNK]; None or a number would fail on .lower
+        raise ContractError(f"tokenize: text must be a str, got {type(text).__name__}")
     tokens: list[str] = []
     for chunk in text.lower().split():
         if chunk.isalnum():
@@ -73,9 +75,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self._id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
 
     def lookup(self, token: str) -> int:
         """Id of the token, falling back to [UNK]."""

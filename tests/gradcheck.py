@@ -1,5 +1,5 @@
-"""Central finite-difference gradient checking, and the tape helpers, shared
-by the test modules.
+"""Central finite-difference gradient checking, the tape helpers and the
+batch plan helper, shared by the test modules.
 
 Tolerance rule: relative error within `rel` when the analytic value is at
 least `small`, otherwise absolute error within `abs_tol` (tiny gradients
@@ -10,7 +10,13 @@ import collections
 
 import numpy as np
 
-from sentibert.tensor import Graph, Tensor, _accumulate, _active, _record
+from sentibert.tensor import Graph, Tensor, _accumulate, _active, _record, batch_layout
+
+
+def plan(*lengths):
+    """tensor.batch_layout of the row counts, the batch-shape argument of the
+    attention ops and the embedding; numpy integers are taken as ints."""
+    return batch_layout(tuple(map(int, lengths)))
 
 
 def numerical_grad(loss_fn, param: Tensor, flat_index: int, h: float = 1e-5) -> float:

@@ -124,6 +124,21 @@ def _plain_forward(text: str, model: SentimentModel) -> np.ndarray:
     return _plain_softmax(x @ p["classifier.weight"] + p["classifier.bias"])[0]
 
 
+def test_every_text_entry_point_rejects_a_text_that_is_not_a_str():
+    model = _model(TOY)
+    calls = {
+        "forward_classify": lambda: forward_classify(5, model),
+        "predict_batch": lambda: predict_batch(["fine room", None], model),
+        "build_vocab": lambda: build_vocab(["fine room", 3], 10),
+        "encode_pair": lambda: encode_pair(b"room", None, model.vocab, 16),
+        "encode_pair segment B": lambda: encode_pair("room", b"room", model.vocab, 16),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ContractError, match="^tokenize: text must be a str, got "):
+            call()
+            pytest.fail(name)
+
+
 class TestPredictBatch:
     def test_empty(self):
         assert predict_batch([], _model(TOY)) == []

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients, sum_all
-from sentibert.embedding import embed
+from gradcheck import check_gradients, plan, sum_all
+from sentibert import embedding
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ShapeError
 from sentibert.model import SentimentModel
@@ -12,6 +12,11 @@ from sentibert.tokenizer import NUM_SPECIALS, SPECIAL_TOKENS, EncodedSequence, V
 
 def _seq(token_ids, segments=None):
     return EncodedSequence(token_ids=list(token_ids), segment_ids=list(segments) if segments else [0] * len(token_ids))
+
+
+def embed(seqs, tables):
+    """embedding.embed of seqs under their plan."""
+    return embedding.embed(seqs, tables, plan(*[s.real_length() for s in seqs]))
 
 
 def init_tables(vocab_size, width, max_len, seed) -> dict:

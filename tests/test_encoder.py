@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import check_gradients, weighted_sum
+from gradcheck import check_gradients, plan, weighted_sum
 from sentibert import tensor
 from sentibert.encoder import (
     EncoderConfig,
@@ -59,7 +59,7 @@ def init_stack(config, rng) -> dict:
 
 
 def _multi_head(x, params, lengths, num_heads):
-    return multi_head(x, params["encoder.0.wqkv"], params["encoder.0.wo"], lengths, num_heads)
+    return multi_head(x, params["encoder.0.wqkv"], params["encoder.0.wo"], plan(*lengths), num_heads)
 
 
 def _weights(rng, d):
@@ -99,14 +99,14 @@ class TestAttention:
     def test_singleton_returns_value(self):
         rng = np.random.default_rng(0)
         x, (wqkv, wo) = rng.normal(size=(1, 4)), _weights(rng, 4)
-        out = attention(Tensor(x), Tensor(wqkv), Tensor(wo), [1], 1)
+        out = attention(Tensor(x), Tensor(wqkv), Tensor(wo), plan(1), 1)
         np.testing.assert_allclose(out.data, x @ wqkv[:, 8:] @ wo, atol=1e-12)
 
     def test_identical_keys_average_values(self):
         rng = np.random.default_rng(1)
         x, (wqkv, wo) = rng.normal(size=(3, 4)), _weights(rng, 4)
         wqkv[:, 4:8] = 0.0  # every row has the same (zero) key
-        out = attention(Tensor(x), Tensor(wqkv), Tensor(wo), [3], 1)
+        out = attention(Tensor(x), Tensor(wqkv), Tensor(wo), plan(3), 1)
         mean_value = (x @ wqkv[:, 8:]).mean(axis=0)
         np.testing.assert_allclose(out.data, np.broadcast_to(mean_value @ wo, (3, 4)), atol=1e-12)
 
@@ -114,16 +114,16 @@ class TestAttention:
         # the short sequence sits in a grid padded to its neighbour's length
         rng = np.random.default_rng(2)
         x, (wqkv, wo) = rng.normal(size=(5, 8)), map(Tensor, _weights(rng, 8))
-        together = attention(Tensor(x), wqkv, wo, [2, 3], 2).data
-        np.testing.assert_allclose(together[:2], attention(Tensor(x[:2]), wqkv, wo, [2], 2).data, atol=1e-12)
-        np.testing.assert_allclose(together[2:], attention(Tensor(x[2:]), wqkv, wo, [3], 2).data, atol=1e-12)
+        together = attention(Tensor(x), wqkv, wo, plan(2, 3), 2).data
+        np.testing.assert_allclose(together[:2], attention(Tensor(x[:2]), wqkv, wo, plan(2), 2).data, atol=1e-12)
+        np.testing.assert_allclose(together[2:], attention(Tensor(x[2:]), wqkv, wo, plan(3), 2).data, atol=1e-12)
 
     def test_attention_weights_sum_to_one_and_mask_kills_weight(self):
         # one head, d_k = 4, W_V = W_O = I and one-hot rows: each output row is that query's weight row
         rng = np.random.default_rng(3)
         x = np.vstack([np.eye(4)[:3], rng.normal(size=(4, 4))])
         wqkv = np.hstack([rng.normal(size=(4, 8)), np.eye(4)])
-        out = attention(Tensor(x), Tensor(wqkv), Tensor(np.eye(4)), [3, 4], 1).data
+        out = attention(Tensor(x), Tensor(wqkv), Tensor(np.eye(4)), plan(3, 4), 1).data
         weights = out[:3]  # the 3-row sequence, padded to 4 keys
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)  # nothing left for the pad key
         q, k = x[:3] @ wqkv[:, :4], x[:3] @ wqkv[:, 4:8]
@@ -134,19 +134,19 @@ class TestAttention:
         weights = r"^attention: weights of shapes \(\d+, \d+\)/\(\d+, \d+\) do not split width \d+ into \d+ heads$"
         for w_shape, o_shape, heads in (((4, 12), (4, 4), 3), ((4, 8), (4, 4), 1), ((4, 12), (4, 2), 1)):
             with pytest.raises(ShapeError, match=weights):
-                attention(t(2, 4), t(*w_shape), t(*o_shape), [2], heads)
-        for n, lengths in ((3, [1, 1]), (2, [2, 0]), (0, [])):  # lengths that do not cover the rows
-            with pytest.raises(ShapeError, match="do not partition"):
-                attention(t(n, 4), t(4, 12), t(4, 4), lengths, 1)
+                attention(t(2, 4), t(*w_shape), t(*o_shape), plan(2), heads)
+        for n, other in ((3, plan(1, 1)), (1, plan(2))):  # a plan that does not cover the rows
+            with pytest.raises(ShapeError, match=f"^attention: needs the batch_layout plan of its {n} rows, got a plan"):
+                attention(t(n, 4), t(4, 12), t(4, 4), other, 1)
         with pytest.raises(ShapeError, match="^attention expects a 2-D tensor"):
-            attention(t(4), t(4, 12), t(4, 4), [1], 1)
+            attention(t(4), t(4, 12), t(4, 4), plan(1), 1)
         with pytest.raises(ShapeError, match=r"^attention: weights of shapes \(4, 12\)/\(4, 4\) do not split width 8"):
-            multi_head(t(2, 8), t(4, 12), t(4, 4), [2], 1)  # input wider than the layer's d_model
+            multi_head(t(2, 8), t(4, 12), t(4, 4), plan(2), 1)  # input wider than the layer's d_model
 
     def test_matches_per_sequence_reference(self):
         rng = np.random.default_rng(12)
         x, (wqkv, wo) = rng.normal(size=(9, 8)), _weights(rng, 8)
-        got = attention(Tensor(x), Tensor(wqkv), Tensor(wo), [4, 1, 4], 2).data
+        got = attention(Tensor(x), Tensor(wqkv), Tensor(wo), plan(4, 1, 4), 2).data
         np.testing.assert_allclose(got, _reference_attention(x @ wqkv, [4, 1, 4], 2) @ wo, atol=1e-12)
 
     def test_gradcheck_ragged_lengths(self):
@@ -154,7 +154,7 @@ class TestAttention:
         x, (wqkv, wo) = parameter(rng.normal(size=(9, 4))), map(parameter, _weights(rng, 4))
         weights = rng.normal(size=(9, 4))
         checked = check_gradients(
-            lambda: weighted_sum(attention(x, wqkv, wo, [1, 3, 5], 2), weights),
+            lambda: weighted_sum(attention(x, wqkv, wo, plan(1, 3, 5), 2), weights),
             {"x": x, "wqkv": wqkv, "wo": wo}, rng, probes=90, rel=1e-4,
         )
         assert checked == 90
@@ -162,9 +162,10 @@ class TestAttention:
     def test_query_rows_match_the_full_output(self):
         rng = np.random.default_rng(14)
         x, (wqkv, wo) = rng.normal(size=(9, 8)), map(Tensor, _weights(rng, 8))
-        rows = [8, 0, 5, 2, 6]  # any order; the 1-row sequence has no query
-        got = attend(Tensor(x), wqkv, wo, [3, 1, 5], 2, rows).data
-        np.testing.assert_allclose(got, attention(Tensor(x), wqkv, wo, [3, 1, 5], 2).data[rows], atol=1e-12, rtol=0)
+        full = attention(Tensor(x), wqkv, wo, plan(3, 1, 5), 2).data
+        for rows in ([8, 0, 5, 2, 6], slice(2, 7)):  # any order, the 1-row sequence with no query; or a slice
+            got = attend(Tensor(x), wqkv, wo, plan(3, 1, 5), 2, rows).data
+            np.testing.assert_allclose(got, full[rows], atol=1e-12, rtol=0)
 
     def test_query_rows_gradient_matches_the_full_path(self):
         # the full output under a loss that ignores every other row
@@ -183,37 +184,29 @@ class TestAttention:
         rows = [8, 0, 5, 2, 6]  # several queries in two sequences, none in the 1-row one
         weights = rng.normal(size=(5, 4))
         checked = check_gradients(
-            lambda: weighted_sum(attend(x, wqkv, wo, [3, 1, 5], 2, rows), weights),
+            lambda: weighted_sum(attend(x, wqkv, wo, plan(3, 1, 5), 2, rows), weights),
             {"x": x, "wqkv": wqkv, "wo": wo}, rng, 90,
         )
         assert checked == 90
 
     def test_bad_query_rows(self):
         x, wqkv, wo = Tensor(np.zeros((5, 4))), Tensor(np.zeros((4, 12))), Tensor(np.zeros((4, 4)))
-        out_of_range = r"^attention: query row out of range \[0, 5\)$"
+        out_of_range = r"^attend: id out of range \[0, 5\)$"
         for rows, error, message in (
             ([5], IndexError, out_of_range),
             ([0, -1], IndexError, out_of_range),
-            ([1, 4, 1], ShapeError, "^attention: query rows repeat$"),
-            ([[0, 1]], ShapeError, r"^attention: rows must be a list of row indices, got shape \(1, 2\)$"),
+            ([1, 4, 1], ShapeError, "^attend: query rows repeat$"),
+            ([[0, 1]], ShapeError, r"^attend: ids must be a list of row indices, got shape \(1, 2\)$"),
         ):
             with pytest.raises(error, match=message):
-                attend(x, wqkv, wo, [2, 3], 1, rows)
+                attend(x, wqkv, wo, plan(2, 3), 1, rows)
         for rows in ([np.array([0])], [np.array([0, 1])], 0):  # not a flat list of ints, even where it equals the starts
             with pytest.raises(ShapeError):
-                attend(x, wqkv, wo, [5], 1, rows)
+                attend(x, wqkv, wo, plan(5), 1, rows)
 
 
 class TestPaddingLayout:
     """attention's padding layout, computed once per distinct lengths."""
-
-    def test_lengths_as_list_tuple_or_array_are_bit_identical(self):
-        rng = np.random.default_rng(17)
-        x, (wqkv, wo), upstream = rng.normal(size=(9, 8)), _weights(rng, 8), rng.normal(size=(9, 8))
-        ref = _attention_and_grad(x, wqkv, wo, [4, 1, 4], upstream)
-        for lengths in ((4, 1, 4), np.array([4, 1, 4]), np.array([4, 1, 4], dtype=np.int32)):
-            for mine, theirs in zip(_attention_and_grad(x, wqkv, wo, lengths, upstream), ref):
-                np.testing.assert_array_equal(mine, theirs)
 
     def test_layout_arrays_are_read_only(self):
         layout = _padding_layout((3, 1, 5))
@@ -230,22 +223,19 @@ class TestPaddingLayout:
                 array[0] = 1
 
     def test_bad_lengths_raise_before_the_cache(self):
-        before = _padding_layout.cache_info()  # no lookup: hits, misses and size all stay
-        t = lambda *s: Tensor(np.zeros(s))
-        bad = ((0, []), (2, [2, 0]), (3, [0, 3]), (3, [1, 1]), (3, (1, 3)), (3, np.array([4])), (3, [1.5, 1.5]))
-        for n, lengths in bad:
-            with pytest.raises(ShapeError, match="do not partition"):
-                attention(t(n, 4), t(4, 12), t(4, 4), lengths, 1)
-        assert _padding_layout.cache_info() == before
-
-    def test_one_sequence_has_a_memo_of_its_own(self):
+        # batch_layout is where lengths are checked: no lookup, so hits, misses and size all stay in both memos
         memos = lambda: (_padding_layout.cache_info(), tensor._sequence_layout.cache_info())
         before = memos()
-        with pytest.raises(ShapeError, match="do not partition"):
-            attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 12))), Tensor(np.zeros((4, 4))), [4], 1)
-        assert memos() == before  # checked before either memo
+        bad = ((), (0,), (-1, 3), (2.0,), (2, 0), (1.5, 1.5), (True,), (np.int64(3),), [2], np.array([2]), None)
+        for lengths in bad:
+            with pytest.raises(ShapeError, match=r"^batch_layout: lengths .* are not a nonempty tuple of positive ints"):
+                tensor.batch_layout(lengths)
+        assert memos() == before
+
+    def test_one_sequence_has_a_memo_of_its_own(self):
+        before = _padding_layout.cache_info()
         layout = tensor.batch_layout((7,))
-        assert layout is tensor._sequence_layout(7) and _padding_layout.cache_info() == before[0]
+        assert layout is tensor._sequence_layout(7) and _padding_layout.cache_info() == before
         general = _padding_layout.__wrapped__((7,))
         assert layout.grids == general.grids == (slice(0, 7),)
         assert layout.positions == slice(0, 7)  # contiguous: no gather
@@ -262,9 +252,9 @@ class TestPaddingLayout:
         cases, split = [], 0
         for _ in range(60):
             lengths = tuple(rng.integers(1, 24, size=int(rng.integers(1, 14))).tolist())
-            layout, n = tensor.batch_layout(lengths), sum(lengths)
+            layout = tensor.batch_layout(lengths)
             starts = [sum(lengths[:i]) for i in range(len(lengths))]
-            _, slots, q_lengths, size = tensor._query_slots(layout, starts, n)
+            slots, q_lengths, size = tensor._query_slots(layout, np.array(starts))
             assert q_lengths == [1] * len(layout.grids) and size == len(lengths)
             if len(layout.grids) == 1:  # one query per sequence, in packed order
                 np.testing.assert_array_equal(slots, np.arange(len(lengths)))
@@ -290,13 +280,15 @@ class TestPaddingLayout:
 
 
 def _attention_and_grad(x, wqkv, wo, lengths, upstream, num_heads=2):
-    """attention's output and the x, wqkv and wo gradients of sum(out * upstream)."""
-    return _run(lambda *t: attention(*t, lengths, num_heads), x, wqkv, wo, upstream)
+    """attention's output under the plan of lengths and the x, wqkv and wo
+    gradients of sum(out * upstream)."""
+    return _run(lambda *t: attention(*t, plan(*lengths), num_heads), x, wqkv, wo, upstream)
 
 
 def _attend_and_grad(x, wqkv, wo, lengths, rows, upstream, num_heads=2):
-    """attend's output at rows and the x, wqkv and wo gradients of sum(out * upstream)."""
-    return _run(lambda *t: attend(*t, lengths, num_heads, rows), x, wqkv, wo, upstream)
+    """attend's output at rows under the plan of lengths and the x, wqkv and
+    wo gradients of sum(out * upstream)."""
+    return _run(lambda *t: attend(*t, plan(*lengths), num_heads, rows), x, wqkv, wo, upstream)
 
 
 def _run(op, x, wqkv, wo, upstream):
@@ -441,9 +433,9 @@ class TestLengthGroups:
         rng = np.random.default_rng(19)
         x, (wqkv, wo) = parameter(rng.normal(size=(11, 4))), map(parameter, _weights(rng, 4))
         if rows is None:
-            build = lambda: attention(x, wqkv, wo, lengths, 2)
+            build = lambda: attention(x, wqkv, wo, plan(*lengths), 2)
         else:
-            build = lambda: attend(x, wqkv, wo, lengths, 2, rows)
+            build = lambda: attend(x, wqkv, wo, plan(*lengths), 2, rows)
         weights = rng.normal(size=(11 if rows is None else len(rows), 4))
         params = {"x": x, "wqkv": wqkv, "wo": wo}
         checked = check_gradients(lambda: weighted_sum(build(), weights), params, rng, probes=90, rel=1e-4)
@@ -454,7 +446,7 @@ class TestLengthGroups:
         lengths, rows = [3, 1, 5, 2], [7, 5]
         rng = np.random.default_rng(21)
         layout = _padding_layout(tuple(lengths))
-        _, slots, q_lengths, size = tensor._query_slots(layout, rows, 11)
+        slots, q_lengths, size = tensor._query_slots(layout, np.array(rows))
         assert q_lengths == [0, 0, 2] and size == 2  # two queries for the 5's one sequence
         np.testing.assert_array_equal(slots, [0, 1])
         x, (wqkv, wo) = rng.normal(size=(11, 4)), _weights(rng, 4)
@@ -485,13 +477,13 @@ class TestLengthGroups:
         assert len(_padding_layout((3, 1, 5, 2)).key_bias) == 3
         x, wqkv, wo = Tensor(np.zeros((11, 4))), Tensor(np.zeros((4, 12))), Tensor(np.zeros((4, 4)))
         with pytest.raises(IndexError):
-            attend(x, wqkv, wo, [3, 1, 5, 2], 1, [11])
+            attend(x, wqkv, wo, plan(3, 1, 5, 2), 1, [11])
         with pytest.raises(IndexError):
-            attend(x, wqkv, wo, [3, 1, 5, 2], 1, [0, -1])
+            attend(x, wqkv, wo, plan(3, 1, 5, 2), 1, [0, -1])
         with pytest.raises(ShapeError):
-            attend(x, wqkv, wo, [3, 1, 5, 2], 1, [9, 4, 9])  # repeated
+            attend(x, wqkv, wo, plan(3, 1, 5, 2), 1, [9, 4, 9])  # repeated
         with pytest.raises(ShapeError):
-            attend(x, wqkv, wo, [3, 1, 5, 2], 1, [[0, 1]])
+            attend(x, wqkv, wo, plan(3, 1, 5, 2), 1, [[0, 1]])
 
 
 @st.composite
@@ -520,7 +512,7 @@ def _attend_cases(draw):
 
 
 class TestAttend:
-    """attend(x, wqkv, wo, lengths, num_heads, rows) against attention at every row."""
+    """attend(x, wqkv, wo, plan, num_heads, rows) against attention at every row."""
 
     @settings(max_examples=40, deadline=None)
     @given(_attend_cases())
@@ -541,7 +533,7 @@ class TestAttend:
         x, (wqkv, wo) = parameter(rng.normal(size=(15, 8))), map(parameter, _weights(rng, 8))
         weights = rng.normal(size=(len(rows), 8))
         checked = check_gradients(
-            lambda: weighted_sum(attend(x, wqkv, wo, lengths, 2, rows), weights),
+            lambda: weighted_sum(attend(x, wqkv, wo, plan(*lengths), 2, rows), weights),
             {"x": x, "wqkv": wqkv, "wo": wo}, rng, 150, rel=1e-4,
         )
         assert checked == 150
@@ -558,8 +550,8 @@ class TestAttend:
         scrambled[3:8] = rng.normal(size=(5, 8)) * 10.0
         for wanted in (rows, tensor.batch_layout(tuple(lengths)).start):
             keep = [i for i, r in enumerate(wanted) if not 3 <= r < 8]
-            out_a = attend(Tensor(x), wqkv, wo, lengths, 2, wanted).data
-            out_b = attend(Tensor(scrambled), wqkv, wo, lengths, 2, wanted).data
+            out_a = attend(Tensor(x), wqkv, wo, plan(*lengths), 2, wanted).data
+            out_b = attend(Tensor(scrambled), wqkv, wo, plan(*lengths), 2, wanted).data
             np.testing.assert_allclose(out_a[keep], out_b[keep], atol=1e-9, rtol=0)
 
     def test_no_rows_give_no_output_and_zero_gradients(self):
@@ -571,19 +563,19 @@ class TestAttend:
     def test_shape_errors(self):
         t = lambda *s: Tensor(np.zeros(s))
         with pytest.raises(ShapeError, match="^attend expects a 2-D tensor"):
-            attend(t(8), t(8, 24), t(8, 8), [1], 2, [0])
+            attend(t(8), t(8, 24), t(8, 8), plan(1), 2, [0])
         cases = (((8, 16), (8, 8), 2), ((4, 24), (8, 8), 2), ((8, 24), (8, 8), 3), ((8, 24), (8, 8), 0))
         for w_shape, o_shape, heads in cases + (((8, 24), (8, 4), 2), ((8, 24), (4, 8), 2)):
             with pytest.raises(ShapeError, match=r"^attend: weights of shapes"):
-                attend(t(2, 8), t(*w_shape), t(*o_shape), [2], heads, [0])
-        with pytest.raises(ShapeError, match="do not partition"):
-            attend(t(3, 8), t(8, 24), t(8, 8), [1, 1], 2, [0])
+                attend(t(2, 8), t(*w_shape), t(*o_shape), plan(2), heads, [0])
+        with pytest.raises(ShapeError, match="^attend: needs the batch_layout plan of its 3 rows, got a plan of 2 rows"):
+            attend(t(3, 8), t(8, 24), t(8, 8), plan(1, 1), 2, [0])
 
     def test_one_tape_node_for_the_whole_sublayer(self):
         x, wqkv, wo = parameter(np.ones((5, 4))), parameter(np.ones((4, 12))), parameter(np.ones((4, 4)))
         with Graph() as graph:
-            attend(x, wqkv, wo, [2, 3], 2, [0, 2])
-            attention(x, wqkv, wo, [2, 3], 2)
+            attend(x, wqkv, wo, plan(2, 3), 2, [0, 2])
+            attention(x, wqkv, wo, plan(2, 3), 2)
         assert len(graph) == 2
 
 
@@ -604,7 +596,8 @@ def _taped(fn, *inputs: Tensor) -> Tensor:
 def _grid_softmax_attention(qkv, lengths, num_heads):
     """Per grid of the batch plan, softmax(Q K^T / sqrt(d_k) plus the key mask) V
     of the [N x 3d] projected rows, and its backward: the attention core alone."""
-    layout, flat, _ = tensor._slot_buffer(qkv, lengths)
+    layout = plan(*lengths)
+    flat, _ = tensor._slot_buffer(qkv, layout, "attention")
     d = qkv.shape[1] // 3
     factor = 1.0 / math.sqrt(d // num_heads)
     context, kept = np.zeros((flat.shape[0], d)), []
@@ -639,10 +632,12 @@ def _grid_softmax_attention(qkv, lengths, num_heads):
 def _folded_attention(x, wqkv, lengths, num_heads, rows):
     """attend's core before W_O at the wanted rows, and its backward: the key
     projection folded into each query, the value projection past the softmax."""
-    n, d = x.shape
+    d = x.shape[1]
     d_k = d // num_heads
-    layout, flat, _ = tensor._slot_buffer(x, lengths)
-    picks, q_slots, q_lengths, size = tensor._query_slots(layout, rows, n)
+    layout = plan(*lengths)
+    flat, _ = tensor._slot_buffer(x, layout, "attend")
+    picks = np.asarray(rows, dtype=np.int64)
+    q_slots, q_lengths, size = tensor._query_slots(layout, picks)
     factor = 1.0 / math.sqrt(d_k)
     w_q, w_k, w_v = wqkv.reshape(d, 3, num_heads, d_k).transpose(1, 2, 0, 3)
     x_q = x.take(picks, axis=0)
@@ -709,12 +704,12 @@ def _unfused(lengths, num_heads, rows=None):
 
 D = 12  # TestFusedSublayer's width
 # lengths per case: dense (equal lengths, one grid, no padding slot), ragged in
-# one grid, ragged across grids (EVAL_SLOTS 6), and one sequence as its plan
+# one grid, ragged across grids (EVAL_SLOTS 6), and one sequence (its one-sequence plan)
 _FUSED_CASES = {
     "dense": ([4, 4, 4], None),
     "ragged": ([3, 1, 5, 2], None),
     "grids": ([3, 1, 5, 2, 6, 1], 6),
-    "one-sequence": (tensor.batch_layout((7,)), None),
+    "one-sequence": ([7], None),
 }
 
 
@@ -728,10 +723,10 @@ class TestFusedSublayer:
         lengths, budget = _FUSED_CASES[case]
         if budget is not None:
             slot_budget(budget)
-        n = sum(lengths) if isinstance(lengths, list) else lengths.slots.size
+        n = sum(lengths)
         rng = np.random.default_rng(50)
         x, (wqkv, wo), upstream = rng.normal(size=(n, D)), _weights(rng, D), rng.normal(size=(n, D))
-        fused = _run(lambda *t: attention(*t, lengths, 2), x, wqkv, wo, upstream)
+        fused = _attention_and_grad(x, wqkv, wo, lengths, upstream)
         unfused = _run(_unfused(lengths, 2), x, wqkv, wo, upstream)
         for name, mine, theirs in zip(("output", "x gradient", "wqkv gradient", "wo gradient"), fused, unfused):
             assert np.array_equal(mine, theirs), name
@@ -743,15 +738,13 @@ class TestFusedSublayer:
         lengths, budget = _FUSED_CASES[case]
         if budget is not None:
             slot_budget(budget)
-        plan = lengths if isinstance(lengths, tensor._Layout) else tensor.batch_layout(tuple(lengths))
-        n = plan.slots.size
-        rows = plan.start
+        n, rows = sum(lengths), plan(*lengths).start
         if wanted == "pretraining":
-            others = np.setdiff1d(np.arange(n), plan.start)
-            rows = np.concatenate((plan.start, np.random.default_rng(51).permutation(others)[: min(6, others.size)]))
+            others = np.setdiff1d(np.arange(n), rows)
+            rows = np.concatenate((rows, np.random.default_rng(51).permutation(others)[: min(6, others.size)]))
         rng = np.random.default_rng(52)
         x, (wqkv, wo), upstream = rng.normal(size=(n, D)), _weights(rng, D), rng.normal(size=(len(rows), D))
-        fused = _run(lambda *t: attend(*t, lengths, 2, rows), x, wqkv, wo, upstream)
+        fused = _attend_and_grad(x, wqkv, wo, lengths, rows, upstream)
         unfused = _run(_unfused(lengths, 2, rows), x, wqkv, wo, upstream)
         for name, mine, theirs in zip(("output", "x gradient", "wqkv gradient", "wo gradient"), fused, unfused):
             assert np.array_equal(mine, theirs), name
@@ -765,9 +758,9 @@ class TestFusedSublayer:
         scrambled = x.copy()
         scrambled[4:9] = rng.normal(size=(5, 8)) * 10.0
         if rows is None:
-            op = lambda a: attention(a, wqkv, wo, lengths, 2)
+            op = lambda a: attention(a, wqkv, wo, plan(*lengths), 2)
         else:
-            op = lambda a: attend(a, wqkv, wo, lengths, 2, rows)
+            op = lambda a: attend(a, wqkv, wo, plan(*lengths), 2, rows)
         outside = [i for i, r in enumerate(range(11) if rows is None else rows) if not 4 <= r < 9]
         np.testing.assert_allclose(op(Tensor(x)).data[outside], op(Tensor(scrambled)).data[outside], atol=1e-9, rtol=0)
 
@@ -777,48 +770,61 @@ class TestOneSequencePlan:
     sequence wide, and attend its start as the [CLS] row: under a recording
     Graph the same code is the training code."""
 
-    @pytest.mark.parametrize("by_plan", [False, True], ids=["lengths", "plan"])
-    def test_attention_gradcheck(self, by_plan):
+    def test_attention_gradcheck(self):
         rng = np.random.default_rng(40)
-        lengths = tensor.batch_layout((6,)) if by_plan else [6]
         x, (wqkv, wo) = parameter(rng.normal(size=(6, 8))), map(parameter, _weights(rng, 8))
         weights = rng.normal(size=(6, 8))
-        build = lambda: weighted_sum(attention(x, wqkv, wo, lengths, 2), weights)
+        build = lambda: weighted_sum(attention(x, wqkv, wo, plan(6), 2), weights)
         assert check_gradients(build, {"x": x, "wqkv": wqkv, "wo": wo}, rng, probes=90, rel=1e-4) == 90
 
-    @pytest.mark.parametrize("by_plan", [False, True], ids=["lengths", "plan"])
-    def test_attend_at_the_plans_start_gradcheck(self, monkeypatch, by_plan):
+    def test_attend_at_the_plans_start_gradcheck(self, monkeypatch):
         asked = []
         general = tensor._query_slots
         monkeypatch.setattr(tensor, "_query_slots", lambda *args: asked.append(args) or general(*args))
         rng = np.random.default_rng(41)
-        plan = tensor.batch_layout((6,))
+        one = plan(6)
         x, (wqkv, wo) = parameter(rng.normal(size=(6, 8))), map(parameter, _weights(rng, 8))
         weights = rng.normal(size=(1, 8))
-        build = lambda: weighted_sum(attend(x, wqkv, wo, plan if by_plan else [6], 2, plan.start), weights)
+        build = lambda: weighted_sum(attend(x, wqkv, wo, one, 2, one.start), weights)
         assert check_gradients(build, {"x": x, "wqkv": wqkv, "wo": wo}, rng, probes=100, rel=1e-4) == 100
         assert not asked  # the plan's own start: the [CLS] path, with no query plan
 
     def test_a_plan_gives_what_its_lengths_give(self):
+        # the memoized plan, and the [CLS] path at its start, against a plan of the same lengths worked out afresh
         rng = np.random.default_rng(42)
         for lengths in ([5], [3, 1, 5]):
-            plan = tensor.batch_layout(tuple(lengths))
+            memo, fresh = plan(*lengths), _padding_layout.__wrapped__(tuple(lengths))
+            assert memo is not fresh
             n = sum(lengths)
             x, (wqkv, wo), upstream = rng.normal(size=(n, 8)), _weights(rng, 8), rng.normal(size=(n, 8))
-            by_plan = _attention_and_grad(x, wqkv, wo, plan, upstream)
-            for mine, theirs in zip(by_plan, _attention_and_grad(x, wqkv, wo, lengths, upstream)):
+            by_memo = _run(lambda *t: attention(*t, memo, 2), x, wqkv, wo, upstream)
+            for mine, theirs in zip(by_memo, _run(lambda *t: attention(*t, fresh, 2), x, wqkv, wo, upstream)):
                 np.testing.assert_array_equal(mine, theirs)
             upstream = rng.normal(size=(len(lengths), 8))
-            got = _attend_and_grad(x, wqkv, wo, plan, plan.start, upstream)
-            for mine, theirs in zip(got, _attend_and_grad(x, wqkv, wo, lengths, list(plan.start), upstream)):
+            got = _run(lambda *t: attend(*t, memo, 2, memo.start), x, wqkv, wo, upstream)
+            general = _run(lambda *t: attend(*t, fresh, 2, list(memo.start)), x, wqkv, wo, upstream)
+            for mine, theirs in zip(got, general):
                 np.testing.assert_array_equal(mine, theirs)
 
     def test_a_plan_of_other_rows_is_rejected(self):
         t = lambda *s: Tensor(np.zeros(s))
-        with pytest.raises(ShapeError, match="does not partition 5 rows"):
-            attention(t(5, 4), t(4, 12), t(4, 4), tensor.batch_layout((6,)), 1)
-        with pytest.raises(ShapeError, match="does not partition 7 rows"):
-            attend(t(7, 4), t(4, 12), t(4, 4), tensor.batch_layout((3, 3)), 1, [0])
+        with pytest.raises(ShapeError, match="^attention: needs the batch_layout plan of its 5 rows, got a plan of 6 rows"):
+            attention(t(5, 4), t(4, 12), t(4, 4), plan(6), 1)
+        with pytest.raises(ShapeError, match="^attend: needs the batch_layout plan of its 7 rows, got a plan of 6 rows"):
+            attend(t(7, 4), t(4, 12), t(4, 4), plan(3, 3), 1, [0])
+
+
+@pytest.mark.parametrize("lengths", [[2, 3], (2, 3), np.array([2, 3])], ids=["list", "tuple", "array"])
+def test_row_counts_in_place_of_the_plan_are_a_shape_error(lengths):
+    # the plan is the only batch-shape argument: batch_layout checks row counts once, the ops do not parse them
+    x, wqkv, wo = Tensor(np.zeros((5, 4))), Tensor(np.zeros((4, 12))), Tensor(np.zeros((4, 4)))
+    got = type(lengths).__name__
+    with pytest.raises(ShapeError, match=f"^attention: needs the batch_layout plan of its 5 rows, got {got}$"):
+        attention(x, wqkv, wo, lengths, 1)
+    with pytest.raises(ShapeError, match=f"^attend: needs the batch_layout plan of its 5 rows, got {got}$"):
+        attend(x, wqkv, wo, lengths, 1, [0])
+    with pytest.raises(ShapeError, match=f"^attention: needs the batch_layout plan of its 5 rows, got {got}$"):
+        multi_head(x, wqkv, wo, lengths, 1)
 
 
 class TestMultiHead:
@@ -857,7 +863,7 @@ class TestEncoderLayer:
         for name in ("wqkv", "wo", "ffn.w1", "ffn.w2"):
             params[f"encoder.0.{name}"].data[:] = 0.0
         x = np.random.default_rng(5).normal(size=(3, 6))
-        out = encoder_layer(Tensor(x), layer_weights(params, "encoder.0"), [3], 2).data
+        out = encoder_layer(Tensor(x), layer_weights(params, "encoder.0"), plan(3), 2).data
         mean = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         once = (x - mean) / np.sqrt(var + 1e-5)
@@ -871,15 +877,16 @@ class TestEncoderLayer:
         params = init_layer_params(config, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
         weights = layer_weights(params, "encoder.0")
-        a = encoder_layer(x, weights, [4], 2, config.dropout_rate, np.random.default_rng(1), training=False)
-        b = encoder_layer(x, weights, [4], 2, config.dropout_rate, np.random.default_rng(999), training=False)
+        a = encoder_layer(x, weights, plan(4), 2, config.dropout_rate, np.random.default_rng(1), training=False)
+        b = encoder_layer(x, weights, plan(4), 2, config.dropout_rate, np.random.default_rng(999), training=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_training_dropout_needs_rng(self):
         config = _config(dropout_rate=0.5)
         params = init_layer_params(config, np.random.default_rng(0))
+        weights = layer_weights(params, "encoder.0")
         with pytest.raises(ConfigError):
-            encoder_layer(Tensor(np.zeros((2, 8))), layer_weights(params, "encoder.0"), [2], 2, 0.5, None, training=True)
+            encoder_layer(Tensor(np.zeros((2, 8))), weights, plan(2), 2, 0.5, None, training=True)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
     @pytest.mark.parametrize("rate", [-0.1, 1.0, float("nan")])
@@ -887,7 +894,7 @@ class TestEncoderLayer:
         params = init_layer_params(_config(), np.random.default_rng(0))
         with pytest.raises(ContractError, match=r"^dropout: rate must be in \[0, 1\), got"):
             weights = layer_weights(params, "encoder.0")
-            encoder_layer(Tensor(np.zeros((2, 8))), weights, [2], 2, rate, np.random.default_rng(0), training)
+            encoder_layer(Tensor(np.zeros((2, 8))), weights, plan(2), 2, rate, np.random.default_rng(0), training)
 
     @pytest.mark.parametrize("rows", [None, [0, 2]], ids=["all-rows", "query-rows"])
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
@@ -897,7 +904,7 @@ class TestEncoderLayer:
         params = init_layer_params(_config(), np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(5, 8)))
         rng, reference = np.random.default_rng(2), np.random.default_rng(2)
-        encoder_layer(x, layer_weights(params, "encoder.0"), [2, 3], 2, 0.3, rng, training, rows)
+        encoder_layer(x, layer_weights(params, "encoder.0"), plan(2, 3), 2, 0.3, rng, training, rows)
         for _ in range(2 if training else 0):
             reference.random((5, 8))
         assert rng.bit_generator.state == reference.bit_generator.state
@@ -905,7 +912,7 @@ class TestEncoderLayer:
     def test_output_shape(self):
         config = _config()
         params = init_layer_params(config, np.random.default_rng(0))
-        out = encoder_layer(Tensor(np.zeros((5, 8))), layer_weights(params, "encoder.0"), [2, 3], 2)
+        out = encoder_layer(Tensor(np.zeros((5, 8))), layer_weights(params, "encoder.0"), plan(2, 3), 2)
         assert out.data.shape == (5, 8)
 
 
@@ -913,7 +920,7 @@ class TestEncode:
     def test_empty_stack_is_identity(self):
         config = _config(num_layers=0)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 8)))
-        out = encode(x, config, {}, [4])
+        out = encode(x, config, {}, plan(4))
         assert out is x
 
     def test_two_layers_equal_manual_composition(self):
@@ -921,10 +928,10 @@ class TestEncode:
         rng = np.random.default_rng(6)
         params = init_stack(config, rng)
         x = Tensor(rng.normal(size=(4, 8)))
-        lengths = [1, 3]
-        stacked = encode(x, config, stack_weights(params, config), lengths)
+        batch = plan(1, 3)
+        stacked = encode(x, config, stack_weights(params, config), batch)
         first, second = layer_weights(params, "encoder.0"), layer_weights(params, "encoder.1")
-        manual = encoder_layer(encoder_layer(x, first, lengths, 2), second, lengths, 2)
+        manual = encoder_layer(encoder_layer(x, first, batch, 2), second, batch, 2)
         np.testing.assert_array_equal(stacked.data, manual.data)
 
     def test_layer_count_mismatch(self):
@@ -932,26 +939,25 @@ class TestEncode:
         config = _config(num_layers=2)
         params = init_layer_params(config, np.random.default_rng(0))
         with pytest.raises(ConfigError, match=r"encoder\.1\.wqkv"):
-            encode(Tensor(np.zeros((2, 8))), config, stack_weights(params, config), [2])
+            encode(Tensor(np.zeros((2, 8))), config, stack_weights(params, config), plan(2))
 
     def test_missing_layer_weight_is_config_error(self):
         config = _config(num_layers=1)
         params = init_layer_params(config, np.random.default_rng(0))
         del params["encoder.0.ln2.beta"]
         with pytest.raises(ConfigError, match=r"encoder\.0\.ln2\.beta"):
-            encode(Tensor(np.zeros((2, 8))), config, stack_weights(params, config), [2])
+            encode(Tensor(np.zeros((2, 8))), config, stack_weights(params, config), plan(2))
 
     def test_pad_isolation(self):
         # a sequence's rows ignore whatever its batch neighbour holds
         config = _config(num_layers=2)
         rng = np.random.default_rng(7)
         params = init_stack(config, rng)
-        lengths = [3, 2]
         x = rng.normal(size=(5, 8))
         scrambled = x.copy()
         scrambled[3:, :] = rng.normal(size=(2, 8)) * 10.0
-        out_a = encode(Tensor(x), config, stack_weights(params, config), lengths).data
-        out_b = encode(Tensor(scrambled), config, stack_weights(params, config), lengths).data
+        out_a = encode(Tensor(x), config, stack_weights(params, config), plan(3, 2)).data
+        out_b = encode(Tensor(scrambled), config, stack_weights(params, config), plan(3, 2)).data
         np.testing.assert_allclose(out_a[:3], out_b[:3], atol=1e-9)
 
     def test_permutation_equivariance(self):
@@ -960,8 +966,8 @@ class TestEncode:
         params = init_stack(config, rng)
         x = rng.normal(size=(5, 8))
         perm = rng.permutation(5)
-        out = encode(Tensor(x), config, stack_weights(params, config), [5]).data
-        out_perm = encode(Tensor(x[perm]), config, stack_weights(params, config), [5]).data
+        out = encode(Tensor(x), config, stack_weights(params, config), plan(5)).data
+        out_perm = encode(Tensor(x[perm]), config, stack_weights(params, config), plan(5)).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
     def test_eval_determinism_bitwise(self):
@@ -969,8 +975,8 @@ class TestEncode:
         rng = np.random.default_rng(9)
         params = init_stack(config, rng)
         x = rng.normal(size=(4, 8))
-        a = encode(Tensor(x), config, stack_weights(params, config), [4], training=False).data
-        b = encode(Tensor(x), config, stack_weights(params, config), [4], training=False).data
+        a = encode(Tensor(x), config, stack_weights(params, config), plan(4), training=False).data
+        b = encode(Tensor(x), config, stack_weights(params, config), plan(4), training=False).data
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("num_layers", [0, 1, 2])
@@ -983,8 +989,8 @@ class TestEncode:
         x = Tensor(rng.normal(size=(9, 8)))
         rows = [3, 0, 8, 5]
         full_rng, cut_rng = np.random.default_rng(1), np.random.default_rng(1)
-        full = encode(x, config, stack_weights(params, config), [3, 1, 5], True, full_rng).data[rows]
-        cut = encode(x, config, stack_weights(params, config), [3, 1, 5], True, cut_rng, rows).data
+        full = encode(x, config, stack_weights(params, config), plan(3, 1, 5), True, full_rng).data[rows]
+        cut = encode(x, config, stack_weights(params, config), plan(3, 1, 5), True, cut_rng, rows).data
         np.testing.assert_allclose(cut, full, atol=1e-12, rtol=0)
         assert full_rng.random() == cut_rng.random()
 
@@ -996,10 +1002,8 @@ class TestEncoderGradients:
         layers = init_stack(config, rng)
         head = parameter(rng.normal(size=(8, 3)))
         x = parameter(rng.normal(size=(4, 8)))
-        lengths = [3, 1]
-
         def build():
-            hidden = encode(x, config, stack_weights(layers, config), lengths)
+            hidden = encode(x, config, stack_weights(layers, config), plan(3, 1))
             return cross_entropy(linear(hidden, head, rows=[0]), [2])
 
         check_gradients(build, {"x": x, "head": head, **layers}, rng, probes=120)

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,6 +293,30 @@ class TestQueryRows:
         with pytest.raises(ShapeError):
             model.hidden_states(seqs, rows=[1, 0, 1])
 
+
+
+class TestBatchPlan:
+    """A forward without a plan looks one up in hidden_states or class_logits,
+    and batch_layout checks the lengths there."""
+
+    @pytest.mark.parametrize("where", [0, 1, 3], ids=["alone", "in-a-batch", "last"])
+    @pytest.mark.parametrize("forward", ["class_logits", "hidden_states"])
+    def test_an_empty_sequence_is_a_shape_error_naming_the_lengths(self, model, where, forward):
+        seqs = _random_batch(model.vocab, 3 if where else 0, seed=10)
+        seqs.insert(where, EncodedSequence(token_ids=[], segment_ids=[]))
+        lengths = tuple(s.real_length() for s in seqs)
+        with pytest.raises(ShapeError, match=f"^batch_layout: lengths {re.escape(repr(lengths))} are not a nonempty"):
+            getattr(model, forward)(seqs)
+
+    @pytest.mark.parametrize("rows", [[0.5], [True, False], ["0"]], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("num_layers", [0, 2])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    def test_rows_that_are_not_integers_are_a_contract_error(self, model, rows, num_layers, training):
+        # in training, before the dropout masks are indexed by them
+        net = model if num_layers else SentimentModel.init(model.vocab, replace(CONFIG, num_layers=0), seed=4)
+        op = "attend" if num_layers else "gather_rows"
+        with pytest.raises(ContractError, match=f"^{op}: expected integer ids, got "):
+            net.hidden_states(_random_batch(model.vocab, 3, seed=11), training, np.random.default_rng(0), rows)
 
 
 class TestEvalChunks:

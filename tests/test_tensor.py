@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients, numerical_grad, sum_all, weighted_sum
+from gradcheck import check_gradients, numerical_grad, plan, sum_all, weighted_sum
 from sentibert import tensor
 from sentibert.errors import ContractError, ShapeError
 from sentibert.optim import OPTIMIZERS, SGD, Adam
@@ -474,8 +474,8 @@ _OP_INPUTS = {
         ),
         ((3, 4), (3, 4), (4,), (4,)),
     ),
-    "attention": (lambda x, wqkv, wo: attention(x, wqkv, wo, [2, 1], 2), ((3, 4), (4, 12), (4, 4))),
-    "attend": (lambda x, wqkv, wo: attend(x, wqkv, wo, [2, 1], 2, [2, 0, 1]), ((3, 4), (4, 12), (4, 4))),
+    "attention": (lambda x, wqkv, wo: attention(x, wqkv, wo, plan(2, 1), 2), ((3, 4), (4, 12), (4, 4))),
+    "attend": (lambda x, wqkv, wo: attend(x, wqkv, wo, plan(2, 1), 2, [2, 0, 1]), ((3, 4), (4, 12), (4, 4))),
     "cross_entropy": (lambda logits: cross_entropy(logits, [0, 2, 1]), ((3, 3),)),
     "gather_rows": (lambda a, e: gather_rows((a, [2, 0, 2]), (e, [1, 1, 0])), ((3, 4), (2, 4))),
 }
@@ -501,6 +501,36 @@ def test_a_constant_input_gets_no_gradient_and_changes_no_other(op, constant):
     assert got[constant] is None
     for i, (grad, expected) in enumerate(zip(got, reference)):
         assert i == constant or np.array_equal(grad, expected), i
+
+
+# per op taking row ids or targets: a call on two of them
+_ID_OPS = {
+    "linear": lambda ids: linear(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))), rows=ids),
+    "layer_norm": lambda ids: layer_norm(
+        Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), rows=ids
+    ),
+    "gather_rows": lambda ids: gather_rows((Tensor(np.ones((3, 2))), ids)),
+    "attend": lambda ids: attend(
+        Tensor(np.ones((3, 2))), Tensor(np.ones((2, 6))), Tensor(np.ones((2, 2))), plan(1, 2), 1, ids
+    ),
+    "cross_entropy": lambda ids: cross_entropy(Tensor(np.ones((2, 3))), ids),
+}
+
+
+@pytest.mark.parametrize(
+    "ids", [[1.9, 0.2], np.array([0.7, 2.2]), [True, False], np.array([True, False]), ["1", "0"]],
+    ids=["float-list", "float-array", "bool-list", "bool-array", "string"],
+)
+@pytest.mark.parametrize("op", list(_ID_OPS))
+def test_row_ids_and_targets_that_are_not_integers_are_a_contract_error(op, ids):
+    # numpy would cast a float or bool id to an integer and read that row
+    with pytest.raises(ContractError, match=f"^{op}: expected integer ids, got "):
+        _ID_OPS[op](ids)
+
+
+@pytest.mark.parametrize("op", ["linear", "gather_rows", "attend"])
+def test_an_empty_id_list_reads_no_row(op):
+    assert _ID_OPS[op]([]).data.shape == (0, 2)
 
 
 def test_a_loss_no_recorded_op_produced_gets_no_gradient():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentibert.errors import ConfigError
+from sentibert.errors import ConfigError, ContractError
 from sentibert.tokenizer import (
     CLS_ID,
     PAD_ID,
@@ -71,6 +71,13 @@ def test_a_word_with_one_trailing_character_matches_the_reference(parts):
     assert tokenize(text) == reference_tokenize(text)
 
 
+@pytest.mark.parametrize("text", [5, None, b"room", ["room"]], ids=["int", "none", "bytes", "list"])
+def test_a_text_that_is_not_a_str_is_a_contract_error(text):
+    # bytes would otherwise encode as [UNK]; the others would fail on .lower with a bare AttributeError
+    with pytest.raises(ContractError, match=f"^tokenize: text must be a str, got {type(text).__name__}$"):
+        tokenize(text)
+
+
 class TestBuildVocab:
     def test_frequency_order(self):
         vocab = build_vocab(["a a b"], max_size=10, min_freq=1)
@@ -83,8 +90,8 @@ class TestBuildVocab:
 
     def test_min_freq_filters(self):
         vocab = build_vocab(["a b", "a c"], max_size=10, min_freq=2)
-        assert "a" in vocab
-        assert "b" not in vocab and "c" not in vocab
+        assert "a" in vocab.tokens()
+        assert "b" not in vocab.tokens() and "c" not in vocab.tokens()
 
     def test_tie_break_lexicographic(self):
         vocab = build_vocab(["b a c a b c z"], max_size=10, min_freq=1)
@@ -93,7 +100,7 @@ class TestBuildVocab:
     def test_max_size_caps_vocab(self):
         vocab = build_vocab(["a b c d e f g"], max_size=7, min_freq=1)
         assert len(vocab) == 7
-        assert "c" not in vocab  # only the 2 lexicographically-first ties fit
+        assert "c" not in vocab.tokens()  # only the 2 lexicographically-first ties fit
 
     def test_max_size_too_small(self):
         with pytest.raises(ConfigError):
