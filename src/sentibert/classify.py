@@ -12,7 +12,7 @@ from .balance import STRATEGIES, ClassHistogram, by_class, class_weights, rebala
 from .data import NUM_CLASSES, LabeledExample
 from .errors import ConfigError, ContractError, check_finite_loss
 from .metrics import MetricsReport, confusion, log_loss, report
-from .model import SentimentModel, eval_chunks
+from .model import SentimentModel, eval_chunks, map_chunks
 from .optim import OPTIMIZERS, LoopConfig, descend, run_epochs
 from .tensor import cross_entropy, softmax
 from .tokenizer import EncodedSequence, encode_pair
@@ -49,12 +49,15 @@ def kept_record(curve: Sequence[dict], keep_best: bool) -> dict:
 
 
 def _probs_for(seqs: list[EncodedSequence], model: SentimentModel) -> np.ndarray:
-    """Eval-mode probability rows over (negative, neutral, positive), in input order."""
+    """Eval-mode probability rows over (negative, neutral, positive), in input
+    order; a batch's length-sorted chunks run on map_chunks' workers."""
     if len(seqs) == 1:  # one sequence is its own chunk: no sort, no scatter
         return softmax(model.class_logits(seqs).data)
+    chunks = eval_chunks(seqs)
+    rows = map_chunks(lambda idx: softmax(model.class_logits([seqs[i] for i in idx]).data), chunks)
     probs = np.empty((len(seqs), NUM_CLASSES))
-    for idx in eval_chunks(seqs):
-        probs[idx] = softmax(model.class_logits([seqs[i] for i in idx]).data)
+    for idx, chunk_probs in zip(chunks, rows):
+        probs[idx] = chunk_probs
     return probs
 
 

@@ -6,12 +6,15 @@ embedding, projections, feed-forward, layer norm and dropout do no padding
 work; only the attention op pads, internally, and masks the padded keys.
 Eval-mode callers run length-sorted chunks of at most EVAL_SLOTS padded
 token slots each (eval_chunks), so a chunk pads little and its temporaries
-stay small whatever the lengths.
+stay small whatever the lengths; map_chunks runs the chunks on one worker
+thread per CPU, over the one-thread BLAS that tensor pins at import.
 """
 
+import contextvars
 import copy
 import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +23,7 @@ from .data import NUM_CLASSES
 from .embedding import embed
 from .encoder import EncoderConfig, encode, stack_weights
 from .errors import ConfigError, ContractError
-from .tensor import Tensor, batch_layout, length_groups, linear, parameter
+from .tensor import BLAS_ONE_THREAD, Tensor, batch_layout, length_groups, linear, parameter
 from .tokenizer import EncodedSequence, Vocab
 
 INIT_STD = 0.02  # scale of the normal-initialized weights
@@ -65,6 +68,54 @@ def eval_chunks(seqs: list[EncodedSequence]) -> list[np.ndarray]:
     fits one attention grid. Callers put each chunk's results back at its
     indices."""
     return length_groups([s.real_length() for s in seqs])
+
+
+def eval_workers(blas_one_thread: bool) -> int:
+    """Threads that map_chunks runs chunks on: one per CPU this process may
+    use, over a one-thread BLAS; one, the caller's own loop, where the BLAS
+    could not be pinned, since its own threads would contend with them."""
+    if not blas_one_thread:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+EVAL_WORKERS = eval_workers(BLAS_ONE_THREAD)
+_pool, _pool_lock = None, threading.Lock()  # EVAL_WORKERS threads, started by the first map_chunks that needs them
+
+
+def _forget_pool() -> None:
+    """In a forked child, which has none of the parent's threads: a pool
+    whose workers are gone would take chunks and never run them."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which does not fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def map_chunks(fn, chunks: list) -> list:
+    """[fn(chunk) for chunk in chunks], computed on EVAL_WORKERS threads, each
+    chunk in a copy of the caller's context so that its numpy error state
+    holds there. Each chunk computes as it would alone, so results are
+    byte-identical to the caller's loop, which runs instead for one worker or
+    one chunk. The first exception, in chunk order, reaches the caller, after
+    the chunks left unstarted are cancelled and the running ones end."""
+    if EVAL_WORKERS == 1 or len(chunks) < 2:
+        return [fn(chunk) for chunk in chunks]
+    from concurrent.futures import ThreadPoolExecutor, wait  # imported on first use: no import-time cost
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(EVAL_WORKERS, thread_name_prefix="sentibert-eval")
+    futures = [_pool.submit(contextvars.copy_context().run, fn, chunk) for chunk in chunks]
+    try:
+        return [future.result() for future in futures]
+    finally:  # after an error: the chunks not started are dropped, the running ones end first
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def initial_array(name: str, shape: tuple[int, ...], config: EncoderConfig, rng: np.random.Generator) -> np.ndarray:

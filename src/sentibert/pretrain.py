@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, SamplingError, check_finite_loss
-from .model import SentimentModel, eval_chunks
+from .model import SentimentModel, eval_chunks, map_chunks
 from .optim import OPTIMIZERS, LoopConfig, descend, run_epochs
 from .tensor import Tensor, batch_layout, cross_entropy
 from .tokenizer import (
@@ -157,20 +157,26 @@ def eval_losses(batch: MaskedBatch, model: SentimentModel) -> dict[str, float]:
     columns: val_loss = mlm_loss + nsp_loss, mlm_loss, nsp_loss, masked-token top-1 mlm_acc."""
     if not batch.sequences:
         raise ContractError("eval_losses: empty batch")
-    mlm_sum = nsp_sum = 0.0
-    hits = total = 0
-    for idx in eval_chunks(batch.sequences):
+
+    def sums(idx) -> tuple[float, float, int, int]:
         chunk = MaskedBatch(
             sequences=[batch.sequences[i] for i in idx],
             mlm_targets=[batch.mlm_targets[i] for i in idx],
             nsp_labels=[batch.nsp_labels[i] for i in idx],
         )
         mlm_loss, nsp_loss, logits, targets = _batch_losses(chunk, model, training=False, rng=None)
-        nsp_sum += nsp_loss.item() * len(idx)
-        if mlm_loss is not None:
-            mlm_sum += mlm_loss.item() * len(targets)
-            hits += int((logits.argmax(axis=1) == np.asarray(targets)).sum())
-            total += len(targets)
+        if mlm_loss is None:
+            return 0.0, nsp_loss.item() * len(idx), 0, 0
+        hits = int((logits.argmax(axis=1) == np.asarray(targets)).sum())
+        return mlm_loss.item() * len(targets), nsp_loss.item() * len(idx), hits, len(targets)
+
+    mlm_sum = nsp_sum = 0.0
+    hits = total = 0
+    for chunk_mlm, chunk_nsp, chunk_hits, chunk_total in map_chunks(sums, eval_chunks(batch.sequences)):
+        mlm_sum += chunk_mlm  # on the caller in chunk order: the same float sums as one loop
+        nsp_sum += chunk_nsp
+        hits += chunk_hits
+        total += chunk_total
     mlm_loss, nsp_loss = mlm_sum / total if total else 0.0, nsp_sum / len(batch.sequences)
     mlm_acc = hits / total if total else 0.0
     return {"val_loss": mlm_loss + nsp_loss, "mlm_loss": mlm_loss, "nsp_loss": nsp_loss, "mlm_acc": mlm_acc}

@@ -24,18 +24,48 @@ INT64 = np.dtype(np.int64)  # the dtype of row ids, compared by identity
 EVAL_SLOTS = 512  # padded token slots (sequences x longest length) per attention grid and per eval-mode forward
 # glibc trims freed pages off the heap top and maps large arrays fresh, so every training step faults
 HEAP_TOP_PAD = 64 << 20  # its ~13 MB of temporaries back in; a padded top keeps them (address space, not RSS)
+BLAS_THREAD_FUNCTIONS = (  # (set, get) thread-count functions: numpy's scipy-openblas wheels, other OpenBLAS builds
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
-def _pad_heap_top() -> bool:
+def _tune_malloc() -> bool:
+    """Pad the heap top and keep one malloc arena, so that eval-mode worker
+    threads reuse the pages the main heap keeps instead of growing arenas of
+    their own; False where libc has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # a libc with no mallopt (macOS, Windows): left as it is
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt(-2, HEAP_TOP_PAD) == 1  # -2 is M_TOP_PAD; glibc returns 1 on success
+    return [mallopt(-2, HEAP_TOP_PAD), mallopt(-8, 1)] == [1, 1]  # M_TOP_PAD, M_ARENA_MAX; glibc returns 1 on success
 
 
-_pad_heap_top()
+def _one_blas_thread() -> bool:
+    """Pin numpy's OpenBLAS to one thread for the whole process: at these
+    matrix sizes a second BLAS thread adds no speed and spins after each call,
+    taking the core an eval-mode worker would use. OpenBLAS also splits the
+    summed dimension of a product over a few hundred rows between threads,
+    so the pin makes float64 training bits independent of
+    OPENBLAS_NUM_THREADS and the core count. True if the count then reads
+    1; False where numpy's BLAS has no OpenBLAS thread functions."""
+    try:  # a handle on numpy's LAPACK extension also finds the symbols of the BLAS it links
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError, TypeError):
+        return False
+    for set_name, get_name in BLAS_THREAD_FUNCTIONS:
+        set_threads, get_threads = getattr(lib, set_name, None), getattr(lib, get_name, None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+            set_threads(1)
+            return get_threads() == 1
+    return False
+
+
+_tune_malloc()
+BLAS_ONE_THREAD = _one_blas_thread()
 
 
 class Tensor:

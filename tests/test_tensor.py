@@ -864,4 +864,4 @@ def test_heap_pad_is_a_no_op_where_libc_has_no_mallopt(monkeypatch, error):
         raise error("no mallopt here")
 
     monkeypatch.setattr(tensor.ctypes, "CDLL", no_mallopt)
-    assert tensor._pad_heap_top() is False
+    assert tensor._tune_malloc() is False
