@@ -69,13 +69,19 @@ def forward_classify(text: str, model: SentimentModel) -> np.ndarray:
 def predict_batch(texts: Sequence[str], model: SentimentModel) -> list[tuple[int, np.ndarray]]:
     """Per-text (argmax label, probabilities); ties resolve to the lower index."""
     seqs = [encode_pair(text, None, model.vocab, model.config.max_len) for text in texts]
-    return [(int(np.argmax(probs)), probs) for probs in _probs_for(seqs, model)]
-
-
-def _partition_scores(seqs, labels, model) -> tuple[float, float]:
     probs = _probs_for(seqs, model)
-    preds = probs.argmax(axis=1)
-    return log_loss(probs, labels), float((preds == np.asarray(labels)).mean())
+    return list(zip(probs.argmax(axis=1).tolist(), probs))
+
+
+def _labels(examples: list[LabeledExample]) -> np.ndarray:
+    """The examples' labels as an int64 array, which the metrics take unscanned:
+    a LabeledExample's label is checked already."""
+    return np.array([ex.label for ex in examples], dtype=np.int64)
+
+
+def _partition_scores(seqs, labels: np.ndarray, model) -> tuple[float, float]:
+    probs = _probs_for(seqs, model)
+    return log_loss(probs, labels), float((probs.argmax(axis=1) == labels).mean())
 
 
 def _stratified_split(
@@ -130,7 +136,7 @@ def train(
     train_seqs = [encoded[ex.text] for ex in train_examples]
     train_labels = [ex.label for ex in train_examples]
     val_seqs = [encoded[ex.text] for ex in val_examples]
-    val_labels = [ex.label for ex in val_examples]
+    val_labels = _labels(val_examples)
 
     optimizer = OPTIMIZERS[config.algorithm](model.named_parameters("classifier"), config.lr)
 
@@ -169,8 +175,7 @@ def evaluate(model: SentimentModel, dataset: list[LabeledExample]) -> tuple[Metr
     if not dataset:
         raise ConfigError("evaluate: empty dataset")
     seqs = [encode_pair(ex.text, None, model.vocab, model.config.max_len) for ex in dataset]
-    labels = [ex.label for ex in dataset]
+    labels = _labels(dataset)
     probs = _probs_for(seqs, model)
-    preds = probs.argmax(axis=1)
-    cm = confusion(preds, labels)
+    cm = confusion(probs.argmax(axis=1), labels)
     return report(cm, probs, labels), cm

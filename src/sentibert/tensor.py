@@ -1,11 +1,12 @@
 """Dense row-major float64 tensors with tape-based reverse-mode autodiff.
 
 Operations compute eagerly with numpy. When a Graph is recording (one per
-forward pass, discarded after backward), each op appends a backward closure
-to the tape; Graph.backward walks the tape in exact reverse recording order
-and accumulates gradients into leaves and intermediates. Without an active
-graph the same functions are pure eager math, which keeps read-only
-inference cheap and safe for concurrent use.
+forward pass), each op appends a backward closure to the tape;
+Graph.backward walks the tape once, in exact reverse recording order,
+accumulates gradients into leaves and intermediates, and frees each node,
+with the arrays its closure saved, as soon as the node is walked. Without
+an active graph the same functions are pure eager math, which keeps
+read-only inference cheap and safe for concurrent use.
 """
 
 import ctypes
@@ -23,7 +24,7 @@ SHORT_IDS = 16  # an id array up to this long is bounds-checked with Python's mi
 INT64 = np.dtype(np.int64)  # the dtype of row ids, compared by identity
 EVAL_SLOTS = 512  # padded token slots (sequences x longest length) per attention grid and per eval-mode forward
 # glibc trims freed pages off the heap top and maps large arrays fresh, so every training step faults
-HEAP_TOP_PAD = 64 << 20  # its ~13 MB of temporaries back in; a padded top keeps them (address space, not RSS)
+HEAP_TOP_PAD = 64 << 20  # its 8-12 MB of temporaries back in; a padded top keeps them (address space, not RSS)
 BLAS_THREAD_FUNCTIONS = (  # (set, get) thread-count functions: numpy's scipy-openblas wheels, other OpenBLAS builds
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
@@ -116,11 +117,14 @@ class Graph:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, object]] = []
+        self._nodes: list[tuple[Tensor, object]] | None = []  # None once backward has released the tape
+        self._recorded = 0  # the tape's length when backward took it
 
     def __enter__(self) -> "Graph":
         if _active.graph is not None:
             raise ContractError("a Graph is already recording on this thread")
+        if self._nodes is None:
+            raise ContractError("this Graph was walked by backward and its tape released: record on a new Graph")
         _active.graph = self
         return self
 
@@ -129,18 +133,31 @@ class Graph:
         return False
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        """Nodes recorded, also after backward has released them."""
+        return self._recorded if self._nodes is None else len(self._nodes)
 
     def backward(self, *losses: Tensor) -> None:
         """Populate .grad on every tensor the scalar losses depend on with the
         gradient of their sum: each loss is seeded with ones, then the tape is
-        walked once. A loss that no recorded op produced is a constant and gets no .grad."""
+        walked once. A loss that no recorded op produced is a constant and gets no .grad.
+
+        The walk pops each node off the tape before running it, so a node's
+        closure, and every array it saved, is freed once its gradients are
+        out. Recording ends with the walk (an op after it in the with block
+        computes eagerly), and a second backward raises ContractError."""
+        nodes = self._nodes
+        if nodes is None:
+            raise ContractError("backward: this Graph was walked already and its tape released; reuse needs a new Graph")
         for loss in losses:
             if loss.data.size != 1:
                 raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        self._nodes, self._recorded = None, len(nodes)
+        if _active.graph is self:
+            _active.graph = None
         for loss in losses:
             _accumulate(loss, np.ones_like(loss.data))
-        for out, backward_fn in reversed(self._nodes):
+        while nodes:
+            out, backward_fn = nodes.pop()  # rebinding both names frees the node walked before
             if out.grad is None:
                 continue
             backward_fn(out.grad)

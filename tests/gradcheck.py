@@ -1,5 +1,5 @@
-"""Central finite-difference gradient checking, the tape helpers and the
-batch plan helper, shared by the test modules.
+"""Central finite-difference gradient checking, the tape helpers, the
+batch plan helper and the traced-memory helper, shared by the test modules.
 
 Tolerance rule: relative error within `rel` when the analytic value is at
 least `small`, otherwise absolute error within `abs_tol` (tiny gradients
@@ -7,6 +7,7 @@ drown in relative noise).
 """
 
 import collections
+import tracemalloc
 
 import numpy as np
 
@@ -110,3 +111,15 @@ def weighted_sum(x: Tensor, weights) -> Tensor:
 def tape_ops(graph: Graph) -> dict[str, int]:
     """Recorded nodes per op, named by the op whose backward each node holds."""
     return dict(collections.Counter(fn.__qualname__.split(".")[0] for _, fn in graph._nodes))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while fn() runs: memory allocated
+    and not yet freed, counted from the call. Warm fn's lazy imports and
+    caches first, or they count too."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,12 +1,11 @@
 import ctypes
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import tape_ops
+from gradcheck import tape_ops, traced_peak
 from sentibert import encoder, tensor
 from sentibert.classify import (
     TrainConfig,
@@ -244,12 +243,7 @@ class TestBatchEquivalence:
         texts = [" ".join(WORDS[(i + j) % len(WORDS)] for j in range(70)) for i in range(64)]
         model = _model(TOY, seed=0, config=EncoderConfig())
         predict_batch(texts[:2], model)  # warm lazy imports and caches outside the traced window
-        tracemalloc.start()
-        try:
-            predict_batch(texts, model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: predict_batch(texts, model))
         assert peak < 5.0e6, f"predict_batch peaked at {peak / 1e6:.2f} MB traced"
 
     def test_batched_loss_and_gradients_are_the_mean_of_single_runs(self):
@@ -289,10 +283,37 @@ class TestBatchEquivalence:
         model = _model(TOY, seed=2, config=EncoderConfig())
         seqs = [encode_pair(ex.text, None, model.vocab, model.config.max_len) for ex in TOY]
         with Graph() as g:
-            cross_entropy(model.class_logits(seqs, training=True, rng=np.random.default_rng(0)), [ex.label for ex in TOY])
+            loss = cross_entropy(
+                model.class_logits(seqs, training=True, rng=np.random.default_rng(0)), [ex.label for ex in TOY]
+            )
         assert len(g) == 11
         ops = {"gather_rows": 1, "attention": 1, "attend": 1, "layer_norm": 4, "ffn": 2, "linear": 1, "cross_entropy": 1}
         assert tape_ops(g) == ops
+        g.backward(loss)  # the walk releases the tape; the count stays the nodes recorded
+        assert len(g) == 11
+        with pytest.raises(ContractError, match="walked already.*reuse"):
+            g.backward(loss)
+
+    def test_a_long_training_step_frees_each_node_once_walked(self):
+        # 16 reviews of 60-64 tokens at the default shape, 990 packed rows: each
+        # node's saved arrays go once its gradients are out, so the step peaks at
+        # 12.3 MB traced, where a tape kept whole to the end of the walk peaked at 16.8 MB
+        model = _model(TOY, seed=0, config=EncoderConfig())
+        texts = [" ".join(WORDS[(i + j) % len(WORDS)] for j in range(58 + i % 5)) for i in range(16)]
+        seqs = [encode_pair(text, None, model.vocab, model.config.max_len) for text in texts]
+        assert min(len(seq.token_ids) for seq in seqs) >= 60
+        params, rng = model.named_parameters("classifier").values(), np.random.default_rng(0)
+
+        def step():
+            with Graph() as g:
+                loss = cross_entropy(model.class_logits(seqs, training=True, rng=rng), [i % 3 for i in range(16)])
+            g.backward(loss)
+
+        step()  # warm lazy imports and the batch plan outside the traced window
+        for p in params:
+            p.grad = None
+        peak = traced_peak(step)
+        assert peak < 14.5e6, f"one training step peaked at {peak / 1e6:.2f} MB traced"
 
     def test_a_ragged_training_step_keeps_no_projection_copy_and_one_byte_masks(self, monkeypatch):
         # the [N x 3d] projection is a temporary inside attention: no tape node

@@ -1,11 +1,11 @@
 import dataclasses
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from gradcheck import traced_peak
 from sentibert.classify import TrainConfig
 from sentibert.encoder import EncoderConfig
 from sentibert.errors import ConfigError
@@ -104,13 +104,7 @@ def _step_peak(optimizer_cls) -> tuple[int, int]:
             p.grad = grads[name]
         if warm_up:
             opt.step()
-    tracemalloc.start()
-    try:
-        opt.step()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak, largest
+    return traced_peak(opt.step), largest
 
 
 def test_adam_step_allocates_nothing_in_proportion_to_the_weights():

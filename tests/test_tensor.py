@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +463,45 @@ class TestBackward:
             mine = linear(w, w, transposed=True)
         assert other[0] is None and not other[1].requires_grad
         assert mine.requires_grad and len(g) == 1 and tensor._active.graph is None
+
+    def test_the_walk_frees_each_node_before_the_next_runs(self):
+        # a walked node's closure, and the arrays it saved, are freed before the node recorded before it runs
+        w = parameter([[1.0, 2.0]])
+        saved, freed = [], []
+
+        def total(x):  # x's sum, as a node whose backward reads an array that only its closure holds
+            one = np.ones(1)
+            saved.append(weakref.ref(one))
+            out = Tensor(x.data.sum())
+
+            def backward(grad):
+                freed.append([ref() is None for ref in saved])
+                tensor._accumulate(x, np.full_like(x.data, float(grad) * one[0]))
+
+            tensor._record(out, backward, x)
+            return out
+
+        with Graph() as g:
+            loss = total(total(total(w)))
+        g.backward(loss)
+        assert freed == [[False, False, False], [False, False, True], [False, True, True]]
+        assert all(ref() is None for ref in saved) and len(g) == 3
+        assert np.array_equal(w.grad, [[1.0, 1.0]])
+
+    def test_a_walked_graph_is_not_walked_or_recorded_on_again(self):
+        # recording ends with the walk; a second backward, or a second recording, names the reuse
+        w = parameter([[1.0, 2.0]])
+        with Graph() as g:
+            loss = sum_all(linear(w, w, transposed=True))
+            g.backward(loss)
+            after = linear(w, w, transposed=True)  # computed eagerly, as outside the block
+        assert not after.requires_grad and tensor._active.graph is None and len(g) == 2
+        with pytest.raises(ContractError, match="walked already.*reuse needs a new Graph"):
+            g.backward(loss)
+        with pytest.raises(ContractError, match="walked by backward.*record on a new Graph"):
+            with g:
+                pass
+        assert tensor._active.graph is None and np.array_equal(w.grad, [[2.0, 4.0]])
 
 
 # per op: a function of its tensor inputs, and their arrays; each input in turn is made the constant
